@@ -10,9 +10,7 @@ Subcommands:
   any failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-optimization.  Output is deterministic for a fixed command line; the
-``--seed`` flag is recorded in JSON output but the estimators are fully
-deterministic and do not consume randomness.
+optimization.  Output is deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -76,24 +74,6 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def rows_from_csv(text: str) -> list[ResultRow]:
-    out = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        kwargs = {}
-        for f in fields(ResultRow):
-            raw = rec[f.name]
-            if raw == "":
-                kwargs[f.name] = None
-            elif f.name in ("L", "r", "qubits", "ref_qubits"):
-                kwargs[f.name] = int(raw)
-            elif f.name in ("model", "method", "strategy"):
-                kwargs[f.name] = raw
-            else:
-                kwargs[f.name] = float(raw)
-        out.append(ResultRow(**kwargs))
-    return out
-
-
 def _sig3(value) -> str:
     if value is None:
         return ""
@@ -112,10 +92,8 @@ def rows_to_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, seed: int | None) -> str:
-    return json.dumps(
-        {"seed": seed, "rows": [row.as_record() for row in rows]}, indent=2
-    )
+def rows_to_json(rows) -> str:
+    return json.dumps({"rows": [row.as_record() for row in rows]}, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +101,14 @@ def rows_to_json(rows, seed: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
 def _build_spec(args) -> tuple[ModelSpec, float | None]:
     cfg = load_config(args.config) if args.config else {}
     kind = Model(args.model) if args.model else cfg.get("model")
     if kind is None:
-        raise SystemExit2("--model is required (or a config file with one)")
+        raise ValueError("--model is required (or a config file with one)")
     L = args.L if args.L is not None else cfg.get("L")
     if L is None:
-        raise SystemExit2("--L is required (or a config file with one)")
+        raise ValueError("--L is required (or a config file with one)")
     couplings = default_couplings(kind)
     overrides = {
         f.name: cfg[f.name] for f in fields(couplings) if f.name in cfg
@@ -213,8 +185,6 @@ def _add_common(parser):
 def _add_output(parser):
     parser.add_argument("--format", choices=["csv", "json", "table"], default="table")
     parser.add_argument("--output", help="write to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recorded in JSON output; estimators are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +224,10 @@ def _parse_l_range(text: str) -> list[int]:
             start, stop, step = parts
         else:
             raise ValueError(f"bad L range {text!r}")
-        return list(range(start, stop + 1, step))
+        sizes = list(range(start, stop + 1, step))
+        if not sizes:
+            raise ValueError(f"empty L range {text!r}")
+        return sizes
     return [int(p) for p in text.split(",")]
 
 
@@ -262,7 +235,7 @@ def _emit(rows, args) -> None:
     if args.format == "csv":
         text = rows_to_csv(rows)
     elif args.format == "json":
-        text = rows_to_json(rows, args.seed)
+        text = rows_to_json(rows)
     else:
         text = rows_to_table(rows)
     if args.output:

@@ -125,6 +125,15 @@ def extensive_error(L: int) -> float:
     return EXTENSIVE_ERROR_PER_SITE * (L * L)
 
 
+def error_target(L: int, delta_e: float | None) -> float:
+    """The energy error target: ``delta_e`` if given, else the extensive one."""
+    if delta_e is None:
+        return extensive_error(L)
+    if not (math.isfinite(delta_e) and delta_e > 0):
+        raise ValueError(f"the error target delta_e must be positive and finite, got {delta_e}")
+    return delta_e
+
+
 def lcu_lambda(spec: ModelSpec) -> float:
     """1-norm of the LCU coefficients of the Jordan-Wigner-transformed,
     chemical-potential-shifted Hamiltonian.
@@ -179,12 +188,3 @@ def parse_config(text: str) -> dict:
 def load_config(path) -> dict:
     return parse_config(Path(path).read_text())
 
-
-def spec_from_config(cfg: dict) -> ModelSpec:
-    """Build a ModelSpec from parsed config values (defaults fill the rest)."""
-    if "model" not in cfg or "L" not in cfg:
-        raise ValueError("config needs at least 'model' and 'L'")
-    kind = Model(cfg["model"])
-    coupling_fields = {f.name for f in fields(COUPLING_TYPES[kind])}
-    overrides = {k: v for k, v in cfg.items() if k in coupling_fields}
-    return ModelSpec(kind, cfg["L"], replace(default_couplings(kind), **overrides))

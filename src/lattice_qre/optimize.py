@@ -2,10 +2,11 @@
 
 Coarse grid scan over the box (respecting per-dimension linear or log
 scaling), followed by refinement: golden-section for one dimension,
-Nelder-Mead with the classical coefficients otherwise.  Constraint
-violations and non-finite objective values are treated as +inf, so the
-simplex contracts back into the feasible region.  No randomness anywhere:
-two runs with the same configuration are bit-identical.
+Nelder-Mead with the classical coefficients otherwise.  Non-finite
+objective values (and the errors of an undefined point) are treated as
++inf, so the simplex contracts back into the region where the objective is
+defined.  No randomness anywhere: two runs with the same inputs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -13,13 +14,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_STARTS = 2             # best grid candidates refined by Nelder-Mead
+_SIMPLEX_STEP = 0.12    # initial simplex edge, as a fraction of each span
+_TOLERANCE = 1e-10      # relative stopping tolerance of both refiners
+_REFINE_ITERATIONS = 160
 
 
 class NoFeasiblePointError(RuntimeError):
-    """The coarse grid contained no point satisfying the constraint."""
+    """The objective is infinite at every coarse grid point."""
 
 
 @dataclass(frozen=True)
@@ -52,24 +57,6 @@ class Dimension:
         return min(max(x, self.lower), self.upper)
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    dimensions: Sequence[Dimension]
-    constraint: Callable[[Sequence[float]], bool] | None = None
-
-    def feasible(self, point) -> bool:
-        return self.constraint is None or bool(self.constraint(point))
-
-
-@dataclass(frozen=True)
-class MinimizeConfig:
-    grid_points: int = 7
-    refine_iterations: int = 300
-    starts: int = 3
-    simplex_step: float = 0.12
-    tolerance: float = 1e-10
-
-
 @dataclass
 class MinimizeResult:
     point: list[float]
@@ -77,29 +64,28 @@ class MinimizeResult:
     evaluations: int = 0
 
 
-def minimize(objective, space: SearchSpace, config: MinimizeConfig = MinimizeConfig(),
+def minimize(objective, dims: Sequence[Dimension], grid_points: int,
              extra_points: Sequence[Sequence[float]] = ()) -> MinimizeResult:
-    """Minimize ``objective`` over ``space``.
+    """Minimize ``objective`` over the box ``dims``.
 
-    ``extra_points`` are additional seed points (clipped into the box) that
-    join the grid candidates; callers use them to plant starts on known
-    discontinuity boundaries of the objective.
+    ``grid_points`` per dimension form the coarse grid.  ``extra_points``
+    are additional seed points (clipped into the box) that join the grid
+    candidates; callers use them to plant starts on known discontinuity
+    boundaries of the objective.
     """
-    dims = list(space.dimensions)
+    dims = list(dims)
     evaluations = 0
 
     def guarded(point) -> float:
         nonlocal evaluations
         evaluations += 1
-        if not space.feasible(point):
-            return math.inf
         try:
             value = objective(point)
         except (ValueError, OverflowError, ZeroDivisionError):
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    candidates = [list(p) for p in itertools.product(*(d.grid(config.grid_points) for d in dims))]
+    candidates = [list(p) for p in itertools.product(*(d.grid(grid_points) for d in dims))]
     for p in extra_points:
         candidates.append([min(max(x, d.lower), d.upper) for x, d in zip(p, dims)])
     scored = sorted(((guarded(p), i) for i, p in enumerate(candidates)), key=lambda t: t[0])
@@ -108,30 +94,30 @@ def minimize(objective, space: SearchSpace, config: MinimizeConfig = MinimizeCon
 
     best_value, best_index = scored[0]
     best_point = candidates[best_index]
-    starts = [candidates[i] for v, i in scored[: max(1, config.starts)] if math.isfinite(v)]
+    starts = [candidates[i] for v, i in scored[:_STARTS] if math.isfinite(v)]
 
     if len(dims) == 1:
-        point, value = _golden_section(guarded, dims[0], best_point[0], config)
+        point, value = _golden_section(guarded, dims[0], best_point[0], grid_points)
         if value < best_value:
             best_point, best_value = point, value
     else:
         for start in starts:
-            point, value = _nelder_mead(guarded, dims, start, config)
+            point, value = _nelder_mead(guarded, dims, start)
             if value < best_value:
                 best_point, best_value = point, value
 
     return MinimizeResult(list(best_point), best_value, evaluations)
 
 
-def _golden_section(f, dim: Dimension, center: float, config: MinimizeConfig):
+def _golden_section(f, dim: Dimension, center: float, grid_points: int):
     # bracket one grid cell either side of the best coarse point
-    step = (dim.upper - dim.lower) / max(1, config.grid_points - 1)
+    step = (dim.upper - dim.lower) / max(1, grid_points - 1)
     a = max(dim.lower, center - step)
     b = min(dim.upper, center + step)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f([c]), f([d])
-    for _ in range(config.refine_iterations):
-        if b - a < config.tolerance * max(1.0, abs(a) + abs(b)):
+    for _ in range(_REFINE_ITERATIONS):
+        if b - a < _TOLERANCE * max(1.0, abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -145,7 +131,7 @@ def _golden_section(f, dim: Dimension, center: float, config: MinimizeConfig):
     return [x], min(fc, fd)
 
 
-def _nelder_mead(f, dims, start, config: MinimizeConfig):
+def _nelder_mead(f, dims, start):
     """Classical Nelder-Mead (reflect 1, expand 2, contract 1/2, shrink 1/2)."""
     n = len(dims)
     enc = lambda p: [d.encode(x) for d, x in zip(dims, p)]
@@ -157,16 +143,16 @@ def _nelder_mead(f, dims, start, config: MinimizeConfig):
     for i in range(n):
         q = list(q0)
         span = dims[i].encode(dims[i].upper) - dims[i].encode(dims[i].lower)
-        q[i] += config.simplex_step * span
+        q[i] += _SIMPLEX_STEP * span
         simplex.append(q)
     values = [g(q) for q in simplex]
 
-    for _ in range(config.refine_iterations):
+    for _ in range(_REFINE_ITERATIONS):
         order = sorted(range(n + 1), key=lambda i: values[i])
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if math.isfinite(values[0]) and (
-            values[-1] - values[0] <= config.tolerance * max(1.0, abs(values[0]))
+            values[-1] - values[0] <= _TOLERANCE * max(1.0, abs(values[0]))
         ):
             break
         centroid = [sum(simplex[i][j] for i in range(n)) / n for j in range(n)]

@@ -27,54 +27,26 @@ class HwpStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class CostVector:
-    """Componentwise-additive tally of non-Clifford gates and ancillas."""
+    """Componentwise-additive tally of non-Clifford gates."""
 
     toffoli: float = 0.0
     t_gates: float = 0.0
     rz: int = 0
-    ry: int = 0
-    ancilla: int = 0
 
     def __post_init__(self):
-        if min(self.toffoli, self.t_gates, self.rz, self.ry, self.ancilla) < 0:
+        if min(self.toffoli, self.t_gates, self.rz) < 0:
             raise ValueError("cost components must be non-negative")
 
     def __add__(self, other: "CostVector") -> "CostVector":
-        return CostVector(
-            self.toffoli + other.toffoli,
-            self.t_gates + other.t_gates,
-            self.rz + other.rz,
-            self.ry + other.ry,
-            # Ancillas are workspace, not consumables: parallel reuse means
-            # the combined requirement is the max, not the sum.
-            max(self.ancilla, other.ancilla),
-        )
+        return CostVector(self.toffoli + other.toffoli, self.t_gates + other.t_gates,
+                          self.rz + other.rz)
 
     def repeat(self, times: int) -> "CostVector":
-        """Cost of applying this block ``times`` times (ancillas reused)."""
-        return CostVector(
-            self.toffoli * times, self.t_gates * times,
-            self.rz * times, self.ry * times, self.ancilla,
-        )
+        """Cost of applying this block ``times`` times."""
+        return CostVector(self.toffoli * times, self.t_gates * times, self.rz * times)
 
 
 ZERO_COST = CostVector()
-
-
-def rus_t_count(delta: float) -> float:
-    """Mean T count to synthesize one rotation to precision delta."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"rotation error budget must be in (0, 1], got {delta}")
-    return RUS_T_SLOPE * math.log2(1.0 / delta) + RUS_T_OFFSET
-
-
-def toffoli_equivalent(cost: CostVector, synthesized_rotation_t: float = 0.0) -> float:
-    """Total Toffoli-equivalent count at 2 T = 1 Toffoli.
-
-    ``synthesized_rotation_t`` is the T count of already-synthesized
-    rotations; unsynthesized rz/ry entries in ``cost`` are ignored here.
-    """
-    return cost.toffoli + (cost.t_gates + synthesized_rotation_t) / 2.0
 
 
 def popcount(M: int) -> int:
@@ -109,13 +81,9 @@ def hwp_cost(M: int, strategy: HwpStrategy) -> CostVector:
     """
     if M < 1:
         raise ValueError(f"hwp_cost needs M >= 1, got {M}")
-    k = floor_log2(M) + 1
-    workspace = hamming_adders(M)
     if HwpStrategy(strategy) is HwpStrategy.BASELINE:
-        return CostVector(toffoli=hamming_adders(M) + 0.0, rz=k, ancilla=workspace)
-    # catalyst register plus phase-accumulation borrow chain, both k qubits
-    return CostVector(toffoli=M + floor_log2(M) - popcount(M) + 1.0, rz=1,
-                      ancilla=workspace + 2 * k)
+        return CostVector(toffoli=hamming_adders(M) + 0.0, rz=floor_log2(M) + 1)
+    return CostVector(toffoli=M + floor_log2(M) - popcount(M) + 1.0, rz=1)
 
 
 def hwp_batch_sizes(N: int, B: int) -> list[int]:
@@ -137,39 +105,4 @@ def hwp_batched_cost(N: int, B: int, strategy: HwpStrategy) -> CostVector:
     total = ZERO_COST
     for size in hwp_batch_sizes(N, B):
         total = total + hwp_cost(size, strategy)
-    k = floor_log2(B) + 1
-    ancilla = hamming_adders(B)
-    if HwpStrategy(strategy) is HwpStrategy.CATALYZED:
-        ancilla += 2 * k
-    return CostVector(total.toffoli, total.t_gates, total.rz, total.ry, ancilla)
-
-
-def usp_cost(L: int) -> CostVector:
-    """Uniform superposition over L basis states.
-
-    Writing L = 2^k * m with m odd: powers of two need Hadamards only; odd
-    parts use one round of amplitude amplification.
-    """
-    if L < 2:
-        raise ValueError(f"usp_cost needs L >= 2, got {L}")
-    m = L
-    while m % 2 == 0:
-        m //= 2
-    if m == 1:
-        return ZERO_COST
-    k = ceil_log2(m)
-    return CostVector(toffoli=2 * k - 2.0, rz=2, ancilla=k)
-
-
-def qrom_cost(N: int, controlled: bool = True) -> CostVector:
-    """Data lookup over N items (cost is the same singly controlled)."""
-    if N < 1:
-        raise ValueError(f"qrom_cost needs N >= 1, got {N}")
-    return CostVector(toffoli=N - 1.0, ancilla=ceil_log2(N))
-
-
-def multi_controlled_x(n: int) -> CostVector:
-    """An n-controlled NOT; n = 1 is a plain CNOT and costs nothing here."""
-    if n < 2:
-        raise ValueError(f"multi_controlled_x needs n >= 2, got {n}")
-    return CostVector(toffoli=n - 1.0, ancilla=n - 2)
+    return total

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Model, ModelSpec, extensive_error, lcu_lambda
-from .optimize import Dimension, MinimizeConfig, SearchSpace, minimize
+from .model import Model, ModelSpec, error_target, lcu_lambda
+from .optimize import Dimension, minimize
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
 X_SEARCH_INTERVAL = (0.5, 0.9999)
@@ -94,7 +94,7 @@ class QubitizationEstimate:
 
 def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> QubitizationEstimate:
     """Resource estimate at a fixed error split x."""
-    delta_e = extensive_error(spec.L) if delta_e is None else delta_e
+    delta_e = error_target(spec.L, delta_e)
     lam = lcu_lambda(spec)
     counts = walk_counts(spec.kind, spec.L)
     queries = query_count(lam, delta_e, x)
@@ -130,10 +130,10 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
 
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x."""
-    space = SearchSpace([Dimension(*X_SEARCH_INTERVAL)])
+    delta_e = error_target(spec.L, delta_e)
     result = minimize(
         lambda p: estimate(spec, p[0], delta_e).total_toffoli,
-        space,
-        MinimizeConfig(grid_points=25, refine_iterations=120),
+        [Dimension(*X_SEARCH_INTERVAL)],
+        grid_points=25,
     )
     return estimate(spec, result.point[0], delta_e)

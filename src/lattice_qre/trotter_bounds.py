@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .model import Model, ModelSpec
 
@@ -24,53 +23,21 @@ from .model import Model, ModelSpec
 # Fermi-Hubbard norm table
 # ---------------------------------------------------------------------------
 
-# Columns: L, ||H_hop1 + H_hop2|| / |t|, ||[[H_hop1, H_hop2], H_hop1]|| / |t|^3.
+# L -> (||H_hop1 + H_hop2|| / |t|, ||[[H_hop1, H_hop2], H_hop1]|| / |t|^3).
 # The norms are available only at these lattice sizes; no interpolation is
 # offered because the values are computed bounds, not smooth guarantees.
-FH_NORM_TABLE_TEXT = """\
-4   24    0
-6   56    110
-8   100   190
-10  160   300
-12  230   440
-14  320   630
-16  410   810
-18  520   1000
-20  650   1300
-22  780   1600
-24  930   1800
-26  1100  2200
-28  1300  2500
-30  1500  2900
-32  1700  3300
-"""
-
-
-def parse_norm_table(text: str) -> dict[int, tuple[float, float]]:
-    """Parse 'L norm_hop norm_comm' lines ('#' comments allowed)."""
-    table = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"norm table line {lineno}: expected 3 columns, got {raw!r}")
-        L = int(parts[0])
-        table[L] = (float(parts[1]), float(parts[2]))
-    return table
-
-
-def load_norm_table(path) -> dict[int, tuple[float, float]]:
-    return parse_norm_table(Path(path).read_text())
-
-
-FH_NORMS = parse_norm_table(FH_NORM_TABLE_TEXT)
+FH_NORMS = {
+    4: (24.0, 0.0), 6: (56.0, 110.0), 8: (100.0, 190.0), 10: (160.0, 300.0),
+    12: (230.0, 440.0), 14: (320.0, 630.0), 16: (410.0, 810.0),
+    18: (520.0, 1000.0), 20: (650.0, 1300.0), 22: (780.0, 1600.0),
+    24: (930.0, 1800.0), 26: (1100.0, 2200.0), 28: (1300.0, 2500.0),
+    30: (1500.0, 2900.0), 32: (1700.0, 3300.0),
+}
 
 _HOP_COMM_COEFF = (math.sqrt(5.0) + 8.0) / 6.0
 
 
-def fh_w(L: int, t: float = 1.0, u: float = 8.0, norms: dict | None = None) -> float:
+def fh_w(L: int, t: float = 1.0, u: float = 8.0) -> float:
     """Fermi-Hubbard Trotter bound.
 
     First term is the closed-form hopping/on-site commutator bound; the two
@@ -78,10 +45,9 @@ def fh_w(L: int, t: float = 1.0, u: float = 8.0, norms: dict | None = None) -> f
     contributions.  Degree-3 homogeneous in (t, u) since the stored norms
     are divided by |t| and |t|^3.
     """
-    norms = FH_NORMS if norms is None else norms
-    if L not in norms:
-        raise KeyError(f"no tabulated norms for L={L} (have {sorted(norms)})")
-    norm_hop, norm_comm = norms[L]
+    if L not in FH_NORMS:
+        raise KeyError(f"no tabulated norms for L={L} (have {sorted(FH_NORMS)})")
+    norm_hop, norm_comm = FH_NORMS[L]
     return (
         _HOP_COMM_COEFF * abs(u) * t * t * L * L
         + abs(u) * abs(u) * abs(t) * norm_hop / 24.0

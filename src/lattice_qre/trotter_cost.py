@@ -21,17 +21,13 @@ the published per-model tables are reproduced only with this count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .model import InvalidLattice, Model, ModelSpec, extensive_error
-from .optimize import (
-    Dimension,
-    MinimizeConfig,
-    NoFeasiblePointError,
-    SearchSpace,
-    minimize,
-)
+from .model import InvalidLattice, Model, ModelSpec, error_target, system_qubits
+from .optimize import Dimension, minimize
 from .primitives import (
     CostVector,
     HwpStrategy,
@@ -66,15 +62,6 @@ class Strategy(str, Enum):
         return HwpStrategy.CATALYZED if self.catalyzed else HwpStrategy.BASELINE
 
 
-def queries(y: float, tau: float, delta_e: float) -> float:
-    """Phase-estimation queries to the Trotterized evolution."""
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"y must be in (0, 1), got {y}")
-    if tau <= 0 or delta_e <= 0:
-        raise ValueError("tau and delta_e must be positive")
-    return QPE_QUERY_CONSTANT / (y * tau * delta_e)
-
-
 def _layers(kind: Model, L: int, r: int) -> list[tuple[int, int]]:
     """(rotation-layer size, multiplicity per evolution) for each layer kind."""
     L2 = L * L
@@ -94,30 +81,37 @@ def _direct_t(kind: Model, L: int, r: int) -> float:
     return 0.0
 
 
-def _catalyst_rotations(kind: Model, L: int, strategy: Strategy) -> int:
-    """Qubits of (equivalently, rotations to synthesize) all catalyst states.
+def _catalysts(kind: Model, L: int, strategy: Strategy) -> tuple[int, int]:
+    """(charged, count): catalyst rotations charged with synthesis T gates,
+    and the qubits of (equivalently, rotations to synthesize) all catalyst
+    states, whose budget slice z they share.
 
     Unbatched catalysts are sized by their layer's weight register; batched
     runs share catalysts sized by the batch.  The merged double-angle slot
     gives the leading hopping catalyst one extra qubit, except in the
     batched pnictide accounting where the published qubit columns require
-    the plain size.
+    the plain size.  The Fermi-Hubbard catalysts are charged with one
+    rotation fewer than their register size, matching the published
+    accounting.
     """
     if not strategy.catalyzed:
-        return 0
+        return 0, 0
     L2 = L * L
     if strategy.batched:
         b = floor_log2(L2 // 2)
         if kind is Model.FERMI_HUBBARD:
-            return 2 * b + 4
-        if kind is Model.CUPRATE:
-            return 4 * b + 5
-        return 6 * b + 6
-    if kind is Model.FERMI_HUBBARD:
-        return 2 * floor_log2(L2) + 4
-    if kind is Model.CUPRATE:
-        return 3 * floor_log2(L2) + floor_log2(2 * L2) + 5
-    return 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
+            count = 2 * b + 4
+        elif kind is Model.CUPRATE:
+            count = 4 * b + 5
+        else:
+            count = 6 * b + 6
+    elif kind is Model.FERMI_HUBBARD:
+        count = 2 * floor_log2(L2) + 4
+    elif kind is Model.CUPRATE:
+        count = 3 * floor_log2(L2) + floor_log2(2 * L2) + 5
+    else:
+        count = 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
+    return (count - 1 if kind is Model.FERMI_HUBBARD else count), count
 
 
 def _check_lattice(kind: Model, L: int) -> None:
@@ -130,8 +124,7 @@ def _check_lattice(kind: Model, L: int) -> None:
 def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     """Layer Toffoli/rz tally for one r-step evolution, plus direct T gates.
 
-    Catalyst-state synthesis is excluded; it is charged by
-    :func:`synthesis_t_counts`.
+    Catalyst-state synthesis is excluded; the cost kernel charges it.
     """
     kind, strategy = Model(kind), Strategy(strategy)
     _check_lattice(kind, L)
@@ -148,58 +141,40 @@ def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     return total
 
 
-def fh_step_cost(L: int, r: int, strategy: Strategy) -> CostVector:
-    return step_cost(Model.FERMI_HUBBARD, L, r, strategy)
-
-
-def cuprate_step_cost(L: int, r: int, strategy: Strategy) -> CostVector:
-    return step_cost(Model.CUPRATE, L, r, strategy)
-
-
-def pnictide_step_cost(L: int, r: int, strategy: Strategy) -> CostVector:
-    return step_cost(Model.PNICTIDE, L, r, strategy)
-
-
-def synthesis_t_counts(kind: Model, L: int, r: int, budget: TrotterBudget,
-                       strategy: Strategy = Strategy.CATALYZED) -> tuple[float, float]:
-    """(N_t1, N_t2): mean T counts for catalyst synthesis and layer rotations.
-
-    Each group splits its phase budget (slice z resp. x of the rotation
-    budget, times tau) equally across its rotations.  The leading-model
-    catalyst group is charged with one rotation fewer than its register
-    size for the Fermi-Hubbard model, matching the published accounting.
-    """
-    kind, strategy = Model(kind), Strategy(strategy)
-    n_rz = step_cost(kind, L, r, strategy).rz
-    phase_x = budget.x * (1.0 - budget.y) * budget.delta_e * budget.tau
-    if phase_x <= 0:
-        raise ValueError("non-positive rotation budget")
-    n_t2 = n_rz * (RUS_T_SLOPE * math.log2(n_rz / phase_x) + RUS_T_OFFSET)
-
-    n_t1 = 0.0
-    if strategy.catalyzed:
-        count = _catalyst_rotations(kind, L, strategy)
-        prefactor = count - 1 if kind is Model.FERMI_HUBBARD else count
-        phase_z = budget.z * (1.0 - budget.y) * budget.delta_e * budget.tau
-        if phase_z <= 0:
-            raise ValueError("catalyzed strategy needs a positive z budget")
-        n_t1 = prefactor * (RUS_T_SLOPE * math.log2(count / phase_z) + RUS_T_OFFSET)
-    return n_t1, n_t2
-
-
-def total_qubits(kind: Model, L: int, strategy: Strategy) -> int:
+def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     """Logical qubits: system register, weight workspace, phase-estimation
     and rotation-synthesis ancillas, plus catalyst and phase-gradient
     registers for catalyzed strategies."""
-    kind, strategy = Model(kind), Strategy(strategy)
+    kind, L, strategy = spec.kind, spec.L, Strategy(strategy)
     _check_lattice(kind, L)
     sizes = [size for size, _ in _layers(kind, L, 1)]
     m_hw = (L * L) // 2 if strategy.batched else max(sizes)
-    system = 2 * L * L if kind is not Model.PNICTIDE else 4 * L * L
-    qubits = system + hamming_adders(m_hw) + 2  # +1 phase qubit, +1 synthesis ancilla
+    qubits = system_qubits(spec) + hamming_adders(m_hw) + 2  # +1 phase qubit, +1 synthesis ancilla
     if strategy.catalyzed:
-        qubits += _catalyst_rotations(kind, L, strategy) + floor_log2(m_hw) + 1
+        qubits += _catalysts(kind, L, strategy)[1] + floor_log2(m_hw) + 1
     return qubits
+
+
+def _cost(step: CostVector, catalysts: tuple[int, int], x: float, y: float, z: float,
+          tau: float, delta_e: float, amortize: bool) -> tuple[float, float, float, float]:
+    """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution is
+    ``step``: N_q = 0.76*pi / (y * tau * dE) queries at N_tof + N_t / 2 each.
+
+    Each synthesis group splits its phase budget (slice x resp. z of the
+    rotation budget, times tau) equally across its rotations: N_t2 for the
+    per-layer rotations, N_t1 for the catalyst states.  ``amortize``
+    charges N_t1 once instead of per query.
+    """
+    phase_x = x * (1.0 - y) * delta_e * tau
+    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / phase_x) + RUS_T_OFFSET)
+    n_t1 = 0.0
+    charged, count = catalysts
+    if count:
+        phase_z = z * (1.0 - y) * delta_e * tau
+        n_t1 = charged * (RUS_T_SLOPE * math.log2(count / phase_z) + RUS_T_OFFSET)
+    n_q = QPE_QUERY_CONSTANT / (y * tau * delta_e)
+    per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
+    return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,17 +201,19 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     w = trotter_bound(spec) if w_bound is None else w_bound
     if budget.tau >= tau_max(w):
         raise ValueError(f"tau={budget.tau} exceeds the step bound {tau_max(w):.6g}")
+    if strategy.catalyzed and budget.z <= 0:
+        raise ValueError("catalyzed strategy needs a positive z budget")
     r = trotter_steps(w, budget.tau, budget)
-    cost = step_cost(spec.kind, spec.L, r, strategy)
-    n_t1, n_t2 = synthesis_t_counts(spec.kind, spec.L, r, budget, strategy)
-    n_q = queries(budget.y, budget.tau, budget.delta_e)
-    per_query = cost.toffoli + (cost.t_gates + n_t2 + (0.0 if amortize_catalyst else n_t1)) / 2.0
-    total = n_q * per_query + (n_t1 / 2.0 if amortize_catalyst else 0.0)
+    step = step_cost(spec.kind, spec.L, r, strategy)
+    n_t1, n_t2, n_q, total = _cost(
+        step, _catalysts(spec.kind, spec.L, strategy), budget.x, budget.y, budget.z,
+        budget.tau, budget.delta_e, amortize_catalyst,
+    )
     return TrotterEstimate(
         spec=spec, strategy=strategy, budget=budget, w_bound=w, r=r,
-        n_queries=n_q, n_toffoli_per_u=cost.toffoli, n_t_direct=cost.t_gates,
+        n_queries=n_q, n_toffoli_per_u=step.toffoli, n_t_direct=step.t_gates,
         n_t1=n_t1, n_t2=n_t2, total_toffoli=total,
-        total_qubits=total_qubits(spec.kind, spec.L, strategy),
+        total_qubits=total_qubits(spec, strategy),
         amortized_catalyst=amortize_catalyst,
     )
 
@@ -254,6 +231,21 @@ _R_HARD_CAP = 300
 _STALL_LIMIT = 10
 
 
+def _pinned_tau(r: int, x: float, y: float, z: float, w: float, tau_cap: float,
+                delta_e: float) -> float:
+    """Largest tau still giving r steps under the (x, y, z) split, at most tau_cap."""
+    return min(r * math.sqrt((1.0 - (x + z)) * (1.0 - y) * delta_e / w), tau_cap)
+
+
+def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
+               tau_cap: float, delta_e: float, amortize: bool, point) -> float:
+    """Total Toffolis at the point (x, y[, z]) with tau pinned for r steps."""
+    x, y = point[0], point[1]
+    z = point[2] if len(point) > 2 else 0.0
+    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+    return _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
+
+
 def optimize_trotter(spec: ModelSpec, strategy: Strategy,
                      delta_e: float | None = None,
                      amortize_catalyst: bool = False) -> TrotterEstimate:
@@ -262,74 +254,42 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     Deterministic: for each candidate integer step count r, tau is pinned
     to the largest value still giving r steps (bounded by the step-error
     cap) and the smooth remainder (x, y, z) is minimized by Nelder-Mead,
-    warm-started from the previous step count; the best cell wins.
+    warm-started from the previous step count; the best cell wins.  A
+    ``RuntimeWarning`` reports a best r at the scan cap ``_R_HARD_CAP``.
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
-    delta_e = extensive_error(spec.L) if delta_e is None else delta_e
+    delta_e = error_target(spec.L, delta_e)
     w = trotter_bound(spec)
-    t_cap = tau_max(w) * _TAU_MARGIN
-    catalyzed = strategy.catalyzed
-
-    structures: dict[int, CostVector] = {}
-
-    def structure(r: int) -> CostVector:
-        if r not in structures:
-            structures[r] = step_cost(spec.kind, spec.L, r, strategy)
-        return structures[r]
-
-    ccount = _catalyst_rotations(spec.kind, spec.L, strategy)
-    cpre = ccount - 1 if spec.kind is Model.FERMI_HUBBARD else ccount
-
-    def fast_value(r: int, x: float, y: float, z: float) -> tuple[float, float]:
-        """(total toffoli, tau) at the step boundary for r; inf if invalid."""
-        s = x + z
-        det = (1.0 - s) * (1.0 - y) * delta_e
-        if det <= 0:
-            return math.inf, 0.0
-        tau = min(r * math.sqrt(det / w), t_cap)
-        cost = structure(r)
-        phase_x = x * (1.0 - y) * delta_e * tau
-        n_t2 = cost.rz * (RUS_T_SLOPE * math.log2(cost.rz / phase_x) + RUS_T_OFFSET)
-        n_t1 = 0.0
-        if catalyzed:
-            phase_z = z * (1.0 - y) * delta_e * tau
-            n_t1 = cpre * (RUS_T_SLOPE * math.log2(ccount / phase_z) + RUS_T_OFFSET)
-        n_q = QPE_QUERY_CONSTANT / (y * tau * delta_e)
-        amortized = n_t1 / 2.0 if amortize_catalyst else 0.0
-        charged_t1 = 0.0 if amortize_catalyst else n_t1
-        per_query = cost.toffoli + (cost.t_gates + n_t2 + charged_t1) / 2.0
-        return n_q * per_query + amortized, tau
-
-    dims = [_X_DIM, _Y_DIM] + ([_Z_DIM] if catalyzed else [])
-    space = SearchSpace(dims)
-    config = MinimizeConfig(grid_points=1, refine_iterations=160, starts=2)
-    seed = [_SEED_BUDGET[0], _SEED_BUDGET[1]] + ([_SEED_BUDGET[2]] if catalyzed else [])
+    tau_cap = tau_max(w) * _TAU_MARGIN
+    catalysts = _catalysts(spec.kind, spec.L, strategy)
+    dims = [_X_DIM, _Y_DIM] + ([_Z_DIM] if strategy.catalyzed else [])
+    seed = list(_SEED_BUDGET[:len(dims)])
 
     best = None  # (value, r, point)
-    warm = list(seed)
+    warm = seed
     stall = 0
     for r in range(1, _R_HARD_CAP + 1):
-        result = minimize(
-            lambda p: fast_value(r, p[0], p[1], p[2] if catalyzed else 0.0)[0],
-            space, config, extra_points=[warm, seed],
-        )
+        objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
+                            r, w, tau_cap, delta_e, amortize_catalyst)
+        result = minimize(objective, dims, grid_points=1, extra_points=[warm, seed])
         if best is None or result.value < best[0]:
-            best = (result.value, r, list(result.point))
+            best = (result.value, r, result.point)
             stall = 0
         else:
             stall += 1
-        warm = list(result.point)
+        warm = result.point
         # once tau is pinned at the cap for the incumbent parameters, larger
         # r only adds gates; stop when no longer improving
         if stall >= _STALL_LIMIT:
             break
 
-    value, r, point = best
-    if not math.isfinite(value):
-        raise NoFeasiblePointError("no feasible Trotter budget found")
+    _, r, point = best
+    if r == _R_HARD_CAP:
+        warnings.warn(f"best Trotter step count r={r} sits at the scan cap "
+                      f"_R_HARD_CAP={_R_HARD_CAP}; the optimum may need more steps",
+                      RuntimeWarning, stacklevel=2)
     x, y = point[0], point[1]
-    z = point[2] if catalyzed else 0.0
-    _, tau = fast_value(r, x, y, z)
-    budget = TrotterBudget(delta_e, y, x, z, tau)
-    return evaluate(spec, strategy, budget, w, amortize_catalyst)
+    z = point[2] if strategy.catalyzed else 0.0
+    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+    return evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)

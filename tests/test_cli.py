@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -9,6 +11,10 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestEstimate:
@@ -60,21 +66,24 @@ class TestEstimate:
         assert json.loads(out)["rows"][0]["toffoli"] > 2.4e6
 
     def test_missing_model_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["estimate", "--L", "4"])
-        assert exc.value.code == 2
+        code, _, err = run_cli(["estimate", "--L", "4"], capsys)
+        assert code == 2
+        assert "--model" in err
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate", "--model", "bogus", "--L", "4"])
         assert exc.value.code == 2
 
-    def test_infeasible_exits_3(self, capsys):
-        code, _, err = run_cli(
-            ["estimate", "--model", "fh", "--method", "trotter", "--L", "4",
-             "--delta-e", "-1"], capsys)
-        assert code == 3
-        assert "infeasible" in err
+    @pytest.mark.parametrize("method", ["trotter", "qubitization"])
+    @pytest.mark.parametrize("delta_e", ["-1", "0", "nan", "inf"])
+    def test_bad_delta_e_exits_2(self, capsys, method, delta_e):
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--method", method, "--L", "4",
+             "--delta-e", delta_e], capsys)
+        assert code == 2
+        assert out == ""
+        assert "delta" in err
 
 
 class TestSweep:
@@ -83,21 +92,26 @@ class TestSweep:
             ["sweep", "--model", "fh", "--method", "qubitization",
              "--L-range", "4:8", "--format", "csv"], capsys)
         assert code == 0
-        rows = cli.rows_from_csv(out)
-        assert [r.L for r in rows] == [4, 6, 8]
+        assert [r["L"] for r in csv_rows(out)] == ["4", "6", "8"]
 
     def test_comma_list(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--model", "pnictide", "--method", "qubitization",
              "--L-range", "4,8", "--format", "csv"], capsys)
         assert code == 0
-        assert [r.L for r in cli.rows_from_csv(out)] == [4, 8]
+        assert [r["L"] for r in csv_rows(out)] == ["4", "8"]
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--model", "fh", "--L-range", "4:8:2:1"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_empty_range_exits_2(self, capsys):
+        code, out, err = run_cli(["sweep", "--model", "fh", "--L-range", "8:4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "empty L range" in err
 
 
 class TestAmortizeCatalyst:
@@ -118,9 +132,9 @@ class TestReproduce:
         code, out, err = run_cli(
             ["reproduce", "supp-table-1", "--format", "csv"], capsys)
         assert code == 0
-        rows = cli.rows_from_csv(out)
+        rows = csv_rows(out)
         assert len(rows) == 15
-        assert all(abs(r.rel_dev) <= 0.02 for r in rows)
+        assert all(abs(float(r["rel_dev"])) <= 0.02 for r in rows)
         assert "max relative toffoli deviation" in err
 
     def test_strategy_filter(self, capsys):
@@ -128,9 +142,9 @@ class TestReproduce:
             ["reproduce", "supp-table-5", "--strategy", "batched-baseline",
              "--format", "csv"], capsys)
         assert code == 0
-        rows = cli.rows_from_csv(out)
+        rows = csv_rows(out)
         assert len(rows) == 8
-        assert {r.strategy for r in rows} == {"batched-baseline"}
+        assert {r["strategy"] for r in rows} == {"batched-baseline"}
 
     def test_unknown_table_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,12 +154,18 @@ class TestReproduce:
 
 class TestCsvRoundTrip:
     def test_exact(self, capsys):
+        # every printed float parses back to the in-process value
         code, out, _ = run_cli(
             ["reproduce", "supp-table-4", "--strategy", "catalyzed",
              "--format", "csv"], capsys)
         assert code == 0
-        rows = cli.rows_from_csv(out)
-        assert cli.rows_to_csv(rows) == out
+        expected = cli.reproduce_table(4, cli.Strategy.CATALYZED)
+        rows = csv_rows(out)
+        assert len(rows) == len(expected)
+        for printed, row in zip(rows, expected):
+            for column in ("W", "x", "y", "z", "tau", "toffoli", "rel_dev"):
+                assert float(printed[column]) == getattr(row, column)
+            assert int(printed["qubits"]) == row.qubits
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
@@ -154,7 +174,7 @@ class TestCsvRoundTrip:
              "--L-range", "4:6", "--format", "csv", "--output", str(path)],
             capsys)
         assert code == 0
-        assert len(cli.rows_from_csv(path.read_text())) == 2
+        assert len(csv_rows(path.read_text())) == 2
 
 
 class TestVerifyCommand:

@@ -1,0 +1,46 @@
+"""Every public top-level function or class in the package is referenced by
+package code outside its own definition; a name only tests reach is dead
+API.  A reference is a name, an attribute or an import.  The names the
+package exports (``lattice_qre.__all__``) and the CLI entry point count as
+used."""
+
+import ast
+from pathlib import Path
+
+import lattice_qre
+
+PACKAGE = Path(lattice_qre.__file__).resolve().parent
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
+    return names
+
+
+def unreferenced_public_names() -> list[str]:
+    statements = [  # (module, top-level statement, names it references)
+        (path.relative_to(PACKAGE).as_posix(), node, _references(node))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    entry_points = {("cli.py", "main")}
+    dead = []
+    for module, node, _ in statements:
+        if (not isinstance(node, _DEFINITIONS) or node.name.startswith("_")
+                or node.name in lattice_qre.__all__ or (module, node.name) in entry_points):
+            continue
+        if not any(node.name in refs for _, other, refs in statements if other is not node):
+            dead.append(f"{module}:{node.name}")
+    return dead
+
+
+def test_no_public_name_without_a_package_caller():
+    assert unreferenced_public_names() == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lattice_qre import cli
 from lattice_qre.model import (
     CuprateCouplings,
     FermiHubbardCouplings,
@@ -14,9 +15,15 @@ from lattice_qre.model import (
     extensive_error,
     lcu_lambda,
     parse_config,
-    spec_from_config,
     system_qubits,
 )
+
+
+def spec_from_config_file(tmp_path, text: str) -> ModelSpec:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    args = cli.build_parser().parse_args(["estimate", "--config", str(path)])
+    return cli._build_spec(args)[0]
 
 
 class TestDefaults:
@@ -109,9 +116,9 @@ class TestLambda:
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = parse_config("model = cuprate\nL = 8\nt_prime = 0.35  # override\n")
-        spec = spec_from_config(cfg)
+    def test_round_trip(self, tmp_path):
+        spec = spec_from_config_file(
+            tmp_path, "model = cuprate\nL = 8\nt_prime = 0.35  # override\n")
         assert spec.kind is Model.CUPRATE
         assert spec.L == 8
         assert spec.couplings.t_prime == 0.35
@@ -121,6 +128,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("bogus = 3\n")
 
-    def test_pnictide_v_settable(self):
-        cfg = parse_config("model = pnictide\nL = 4\nv = 5.5\n")
-        assert spec_from_config(cfg).couplings == PnictideCouplings(v=5.5)
+    def test_pnictide_v_settable(self, tmp_path):
+        spec = spec_from_config_file(tmp_path, "model = pnictide\nL = 4\nv = 5.5\n")
+        assert spec.couplings == PnictideCouplings(v=5.5)

@@ -1,66 +1,52 @@
+import math
+
 import pytest
 
-from lattice_qre.optimize import (
-    Dimension,
-    MinimizeConfig,
-    NoFeasiblePointError,
-    SearchSpace,
-    minimize,
-)
+from lattice_qre.optimize import Dimension, NoFeasiblePointError, minimize
 
 
 class TestOneDimensional:
     def test_quadratic(self):
-        space = SearchSpace([Dimension(0.0, 1.0)])
-        result = minimize(lambda p: (p[0] - 0.3) ** 2, space)
+        result = minimize(lambda p: (p[0] - 0.3) ** 2, [Dimension(0.0, 1.0)], grid_points=7)
         assert abs(result.point[0] - 0.3) < 1e-6
 
     def test_log_scale(self):
-        space = SearchSpace([Dimension(1e-6, 1.0, "log")])
-        result = minimize(lambda p: (p[0] - 1e-3) ** 2 / p[0], space,
-                          MinimizeConfig(grid_points=15, refine_iterations=200))
+        result = minimize(lambda p: (p[0] - 1e-3) ** 2 / p[0],
+                          [Dimension(1e-6, 1.0, "log")], grid_points=15)
         assert result.point[0] == pytest.approx(1e-3, rel=1e-2)
 
 
 class TestConstrained:
+    # points outside the region where the objective is defined score +inf
     def test_boundary_optimum(self):
-        space = SearchSpace(
-            [Dimension(-1.0, 1.0), Dimension(-1.0, 1.0)],
-            constraint=lambda p: p[0] + p[1] > 1.0,
-        )
-        result = minimize(lambda p: p[0] ** 2 + p[1] ** 2, space,
-                          MinimizeConfig(grid_points=9, refine_iterations=400))
+        dims = [Dimension(-1.0, 1.0), Dimension(-1.0, 1.0)]
+        result = minimize(lambda p: p[0] ** 2 + p[1] ** 2 if p[0] + p[1] > 1.0 else math.inf,
+                          dims, grid_points=9)
         assert result.value <= 0.5 + 1e-3
         assert result.point[0] + result.point[1] > 1.0
 
     def test_empty_feasible_set(self):
-        space = SearchSpace([Dimension(0.0, 1.0)], constraint=lambda p: False)
         with pytest.raises(NoFeasiblePointError):
-            minimize(lambda p: p[0], space)
+            minimize(lambda p: float("nan"), [Dimension(0.0, 1.0)], grid_points=7)
 
 
 class TestDeterminism:
     def test_bit_identical_runs(self):
-        space = SearchSpace([Dimension(0.1, 5.0, "log"), Dimension(-2.0, 2.0)])
+        dims = [Dimension(0.1, 5.0, "log"), Dimension(-2.0, 2.0)]
         f = lambda p: (p[0] - 1.7) ** 2 + abs(p[1] + 0.3) ** 1.5
-        a = minimize(f, space)
-        b = minimize(f, space)
+        a = minimize(f, dims, grid_points=7)
+        b = minimize(f, dims, grid_points=7)
         assert a.point == b.point
         assert a.value == b.value
 
     def test_never_worse_than_grid(self):
-        space = SearchSpace([Dimension(0.0, 1.0), Dimension(0.0, 1.0)])
+        dims = [Dimension(0.0, 1.0), Dimension(0.0, 1.0)]
         f = lambda p: (p[0] - 0.21) ** 2 + (p[1] - 0.77) ** 2
-        cfg = MinimizeConfig(grid_points=5)
-        result = minimize(f, space, cfg)
-        grid_best = min(
-            f([x, y])
-            for x in space.dimensions[0].grid(5)
-            for y in space.dimensions[1].grid(5)
-        )
+        result = minimize(f, dims, grid_points=5)
+        grid_best = min(f([x, y]) for x in dims[0].grid(5) for y in dims[1].grid(5))
         assert result.value <= grid_best
 
     def test_nonfinite_objective_handled(self):
-        space = SearchSpace([Dimension(0.0, 1.0)])
-        result = minimize(lambda p: float("nan") if p[0] < 0.5 else p[0], space)
+        result = minimize(lambda p: float("nan") if p[0] < 0.5 else p[0],
+                          [Dimension(0.0, 1.0)], grid_points=7)
         assert result.value >= 0.5

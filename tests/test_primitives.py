@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lattice_qre.model import Model, ModelSpec
 from lattice_qre.primitives import (
     CostVector,
     HwpStrategy,
@@ -8,37 +9,28 @@ from lattice_qre.primitives import (
     hamming_adders,
     hwp_batched_cost,
     hwp_cost,
-    multi_controlled_x,
     popcount,
-    qrom_cost,
-    rus_t_count,
-    toffoli_equivalent,
-    usp_cost,
 )
+from lattice_qre.trotter_bounds import TrotterBudget
+from lattice_qre.trotter_cost import Strategy, evaluate
 
 
 class TestRusSynthesis:
+    # mean repeat-until-success T count per rotation at precision delta,
+    # 0.53 log2(1/delta) + 4.86, as charged for the Trotter layer rotations
+    # (Fermi-Hubbard, L = 8, r = 1: 5 rotations)
+    def _t_per_rotation(self, delta: float) -> float:
+        x = 5 * delta / (0.5 * 1000.0 * 0.1)  # x (1-y) dE tau = 5 delta
+        budget = TrotterBudget(delta_e=1000.0, y=0.5, x=x, z=0.32, tau=0.1)
+        est = evaluate(ModelSpec(Model.FERMI_HUBBARD, 8), Strategy.CATALYZED, budget)
+        assert est.r == 1
+        return est.n_t2 / 5
+
     def test_unit_budget(self):
-        assert rus_t_count(1.0) == 4.86
+        assert self._t_per_rotation(1.0) == pytest.approx(4.86, rel=1e-12)
 
     def test_hundred_bits(self):
-        assert rus_t_count(2.0**-100) == pytest.approx(57.86, rel=1e-12)
-
-    def test_invalid(self):
-        for bad in (0.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
-                rus_t_count(bad)
-
-
-class TestToffoliEquivalent:
-    def test_plain(self):
-        assert toffoli_equivalent(CostVector(toffoli=10, t_gates=4)) == 12
-
-    def test_two_unit_rotations(self):
-        assert toffoli_equivalent(ZERO_COST, 2 * rus_t_count(1.0)) == 4.86
-
-    def test_mixed(self):
-        assert toffoli_equivalent(CostVector(toffoli=5, t_gates=1), 1.0) == 6
+        assert self._t_per_rotation(2.0**-100) == pytest.approx(57.86, rel=1e-12)
 
 
 class TestHammingCounts:
@@ -94,29 +86,6 @@ class TestHwpBatched:
         assert (c.toffoli, c.rz) == (2, 5)
 
 
-class TestUsp:
-    def test_power_of_two_free(self):
-        assert usp_cost(4) == ZERO_COST
-
-    def test_odd_part_three(self):
-        for L in (6, 12):
-            c = usp_cost(L)
-            assert (c.toffoli, c.rz, c.ancilla) == (2, 2, 2)
-
-
-class TestQromAndMcx:
-    def test_qrom(self):
-        assert qrom_cost(1) == ZERO_COST
-        assert (qrom_cost(16).toffoli, qrom_cost(16).ancilla) == (15, 4)
-        assert (qrom_cost(100).toffoli, qrom_cost(100).ancilla) == (99, 7)
-
-    def test_mcx(self):
-        assert (multi_controlled_x(2).toffoli, multi_controlled_x(2).ancilla) == (1, 0)
-        assert (multi_controlled_x(5).toffoli, multi_controlled_x(5).ancilla) == (4, 3)
-        with pytest.raises(ValueError):
-            multi_controlled_x(1)
-
-
 class TestCostVectorMonoid:
     def _random_costs(self, n=50):
         # dyadic float components keep the additions exact, so the monoid
@@ -127,8 +96,6 @@ class TestCostVectorMonoid:
                 toffoli=float(rng.integers(0, 100)),
                 t_gates=float(rng.integers(0, 400)) / 8.0,
                 rz=int(rng.integers(0, 20)),
-                ry=int(rng.integers(0, 5)),
-                ancilla=int(rng.integers(0, 30)),
             )
             for _ in range(n)
         ]

@@ -72,6 +72,11 @@ class TestEstimate:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("delta_e", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_delta_e_rejected(self, delta_e):
+        with pytest.raises(ValueError, match="delta_e"):
+            optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4), delta_e)
+
     def test_x_opt_range(self):
         est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4))
         assert 0.97 <= est.x <= 0.999

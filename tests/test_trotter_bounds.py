@@ -9,7 +9,6 @@ from lattice_qre.trotter_bounds import (
     TrotterBudget,
     cuprate_w,
     fh_w,
-    parse_norm_table,
     pnictide_w,
     tau_max,
     trotter_bound,
@@ -34,19 +33,6 @@ class TestFhBound:
             fh_w(34)
         with pytest.raises(KeyError):
             fh_w(5)
-
-    def test_norm_table_override(self):
-        norms = parse_norm_table("4 24 0\n")
-        assert fh_w(4, norms=norms) == fh_w(4)
-
-    def test_norm_table_from_file(self, tmp_path):
-        from lattice_qre.trotter_bounds import load_norm_table
-
-        path = tmp_path / "norms.txt"
-        path.write_text("# L hop comm\n4 30 5\n")
-        norms = load_norm_table(path)
-        assert norms == {4: (30.0, 5.0)}
-        assert fh_w(4, norms=norms) > fh_w(4)
 
     def test_homogeneity_degree_three(self):
         rng = np.random.default_rng(3)

@@ -3,74 +3,78 @@ import math
 import pytest
 
 from lattice_qre.model import InvalidLattice, Model, ModelSpec
-from lattice_qre.primitives import rus_t_count
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max
 from lattice_qre.trotter_cost import (
     Strategy,
-    cuprate_step_cost,
     evaluate,
-    fh_step_cost,
     optimize_trotter,
-    pnictide_step_cost,
-    queries,
     step_cost,
-    synthesis_t_counts,
     total_qubits,
 )
 
+FH8 = ModelSpec(Model.FERMI_HUBBARD, 8)
+
 
 class TestQueries:
+    # phase-estimation queries N_q = 0.76 pi / (y tau dE)
     def test_reference(self):
-        assert queries(0.6, 0.02, 0.3264) == pytest.approx(609.58, abs=0.01)
+        budget = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
+        assert evaluate(FH8, Strategy.CATALYZED, budget).n_queries == pytest.approx(
+            609.58, abs=0.01)
 
     def test_unit(self):
-        assert queries(0.5, 2.0, 0.76 * math.pi) == pytest.approx(1.0, rel=1e-12)
+        budget = TrotterBudget(delta_e=0.76 * math.pi / 0.05, y=0.5, x=0.01, z=0.001, tau=0.1)
+        assert evaluate(FH8, Strategy.CATALYZED, budget).n_queries == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_reciprocal_in_tau(self):
-        assert queries(0.6, 0.04, 0.3264) == pytest.approx(
-            queries(0.6, 0.02, 0.3264) / 2, rel=1e-12)
+        spec = ModelSpec(Model.CUPRATE, 8)
+        b1 = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.0, tau=0.02)
+        b2 = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.0, tau=0.04)
+        assert evaluate(spec, Strategy.BASELINE, b2).n_queries == pytest.approx(
+            evaluate(spec, Strategy.BASELINE, b1).n_queries / 2, rel=1e-12)
 
 
 class TestStepCosts:
     def test_fh_catalyzed(self):
-        c = fh_step_cost(8, 1, Strategy.CATALYZED)
+        c = step_cost(Model.FERMI_HUBBARD, 8, 1, Strategy.CATALYZED)
         assert (c.toffoli, c.rz) == (350, 5)
         assert c.t_gates == 12 * 64
 
     def test_fh_baseline(self):
-        c = fh_step_cost(8, 1, Strategy.BASELINE)
+        c = step_cost(Model.FERMI_HUBBARD, 8, 1, Strategy.BASELINE)
         assert (c.toffoli, c.rz) == (315, 35)
 
     def test_cuprate_catalyzed(self):
-        c = cuprate_step_cost(8, 1, Strategy.CATALYZED)
+        c = step_cost(Model.CUPRATE, 8, 1, Strategy.CATALYZED)
         assert c.toffoli == 9 * 70 + 8 * 135
         assert c.rz == 17
 
     def test_cuprate_direct_t(self):
-        assert cuprate_step_cost(4, 1, Strategy.CATALYZED).t_gates == 4 * 16 * 8
+        assert step_cost(Model.CUPRATE, 4, 1, Strategy.CATALYZED).t_gates == 4 * 16 * 8
 
     def test_pnictide_catalyzed(self):
         # on-site and diagonal-hopping layers appear 19r times in total; the
         # published tables require this count (a shorthand in the source
         # text understates it; see README, "Known deviations")
-        c = pnictide_step_cost(4, 1, Strategy.CATALYZED)
+        c = step_cost(Model.PNICTIDE, 4, 1, Strategy.CATALYZED)
         assert c.toffoli == 8 * 70 + 19 * 37
         assert c.t_gates == 0.0
 
     def test_r_scaling_exact(self):
         # r-proportional parts double exactly; the one r-independent layer
         # (a baseline pass over 64 rotations, 63 Toffolis) is counted once
-        one = cuprate_step_cost(8, 1, Strategy.BASELINE)
-        two = cuprate_step_cost(8, 2, Strategy.BASELINE)
+        one = step_cost(Model.CUPRATE, 8, 1, Strategy.BASELINE)
+        two = step_cost(Model.CUPRATE, 8, 2, Strategy.BASELINE)
         assert two.toffoli == 2 * one.toffoli - 63
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            fh_step_cost(8, 0, Strategy.CATALYZED)
+            step_cost(Model.FERMI_HUBBARD, 8, 0, Strategy.CATALYZED)
 
     def test_cuprate_needs_multiple_of_four(self):
         with pytest.raises(InvalidLattice):
-            cuprate_step_cost(6, 1, Strategy.CATALYZED)
+            step_cost(Model.CUPRATE, 6, 1, Strategy.CATALYZED)
 
     def test_integer_toffoli(self):
         for kind in Model:
@@ -82,48 +86,50 @@ class TestStepCosts:
 
 class TestSynthesisCounts:
     def test_t2_log_argument_one(self):
-        # x (1-y) dE tau = 4r + 1 makes the per-rotation budget exactly 1
-        budget = TrotterBudget(delta_e=200.0, y=0.5, x=0.1, z=0.32, tau=0.5)
-        n_t1, n_t2 = synthesis_t_counts(Model.FERMI_HUBBARD, 8, 1, budget)
-        assert n_t2 == pytest.approx(5 * 4.86, rel=1e-12)
-        assert n_t1 == pytest.approx(15 * 4.86, rel=1e-12)
+        # at r = 1, x (1-y) dE tau = 4r + 1 makes the per-rotation budget
+        # exactly 1, and z (1-y) dE tau = 16 does so for the 16 catalyst
+        # qubits (charged as 15 rotations)
+        budget = TrotterBudget(delta_e=1000.0, y=0.5, x=0.1, z=0.32, tau=0.1)
+        est = evaluate(FH8, Strategy.CATALYZED, budget)
+        assert est.r == 1
+        assert est.n_t2 == pytest.approx(5 * 4.86, rel=1e-12)
+        assert est.n_t1 == pytest.approx(15 * 4.86, rel=1e-12)
 
     def test_doubling_z_shifts_by_half_bit(self):
         b1 = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
         b2 = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.002, tau=0.02)
-        t1a, _ = synthesis_t_counts(Model.FERMI_HUBBARD, 8, 1, b1)
-        t1b, _ = synthesis_t_counts(Model.FERMI_HUBBARD, 8, 1, b2)
+        t1a = evaluate(FH8, Strategy.CATALYZED, b1).n_t1
+        t1b = evaluate(FH8, Strategy.CATALYZED, b2).n_t1
         assert t1a - t1b == pytest.approx(0.53 * 15, rel=1e-9)
 
     def test_baseline_has_no_catalyst_term(self):
         budget = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.0, tau=0.02)
-        n_t1, n_t2 = synthesis_t_counts(
-            Model.FERMI_HUBBARD, 8, 2, budget, Strategy.BASELINE)
-        assert n_t1 == 0.0
-        assert n_t2 > 0.0
+        est = evaluate(FH8, Strategy.BASELINE, budget)
+        assert est.n_t1 == 0.0
+        assert est.n_t2 > 0.0
 
 
 class TestQubitCounts:
     def test_fh_l8(self):
-        assert total_qubits(Model.FERMI_HUBBARD, 8, Strategy.BATCHED_BASELINE) == 161
-        assert total_qubits(Model.FERMI_HUBBARD, 8, Strategy.BASELINE) == 193
-        assert total_qubits(Model.FERMI_HUBBARD, 8, Strategy.CATALYZED) == 216
+        assert total_qubits(FH8, Strategy.BATCHED_BASELINE) == 161
+        assert total_qubits(FH8, Strategy.BASELINE) == 193
+        assert total_qubits(FH8, Strategy.CATALYZED) == 216
 
     def test_pnictide_l4_catalyzed(self):
-        assert total_qubits(Model.PNICTIDE, 4, Strategy.CATALYZED) == 175
+        assert total_qubits(ModelSpec(Model.PNICTIDE, 4), Strategy.CATALYZED) == 175
 
     def test_cuprate_l4(self):
-        assert total_qubits(Model.CUPRATE, 4, Strategy.BASELINE) == 65
-        assert total_qubits(Model.CUPRATE, 4, Strategy.BATCHED_CATALYZED) == 62
+        spec = ModelSpec(Model.CUPRATE, 4)
+        assert total_qubits(spec, Strategy.BASELINE) == 65
+        assert total_qubits(spec, Strategy.BATCHED_CATALYZED) == 62
 
     def test_dominates_system_register(self):
-        from lattice_qre.model import ModelSpec, system_qubits
+        from lattice_qre.model import system_qubits
 
         for kind in Model:
             for strategy in Strategy:
-                L = 8
-                assert total_qubits(kind, L, strategy) >= system_qubits(
-                    ModelSpec(kind, L))
+                spec = ModelSpec(kind, 8)
+                assert total_qubits(spec, strategy) >= system_qubits(spec)
 
 
 class TestEvaluate:
@@ -149,6 +155,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(self._spec(), Strategy.CATALYZED,
                      TrotterBudget(0.3264, 0.6, 0.01, 0.001, tau=tau_max(w) + 0.01))
+
+    def test_catalyzed_needs_z_budget(self):
+        with pytest.raises(ValueError, match="z budget"):
+            evaluate(FH8, Strategy.CATALYZED,
+                     TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.0, tau=0.02))
 
     def test_amortized_never_worse(self):
         budget = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
@@ -181,9 +192,9 @@ class TestOptimizeTrotter:
         # register rotations are expensive enough
         est = optimize_trotter(ModelSpec(Model.FERMI_HUBBARD, 8), Strategy.BASELINE)
         b = est.budget
-        n_rz = fh_step_cost(8, est.r, Strategy.BASELINE).rz
+        n_rz = step_cost(Model.FERMI_HUBBARD, 8, est.r, Strategy.BASELINE).rz
         delta = b.x * (1 - b.y) * b.delta_e * b.tau / n_rz
-        t_per_rotation = rus_t_count(delta)
+        t_per_rotation = 0.53 * math.log2(1.0 / delta) + 4.86  # mean RUS T count
         m = 64
         k = m.bit_length()
         assert k <= t_per_rotation * (k - 1) / 2.0  # trade-off precondition
@@ -216,3 +227,14 @@ class TestOptimizeTrotter:
         est = optimize_trotter(spec, Strategy.CATALYZED)
         assert est.w_bound == pytest.approx(3.0 / 24.0 * 190, rel=1e-12)
         assert est.r >= 1
+
+    def test_r_cap_warns(self):
+        # FH L = 8 at dE = 3e-4 wants about 360 steps, beyond the scan cap
+        with pytest.warns(RuntimeWarning, match=r"r=300 sits at the scan cap _R_HARD_CAP=300"):
+            est = optimize_trotter(FH8, Strategy.CATALYZED, 3e-4)
+        assert est.r == 300
+
+    @pytest.mark.parametrize("delta_e", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_delta_e_rejected(self, delta_e):
+        with pytest.raises(ValueError, match="delta_e"):
+            optimize_trotter(FH8, Strategy.CATALYZED, delta_e)
