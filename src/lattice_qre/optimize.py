@@ -70,8 +70,8 @@ def minimize(objective, dims: Sequence[Dimension], grid_points: int,
 
     ``grid_points`` per dimension form the coarse grid.  ``extra_points``
     are additional seed points (clipped into the box) that join the grid
-    candidates; callers use them to plant starts on known discontinuity
-    boundaries of the objective.
+    candidates; callers use them to warm-start the refinement from a point
+    already known to be good, such as a neighbouring problem's optimum.
     """
     dims = list(dims)
     evaluations = 0

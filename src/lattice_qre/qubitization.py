@@ -16,13 +16,15 @@ of L add Toffolis and rotations.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
-from .model import Model, ModelSpec, error_target, lcu_lambda
+from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query
 from .optimize import Dimension, minimize
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
 X_SEARCH_INTERVAL = (0.5, 0.9999)
+_EDGE_TOLERANCE = 1e-9   # an optimal x this close to a box edge is on it
 
 
 def _odd_part(L: int) -> int:
@@ -129,11 +131,23 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
 
 
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
-    """Minimize the total Toffoli count over the error split x."""
+    """Minimize the total Toffoli count over the error split x.
+
+    Raises ``ValueError`` when the optimum needs fewer than one
+    phase-estimation query, and issues a ``RuntimeWarning`` when x sits on
+    an edge of ``X_SEARCH_INTERVAL``, where the true optimum may lie outside.
+    """
     delta_e = error_target(spec.L, delta_e)
     result = minimize(
         lambda p: estimate(spec, p[0], delta_e).total_toffoli,
         [Dimension(*X_SEARCH_INTERVAL)],
         grid_points=25,
     )
-    return estimate(spec, result.point[0], delta_e)
+    est = estimate(spec, result.point[0], delta_e)
+    require_one_query(est.n_queries, delta_e)
+    for edge in X_SEARCH_INTERVAL:
+        if abs(est.x - edge) <= _EDGE_TOLERANCE:
+            warnings.warn(f"qubitization error split x={est.x!r} sits on the search-box "
+                          f"edge {edge}; the optimum may lie beyond it",
+                          RuntimeWarning, stacklevel=2)
+    return est

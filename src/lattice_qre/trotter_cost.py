@@ -21,12 +21,21 @@ the published per-model tables are reproduced only with this count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from types import SimpleNamespace
 
-from .model import InvalidLattice, Model, ModelSpec, error_target, system_qubits
+import numpy as np
+
+from .model import (
+    InvalidLattice,
+    Model,
+    ModelSpec,
+    error_target,
+    require_one_query,
+    system_qubits,
+)
 from .optimize import Dimension, minimize
 from .primitives import (
     CostVector,
@@ -155,23 +164,32 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     return qubits
 
 
-def _cost(step: CostVector, catalysts: tuple[int, int], x: float, y: float, z: float,
-          tau: float, delta_e: float, amortize: bool) -> tuple[float, float, float, float]:
+def _math(value):
+    """numpy for arrays (the solver's coarse grid), math for floats: the
+    scalar polish would pay numpy's per-call overhead, and ``evaluate``
+    must return plain Python floats."""
+    return np if isinstance(value, np.ndarray) else math
+
+
+def _cost(step, catalysts: tuple[int, int], x, y, z, tau, delta_e: float,
+          amortize: bool) -> tuple:
     """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution is
     ``step``: N_q = 0.76*pi / (y * tau * dE) queries at N_tof + N_t / 2 each.
 
     Each synthesis group splits its phase budget (slice x resp. z of the
     rotation budget, times tau) equally across its rotations: N_t2 for the
     per-layer rotations, N_t1 for the catalyst states.  ``amortize``
-    charges N_t1 once instead of per query.
+    charges N_t1 once instead of per query.  Broadcasts when the step
+    fields and budget are numpy arrays.
     """
     phase_x = x * (1.0 - y) * delta_e * tau
-    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / phase_x) + RUS_T_OFFSET)
+    log2 = _math(phase_x).log2
+    n_t2 = step.rz * (RUS_T_SLOPE * log2(step.rz / phase_x) + RUS_T_OFFSET)
     n_t1 = 0.0
     charged, count = catalysts
     if count:
         phase_z = z * (1.0 - y) * delta_e * tau
-        n_t1 = charged * (RUS_T_SLOPE * math.log2(count / phase_z) + RUS_T_OFFSET)
+        n_t1 = charged * (RUS_T_SLOPE * log2(count / phase_z) + RUS_T_OFFSET)
     n_q = QPE_QUERY_CONSTANT / (y * tau * delta_e)
     per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
     return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
@@ -220,21 +238,20 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
 
 # Budget search box.  tau is not a free dimension: within a fixed step
 # count r the cost strictly improves as tau grows, so the optimum sits on
-# the boundary tau_r = r * sqrt(dE_T / W) (or at the step-error cap), and
-# the search enumerates r directly.
+# the boundary tau_r = r * sqrt(dE_T / W) (or at the step-error cap).
 _X_DIM = Dimension(1e-4, 0.35, "log")
 _Z_DIM = Dimension(1e-5, 0.25, "log")
 _Y_DIM = Dimension(0.2, 0.92)
-_SEED_BUDGET = (0.01, 0.6, 0.002)  # x, y, z
+_GRID_POINTS = 10   # per dimension of the coarse grid
 _TAU_MARGIN = 1.0 - 1e-12
-_R_HARD_CAP = 300
-_STALL_LIMIT = 10
 
 
-def _pinned_tau(r: int, x: float, y: float, z: float, w: float, tau_cap: float,
-                delta_e: float) -> float:
-    """Largest tau still giving r steps under the (x, y, z) split, at most tau_cap."""
-    return min(r * math.sqrt((1.0 - (x + z)) * (1.0 - y) * delta_e / w), tau_cap)
+def _pinned_tau(r, x, y, z, w: float, tau_cap: float, delta_e: float):
+    """Largest tau still giving r steps under the (x, y, z) split, at most
+    tau_cap.  Broadcasts over numpy arrays."""
+    q = (1.0 - (x + z)) * (1.0 - y) * delta_e / w
+    tau = r * _math(q).sqrt(q)
+    return np.minimum(tau, tau_cap) if isinstance(tau, np.ndarray) else min(tau, tau_cap)
 
 
 def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
@@ -246,16 +263,60 @@ def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     return _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
 
 
+def _step_costs(kind: Model, L: int, strategy: Strategy, r: np.ndarray) -> SimpleNamespace:
+    """``step_cost`` at an integer array of step counts, field by field.
+
+    Every layer multiplicity and the direct T count are affine in r, so the
+    costs at r = 1 and r = 2 fix all others (exactly: the fields are
+    integers far below 2**53).
+    """
+    one, two = step_cost(kind, L, 1, strategy), step_cost(kind, L, 2, strategy)
+    return SimpleNamespace(**{
+        field: getattr(one, field) + (getattr(two, field) - getattr(one, field)) * (r - 1)
+        for field in ("toffoli", "t_gates", "rz")
+    })
+
+
+def _coarse_grid(kind: Model, L: int, strategy: Strategy, catalysts: tuple[int, int],
+                 dims, w: float, tau_cap: float, delta_e: float,
+                 amortize: bool) -> tuple[int, list[float]]:
+    """(r, point) of the cheapest grid point of the budget box.
+
+    At a fixed point, tau = r * k grows with r until it reaches tau_cap at
+    r_c = ceil(tau_cap / k).  Below r_c the cost falls with r (N_q ~ 1/r,
+    and the per-query cost is affine in r with a non-negative intercept);
+    from r_c on N_q is fixed and every step-cost component grows.  So each
+    point needs only r_c - 1 and r_c, evaluated here in one numpy pass.
+    """
+    points = [axis.ravel() for axis in
+              np.meshgrid(*(np.array(d.grid(_GRID_POINTS)) for d in dims), indexing="ij")]
+    x, y = points[0], points[1]
+    z = points[2] if len(points) > 2 else 0.0
+    per_step = _pinned_tau(1, x, y, z, w, np.inf, delta_e)   # k: tau of one uncapped step
+    r_c = np.ceil(tau_cap / per_step).astype(np.int64)
+    r = np.stack([np.maximum(r_c - 1, 1), r_c])
+    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+    totals = _cost(_step_costs(kind, L, strategy, r), catalysts, x, y, z, tau,
+                   delta_e, amortize)[3]
+    row, column = np.unravel_index(np.argmin(totals), totals.shape)
+    return int(r[row, column]), [float(p[column]) for p in points]
+
+
 def optimize_trotter(spec: ModelSpec, strategy: Strategy,
                      delta_e: float | None = None,
                      amortize_catalyst: bool = False) -> TrotterEstimate:
     """Minimize the total Toffoli count over the budget split and time step.
 
-    Deterministic: for each candidate integer step count r, tau is pinned
-    to the largest value still giving r steps (bounded by the step-error
-    cap) and the smooth remainder (x, y, z) is minimized by Nelder-Mead,
-    warm-started from the previous step count; the best cell wins.  A
-    ``RuntimeWarning`` reports a best r at the scan cap ``_R_HARD_CAP``.
+    Deterministic.  tau is pinned to the largest value still giving r steps
+    (bounded by the step-error cap), so the free variables are r and the
+    smooth remainder (x, y, z).  A numpy pass over a coarse (x, y, z) grid
+    evaluates each point at the only two step counts that can be best for
+    it (see ``_coarse_grid``); Nelder-Mead then polishes the best grid
+    point at its r, and r walks up or down by one while the total
+    improves, each step warm-started from its neighbour's optimum.  No
+    bound on r is needed.  Raises ``ValueError`` when the optimum needs
+    fewer than one phase-estimation query (an error target too loose to
+    mean anything).
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
@@ -264,32 +325,29 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     tau_cap = tau_max(w) * _TAU_MARGIN
     catalysts = _catalysts(spec.kind, spec.L, strategy)
     dims = [_X_DIM, _Y_DIM] + ([_Z_DIM] if strategy.catalyzed else [])
-    seed = list(_SEED_BUDGET[:len(dims)])
 
-    best = None  # (value, r, point)
-    warm = seed
-    stall = 0
-    for r in range(1, _R_HARD_CAP + 1):
+    def solve_at(r: int, start: list[float]):
         objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
                             r, w, tau_cap, delta_e, amortize_catalyst)
-        result = minimize(objective, dims, grid_points=1, extra_points=[warm, seed])
-        if best is None or result.value < best[0]:
-            best = (result.value, r, result.point)
-            stall = 0
-        else:
-            stall += 1
-        warm = result.point
-        # once tau is pinned at the cap for the incumbent parameters, larger
-        # r only adds gates; stop when no longer improving
-        if stall >= _STALL_LIMIT:
-            break
+        return minimize(objective, dims, grid_points=1, extra_points=[start])
 
-    _, r, point = best
-    if r == _R_HARD_CAP:
-        warnings.warn(f"best Trotter step count r={r} sits at the scan cap "
-                      f"_R_HARD_CAP={_R_HARD_CAP}; the optimum may need more steps",
-                      RuntimeWarning, stacklevel=2)
+    r, start = _coarse_grid(spec.kind, spec.L, strategy, catalysts, dims, w, tau_cap,
+                            delta_e, amortize_catalyst)
+    best = solve_at(r, start)
+    for direction in (1, -1):
+        origin = r
+        while r + direction >= 1:
+            result = solve_at(r + direction, best.point)
+            if not result.value < best.value:
+                break
+            best, r = result, r + direction
+        if r != origin:
+            break   # improved upwards: the step counts below are worse
+
+    point = best.point
     x, y = point[0], point[1]
     z = point[2] if strategy.catalyzed else 0.0
     tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
-    return evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
+    est = evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
+    require_one_query(est.n_queries, delta_e)
+    return est

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,30 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert "delta" in err
+
+    @pytest.mark.parametrize("method,delta_e", [
+        ("trotter", "1e9"), ("qubitization", "1e9"), ("trotter", "100")])
+    def test_loose_delta_e_exits_2(self, capsys, method, delta_e):
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--method", method, "--L", "8",
+             "--delta-e", delta_e], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"delta_e={float(delta_e):g}" in err
+        assert "fewer than one" in err
+
+    def test_box_edge_warning_on_stderr(self):
+        # a fresh interpreter, so the warning takes Python's default route
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_qre.cli", "estimate", "--model", "fh",
+             "--method", "qubitization", "--L", "64"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("model")
+        assert "RuntimeWarning: qubitization error split x=0.9999 sits on the search-box edge" \
+            in proc.stderr
 
 
 class TestSweep:

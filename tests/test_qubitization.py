@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import pytest
 
 from lattice_qre.model import Model, ModelSpec, extensive_error
 from lattice_qre.qubitization import (
+    X_SEARCH_INTERVAL,
     estimate,
     optimize_qubitization,
     phase_qubits,
@@ -76,6 +78,26 @@ class TestOptimize:
     def test_bad_delta_e_rejected(self, delta_e):
         with pytest.raises(ValueError, match="delta_e"):
             optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4), delta_e)
+
+    def test_loose_delta_e_rejected(self):
+        # the optimum would need about 1e-6 phase-estimation queries
+        with pytest.raises(ValueError, match="delta_e=1e\\+09 .* fewer than one"):
+            optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 8), 1e9)
+
+    def test_x_on_box_edge_warns(self):
+        # at FH L = 64 the cost still falls as x approaches the upper edge
+        with pytest.warns(RuntimeWarning, match=r"x=0\.9999 sits on the search-box edge"):
+            est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 64))
+        assert est.x == X_SEARCH_INTERVAL[1]
+
+    def test_no_table_cell_on_box_edge(self):
+        from lattice_qre.reference_tables import QUBITIZATION_TABLES
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, table in QUBITIZATION_TABLES.items():
+                for L in table:
+                    optimize_qubitization(ModelSpec(kind, L))
 
     def test_x_opt_range(self):
         est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4))

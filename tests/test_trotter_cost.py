@@ -228,11 +228,21 @@ class TestOptimizeTrotter:
         assert est.w_bound == pytest.approx(3.0 / 24.0 * 190, rel=1e-12)
         assert est.r >= 1
 
-    def test_r_cap_warns(self):
-        # FH L = 8 at dE = 3e-4 wants about 360 steps, beyond the scan cap
-        with pytest.warns(RuntimeWarning, match=r"r=300 sits at the scan cap _R_HARD_CAP=300"):
-            est = optimize_trotter(FH8, Strategy.CATALYZED, 3e-4)
-        assert est.r == 300
+    def test_plain_python_floats(self):
+        # numpy scalars would print as np.float64(...) in CSV and JSON output
+        est = optimize_trotter(FH8, Strategy.CATALYZED)
+        b = est.budget
+        for value in (b.x, b.y, b.z, b.tau, est.n_queries, est.n_t1, est.n_t2,
+                      est.total_toffoli):
+            assert type(value) is float
+        assert type(est.r) is int
+
+    @pytest.mark.parametrize("delta_e", [1e9, 100.0])
+    def test_loose_delta_e_rejected(self, delta_e):
+        # the optimum would need fewer than one phase-estimation query
+        # (about 0.26 at dE = 100)
+        with pytest.raises(ValueError, match=r"delta_e=.* fewer than one"):
+            optimize_trotter(FH8, Strategy.CATALYZED, delta_e)
 
     @pytest.mark.parametrize("delta_e", [0.0, -1.0, math.nan, math.inf])
     def test_bad_delta_e_rejected(self, delta_e):
