@@ -48,12 +48,6 @@ class FermionOracle:
     def a(self, j: int) -> np.ndarray:
         return self._a[j]
 
-    def a_dag(self, j: int) -> np.ndarray:
-        return self._a[j].conj().T
-
-    def number(self, j: int) -> np.ndarray:
-        return self.a_dag(j) @ self.a(j)
-
     def mode_combination(self, coeffs) -> np.ndarray:
         """Annihilation operator of the mode sum_j coeffs[j] * a_j."""
         out = np.zeros((self.dim, self.dim), dtype=complex)

@@ -93,7 +93,6 @@ class HwpGadget:
     targets: list[int]
     catalyst: list[int]
     counted: CostVector
-    theta: float
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
@@ -159,7 +158,7 @@ def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
             circ.rz(wire, (1 << i) * theta)
         circ.extend(uncompute.gates)
         counted = CostVector(toffoli=float(hw.adder_count), rz=k)
-        return HwpGadget(circ, None, hw.inputs, [], counted, theta)
+        return HwpGadget(circ, None, hw.inputs, [], counted)
 
     hw = build_hamming_weight(M, n_extra_qubits=2 * k)
     circ = hw.circuit
@@ -178,7 +177,7 @@ def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
     _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
     circ.extend(uncompute.gates)
     counted = CostVector(toffoli=float(hw.adder_count + k), rz=1)
-    return HwpGadget(circ, prep, hw.inputs, catalyst, counted, theta)
+    return HwpGadget(circ, prep, hw.inputs, catalyst, counted)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,6 @@ def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta: float) -> None:
 class PlaquetteGadget:
     circuit: Circuit
     counted: CostVector
-    theta: float
 
 
 def build_plaquette_evolution(theta: float) -> PlaquetteGadget:
@@ -284,4 +282,4 @@ def build_plaquette_evolution(theta: float) -> PlaquetteGadget:
     circ.extend(basis_change.gates)
     xx_plus_yy_rotation(circ, 1, 2, theta)
     circ.extend(basis_change.inverted().gates)
-    return PlaquetteGadget(circ, CostVector(t_gates=8.0, rz=2), theta)
+    return PlaquetteGadget(circ, CostVector(t_gates=8.0, rz=2))

@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``    run the statevector gadget checks, JSON report, exit 1 on
   any failure
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-optimization.  Output is deterministic for a fixed command line.
+Exit codes: 0 success, 1 verification failure, 2 usage error (overflowing
+inputs included).  Output is deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .model import Model, ModelSpec, default_couplings, load_config
-from .optimize import NoFeasiblePointError
 from .qubitization import optimize_qubitization
 from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
 from .trotter_cost import Strategy, optimize_trotter
@@ -231,6 +230,15 @@ def _parse_l_range(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
+def _reject_trotter_flags(args) -> None:
+    """``--strategy`` and ``--amortize-catalyst`` only shape Trotter runs."""
+    for flag, value in (("--strategy", args.strategy),
+                        ("--amortize-catalyst", args.amortize_catalyst)):
+        if value:
+            raise ValueError(f"{flag} applies only to Trotter estimates "
+                             f"(--method trotter, supp-table-4..6)")
+
+
 def _emit(rows, args) -> None:
     if args.format == "csv":
         text = rows_to_csv(rows)
@@ -248,6 +256,8 @@ def _emit(rows, args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("estimate", "sweep") and args.method == "qubitization":
+            _reject_trotter_flags(args)
         if args.command == "estimate":
             spec, delta_e = _build_spec(args)
             strategy = Strategy(args.strategy) if args.strategy else Strategy.CATALYZED
@@ -267,6 +277,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "reproduce":
             number = int(args.table.rsplit("-", 1)[1])
+            if TABLE_NUMBERS[number][1] == "qubitization":
+                _reject_trotter_flags(args)
             strategy = Strategy(args.strategy) if args.strategy else None
             rows = reproduce_table(number, strategy, args.amortize_catalyst)
             _emit(rows, args)
@@ -282,9 +294,6 @@ def main(argv=None) -> int:
             else:
                 print(report)
             return 0 if all(r.passed for r in results) else 1
-    except NoFeasiblePointError as exc:
-        print(f"error: infeasible optimization: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,30 +1,26 @@
-"""Deterministic bounded derivative-free minimization.
+"""Deterministic bounded derivative-free refinement.
 
-Coarse grid scan over the box (respecting per-dimension linear or log
-scaling), followed by refinement: golden-section for one dimension,
-Nelder-Mead with the classical coefficients otherwise.  Non-finite
-objective values (and the errors of an undefined point) are treated as
-+inf, so the simplex contracts back into the region where the objective is
-defined.  No randomness anywhere: two runs with the same inputs are
-bit-identical.
+``minimize`` refines a start point the caller has already found (each
+solver scans its own coarse grid): golden section across the box for one
+dimension, Nelder-Mead with the classical coefficients (in per-dimension
+linear or log scaling) otherwise.  Non-finite objective values (and the
+errors of an undefined point) are treated as +inf, so the simplex
+contracts back into the region where the objective is defined.  No
+randomness anywhere: two runs with the same inputs are bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_STARTS = 2             # best grid candidates refined by Nelder-Mead
 _SIMPLEX_STEP = 0.12    # initial simplex edge, as a fraction of each span
 _TOLERANCE = 1e-10      # relative stopping tolerance of both refiners
 _REFINE_ITERATIONS = 160
-
-
-class NoFeasiblePointError(RuntimeError):
-    """The objective is infinite at every coarse grid point."""
+_EDGE_TOLERANCE = 1e-9  # relative: a coordinate this close to a box edge is on it
 
 
 @dataclass(frozen=True)
@@ -42,8 +38,6 @@ class Dimension:
             raise ValueError("log scale needs positive bounds")
 
     def grid(self, n: int) -> list[float]:
-        if n == 1:
-            return [0.5 * (self.lower + self.upper)]
         if self.scale == "log":
             la, lb = math.log(self.lower), math.log(self.upper)
             return [math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
@@ -64,16 +58,14 @@ class MinimizeResult:
     evaluations: int = 0
 
 
-def minimize(objective, dims: Sequence[Dimension], grid_points: int,
-             extra_points: Sequence[Sequence[float]] = ()) -> MinimizeResult:
-    """Minimize ``objective`` over the box ``dims``.
+def minimize(objective, dims: Sequence[Dimension], start: Sequence[float]) -> MinimizeResult:
+    """Minimize ``objective`` over the box ``dims``, refining from ``start``.
 
-    ``grid_points`` per dimension form the coarse grid.  ``extra_points``
-    are additional seed points (clipped into the box) that join the grid
-    candidates; callers use them to warm-start the refinement from a point
-    already known to be good, such as a neighbouring problem's optimum.
+    One dimension: golden section across the whole box.  More: Nelder-Mead
+    from ``start`` (clipped into the box), restarted once from its own
+    optimum.  The result is never worse than ``start``.  Raises
+    ``ValueError`` when the objective is not finite at ``start``.
     """
-    dims = list(dims)
     evaluations = 0
 
     def guarded(point) -> float:
@@ -85,35 +77,34 @@ def minimize(objective, dims: Sequence[Dimension], grid_points: int,
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    candidates = [list(p) for p in itertools.product(*(d.grid(grid_points) for d in dims))]
-    for p in extra_points:
-        candidates.append([min(max(x, d.lower), d.upper) for x, d in zip(p, dims)])
-    scored = sorted(((guarded(p), i) for i, p in enumerate(candidates)), key=lambda t: t[0])
-    if not scored or not math.isfinite(scored[0][0]):
-        raise NoFeasiblePointError("no feasible point on the coarse grid")
-
-    best_value, best_index = scored[0]
-    best_point = candidates[best_index]
-    starts = [candidates[i] for v, i in scored[:_STARTS] if math.isfinite(v)]
+    best_point = [min(max(x, d.lower), d.upper) for x, d in zip(start, dims)]
+    best_value = guarded(best_point)
+    if not math.isfinite(best_value):
+        raise ValueError(f"the objective is not finite at the start point {best_point}")
 
     if len(dims) == 1:
-        point, value = _golden_section(guarded, dims[0], best_point[0], grid_points)
-        if value < best_value:
-            best_point, best_value = point, value
+        point, value = _golden_section(guarded, dims[0])
     else:
-        for start in starts:
-            point, value = _nelder_mead(guarded, dims, start)
-            if value < best_value:
-                best_point, best_value = point, value
-
+        point, value = _nelder_mead(guarded, dims, best_point)
+        point, value = _nelder_mead(guarded, dims, point)
+    if value < best_value:
+        best_point, best_value = point, value
     return MinimizeResult(list(best_point), best_value, evaluations)
 
 
-def _golden_section(f, dim: Dimension, center: float, grid_points: int):
-    # bracket one grid cell either side of the best coarse point
-    step = (dim.upper - dim.lower) / max(1, grid_points - 1)
-    a = max(dim.lower, center - step)
-    b = min(dim.upper, center + step)
+def warn_on_edges(what: str, names: Sequence[str], dims: Sequence[Dimension],
+                  point: Sequence[float]) -> None:
+    """Emit a ``RuntimeWarning`` for each coordinate of ``point`` on an edge
+    of its dimension, where the true optimum may lie outside the box."""
+    for name, dim, value in zip(names, dims, point):
+        for edge in (dim.lower, dim.upper):
+            if abs(value - edge) <= _EDGE_TOLERANCE * abs(edge):
+                warnings.warn(f"{what} {name}={value!r} sits on the search-box edge {edge}; "
+                              f"the optimum may lie beyond it", RuntimeWarning, stacklevel=3)
+
+
+def _golden_section(f, dim: Dimension):
+    a, b = dim.lower, dim.upper
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f([c]), f([d])
     for _ in range(_REFINE_ITERATIONS):
@@ -142,8 +133,9 @@ def _nelder_mead(f, dims, start):
     simplex = [list(q0)]
     for i in range(n):
         q = list(q0)
-        span = dims[i].encode(dims[i].upper) - dims[i].encode(dims[i].lower)
-        q[i] += _SIMPLEX_STEP * span
+        upper = dims[i].encode(dims[i].upper)
+        step = _SIMPLEX_STEP * (upper - dims[i].encode(dims[i].lower))
+        q[i] += step if q[i] + step <= upper else -step   # step into the box
         simplex.append(q)
     values = [g(q) for q in simplex]
 

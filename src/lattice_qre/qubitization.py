@@ -16,15 +16,15 @@ of L add Toffolis and rotations.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query
-from .optimize import Dimension, minimize
+from .optimize import Dimension, minimize, warn_on_edges
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
 X_SEARCH_INTERVAL = (0.5, 0.9999)
-_EDGE_TOLERANCE = 1e-9   # an optimal x this close to a box edge is on it
+_X_DIM = Dimension(*X_SEARCH_INTERVAL)
+_GRID_POINTS = 25
 
 
 def _odd_part(L: int) -> int:
@@ -62,13 +62,6 @@ def walk_counts(kind: Model, L: int) -> WalkCounts:
                       18 if binary else 21, 22, 4 * L * L + 10)
 
 
-def phase_qubits(lam: float, delta_e: float, x: float) -> int:
-    """Phase-register size so the phase-estimation variance fits its budget."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must be in (0, 1), got {x}")
-    return math.ceil(math.log2(math.pi * lam / (2.0 * math.sqrt(x) * delta_e)))
-
-
 def query_count(lam: float, delta_e: float, x: float) -> float:
     """Continuous bound on the number of walk-operator queries."""
     if not 0.0 < x < 1.0:
@@ -82,9 +75,7 @@ class QubitizationEstimate:
     delta_e: float
     x: float
     lam: float
-    m_phase_qubits: int
     n_queries: float
-    n_rotations: float   # rotation count before synthesis
     n_t: float           # T count after rotation synthesis, incl. direct T
     n_toffoli: float
     total_qubits: int
@@ -106,48 +97,50 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
     n_rot = counts.rotations
     synth_t_per_walk = 0.0
     if n_rot:
-        inverse_budget = (
-            n_rot * math.pi * lam * lam
-            / (math.sqrt(x * (1.0 - x)) * delta_e * delta_e)
-        )
+        try:
+            inverse_budget = (
+                n_rot * math.pi * lam * lam
+                / (math.sqrt(x * (1.0 - x)) * delta_e * delta_e)
+            )
+        except ZeroDivisionError:   # delta_e**2 underflows; rejected below
+            inverse_budget = math.inf
         synth_t_per_walk = n_rot * (RUS_T_SLOPE * math.log2(inverse_budget) + RUS_T_OFFSET)
 
-    qubits = (
-        math.ceil(math.log2(math.pi * lam * spec.L**6 / (2.0 * math.sqrt(x) * delta_e)))
-        + counts.register_overhead
-    )
+    n_t = queries * (counts.t_direct + synth_t_per_walk)
+    n_toffoli = queries * counts.toffoli
+    phase_bits = math.log2(math.pi * lam * spec.L**6 / (2.0 * math.sqrt(x) * delta_e))
+    if not math.isfinite(n_t + n_toffoli + phase_bits):
+        raise ValueError(f"the qubitization cost overflows at lambda={lam:g}, "
+                         f"delta_e={delta_e:g}")
     return QubitizationEstimate(
         spec=spec,
         delta_e=delta_e,
         x=x,
         lam=lam,
-        m_phase_qubits=phase_qubits(lam, delta_e, x),
         n_queries=queries,
-        n_rotations=queries * n_rot,
-        n_t=queries * (counts.t_direct + synth_t_per_walk),
-        n_toffoli=queries * counts.toffoli,
-        total_qubits=qubits,
+        n_t=n_t,
+        n_toffoli=n_toffoli,
+        total_qubits=math.ceil(phase_bits) + counts.register_overhead,
     )
 
 
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x.
 
-    Raises ``ValueError`` when the optimum needs fewer than one
-    phase-estimation query, and issues a ``RuntimeWarning`` when x sits on
-    an edge of ``X_SEARCH_INTERVAL``, where the true optimum may lie outside.
+    Evaluates x at 25 evenly spaced points of ``X_SEARCH_INTERVAL``, then
+    refines by golden section across the two grid cells around the best
+    point.  Raises ``ValueError`` when the cost overflows or the optimum
+    needs fewer than one phase-estimation query, and emits a
+    ``RuntimeWarning`` when x sits on an edge of ``X_SEARCH_INTERVAL``,
+    where the true optimum may lie outside.
     """
     delta_e = error_target(spec.L, delta_e)
-    result = minimize(
-        lambda p: estimate(spec, p[0], delta_e).total_toffoli,
-        [Dimension(*X_SEARCH_INTERVAL)],
-        grid_points=25,
-    )
+    objective = lambda p: estimate(spec, p[0], delta_e).total_toffoli
+    best = min(_X_DIM.grid(_GRID_POINTS), key=lambda x: objective([x]))
+    step = (_X_DIM.upper - _X_DIM.lower) / (_GRID_POINTS - 1)
+    cells = Dimension(max(_X_DIM.lower, best - step), min(_X_DIM.upper, best + step))
+    result = minimize(objective, [cells], [best])
     est = estimate(spec, result.point[0], delta_e)
     require_one_query(est.n_queries, delta_e)
-    for edge in X_SEARCH_INTERVAL:
-        if abs(est.x - edge) <= _EDGE_TOLERANCE:
-            warnings.warn(f"qubitization error split x={est.x!r} sits on the search-box "
-                          f"edge {edge}; the optimum may lie beyond it",
-                          RuntimeWarning, stacklevel=2)
+    warn_on_edges("qubitization error split", "x", [_X_DIM], [est.x])
     return est

@@ -113,13 +113,20 @@ def pnictide_w(L: int, t1=1.0, t2=1.3, t3=0.85, t4=0.85, u=8.0, v=8.0) -> float:
 
 
 def trotter_bound(spec: ModelSpec) -> float:
-    """W for a model spec, dispatching on the model kind."""
+    """W for a model spec; ``ValueError`` when it overflows."""
     c = spec.couplings
-    if spec.kind is Model.FERMI_HUBBARD:
-        return fh_w(spec.L, c.t, c.u)
-    if spec.kind is Model.CUPRATE:
-        return cuprate_w(spec.L, c.t, c.t_prime, c.t_dprime, c.u)
-    return pnictide_w(spec.L, c.t1, c.t2, c.t3, c.t4, c.u, c.v)
+    try:
+        if spec.kind is Model.FERMI_HUBBARD:
+            w = fh_w(spec.L, c.t, c.u)
+        elif spec.kind is Model.CUPRATE:
+            w = cuprate_w(spec.L, c.t, c.t_prime, c.t_dprime, c.u)
+        else:
+            w = pnictide_w(spec.L, c.t1, c.t2, c.t3, c.t4, c.u, c.v)
+    except OverflowError:
+        w = math.inf
+    if not math.isfinite(w):
+        raise ValueError(f"the Trotter bound W overflows for the couplings {c}")
+    return w
 
 
 # ---------------------------------------------------------------------------

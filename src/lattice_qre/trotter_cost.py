@@ -36,7 +36,7 @@ from .model import (
     require_one_query,
     system_qubits,
 )
-from .optimize import Dimension, minimize
+from .optimize import Dimension, minimize, warn_on_edges
 from .primitives import (
     CostVector,
     HwpStrategy,
@@ -209,7 +209,6 @@ class TrotterEstimate:
     n_t2: float
     total_toffoli: float
     total_qubits: int
-    amortized_catalyst: bool = False
 
 
 def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
@@ -232,7 +231,6 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
         n_queries=n_q, n_toffoli_per_u=step.toffoli, n_t_direct=step.t_gates,
         n_t1=n_t1, n_t2=n_t2, total_toffoli=total,
         total_qubits=total_qubits(spec, strategy),
-        amortized_catalyst=amortize_catalyst,
     )
 
 
@@ -287,18 +285,23 @@ def _coarse_grid(kind: Model, L: int, strategy: Strategy, catalysts: tuple[int, 
     and the per-query cost is affine in r with a non-negative intercept);
     from r_c on N_q is fixed and every step-cost component grows.  So each
     point needs only r_c - 1 and r_c, evaluated here in one numpy pass.
+    Raises ``ValueError`` when no grid point has a finite total.
     """
     points = [axis.ravel() for axis in
               np.meshgrid(*(np.array(d.grid(_GRID_POINTS)) for d in dims), indexing="ij")]
     x, y = points[0], points[1]
     z = points[2] if len(points) > 2 else 0.0
-    per_step = _pinned_tau(1, x, y, z, w, np.inf, delta_e)   # k: tau of one uncapped step
-    r_c = np.ceil(tau_cap / per_step).astype(np.int64)
-    r = np.stack([np.maximum(r_c - 1, 1), r_c])
-    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
-    totals = _cost(_step_costs(kind, L, strategy, r), catalysts, x, y, z, tau,
-                   delta_e, amortize)[3]
+    # float r (exact below 2**53): overflow gives non-finite totals, not wrapped int64
+    with np.errstate(all="ignore"):
+        per_step = _pinned_tau(1, x, y, z, w, np.inf, delta_e)   # k: tau of one uncapped step
+        r_c = np.ceil(tau_cap / per_step)
+        r = np.stack([np.maximum(r_c - 1, 1), r_c])
+        tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+        totals = _cost(_step_costs(kind, L, strategy, r), catalysts, x, y, z, tau,
+                       delta_e, amortize)[3]
     row, column = np.unravel_index(np.argmin(totals), totals.shape)
+    if not np.isfinite(totals[row, column]):
+        raise ValueError(f"the Trotter cost overflows at W={w:g}, delta_e={delta_e:g}")
     return int(r[row, column]), [float(p[column]) for p in points]
 
 
@@ -311,12 +314,12 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     (bounded by the step-error cap), so the free variables are r and the
     smooth remainder (x, y, z).  A numpy pass over a coarse (x, y, z) grid
     evaluates each point at the only two step counts that can be best for
-    it (see ``_coarse_grid``); Nelder-Mead then polishes the best grid
+    it (see ``_coarse_grid``); ``minimize`` then refines from the best grid
     point at its r, and r walks up or down by one while the total
-    improves, each step warm-started from its neighbour's optimum.  No
-    bound on r is needed.  Raises ``ValueError`` when the optimum needs
-    fewer than one phase-estimation query (an error target too loose to
-    mean anything).
+    improves, each step refined from its neighbour's optimum.  No bound on
+    r is needed.  Raises ``ValueError`` when the cost overflows or the
+    optimum needs fewer than one phase-estimation query (an error target
+    too loose to mean anything); warns when x, y or z sits on a box edge.
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
@@ -329,7 +332,7 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     def solve_at(r: int, start: list[float]):
         objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
                             r, w, tau_cap, delta_e, amortize_catalyst)
-        return minimize(objective, dims, grid_points=1, extra_points=[start])
+        return minimize(objective, dims, start)
 
     r, start = _coarse_grid(spec.kind, spec.L, strategy, catalysts, dims, w, tau_cap,
                             delta_e, amortize_catalyst)
@@ -350,4 +353,5 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
     est = evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
     require_one_query(est.n_queries, delta_e)
+    warn_on_edges("Trotter budget", "xyz", dims, point)
     return est

@@ -232,12 +232,6 @@ class TestFermionOracle:
         with pytest.raises(ValueError):
             FermionOracle(8)
 
-    def test_number_operator(self):
-        oracle = FermionOracle(2)
-        n0 = oracle.number(0)
-        assert np.allclose(n0 @ n0, n0)
-        assert np.allclose(np.trace(n0), 2.0)
-
 
 class TestVerifySuite:
     def test_all_checks_pass(self, circuit_checks):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,20 @@ class TestEstimate:
         assert f"delta_e={float(delta_e):g}" in err
         assert "fewer than one" in err
 
+    @pytest.mark.parametrize("method,flags", [
+        ("trotter", ["--t", "1e120"]), ("trotter", ["--u", "1e200"]),
+        ("qubitization", ["--u", "1e307"]),
+        ("trotter", ["--delta-e", "1e-300"]), ("qubitization", ["--delta-e", "1e-300"])])
+    def test_overflow_exits_2(self, capsys, method, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy RuntimeWarning on the way
+            code, out, err = run_cli(
+                ["estimate", "--model", "fh", "--method", method, "--L", "8", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "overflows" in err
+
     def test_box_edge_warning_on_stderr(self):
         # a fresh interpreter, so the warning takes Python's default route
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -178,6 +193,21 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "supp-table-9"])
         assert exc.value.code == 2
+
+
+class TestTrotterOnlyFlags:
+    @pytest.mark.parametrize("flag", [["--strategy", "baseline"], ["--amortize-catalyst"]])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--model", "fh", "--method", "qubitization", "--L", "4"],
+        ["sweep", "--model", "fh", "--method", "qubitization", "--L-range", "4:6"],
+        ["reproduce", "supp-table-1"],
+        ["reproduce", "supp-table-3"],
+    ], ids=["estimate", "sweep", "table-1", "table-3"])
+    def test_rejected_without_trotter(self, capsys, command, flag):
+        code, out, err = run_cli(command + flag, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{flag[0]} applies only to Trotter" in err
 
 
 class TestCsvRoundTrip:

@@ -8,23 +8,9 @@ from lattice_qre.qubitization import (
     X_SEARCH_INTERVAL,
     estimate,
     optimize_qubitization,
-    phase_qubits,
     query_count,
     walk_counts,
 )
-
-
-class TestPhaseQubits:
-    def test_reference(self):
-        assert phase_qubits(96.0, 0.0816, 0.99) == 11
-
-    def test_cancelling_arguments(self):
-        # pi * lam / (2 sqrt(x) dE) = 1 when lam = 1, x = 1/4, dE = pi
-        assert phase_qubits(1.0, math.pi, 0.25) == 0
-
-    def test_invalid_split(self):
-        with pytest.raises(ValueError):
-            phase_qubits(96.0, 0.0816, 1.5)
 
 
 class TestWalkCounts:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -248,3 +249,21 @@ class TestOptimizeTrotter:
     def test_bad_delta_e_rejected(self, delta_e):
         with pytest.raises(ValueError, match="delta_e"):
             optimize_trotter(FH8, Strategy.CATALYZED, delta_e)
+
+    def test_z_on_box_edge_warns(self):
+        # at a deep target the catalyst budget z is cheapest at the lower
+        # edge of its interval
+        with pytest.warns(RuntimeWarning,
+                          match=r"Trotter budget z=1e-05 sits on the search-box edge 1e-05"):
+            est = optimize_trotter(FH8, Strategy.CATALYZED, 1e-5)
+        assert est.budget.z == 1e-5
+
+    def test_no_table_cell_on_box_edge(self):
+        from lattice_qre.reference_tables import TROTTER_TABLES
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, table in TROTTER_TABLES.items():
+                for L in table:
+                    for strategy in Strategy:
+                        optimize_trotter(ModelSpec(kind, L), strategy)
