@@ -1,4 +1,4 @@
-"""Small dense statevector kernel for verifying the circuit gadgets that
+"""Small sparse statevector kernel for verifying the circuit gadgets that
 the cost model counts: adders, Hamming-weight phasing, fermionic swaps,
 two-site fermionic Fourier transforms, and plaquette evolutions."""
 

@@ -145,8 +145,6 @@ def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
     i.e. a tensor power of single-qubit phase rotations.  Ancillas return
     to |0>; the catalyst state (catalyzed mode) returns unchanged.
     """
-    if not 1 <= M <= 5:
-        raise ValueError(f"need 1 <= M <= 5, got {M}")
     strategy = HwpStrategy(strategy)
     k = floor_log2(M) + 1
 

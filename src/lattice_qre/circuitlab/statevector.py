@@ -1,4 +1,11 @@
-"""Dense statevector simulation of small Clifford+T+rotation circuits.
+"""Sparse simulation of small Clifford+T+rotation circuits.
+
+``simulate`` carries a batch of states as three aligned arrays: ``index``
+(basis index), ``amp`` (amplitude) and ``column`` (the batch member an
+entry belongs to).  The gadgets the cost model counts are X, CNOT, Toffoli
+and phase gates, which map each entry to one entry, so a basis input stays
+a single entry however many qubits the gadget has; H, which appears only
+in basis changes and the catalyst preparation, splits an entry in two.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -6,8 +13,11 @@ is the phase-gate convention diag(1, e^{i*angle}); it differs from the
 symmetric convention only by a global phase, and every equivalence check
 in this package is up to global phase.
 
-The qubit ceiling is 15: enough for the 8-bit Hamming-weight circuit
-(8 inputs + 7 carry ancillas) while keeping a state under one megabyte.
+Dense arrays appear only at the boundary: ``apply_circuit`` takes
+statevectors of at most 15 qubits (the 8-bit Hamming-weight circuit,
+8 inputs + 7 carry ancillas, in half a megabyte) and ``Circuit.unitary``
+matrices of at most 10.  A circuit itself may be larger, up to the 62 bits
+of a (column, index) key.
 """
 
 from __future__ import annotations
@@ -17,8 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-MAX_QUBITS = 15
+MAX_DENSE_QUBITS = 15
 MAX_DENSE_UNITARY_QUBITS = 10
+_KEY_BITS = 62
 
 
 class GateKind(str, Enum):
@@ -50,6 +61,12 @@ _INVERSE = {
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
+_PHASE = {   # the diagonal gates without an angle
+    GateKind.S: 1j, GateKind.SDG: -1j,
+    GateKind.T: np.exp(0.25j * np.pi), GateKind.TDG: np.exp(-0.25j * np.pi),
+    GateKind.CZ: -1.0,
+}
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -80,8 +97,8 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be at least 1")
 
     def append(self, kind: GateKind, *qubits: int, angle: float | None = None) -> None:
         for q in qubits:
@@ -123,16 +140,10 @@ class Circuit:
         return out
 
     def unitary(self) -> np.ndarray:
-        """Dense matrix, column by column; guarded to keep memory small."""
+        """Dense matrix: the circuit applied to every basis state at once."""
         if self.n_qubits > MAX_DENSE_UNITARY_QUBITS:
             raise ValueError(f"dense unitary limited to {MAX_DENSE_UNITARY_QUBITS} qubits")
-        dim = 1 << self.n_qubits
-        mat = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            state = np.zeros(dim, dtype=complex)
-            state[col] = 1.0
-            mat[:, col] = apply_circuit(state, self)
-        return mat
+        return apply_circuit(np.eye(1 << self.n_qubits, dtype=complex), self)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -141,55 +152,78 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
+def _hadamard(index, amp, column, n: int, shift: int):
+    """H on the qubit at bit ``shift``: each entry splits into its |0> and
+    |1> images, and equal (column, index) keys are summed."""
+    bit = 1 << shift
+    sign = 1 - 2 * ((index >> shift) & 1)
+    half = _SQRT_HALF * amp
+    base = column << n
+    keys, slot = np.unique(np.concatenate((base | (index & ~bit), base | (index | bit))),
+                           return_inverse=True)
+    weights = np.concatenate((half, sign * half))
+    merged = np.bincount(slot, weights.real) + 1j * np.bincount(slot, weights.imag)
+    keep = merged != 0
+    keys = keys[keep]
+    return keys & ((1 << n) - 1), merged[keep], keys >> n
 
 
-def _axis_view(state: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """View with the given qubit axes first; mutating it mutates the state."""
-    t = state.reshape((2,) * n)
-    return np.moveaxis(t, qubits, range(len(qubits)))
+def simulate(circuit: Circuit, index, amp, column):
+    """Apply ``circuit`` to a sparse batch of states.
 
-
-def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    v = _axis_view(state, n, gate.qubits)
-    k = gate.kind
-    if k is GateKind.X:
-        v[[0, 1]] = v[[1, 0]]
-    elif k is GateKind.H:
-        a = v[0].copy()
-        v[0] = _SQRT_HALF * (a + v[1])
-        v[1] = _SQRT_HALF * (a - v[1])
-    elif k is GateKind.S:
-        v[1] *= 1j
-    elif k is GateKind.SDG:
-        v[1] *= -1j
-    elif k is GateKind.T:
-        v[1] *= np.exp(0.25j * np.pi)
-    elif k is GateKind.TDG:
-        v[1] *= np.exp(-0.25j * np.pi)
-    elif k is GateKind.RZ:
-        v[1] *= np.exp(1j * gate.angle)
-    elif k is GateKind.CNOT:
-        v[1, 0], v[1, 1] = v[1, 1].copy(), v[1, 0].copy()
-    elif k is GateKind.CZ:
-        v[1, 1] *= -1.0
-    elif k is GateKind.SWAP:
-        v[0, 1], v[1, 0] = v[1, 0].copy(), v[0, 1].copy()
-    elif k is GateKind.CRZ:
-        v[1, 1] *= np.exp(1j * gate.angle)
-    elif k is GateKind.TOFFOLI:
-        v[1, 1, 0], v[1, 1, 1] = v[1, 1, 1].copy(), v[1, 1, 0].copy()
-    return state
+    Entry i is amplitude ``amp[i]`` on basis state ``index[i]`` of batch
+    member ``column[i]``; absent entries are zero.  Returns new
+    ``(index, amp, column)`` arrays.  X, CNOT, Toffoli and SWAP move each
+    entry to one new index, and the diagonal gates multiply ``amp`` where
+    their qubits are all set; only H changes the number of entries.  Keys
+    that are distinct on input stay distinct, and H drops exact zeros.
+    """
+    n = circuit.n_qubits
+    index = np.array(index, dtype=np.int64).ravel()
+    amp = np.array(amp, dtype=complex).ravel()
+    column = np.array(column, dtype=np.int64).ravel()
+    if not index.size == amp.size == column.size:
+        raise ValueError("index, amp and column must have the same length")
+    if n + int(column.max(initial=0)).bit_length() > _KEY_BITS:
+        raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
+    if np.any(index < 0) or np.any(index >= 1 << n) or np.any(column < 0):
+        raise ValueError(f"basis index or column out of range for {n} qubits")
+    for gate in circuit.gates:
+        kind = gate.kind
+        shift = [n - 1 - q for q in gate.qubits]   # qubit 0 is the top index bit
+        if kind is GateKind.H:
+            index, amp, column = _hadamard(index, amp, column, n, shift[0])
+        elif kind is GateKind.X:
+            index ^= 1 << shift[0]
+        elif kind is GateKind.CNOT:
+            index ^= ((index >> shift[0]) & 1) << shift[1]
+        elif kind is GateKind.TOFFOLI:
+            index ^= ((index >> shift[0]) & (index >> shift[1]) & 1) << shift[2]
+        elif kind is GateKind.SWAP:
+            differ = ((index >> shift[0]) ^ (index >> shift[1])) & 1
+            index ^= (differ << shift[0]) | (differ << shift[1])
+        else:
+            mask = sum(1 << s for s in shift)
+            phase = _PHASE[kind] if gate.angle is None else np.exp(1j * gate.angle)
+            amp[(index & mask) == mask] *= phase
+    return index, amp, column
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    out = state.copy()
-    for gate in circuit.gates:
-        out = apply_gate(out, gate, circuit.n_qubits)
-    return out
+    """Dense boundary of ``simulate``: ``state`` has shape (2**n,) or
+    (2**n, batch), with n at most ``MAX_DENSE_QUBITS``."""
+    n = circuit.n_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense states limited to {MAX_DENSE_QUBITS} qubits, got {n}")
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape[0] != 1 << n:
+        raise ValueError(f"expected shape (2**{n},) or (2**{n}, batch), got {state.shape}")
+    columns = state.reshape(1 << n, -1)
+    index, column = np.nonzero(columns)
+    index, amp, column = simulate(circuit, index, columns[index, column], column)
+    out = np.zeros(columns.shape, dtype=complex)
+    out[index, column] = amp
+    return out.reshape(state.shape)
 
 
 def reduced_density(state: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..primitives import HwpStrategy, hamming_adders, hwp_cost
 from .fermion import FermionOracle
@@ -25,9 +25,9 @@ from .gadgets import (
 from .statevector import (
     Circuit,
     apply_circuit,
-    basis_state,
     max_unitary_deviation,
     reduced_density,
+    simulate,
     zero_state,
 )
 
@@ -39,6 +39,7 @@ class CheckResult:
     name: str
     max_deviation: float
     threshold: float
+    seconds: float = 0.0      # wall time of the check, set by ``run_all``
 
     @property
     def passed(self) -> bool:
@@ -50,10 +51,13 @@ class CheckResult:
         return d
 
 
+def _hamming_weights(m: int) -> np.ndarray:
+    return np.array([bin(x).count("1") for x in range(1 << m)])
+
+
 def _phase_matrix(theta: float, m: int) -> np.ndarray:
     """diag over m qubits of e^{i*theta*HW(x)} (tensor power of one phase)."""
-    weights = np.array([bin(x).count("1") for x in range(1 << m)])
-    return np.diag(np.exp(1j * theta * weights))
+    return np.diag(np.exp(1j * theta * _hamming_weights(m)))
 
 
 def check_hamming_weight(max_bits: int = 8) -> CheckResult:
@@ -64,37 +68,44 @@ def check_hamming_weight(max_bits: int = 8) -> CheckResult:
         if gadget.adder_count != hamming_adders(m):
             return CheckResult("hamming_weight", math.inf, 1e-12)
         n = gadget.circuit.n_qubits
-        for x in range(1 << m):
-            # input bit i of x goes to wire i; wire w is bit (n-1-w) of the index
-            index = sum(1 << (n - 1 - i) for i in range(m) if (x >> i) & 1)
-            state = apply_circuit(basis_state(n, index), gadget.circuit)
-            hot = int(np.argmax(np.abs(state)))
-            amp = state[hot]
-            weight = sum(
-                ((hot >> (n - 1 - wire)) & 1) << bit
-                for bit, wire in enumerate(gadget.outputs)
-            )
-            dev = abs(amp - 1.0)
-            if weight != bin(x).count("1"):
-                dev = 1.0
-            worst = max(worst, dev)
+        x = np.arange(1 << m)
+        # input bit i of x goes to wire i; wire w is bit (n-1-w) of the index
+        index = sum(((x >> i) & 1) << (n - 1 - i) for i in range(m))
+        index, amp, column = simulate(gadget.circuit, index, np.ones(x.size), x)
+        weight = sum(
+            ((index >> (n - 1 - wire)) & 1) << bit
+            for bit, wire in enumerate(gadget.outputs)
+        )
+        dev = np.where(weight == _hamming_weights(m)[column], np.abs(amp - 1.0), 1.0)
+        worst = max(worst, float(dev.max()))
     return CheckResult("hamming_weight", worst, 1e-12)
 
 
-def _hwp_induced_matrix(gadget, reference_env: np.ndarray) -> tuple[np.ndarray, float]:
-    """Induced action on the targets given environment wires start in
-    ``reference_env``; also returns the worst leakage out of that block."""
+def _hwp_induced_matrix(gadget) -> tuple[np.ndarray, float]:
+    """Induced action on the targets when the other wires start in the
+    gadget's reference state (the catalyst state, or all zeros); also
+    returns the worst leakage out of that block."""
     circ = gadget.circuit
     n = circ.n_qubits
     m = len(gadget.targets)
-    dim_env = 1 << (n - m)
+    env_bits = n - m
+    env_index, env_amp = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    if gadget.catalyst_prep is not None:
+        env_index, env_amp, _ = simulate(gadget.catalyst_prep, [0], [1.0], [0])
+        order = np.argsort(env_index)
+        env_index, env_amp = env_index[order], env_amp[order]
+    # every target basis state x, tensored with the reference environment
+    x = np.arange(1 << m)
+    index, amp, column = simulate(
+        circ, ((x[:, None] << env_bits) | env_index).ravel(),
+        np.tile(env_amp, x.size), np.repeat(x, env_index.size))
+    # overlap of each output entry's environment with the reference state
+    env = index & ((1 << env_bits) - 1)
+    slot = np.minimum(np.searchsorted(env_index, env), env_index.size - 1)
+    overlap = np.where(env_index[slot] == env, env_amp[slot].conj(), 0.0)
     induced = np.zeros((1 << m, 1 << m), dtype=complex)
-    leakage = 0.0
-    for x in range(1 << m):
-        state = np.kron(basis_state(m, x), reference_env)
-        out = apply_circuit(state, circ).reshape(1 << m, dim_env)
-        induced[:, x] = out @ reference_env.conj()
-        leakage = max(leakage, abs(1.0 - float(np.linalg.norm(induced[:, x]))))
+    np.add.at(induced, (index >> env_bits, column), amp * overlap)
+    leakage = float(np.max(np.abs(1.0 - np.linalg.norm(induced, axis=0))))
     return induced, leakage
 
 
@@ -107,12 +118,7 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> CheckResult:
         for strategy in HwpStrategy:
             for theta in angles:
                 gadget = build_hwp(m, float(theta), strategy)
-                n = gadget.circuit.n_qubits
-                env = zero_state(n - m)
-                if gadget.catalyst_prep is not None:
-                    full = apply_circuit(zero_state(n), gadget.catalyst_prep)
-                    env = full.reshape(1 << m, 1 << (n - m))[0]
-                induced, leakage = _hwp_induced_matrix(gadget, env)
+                induced, leakage = _hwp_induced_matrix(gadget)
                 target = _phase_matrix(float(theta), m)
                 worst = max(worst, leakage, max_unitary_deviation(induced, target))
     return CheckResult("hwp_unitary", worst, 1e-9)
@@ -203,7 +209,8 @@ def plaquette_generator(oracle: FermionOracle) -> np.ndarray:
 
 def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> CheckResult:
     oracle = FermionOracle(4)
-    k = plaquette_generator(oracle)
+    # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
+    energies, modes = np.linalg.eigh(plaquette_generator(oracle))
     worst = 0.0
     for theta in angles:
         gadget = build_plaquette_evolution(theta)
@@ -213,7 +220,7 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> CheckResult:
         if counts["t"] != 8 or counts["rz"] != 2 or counts["toffoli"] != 0:
             worst = max(worst, 1.0)
         u = gadget.circuit.unitary()
-        target = expm(1j * theta * k)
+        target = (modes * np.exp(1j * theta * energies)) @ modes.conj().T
         worst = max(worst, max_unitary_deviation(u, target))
     return CheckResult("plaquette_evolution", worst, 1e-9)
 
@@ -254,7 +261,13 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results
 
 
 def report_json(results) -> str:

@@ -26,7 +26,6 @@ from .model import Model, ModelSpec, default_couplings, load_config
 from .qubitization import optimize_qubitization
 from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
 from .trotter_cost import Strategy, optimize_trotter
-from .circuitlab import verify as circuit_verify
 
 CSV_COLUMNS = [
     "model", "method", "strategy", "L", "W", "r", "x", "y", "z", "tau",
@@ -286,6 +285,7 @@ def main(argv=None) -> int:
             print(f"max relative toffoli deviation: {worst:.3%}", file=sys.stderr)
             return 0
         if args.command == "verify":
+            from .circuitlab import verify as circuit_verify   # only this command needs the lab
             results = circuit_verify.run_all()
             report = circuit_verify.report_json(results)
             if args.output:

@@ -242,6 +242,7 @@ _Z_DIM = Dimension(1e-5, 0.25, "log")
 _Y_DIM = Dimension(0.2, 0.92)
 _GRID_POINTS = 10   # per dimension of the coarse grid
 _TAU_MARGIN = 1.0 - 1e-12
+_MAX_EXACT_R = 2**53   # the grid's float r holds every integer up to here
 
 
 def _pinned_tau(r, x, y, z, w: float, tau_cap: float, delta_e: float):
@@ -316,8 +317,9 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     evaluates each point at the only two step counts that can be best for
     it (see ``_coarse_grid``); ``minimize`` then refines from the best grid
     point at its r, and r walks up or down by one while the total
-    improves, each step refined from its neighbour's optimum.  No bound on
-    r is needed.  Raises ``ValueError`` when the cost overflows or the
+    improves, each step refined from its neighbour's optimum.  Raises
+    ``ValueError`` when the cost overflows, when r exceeds 2**53 (where the
+    grid's float r is rounded and the walk by one cannot move), or when the
     optimum needs fewer than one phase-estimation query (an error target
     too loose to mean anything); warns when x, y or z sits on a box edge.
     """
@@ -336,6 +338,9 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
 
     r, start = _coarse_grid(spec.kind, spec.L, strategy, catalysts, dims, w, tau_cap,
                             delta_e, amortize_catalyst)
+    if r > _MAX_EXACT_R:
+        raise ValueError(f"the Trotter step count r={r:.3g} overflows 2**53, where it is no "
+                         f"longer an exact integer, at delta_e={delta_e:g}")
     best = solve_at(r, start)
     for direction in (1, -1):
         origin = r

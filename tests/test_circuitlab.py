@@ -11,9 +11,11 @@ from lattice_qre.circuitlab.gadgets import (
     two_site_fourier,
 )
 from lattice_qre.circuitlab.statevector import (
+    _ARITY,
+    Gate,
     GateKind,
-    basis_state,
     max_unitary_deviation,
+    simulate,
 )
 from lattice_qre.circuitlab import verify
 
@@ -66,25 +68,63 @@ def _kron_unitary(gate, n):
     return out
 
 
-class TestStateVector:
-    def test_every_gate_against_kron_embedding(self):
-        from lattice_qre.circuitlab.statevector import Gate, apply_gate
+def _random_gate(rng, kind, n):
+    qubits = tuple(int(q) for q in rng.permutation(n)[:_ARITY[kind]])
+    angle = float(rng.uniform(-np.pi, np.pi)) if kind in (GateKind.RZ, GateKind.CRZ) else None
+    return Gate(kind, qubits, angle)
 
+
+def _random_states(rng, n, batch):
+    states = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+    return states / np.linalg.norm(states, axis=0)
+
+
+class TestStateVector:
+    CASES = [
+        Gate(GateKind.X, (2,)), Gate(GateKind.H, (0,)), Gate(GateKind.S, (3,)),
+        Gate(GateKind.SDG, (1,)), Gate(GateKind.T, (2,)), Gate(GateKind.TDG, (0,)),
+        Gate(GateKind.RZ, (1,), 0.913), Gate(GateKind.CNOT, (3, 1)),
+        Gate(GateKind.CZ, (0, 2)), Gate(GateKind.SWAP, (1, 3)),
+        Gate(GateKind.CRZ, (2, 0), -1.37), Gate(GateKind.TOFFOLI, (3, 0, 2)),
+    ]
+
+    def test_every_gate_against_kron_embedding(self):
         rng = np.random.default_rng(23)
         n = 4
-        cases = [
-            Gate(GateKind.X, (2,)), Gate(GateKind.H, (0,)), Gate(GateKind.S, (3,)),
-            Gate(GateKind.SDG, (1,)), Gate(GateKind.T, (2,)), Gate(GateKind.TDG, (0,)),
-            Gate(GateKind.RZ, (1,), 0.913), Gate(GateKind.CNOT, (3, 1)),
-            Gate(GateKind.CZ, (0, 2)), Gate(GateKind.SWAP, (1, 3)),
-            Gate(GateKind.CRZ, (2, 0), -1.37), Gate(GateKind.TOFFOLI, (3, 0, 2)),
-        ]
-        for gate in cases:
-            state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            state /= np.linalg.norm(state)
-            fast = apply_gate(state.copy(), gate, n)
-            dense = _kron_unitary(gate, n) @ state
-            assert np.max(np.abs(fast - dense)) < 1e-14, gate.kind
+        assert {gate.kind for gate in self.CASES} == set(GateKind)
+        for gate in self.CASES:
+            circ = Circuit(n)
+            circ.extend([gate])
+            dense = _kron_unitary(gate, n)
+            state = _random_states(rng, n, 1)[:, 0]
+            assert np.max(np.abs(apply_circuit(state, circ) - dense @ state)) < 1e-14, gate.kind
+            states = _random_states(rng, n, 5)
+            assert np.max(np.abs(apply_circuit(states, circ) - dense @ states)) < 1e-14, gate.kind
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_circuits_match_kron_product(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(3, 7))
+        kinds = list(GateKind) * 3 + [GateKind.H] * 4   # every kind, several H
+        circ = Circuit(n)
+        reference = np.eye(1 << n, dtype=complex)
+        for i in rng.permutation(len(kinds)):
+            gate = _random_gate(rng, kinds[i], n)
+            circ.extend([gate])
+            reference = _kron_unitary(gate, n) @ reference
+        states = _random_states(rng, n, 4)
+        assert np.max(np.abs(apply_circuit(states, circ) - reference @ states)) < 1e-12
+        # sparse input: a few basis states, some columns holding two entries
+        index = rng.choice(1 << n, size=6, replace=False)
+        column = np.array([0, 0, 1, 2, 3, 3])
+        amp = rng.normal(size=6) + 1j * rng.normal(size=6)
+        out_index, out_amp, out_column = simulate(circ, index, amp, column)
+        dense_in = np.zeros((1 << n, 4), dtype=complex)
+        dense_in[index, column] = amp
+        dense_out = np.zeros_like(dense_in)
+        np.add.at(dense_out, (out_index, out_column), out_amp)
+        assert len(set(zip(out_index.tolist(), out_column.tolist()))) == out_index.size
+        assert np.max(np.abs(dense_out - reference @ dense_in)) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
@@ -107,8 +147,18 @@ class TestStateVector:
         assert np.max(np.abs(round_trip - state)) < 1e-12
 
     def test_qubit_ceiling(self):
+        # the ceiling sits at the dense boundary; sparse simulation goes past it
+        circ = Circuit(16)
+        circ.x(0)
+        circ.cnot(0, 15)
+        index, amp, column = simulate(circ, [0], [1.0], [0])
+        assert index.tolist() == [(1 << 15) | 1] and amp.tolist() == [1.0]
         with pytest.raises(ValueError):
-            Circuit(16)
+            apply_circuit(np.zeros(1 << 16, dtype=complex), circ)
+        with pytest.raises(ValueError):
+            Circuit(11).unitary()
+        with pytest.raises(ValueError):
+            Circuit(0)
 
     def test_duplicate_qubits_rejected(self):
         circ = Circuit(2)
@@ -121,8 +171,9 @@ class TestHammingWeight:
         gadget = build_hamming_weight(8)
         n = gadget.circuit.n_qubits
         index = sum(1 << (n - 1 - i) for i in range(8))
-        out = apply_circuit(basis_state(n, index), gadget.circuit)
-        hot = int(np.argmax(np.abs(out)))
+        out, amp, _ = simulate(gadget.circuit, [index], [1.0], [0])
+        assert amp.tolist() == [1.0]
+        hot = int(out[0])
         weight = sum(
             ((hot >> (n - 1 - wire)) & 1) << bit
             for bit, wire in enumerate(gadget.outputs)
@@ -145,16 +196,14 @@ class TestHammingWeight:
 class TestHwpGadgets:
     def test_zero_angle_is_identity(self):
         gadget = build_hwp(4, 0.0, HwpStrategy.BASELINE)
-        u, leak = verify._hwp_induced_matrix(
-            gadget, zero_state(gadget.circuit.n_qubits - 4))
+        u, leak = verify._hwp_induced_matrix(gadget)
         assert leak < 1e-12
         assert max_unitary_deviation(u, np.eye(16)) < 1e-12
 
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
         gadget = build_hwp(2, theta, HwpStrategy.BASELINE)
-        u, _ = verify._hwp_induced_matrix(
-            gadget, zero_state(gadget.circuit.n_qubits - 2))
+        u, _ = verify._hwp_induced_matrix(gadget)
         rz = np.diag([1.0, np.exp(1j * theta)])
         assert max_unitary_deviation(u, np.kron(rz, rz)) < 1e-10
 
@@ -167,8 +216,51 @@ class TestHwpGadgets:
                 assert gadget.counted.rz == predicted.rz
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            build_hwp(6, 0.1, HwpStrategy.BASELINE)
+        for strategy in HwpStrategy:
+            with pytest.raises(ValueError):
+                build_hwp(0, 0.1, strategy)
+
+    @pytest.mark.parametrize("m", range(6, 11))
+    def test_induced_matrix_beyond_dense_sizes(self, m):
+        # exhaustive over the 2**m target states, both strategies, two angles;
+        # the catalyzed gadget at m = 10 has 26 qubits
+        result = verify.check_hwp_unitary(sizes=(m,), n_angles=2)
+        assert result.passed, result.max_deviation
+
+
+def _without_last(circuit, kind=None):
+    """Copy of ``circuit`` missing its last gate of ``kind`` (of any kind:
+    None); an empty circuit stays empty."""
+    gates = list(circuit.gates)
+    found = [i for i, g in enumerate(gates) if kind is None or g.kind is kind]
+    out = Circuit(circuit.n_qubits)
+    out.gates = gates[:found[-1]] + gates[found[-1] + 1:] if found else gates
+    return out
+
+
+class TestMutantsFail:
+    """Broken gadgets, swapped in where the checks look them up, must fail."""
+
+    def test_hwp_missing_uncompute_toffoli(self, monkeypatch):
+        def broken(m, theta, strategy):
+            gadget = build_hwp(m, theta, strategy)
+            gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+            return gadget
+        monkeypatch.setattr(verify, "build_hwp", broken)
+        assert not verify.check_hwp_unitary().passed
+
+    def test_hwp_angle_off_by_1e_4(self, monkeypatch):
+        monkeypatch.setattr(verify, "build_hwp",
+                            lambda m, theta, strategy: build_hwp(m, 1.0001 * theta, strategy))
+        assert not verify.check_hwp_unitary().passed
+
+    def test_adder_chain_missing_last_gate(self, monkeypatch):
+        def broken(m):
+            gadget = build_hamming_weight(m)
+            gadget.circuit = _without_last(gadget.circuit)
+            return gadget
+        monkeypatch.setattr(verify, "build_hamming_weight", broken)
+        assert not verify.check_hamming_weight().passed
 
 
 class TestFswap:

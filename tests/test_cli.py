@@ -104,7 +104,8 @@ class TestEstimate:
     @pytest.mark.parametrize("method,flags", [
         ("trotter", ["--t", "1e120"]), ("trotter", ["--u", "1e200"]),
         ("qubitization", ["--u", "1e307"]),
-        ("trotter", ["--delta-e", "1e-300"]), ("qubitization", ["--delta-e", "1e-300"])])
+        ("trotter", ["--delta-e", "1e-300"]), ("qubitization", ["--delta-e", "1e-300"]),
+        ("trotter", ["--delta-e", "1e-170"])])   # r = 6.4e85, beyond exact float integers
     def test_overflow_exits_2(self, capsys, method, flags):
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no numpy RuntimeWarning on the way
@@ -242,3 +243,21 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(path.read_text())
         assert all(entry["passed"] for entry in report)
+
+    def test_report_times_each_check(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert len(report) == 9
+        assert all(entry["seconds"] >= 0.0 for entry in report)
+
+    def test_cli_import_leaves_the_lab_out(self):
+        # the estimate commands start without the circuit lab or scipy
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, lattice_qre.cli; print(sorted("
+             "m for m in sys.modules if m.startswith(('lattice_qre.circuitlab', 'scipy'))))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
