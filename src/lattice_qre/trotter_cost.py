@@ -24,9 +24,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from types import SimpleNamespace
-
-import numpy as np
 
 from .model import (
     InvalidLattice,
@@ -164,32 +161,23 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     return qubits
 
 
-def _math(value):
-    """numpy for arrays (the solver's coarse grid), math for floats: the
-    scalar polish would pay numpy's per-call overhead, and ``evaluate``
-    must return plain Python floats."""
-    return np if isinstance(value, np.ndarray) else math
-
-
-def _cost(step, catalysts: tuple[int, int], x, y, z, tau, delta_e: float,
-          amortize: bool) -> tuple:
+def _cost(step: CostVector, catalysts: tuple[int, int], x: float, y: float, z: float,
+          tau: float, delta_e: float, amortize: bool) -> tuple[float, float, float, float]:
     """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution is
     ``step``: N_q = 0.76*pi / (y * tau * dE) queries at N_tof + N_t / 2 each.
 
     Each synthesis group splits its phase budget (slice x resp. z of the
     rotation budget, times tau) equally across its rotations: N_t2 for the
     per-layer rotations, N_t1 for the catalyst states.  ``amortize``
-    charges N_t1 once instead of per query.  Broadcasts when the step
-    fields and budget are numpy arrays.
+    charges N_t1 once instead of per query.
     """
     phase_x = x * (1.0 - y) * delta_e * tau
-    log2 = _math(phase_x).log2
-    n_t2 = step.rz * (RUS_T_SLOPE * log2(step.rz / phase_x) + RUS_T_OFFSET)
+    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / phase_x) + RUS_T_OFFSET)
     n_t1 = 0.0
     charged, count = catalysts
     if count:
         phase_z = z * (1.0 - y) * delta_e * tau
-        n_t1 = charged * (RUS_T_SLOPE * log2(count / phase_z) + RUS_T_OFFSET)
+        n_t1 = charged * (RUS_T_SLOPE * math.log2(count / phase_z) + RUS_T_OFFSET)
     n_q = QPE_QUERY_CONSTANT / (y * tau * delta_e)
     per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
     return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
@@ -234,76 +222,173 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     )
 
 
-# Budget search box.  tau is not a free dimension: within a fixed step
-# count r the cost strictly improves as tau grows, so the optimum sits on
-# the boundary tau_r = r * sqrt(dE_T / W) (or at the step-error cap).
+# Search box.  tau is not a free dimension: within a fixed step count r the
+# cost strictly improves as tau grows, so the optimum sits on the boundary
+# tau_r = r * sqrt(dE_T / W) (or at the step-error cap).  Nor is z, which
+# follows from x (see ``_split``).  The search runs over x and the Trotter
+# slice v = (1 - s)(1 - y) of the error budget, on which alone tau depends.
 _X_DIM = Dimension(1e-4, 0.35, "log")
-_Z_DIM = Dimension(1e-5, 0.25, "log")
 _Y_DIM = Dimension(0.2, 0.92)
+_V_GRID = Dimension(1.0 - _Y_DIM.upper, 1.0 - _Y_DIM.lower)   # y's box at s = 0
+# The refinement writes v = v_top * (1 - u**2) (see ``_v_top``): an even,
+# smooth function of u that peaks at v_top, so the tau-cap kink, where the
+# optimum usually lies, becomes the smooth minimum u = 0.  (Nelder-Mead
+# stalls on the kink itself, in (x, y) and in (x, v) alike.)
+_U_DIM = Dimension(-1.0, 1.0)
+_DIMS = (_X_DIM, _U_DIM)
 _GRID_POINTS = 10   # per dimension of the coarse grid
 _TAU_MARGIN = 1.0 - 1e-12
-_MAX_EXACT_R = 2**53   # the grid's float r holds every integer up to here
+_MAX_EXACT_R = 2**53   # trotter_steps' float r holds every integer up to here
 
 
-def _pinned_tau(r, x, y, z, w: float, tau_cap: float, delta_e: float):
-    """Largest tau still giving r steps under the (x, y, z) split, at most
-    tau_cap.  Broadcasts over numpy arrays."""
-    q = (1.0 - (x + z)) * (1.0 - y) * delta_e / w
-    tau = r * _math(q).sqrt(q)
-    return np.minimum(tau, tau_cap) if isinstance(tau, np.ndarray) else min(tau, tau_cap)
+def _pinned_tau(r: int, x: float, y: float, z: float, w: float, tau_cap: float,
+                delta_e: float) -> float:
+    """Largest tau still giving r steps under the (x, y, z) split, at most tau_cap."""
+    return min(r * math.sqrt((1.0 - (x + z)) * (1.0 - y) * delta_e / w), tau_cap)
+
+
+def _split(rz: int, charged: int, r: int, w: float, tau_cap: float, delta_e: float,
+           amortize: bool, x: float, v: float) -> tuple[float, float, float]:
+    """(y, z, tau) at rotation slice x and Trotter slice v, for r steps of
+    ``rz`` rotations.
+
+    x and z enter the cost only through their own synthesis terms and
+    through s = x + z, so at fixed s, y and r the catalyst slice costs least
+    where both terms have the same derivative: z = x * charged / rz, or
+    z = x * charged / (N_q * rz) when the catalysts are charged once
+    (``amortize``).  tau = min(r * sqrt(v * dE / W), tau_cap) does not
+    depend on the split, so with N_q = 0.76*pi / (y * tau * dE) the
+    amortized split is z = k * y, and y = 1 - v / (1 - x - z) makes z the
+    smaller root of z**2 - (a + k) z + k (a - v) with a = 1 - x.  y is
+    clamped to its box (an amortized z then follows the clamped y).
+    Raises ``ValueError`` when x + z >= 1.
+    """
+    k = x * charged / rz
+    if amortize:
+        k *= min(r * math.sqrt(v * delta_e / w), tau_cap) * delta_e / QPE_QUERY_CONSTANT
+        a = 1.0 - x
+        z = 2.0 * k * (a - v) / (a + k + math.sqrt((a - k) ** 2 + 4.0 * k * v))
+    else:
+        z = k
+    if not x + z < 1.0:
+        raise ValueError(f"the split x={x}, z={z} leaves no Trotter budget")
+    y = 1.0 - v / (1.0 - (x + z))
+    if not _Y_DIM.lower <= y <= _Y_DIM.upper:
+        y = min(max(y, _Y_DIM.lower), _Y_DIM.upper)
+        if amortize:
+            z = k * y
+    return y, z, _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+
+
+def _v_top(r: int, w: float, tau_cap: float, delta_e: float) -> float:
+    """The largest Trotter slice worth giving r steps: beyond the kink
+    (tau_cap / r)**2 W / dE tau stays at its cap, so the slack would buy
+    cheaper synthesis as part of x, and beyond 1 - y_min it leaves y below
+    its box."""
+    return min((tau_cap / r) ** 2 * w / delta_e, 1.0 - _Y_DIM.lower)
+
+
+def _total(step: CostVector, catalysts: tuple[int, int], r: int, w: float, tau_cap: float,
+           delta_e: float, amortize: bool, x: float, v: float) -> float:
+    """Total Toffolis at the slices (x, v) for an r-step evolution ``step``."""
+    y, z, tau = _split(step.rz, catalysts[0], r, w, tau_cap, delta_e, amortize, x, v)
+    return _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
 
 
 def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
                tau_cap: float, delta_e: float, amortize: bool, point) -> float:
-    """Total Toffolis at the point (x, y[, z]) with tau pinned for r steps."""
-    x, y = point[0], point[1]
-    z = point[2] if len(point) > 2 else 0.0
-    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
-    return _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
+    """``_total`` at the refinement point (x, u), v = v_top * (1 - u**2)."""
+    x, u = point
+    v = _v_top(r, w, tau_cap, delta_e) * (1.0 - u * u)
+    return _total(step, catalysts, r, w, tau_cap, delta_e, amortize, x, v)
 
 
-def _step_costs(kind: Model, L: int, strategy: Strategy, r: np.ndarray) -> SimpleNamespace:
-    """``step_cost`` at an integer array of step counts, field by field.
+def _step_line(kind: Model, L: int, strategy: Strategy) -> tuple[tuple[int, int], ...]:
+    """(value at r = 1, slope in r) of each ``step_cost`` field, as exact ints.
 
     Every layer multiplicity and the direct T count are affine in r, so the
-    costs at r = 1 and r = 2 fix all others (exactly: the fields are
-    integers far below 2**53).
+    costs at r = 1 and r = 2 fix all others.
     """
     one, two = step_cost(kind, L, 1, strategy), step_cost(kind, L, 2, strategy)
-    return SimpleNamespace(**{
-        field: getattr(one, field) + (getattr(two, field) - getattr(one, field)) * (r - 1)
-        for field in ("toffoli", "t_gates", "rz")
-    })
+    return tuple((int(getattr(one, field)), int(getattr(two, field) - getattr(one, field)))
+                 for field in ("toffoli", "t_gates", "rz"))
 
 
-def _coarse_grid(kind: Model, L: int, strategy: Strategy, catalysts: tuple[int, int],
-                 dims, w: float, tau_cap: float, delta_e: float,
-                 amortize: bool) -> tuple[int, list[float]]:
-    """(r, point) of the cheapest grid point of the budget box.
+def _step_at(line: tuple[tuple[int, int], ...], r: int) -> CostVector:
+    """``step_cost`` at r steps, from its ``_step_line``."""
+    return CostVector(*(value + slope * (r - 1) for value, slope in line))
 
-    At a fixed point, tau = r * k grows with r until it reaches tau_cap at
-    r_c = ceil(tau_cap / k).  Below r_c the cost falls with r (N_q ~ 1/r,
-    and the per-query cost is affine in r with a non-negative intercept);
-    from r_c on N_q is fixed and every step-cost component grows.  So each
-    point needs only r_c - 1 and r_c, evaluated here in one numpy pass.
-    Raises ``ValueError`` when no grid point has a finite total.
+
+def _coarse_grid(line: tuple[tuple[int, int], ...], catalysts: tuple[int, int], w: float,
+                 tau_cap: float, delta_e: float, amortize: bool) -> tuple[int, list[float]]:
+    """(r, refinement point (x, u)) of the cheapest point of a coarse (x, v)
+    grid.
+
+    At a fixed point, tau = r * k grows with r, k = sqrt(v * dE / W), until
+    it reaches tau_cap at r_c = ceil(tau_cap / k).  Below r_c the cost
+    falls with r (N_q ~ 1/r, and the per-query cost is affine in r with a
+    non-negative intercept); from r_c on N_q is fixed and every step-cost
+    component grows.  So each point needs only r_c - 1 and r_c, and as r_c
+    depends on v alone, each v shares two step costs across its x values.
+    A point whose split is undefined (x + z >= 1), or whose total is NaN or
+    overflows, counts as +inf.  Raises ``ValueError`` when no grid point
+    has a finite total.
     """
-    points = [axis.ravel() for axis in
-              np.meshgrid(*(np.array(d.grid(_GRID_POINTS)) for d in dims), indexing="ij")]
-    x, y = points[0], points[1]
-    z = points[2] if len(points) > 2 else 0.0
-    # float r (exact below 2**53): overflow gives non-finite totals, not wrapped int64
-    with np.errstate(all="ignore"):
-        per_step = _pinned_tau(1, x, y, z, w, np.inf, delta_e)   # k: tau of one uncapped step
-        r_c = np.ceil(tau_cap / per_step)
-        r = np.stack([np.maximum(r_c - 1, 1), r_c])
-        tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
-        totals = _cost(_step_costs(kind, L, strategy, r), catalysts, x, y, z, tau,
-                       delta_e, amortize)[3]
-    row, column = np.unravel_index(np.argmin(totals), totals.shape)
-    if not np.isfinite(totals[row, column]):
+    best, best_r, best_xv = math.inf, 0, None
+    xs = _X_DIM.grid(_GRID_POINTS)
+    for v in _V_GRID.grid(_GRID_POINTS):
+        try:
+            r_c = math.ceil(tau_cap / math.sqrt(v * delta_e / w))
+        except (ZeroDivisionError, OverflowError):
+            continue   # no step count within floats
+        for r in sorted({max(r_c - 1, 1), r_c}):
+            step = _step_at(line, r)
+            for x in xs:
+                try:
+                    total = _total(step, catalysts, r, w, tau_cap, delta_e, amortize, x, v)
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    continue
+                if total < best:   # false for NaN and +inf
+                    best, best_r, best_xv = total, r, (x, v)
+    if best_xv is None:
         raise ValueError(f"the Trotter cost overflows at W={w:g}, delta_e={delta_e:g}")
-    return int(r[row, column]), [float(p[column]) for p in points]
+    x, v = best_xv
+    return best_r, [x, math.sqrt(max(1.0 - v / _v_top(best_r, w, tau_cap, delta_e), 0.0))]
+
+
+def _best_step_count(cost, r: int) -> int:
+    """Integer r >= 1 minimizing the unimodal ``cost``, searched from r.
+
+    Gallops away from r in the direction that improves, by steps of 1, 2,
+    4, ... while the cost falls (Bentley and Yao, 1976), then narrows the
+    last bracket by integer ternary search: O(log d) costs for an optimum
+    d steps away.
+    """
+    here = cost(r)
+    for direction in (1, -1):
+        if r + direction >= 1 and cost(r + direction) < here:
+            break
+    else:
+        return r
+    behind, best, step = r, r + direction, 1
+    while True:
+        step *= 2
+        ahead = max(best + direction * step, 1)
+        if ahead == best:
+            return best   # falls all the way to r = 1
+        if not cost(ahead) < cost(best):
+            break
+        behind, best = best, ahead
+    (lo, hi), mid = sorted((behind, ahead)), best
+    while hi - lo > 2:   # invariant: cost(mid) <= cost(lo), cost(hi)
+        probe = (lo + mid) // 2 if mid - lo > hi - mid else (mid + hi + 1) // 2
+        if cost(probe) < cost(mid):
+            lo, mid, hi = (lo, probe, mid) if probe < mid else (mid, probe, hi)
+        elif probe < mid:
+            lo = probe
+        else:
+            hi = probe
+    return mid
 
 
 def optimize_trotter(spec: ModelSpec, strategy: Strategy,
@@ -312,16 +397,19 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     """Minimize the total Toffoli count over the budget split and time step.
 
     Deterministic.  tau is pinned to the largest value still giving r steps
-    (bounded by the step-error cap), so the free variables are r and the
-    smooth remainder (x, y, z).  A numpy pass over a coarse (x, y, z) grid
-    evaluates each point at the only two step counts that can be best for
-    it (see ``_coarse_grid``); ``minimize`` then refines from the best grid
-    point at its r, and r walks up or down by one while the total
-    improves, each step refined from its neighbour's optimum.  Raises
-    ``ValueError`` when the cost overflows, when r exceeds 2**53 (where the
-    grid's float r is rounded and the walk by one cannot move), or when the
-    optimum needs fewer than one phase-estimation query (an error target
-    too loose to mean anything); warns when x, y or z sits on a box edge.
+    (bounded by the step-error cap) and the catalyst slice z follows from x
+    in closed form (see ``_split``), so the free variables are r and the
+    pair (x, v), v = (1 - s)(1 - y) being the Trotter slice.  A plain pass
+    over a coarse (x, v) grid evaluates each point at the only two step
+    counts that can be best for it (see ``_coarse_grid``).  ``minimize``
+    refines from the best grid point at its r, over x and a smooth
+    reparametrization of v (see ``_U_DIM``); r then gallops
+    and narrows to its optimum (see ``_best_step_count``), each r refined
+    from the optimum of the nearest r already solved.  Raises
+    ``ValueError`` when the cost overflows, when r exceeds 2**53 (where
+    ``trotter_steps`` no longer holds every integer), or when the optimum
+    needs fewer than one phase-estimation query (an error target too loose
+    to mean anything); warns when x or y sits on a box edge.
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
@@ -329,34 +417,32 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     w = trotter_bound(spec)
     tau_cap = tau_max(w) * _TAU_MARGIN
     catalysts = _catalysts(spec.kind, spec.L, strategy)
-    dims = [_X_DIM, _Y_DIM] + ([_Z_DIM] if strategy.catalyzed else [])
+    line = _step_line(spec.kind, spec.L, strategy)
 
-    def solve_at(r: int, start: list[float]):
-        objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
-                            r, w, tau_cap, delta_e, amortize_catalyst)
-        return minimize(objective, dims, start)
-
-    r, start = _coarse_grid(spec.kind, spec.L, strategy, catalysts, dims, w, tau_cap,
-                            delta_e, amortize_catalyst)
+    r, start = _coarse_grid(line, catalysts, w, tau_cap, delta_e, amortize_catalyst)
     if r > _MAX_EXACT_R:
         raise ValueError(f"the Trotter step count r={r:.3g} overflows 2**53, where it is no "
                          f"longer an exact integer, at delta_e={delta_e:g}")
-    best = solve_at(r, start)
-    for direction in (1, -1):
-        origin = r
-        while r + direction >= 1:
-            result = solve_at(r + direction, best.point)
-            if not result.value < best.value:
-                break
-            best, r = result, r + direction
-        if r != origin:
-            break   # improved upwards: the step counts below are worse
+    points, values = {r: start}, {}
 
-    point = best.point
-    x, y = point[0], point[1]
-    z = point[2] if strategy.catalyzed else 0.0
-    tau = _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+    def cost(q: int) -> float:
+        if q not in values:
+            nearest = min(points, key=lambda p: abs(p - q))
+            objective = partial(_objective, _step_at(line, q), catalysts, q, w, tau_cap,
+                                delta_e, amortize_catalyst)
+            try:
+                result = minimize(objective, _DIMS, points[nearest])
+            except ValueError:   # the warm start is undefined at q steps
+                values[q] = math.inf
+            else:
+                points[q], values[q] = result.point, result.value
+        return values[q]
+
+    r = _best_step_count(cost, r)
+    x, u = points[r]
+    y, z, tau = _split(_step_at(line, r).rz, catalysts[0], r, w, tau_cap, delta_e,
+                       amortize_catalyst, x, _v_top(r, w, tau_cap, delta_e) * (1.0 - u * u))
     est = evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
     require_one_query(est.n_queries, delta_e)
-    warn_on_edges("Trotter budget", "xyz", dims, point)
+    warn_on_edges("Trotter budget", "xy", (_X_DIM, _Y_DIM), (x, y))
     return est

@@ -108,7 +108,7 @@ class TestEstimate:
         ("trotter", ["--delta-e", "1e-170"])])   # r = 6.4e85, beyond exact float integers
     def test_overflow_exits_2(self, capsys, method, flags):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")   # no numpy RuntimeWarning on the way
+            warnings.simplefilter("error")   # no RuntimeWarning on the way
             code, out, err = run_cli(
                 ["estimate", "--model", "fh", "--method", method, "--L", "8", *flags], capsys)
         assert code == 2
@@ -252,12 +252,13 @@ class TestVerifyCommand:
         assert all(entry["seconds"] >= 0.0 for entry in report)
 
     def test_cli_import_leaves_the_lab_out(self):
-        # the estimate commands start without the circuit lab or scipy
+        # the estimators start without the circuit lab, numpy or scipy
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, lattice_qre.cli; print(sorted("
-             "m for m in sys.modules if m.startswith(('lattice_qre.circuitlab', 'scipy'))))"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        for module in ("lattice_qre.cli", "lattice_qre"):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in "
+                 "sys.modules if m.startswith(('lattice_qre.circuitlab', 'numpy', 'scipy'))))"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module

@@ -3,7 +3,9 @@ import warnings
 
 import pytest
 
+from lattice_qre import trotter_cost
 from lattice_qre.model import InvalidLattice, Model, ModelSpec
+from lattice_qre.optimize import minimize
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max
 from lattice_qre.trotter_cost import (
     Strategy,
@@ -250,13 +252,40 @@ class TestOptimizeTrotter:
         with pytest.raises(ValueError, match="delta_e"):
             optimize_trotter(FH8, Strategy.CATALYZED, delta_e)
 
-    def test_z_on_box_edge_warns(self):
-        # at a deep target the catalyst budget z is cheapest at the lower
-        # edge of its interval
-        with pytest.warns(RuntimeWarning,
-                          match=r"Trotter budget z=1e-05 sits on the search-box edge 1e-05"):
-            est = optimize_trotter(FH8, Strategy.CATALYZED, 1e-5)
-        assert est.budget.z == 1e-5
+    @pytest.mark.parametrize("delta_e,z_max", [(1e-5, 8e-6), (1e-7, 8e-7)])
+    def test_z_below_the_old_box_edge(self, delta_e, z_max):
+        # at deep targets the catalyst budget z = x * charged / rz falls below
+        # 1e-5, the lower edge of the box that used to hold it; it follows x
+        # in closed form, so no edge binds it and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = optimize_trotter(FH8, Strategy.CATALYZED, delta_e)
+        assert 0.0 < est.budget.z < z_max
+
+    def test_amortized_z_below_the_old_box_edge(self):
+        # charged once, the catalysts take z = x * charged / (N_q * rz), here
+        # about 3.2e-6; the box that held z at 1e-5 gave 5,820,268 Toffolis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = optimize_trotter(ModelSpec(Model.CUPRATE, 8), Strategy.BATCHED_CATALYZED,
+                                   amortize_catalyst=True)
+        assert 0.0 < est.budget.z < 4e-6
+        assert est.total_toffoli < 5_820_268.0
+
+    def test_deep_target_in_few_refinements(self, monkeypatch):
+        # the step count gallops from the coarse grid's r = 20,389 to 19,940:
+        # O(log r) refinements (a walk by one step took 452)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minimize(*args)
+
+        monkeypatch.setattr(trotter_cost, "minimize", counted)
+        est = optimize_trotter(FH8, Strategy.CATALYZED, 1e-7)
+        assert est.r == 19_940
+        assert len(calls) <= 60
+        assert est.total_toffoli < 4.88972e15   # the walk's total, z held at 1e-5
 
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import TROTTER_TABLES

@@ -6,24 +6,28 @@ Derandomized, so every run draws the same examples.
 
 import math
 from dataclasses import fields, replace
-
-import numpy as np
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
+from lattice_qre.optimize import minimize
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
+    _DIMS,
     _TAU_MARGIN,
+    _V_GRID,
     _X_DIM,
-    _Y_DIM,
-    _Z_DIM,
     Strategy,
     _catalysts,
+    _cost,
     _objective,
-    _pinned_tau,
-    _step_costs,
+    _split,
+    _step_at,
+    _step_line,
+    _total,
+    _v_top,
     optimize_trotter,
     step_cost,
 )
@@ -53,36 +57,89 @@ def _in_box(dim, u: float) -> float:
     return dim.decode(lo + u * (hi - lo))
 
 
-@DETERMINISTIC
-@given(cells(), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
-def test_best_step_count_brackets_the_tau_cap(cell, ux, uy, uz):
-    # at a fixed budget point the best r is r_c - 1 or r_c, where tau = r * k
-    # first reaches its cap: the premise of the solver's coarse grid
-    spec, strategy, delta_e, amortize = cell
-    x, y = _in_box(_X_DIM, ux), _in_box(_Y_DIM, uy)
-    z = _in_box(_Z_DIM, uz) if strategy.catalyzed else 0.0
+def _setting(cell):
+    """(W, tau_cap, catalysts) of a drawn cell."""
+    spec, strategy, _, _ = cell
     w = trotter_bound(spec)
-    tau_cap = tau_max(w) * _TAU_MARGIN
-    r_c = math.ceil(tau_cap / _pinned_tau(1, x, y, z, w, math.inf, delta_e))
-    catalysts = _catalysts(spec.kind, spec.L, strategy)
-    totals = {
-        r: _objective(step_cost(spec.kind, spec.L, r, strategy), catalysts, r, w, tau_cap,
-                      delta_e, amortize, (x, y, z))
-        for r in range(1, 2 * r_c + 5)
-    }
+    return w, tau_max(w) * _TAU_MARGIN, _catalysts(spec.kind, spec.L, strategy)
+
+
+@DETERMINISTIC
+@given(cells(), st.floats(0, 1), st.floats(0, 1))
+def test_best_step_count_brackets_the_tau_cap(cell, ux, uv):
+    # at a fixed point (x, v) of the coarse grid, z from the split, the best
+    # r is r_c - 1 or r_c, where tau = r * sqrt(v dE / W) first reaches its
+    # cap: the premise of the solver's coarse grid
+    spec, strategy, delta_e, amortize = cell
+    x, v = _in_box(_X_DIM, ux), _in_box(_V_GRID, uv)
+    w, tau_cap, catalysts = _setting(cell)
+    r_c = math.ceil(tau_cap / math.sqrt(v * delta_e / w))
+    totals = {}
+    for r in range(1, 2 * r_c + 5):
+        try:
+            totals[r] = _total(step_cost(spec.kind, spec.L, r, strategy), catalysts, r, w,
+                               tau_cap, delta_e, amortize, x, v)
+        except ValueError:   # x + z >= 1 at few steps
+            continue
     assert min(totals, key=totals.get) in (max(r_c - 1, 1), r_c)
 
 
 @DETERMINISTIC
 @given(cells(), st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
 def test_step_costs_match_step_cost(cell, steps):
-    # the coarse grid's array step costs, built from r = 1 and r = 2
+    # the solver's step costs, built from r = 1 and r = 2
     spec, strategy, _, _ = cell
-    arrays = _step_costs(spec.kind, spec.L, strategy, np.array(steps))
-    for i, r in enumerate(steps):
-        step = step_cost(spec.kind, spec.L, r, strategy)
-        assert (arrays.toffoli[i], arrays.t_gates[i], arrays.rz[i]) == \
-            (step.toffoli, step.t_gates, step.rz)
+    line = _step_line(spec.kind, spec.L, strategy)
+    for r in steps:
+        assert _step_at(line, r) == step_cost(spec.kind, spec.L, r, strategy)
+
+
+@DETERMINISTIC
+@given(cells(), st.floats(0.002, 0.5), st.floats(0.2, 0.92), st.integers(1, 400))
+def test_split_is_cheapest_at_fixed_s(cell, s, y, r):
+    # at fixed s = x + z, y and r, the split's z costs no more than 16 other
+    # divisions of s, whether the catalysts are charged per query or once
+    spec, strategy, delta_e, amortize = cell
+    if not strategy.catalyzed:
+        strategy = Strategy.BATCHED_CATALYZED if strategy.batched else Strategy.CATALYZED
+    w, tau_cap, catalysts = _setting((spec, strategy, delta_e, amortize))
+    step = step_cost(spec.kind, spec.L, r, strategy)
+    v = (1.0 - s) * (1.0 - y)
+    split = partial(_split, step.rz, catalysts[0], r, w, tau_cap, delta_e, amortize)
+    lo, hi = 0.0, s   # x + z(x) rises with x: bisect for the x whose split sums to s
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid + split(mid, v)[1] < s else (lo, mid)
+    x = 0.5 * (lo + hi)
+    split_y, z, tau = split(x, v)
+    assert math.isclose(x + z, s, rel_tol=1e-12) and math.isclose(split_y, y, rel_tol=1e-9)
+    best = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
+    for j in (*range(-8, 0), *range(1, 9)):   # z scaled by 2**(j/8), 1/2 .. 2
+        other = min(z * 2.0 ** (j / 8.0), 0.999 * s)
+        total = _cost(step, catalysts, s - other, y, other, tau, delta_e, amortize)[3]
+        assert best <= total * (1.0 + 1e-12)
+
+
+@DETERMINISTIC
+@given(cells())
+def test_step_count_beats_its_neighbours(cell):
+    # the solver's r is no worse than r - 2 .. r + 2, each refined from the
+    # solver's own optimum: the premise of its galloping search over r
+    spec, strategy, delta_e, amortize = cell
+    est = optimize_trotter(spec, strategy, delta_e, amortize)
+    w, tau_cap, catalysts = _setting(cell)
+    v = (1.0 - est.budget.s) * (1.0 - est.budget.y)
+    for r in (est.r - 2, est.r - 1, est.r + 1, est.r + 2):
+        if r < 1:
+            continue
+        u = math.sqrt(max(1.0 - v / _v_top(r, w, tau_cap, delta_e), 0.0))
+        objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
+                            r, w, tau_cap, delta_e, amortize)
+        try:
+            other = minimize(objective, _DIMS, (est.budget.x, u)).value
+        except ValueError:   # the optimum's x leaves no budget at r steps
+            continue
+        assert est.total_toffoli <= other * (1.0 + 1e-9)
 
 
 @DETERMINISTIC
