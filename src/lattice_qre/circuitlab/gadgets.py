@@ -3,7 +3,8 @@
 Uncomputation of adders and borrow chains is modeled unitarily (inverse
 Toffolis); the cost model credits uncomputation as measurement-plus-
 Clifford, so each builder reports the counted cost alongside the circuit,
-covering only the forward adders, phase-gradient additions, and rotations.
+tallied from the gates it appends before the uncompute starts: the forward
+adders, phase-gradient additions, and rotations.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class HammingWeightGadget:
     inputs: list[int]
     outputs: list[int]        # weight bits, least significant first
     ancillas: list[int]
-    adder_count: int
 
 
 def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget:
@@ -57,7 +57,7 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
     circ = Circuit(M + n_anc + n_extra_qubits)
     inputs = list(range(M))
     next_free = M
-    outputs, ancillas, adders = [], [], 0
+    outputs, ancillas = [], []
 
     bits = list(inputs)  # wires holding weight-1 bits
     while bits:
@@ -73,12 +73,11 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
                 half_adder(circ, bits[0], bits[1], carry)
                 bits = [bits[1]]
             carries.append(carry)
-            adders += 1
         outputs.append(bits[0])
         bits = carries
 
-    assert adders == hamming_adders(M)
-    return HammingWeightGadget(circ, inputs, outputs, ancillas, adders)
+    assert len(ancillas) == n_anc
+    return HammingWeightGadget(circ, inputs, outputs, ancillas)
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +91,24 @@ class HwpGadget:
     catalyst_prep: Circuit | None
     targets: list[int]
     catalyst: list[int]
-    counted: CostVector
+    uncompute_from: int         # index of the first uncompute gate
+
+    @property
+    def counted(self) -> CostVector:
+        """Toffoli, T and rotation tally of the gates before the uncompute."""
+        counts = Circuit(self.circuit.n_qubits, self.circuit.gates[:self.uncompute_from]).counts()
+        return CostVector(float(counts["toffoli"]), float(counts["t"]), counts["rz"])
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
-                    borrows: list[int], theta: float) -> None:
+                    borrows: list[int], theta: float) -> int:
     """Kick the phase e^{i*theta*w} back from the catalyst register.
 
     Subtracts the weight register from the catalyst modulo 2^k via a borrow
     ripple (k Toffolis), fixes the modular wrap with one rotation on the
     final borrow, then uncomputes the borrows through the carry chain of
     the complementary addition (the uncompute direction is free in the
-    cost model).
+    cost model).  Returns the index of the first uncompute gate.
     """
     k = len(weight)
 
@@ -133,9 +138,11 @@ def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
     # wrap correction: the final borrow flags catalyst + weight >= 2^k
     circ.rz(borrows[k - 1], (1 << k) * theta)
     # borrows equal the carries of (difference + weight); uncompute top-down
+    uncompute_from = len(circ.gates)
     for i in range(k - 1, -1, -1):
         prev = borrows[i - 1] if i else None
         majority_into(catalyst[i], weight[i], prev, borrows[i])
+    return uncompute_from
 
 
 def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
@@ -145,37 +152,29 @@ def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
     i.e. a tensor power of single-qubit phase rotations.  Ancillas return
     to |0>; the catalyst state (catalyzed mode) returns unchanged.
     """
-    strategy = HwpStrategy(strategy)
+    catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
     k = floor_log2(M) + 1
-
-    if strategy is HwpStrategy.BASELINE:
-        hw = build_hamming_weight(M)
-        circ = hw.circuit
-        uncompute = circ.inverted()
-        for i, wire in enumerate(hw.outputs):
-            circ.rz(wire, (1 << i) * theta)
-        circ.extend(uncompute.gates)
-        counted = CostVector(toffoli=float(hw.adder_count), rz=k)
-        return HwpGadget(circ, None, hw.inputs, [], counted)
-
-    hw = build_hamming_weight(M, n_extra_qubits=2 * k)
+    hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
     circ = hw.circuit
     uncompute = circ.inverted()
-    base = M + len(hw.ancillas)
-    catalyst = list(range(base, base + k))
-    borrows = list(range(base + k, base + 2 * k))
-
-    prep = Circuit(circ.n_qubits)
-    for i, wire in enumerate(catalyst):
-        prep.h(wire)
-        prep.rz(wire, (1 << i) * theta)
-
-    # the adder chain always yields exactly k weight bits
-    assert len(hw.outputs) == k
-    _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
+    catalyst, prep = [], None
+    if catalyzed:
+        base = M + len(hw.ancillas)
+        catalyst = list(range(base, base + k))
+        borrows = list(range(base + k, base + 2 * k))
+        prep = Circuit(circ.n_qubits)
+        for i, wire in enumerate(catalyst):
+            prep.h(wire)
+            prep.rz(wire, (1 << i) * theta)
+        # the adder chain always yields exactly k weight bits
+        assert len(hw.outputs) == k
+        uncompute_from = _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
+    else:
+        for i, wire in enumerate(hw.outputs):
+            circ.rz(wire, (1 << i) * theta)
+        uncompute_from = len(circ.gates)
     circ.extend(uncompute.gates)
-    counted = CostVector(toffoli=float(hw.adder_count + k), rz=1)
-    return HwpGadget(circ, prep, hw.inputs, catalyst, counted)
+    return HwpGadget(circ, prep, hw.inputs, catalyst, uncompute_from)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ class HwpStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class CostVector:
-    """Componentwise-additive tally of non-Clifford gates."""
+    """Tally of non-Clifford gates."""
 
     toffoli: float = 0.0
     t_gates: float = 0.0
@@ -36,17 +36,6 @@ class CostVector:
     def __post_init__(self):
         if min(self.toffoli, self.t_gates, self.rz) < 0:
             raise ValueError("cost components must be non-negative")
-
-    def __add__(self, other: "CostVector") -> "CostVector":
-        return CostVector(self.toffoli + other.toffoli, self.t_gates + other.t_gates,
-                          self.rz + other.rz)
-
-    def repeat(self, times: int) -> "CostVector":
-        """Cost of applying this block ``times`` times."""
-        return CostVector(self.toffoli * times, self.t_gates * times, self.rz * times)
-
-
-ZERO_COST = CostVector()
 
 
 def popcount(M: int) -> int:
@@ -84,25 +73,3 @@ def hwp_cost(M: int, strategy: HwpStrategy) -> CostVector:
     if HwpStrategy(strategy) is HwpStrategy.BASELINE:
         return CostVector(toffoli=hamming_adders(M) + 0.0, rz=floor_log2(M) + 1)
     return CostVector(toffoli=M + floor_log2(M) - popcount(M) + 1.0, rz=1)
-
-
-def hwp_batch_sizes(N: int, B: int) -> list[int]:
-    if N < 1 or B < 1:
-        raise ValueError("batching needs N >= 1 and B >= 1")
-    sizes = [B] * (N // B)
-    if N % B:
-        sizes.append(N % B)
-    return sizes
-
-
-def hwp_batched_cost(N: int, B: int, strategy: HwpStrategy) -> CostVector:
-    """Hamming-weight phasing of N rotations applied in batches of B.
-
-    Batching caps the workspace at the batch size; the catalyst register is
-    shared across the same-angle batches, so only the per-batch adders and
-    phase-gradient additions repeat.
-    """
-    total = ZERO_COST
-    for size in hwp_batch_sizes(N, B):
-        total = total + hwp_cost(size, strategy)
-    return total

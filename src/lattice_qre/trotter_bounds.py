@@ -199,5 +199,6 @@ def trotter_steps(W: float, tau: float, budget: TrotterBudget) -> int:
         raise ValueError("degenerate budget: Trotter slice is non-positive")
     if W == 0:
         return 1
-    # Tiny slack so a tau snapped exactly onto a step boundary stays there.
-    return max(1, math.ceil(tau * math.sqrt(W / det) - 1e-12))
+    # A relative slack of 1e-14 (the float error of a tau pinned onto a step
+    # boundary is a few ulps) keeps such a tau at its r for r up to ~1e14.
+    return max(1, math.ceil(tau * math.sqrt(W / det) * (1.0 - 1e-14)))

@@ -12,10 +12,12 @@ rotations (budget slice x), and synthesized T for the catalyst states
 (budget slice z, catalyzed only).  The total is
 ``N_q * (N_tof + N_t / 2)`` with ``N_q = 0.76*pi / (y * tau * dE)``.
 
-Layer multiplicities per model follow the second-order formula with
-adjacent identical factors merged.  For the pnictide model the diagonal-
-hopping layers appear 2r times each (16r in total) plus 3r on-site layers;
-the published per-model tables are reproduced only with this count.
+One table, ``_STEPS``, holds each model's step structure (layer sizes,
+multiplicities a + b*r, catalyst angles and direct T gates), so the step
+cost is an exact affine function of r.  For the pnictide model the
+diagonal-hopping layers appear 2r times each (16r in total) plus 3r
+on-site layers; the published per-model tables are reproduced only with
+this count.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .primitives import (
     RUS_T_SLOPE,
     floor_log2,
     hamming_adders,
-    hwp_batched_cost,
     hwp_cost,
 )
 from .trotter_bounds import TrotterBudget, tau_max, trotter_bound, trotter_steps
@@ -68,23 +69,31 @@ class Strategy(str, Enum):
         return HwpStrategy.CATALYZED if self.catalyzed else HwpStrategy.BASELINE
 
 
-def _layers(kind: Model, L: int, r: int) -> list[tuple[int, int]]:
-    """(rotation-layer size, multiplicity per evolution) for each layer kind."""
-    L2 = L * L
-    if kind is Model.FERMI_HUBBARD:
-        return [(L2, 4 * r + 1)]
-    if kind is Model.CUPRATE:
-        return [(L2, 8 * r + 1), (2 * L2, 8 * r)]
-    return [(4 * L2, 7 * r + 1), (2 * L2, 19 * r)]
+# The step structure of each model: the only source of layer sizes,
+# multiplicities, direct T gates and catalyst sizes.  Per model:
+#   (a, b): bare T gates per evolution (two-site Fourier transforms),
+#       (a + b*r) * L^2;
+#   per layer kind (size, a, b, angles): size * L^2 same-angle rotations,
+#       applied a + b*r times per evolution, with a catalyst per angle;
+#   (unbatched, batched): catalyst qubits beyond one register per angle.
+# The multiplicities follow the second-order formula with adjacent identical
+# factors merged.  The merged double-angle slot gives the leading hopping
+# catalyst one extra qubit, except in the batched pnictide accounting, where
+# the published qubit columns require the plain size.
+_STEPS = {
+    Model.FERMI_HUBBARD: ((0, 12), ((1, 1, 4, 2),), (2, 2)),
+    Model.CUPRATE: ((4, 28), ((1, 1, 8, 3), (2, 0, 8, 1)), (1, 1)),
+    Model.PNICTIDE: ((0, 0), ((4, 1, 7, 2), (2, 0, 19, 4)), (1, 0)),
+}
 
 
-def _direct_t(kind: Model, L: int, r: int) -> float:
-    """Bare T gates per evolution (two-site Fourier transforms)."""
-    if kind is Model.FERMI_HUBBARD:
-        return 12.0 * r * L * L
-    if kind is Model.CUPRATE:
-        return 4.0 * L * L * (7 * r + 1)
-    return 0.0
+def _hwp_runs(L: int, size: int, strategy: Strategy) -> tuple[int, int]:
+    """(rotations M per Hamming-weight phasing run, runs per application)
+    of a layer of size * L^2 rotations: one run over all of them, or,
+    batched, 2 * size runs of L^2 / 2.  Batching caps the workspace at the
+    batch; the same-angle batches share their catalyst, so only the adders
+    and phase-gradient additions repeat."""
+    return (L * L // 2, 2 * size) if strategy.batched else (size * L * L, 1)
 
 
 def _catalysts(kind: Model, L: int, strategy: Strategy) -> tuple[int, int]:
@@ -92,31 +101,17 @@ def _catalysts(kind: Model, L: int, strategy: Strategy) -> tuple[int, int]:
     and the qubits of (equivalently, rotations to synthesize) all catalyst
     states, whose budget slice z they share.
 
-    Unbatched catalysts are sized by their layer's weight register; batched
-    runs share catalysts sized by the batch.  The merged double-angle slot
-    gives the leading hopping catalyst one extra qubit, except in the
-    batched pnictide accounting where the published qubit columns require
-    the plain size.  The Fermi-Hubbard catalysts are charged with one
-    rotation fewer than their register size, matching the published
-    accounting.
+    Each angle's catalyst is sized by its layer's weight register,
+    floor(log2 M) + 1 for runs of M rotations.  The Fermi-Hubbard catalysts
+    are charged with one rotation fewer than their register size, matching
+    the published accounting.
     """
     if not strategy.catalyzed:
         return 0, 0
-    L2 = L * L
-    if strategy.batched:
-        b = floor_log2(L2 // 2)
-        if kind is Model.FERMI_HUBBARD:
-            count = 2 * b + 4
-        elif kind is Model.CUPRATE:
-            count = 4 * b + 5
-        else:
-            count = 6 * b + 6
-    elif kind is Model.FERMI_HUBBARD:
-        count = 2 * floor_log2(L2) + 4
-    elif kind is Model.CUPRATE:
-        count = 3 * floor_log2(L2) + floor_log2(2 * L2) + 5
-    else:
-        count = 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
+    _, layers, extra = _STEPS[kind]
+    count = extra[strategy.batched] + sum(
+        angles * (floor_log2(_hwp_runs(L, size, strategy)[0]) + 1)
+        for size, _, _, angles in layers)
     return (count - 1 if kind is Model.FERMI_HUBBARD else count), count
 
 
@@ -125,6 +120,28 @@ def _check_lattice(kind: Model, L: int) -> None:
         raise InvalidLattice(f"L={L}: need even L >= 2")
     if kind is Model.CUPRATE and L % 4:
         raise InvalidLattice(f"L={L}: the cuprate Trotter scheme needs L % 4 == 0")
+
+
+def _step_line(kind: Model, L: int, strategy: Strategy) -> tuple[tuple[int, int], ...]:
+    """(intercept, slope) in r of the Toffoli, T and rz fields of
+    ``step_cost``, as exact ints: each layer's runs cost ``hwp_cost`` per
+    application, and every multiplicity and the direct T count are affine
+    in r."""
+    direct_t, layers, _ = _STEPS[kind]
+    toffoli, rz = [0, 0], [0, 0]
+    for size, a, b, _ in layers:
+        m, runs = _hwp_runs(L, size, strategy)
+        run = hwp_cost(m, strategy.hwp)
+        for i, reps in enumerate((a, b)):
+            toffoli[i] += reps * runs * int(run.toffoli)
+            rz[i] += reps * runs * run.rz
+    return tuple(toffoli), (direct_t[0] * L * L, direct_t[1] * L * L), tuple(rz)
+
+
+def _step_at(line: tuple[tuple[int, int], ...], r: int) -> CostVector:
+    """The r-step evolution's cost from its ``_step_line``."""
+    toffoli, t_gates, rz = (a + b * r for a, b in line)
+    return CostVector(float(toffoli), float(t_gates), rz)
 
 
 def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
@@ -136,15 +153,7 @@ def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     _check_lattice(kind, L)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    batch = (L * L) // 2 if strategy.batched else None
-    total = CostVector(t_gates=_direct_t(kind, L, r))
-    for size, reps in _layers(kind, L, r):
-        if batch is None:
-            layer = hwp_cost(size, strategy.hwp)
-        else:
-            layer = hwp_batched_cost(size, batch, strategy.hwp)
-        total = total + layer.repeat(reps)
-    return total
+    return _step_at(_step_line(kind, L, strategy), r)
 
 
 def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
@@ -153,8 +162,7 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     registers for catalyzed strategies."""
     kind, L, strategy = spec.kind, spec.L, Strategy(strategy)
     _check_lattice(kind, L)
-    sizes = [size for size, _ in _layers(kind, L, 1)]
-    m_hw = (L * L) // 2 if strategy.batched else max(sizes)
+    m_hw = max(_hwp_runs(L, size, strategy)[0] for size, *_ in _STEPS[kind][1])
     qubits = system_qubits(spec) + hamming_adders(m_hw) + 2  # +1 phase qubit, +1 synthesis ancilla
     if strategy.catalyzed:
         qubits += _catalysts(kind, L, strategy)[1] + floor_log2(m_hw) + 1
@@ -301,22 +309,6 @@ def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     x, u = point
     v = _v_top(r, w, tau_cap, delta_e) * (1.0 - u * u)
     return _total(step, catalysts, r, w, tau_cap, delta_e, amortize, x, v)
-
-
-def _step_line(kind: Model, L: int, strategy: Strategy) -> tuple[tuple[int, int], ...]:
-    """(value at r = 1, slope in r) of each ``step_cost`` field, as exact ints.
-
-    Every layer multiplicity and the direct T count are affine in r, so the
-    costs at r = 1 and r = 2 fix all others.
-    """
-    one, two = step_cost(kind, L, 1, strategy), step_cost(kind, L, 2, strategy)
-    return tuple((int(getattr(one, field)), int(getattr(two, field) - getattr(one, field)))
-                 for field in ("toffoli", "t_gates", "rz"))
-
-
-def _step_at(line: tuple[tuple[int, int], ...], r: int) -> CostVector:
-    """``step_cost`` at r steps, from its ``_step_line``."""
-    return CostVector(*(value + slope * (r - 1) for value, slope in line))
 
 
 def _coarse_grid(line: tuple[tuple[int, int], ...], catalysts: tuple[int, int], w: float,

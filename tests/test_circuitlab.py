@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from lattice_qre.primitives import HwpStrategy, hamming_adders, hwp_cost
+from lattice_qre.model import Model
+from lattice_qre.primitives import HwpStrategy, floor_log2, hamming_adders, hwp_cost
+from lattice_qre.trotter_cost import _STEPS, Strategy, _hwp_runs
 from lattice_qre.circuitlab import Circuit, FermionOracle, apply_circuit, zero_state
+from lattice_qre.circuitlab import gadgets
 from lattice_qre.circuitlab.gadgets import (
     build_fswap,
     build_hamming_weight,
     build_hwp,
     build_plaquette_evolution,
+    half_adder,
     two_site_fourier,
 )
 from lattice_qre.circuitlab.statevector import (
@@ -182,12 +186,12 @@ class TestHammingWeight:
 
     def test_single_bit_is_identity(self):
         gadget = build_hamming_weight(1)
-        assert gadget.adder_count == 0
+        assert gadget.circuit.gates == []
         assert gadget.outputs == [0]
 
     def test_adder_counts(self):
         for m in range(1, 9):
-            assert build_hamming_weight(m).adder_count == hamming_adders(m)
+            assert build_hamming_weight(m).circuit.counts()["toffoli"] == hamming_adders(m)
 
     def test_exhaustive_check_passes(self):
         assert verify.check_hamming_weight().passed
@@ -219,6 +223,23 @@ class TestHwpGadgets:
         for strategy in HwpStrategy:
             with pytest.raises(ValueError):
                 build_hwp(0, 0.1, strategy)
+
+    def test_tallies_at_the_charged_sizes(self):
+        # every run size M the step table charges for L = 4..16: the tally of
+        # the circuit's compute direction is hwp_cost(M), and its wires are
+        # the M targets plus the workspace, catalyst and borrow registers
+        # that total_qubits counts
+        sizes = {_hwp_runs(L, size, strategy)[0]
+                 for kind, (_, layers, _) in _STEPS.items() for size, *_ in layers
+                 for L in range(4, 17, 4 if kind is Model.CUPRATE else 2)
+                 for strategy in Strategy}
+        assert len(sizes) == 22
+        for m in sorted(sizes):
+            for strategy in HwpStrategy:
+                gadget = build_hwp(m, 0.731, strategy)
+                assert gadget.counted == hwp_cost(m, strategy)
+                registers = 2 * (floor_log2(m) + 1) if strategy is HwpStrategy.CATALYZED else 0
+                assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
 
     @pytest.mark.parametrize("m", range(6, 11))
     def test_induced_matrix_beyond_dense_sizes(self, m):
@@ -253,6 +274,18 @@ class TestMutantsFail:
         monkeypatch.setattr(verify, "build_hwp",
                             lambda m, theta, strategy: build_hwp(m, 1.0001 * theta, strategy))
         assert not verify.check_hwp_unitary().passed
+
+    def test_hwp_cancelling_toffoli_pair(self, monkeypatch):
+        # a Toffoli pair that cancels leaves every unitary intact; only the
+        # tallies read from the circuits see the two extra gates
+        def padded(circ, a, b, carry):
+            circ.toffoli(a, b, carry)
+            circ.toffoli(a, b, carry)
+            half_adder(circ, a, b, carry)
+        monkeypatch.setattr(gadgets, "half_adder", padded)
+        assert verify.check_hwp_unitary().passed
+        assert not verify.check_hwp_tallies().passed
+        assert not verify.check_hamming_weight().passed
 
     def test_adder_chain_missing_last_gate(self, monkeypatch):
         def broken(m):

@@ -1,8 +1,8 @@
-"""Every public top-level function or class in the package is referenced by
-package code outside its own definition; a name only tests reach is dead
-API.  A reference is a name, an attribute or an import.  The names the
-package exports (``lattice_qre.__all__``) and the CLI entry point count as
-used."""
+"""Every public top-level function, class or constant in the package is
+referenced by package code outside its own definition; a name only tests
+reach is dead API.  A reference is a name, an attribute or an import.  The
+names the package exports (``lattice_qre.__all__``) and the CLI entry point
+count as used."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,18 @@ import lattice_qre
 
 PACKAGE = Path(lattice_qre.__file__).resolve().parent
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _defined_names(node: ast.AST) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, _DEFINITIONS):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
 
 
 def _references(node: ast.AST) -> set[str]:
@@ -34,11 +46,12 @@ def unreferenced_public_names() -> list[str]:
     entry_points = {("cli.py", "main")}
     dead = []
     for module, node, _ in statements:
-        if (not isinstance(node, _DEFINITIONS) or node.name.startswith("_")
-                or node.name in lattice_qre.__all__ or (module, node.name) in entry_points):
-            continue
-        if not any(node.name in refs for _, other, refs in statements if other is not node):
-            dead.append(f"{module}:{node.name}")
+        for name in _defined_names(node):
+            if (name.startswith("_") or name in lattice_qre.__all__
+                    or (module, name) in entry_points):
+                continue
+            if not any(name in refs for _, other, refs in statements if other is not node):
+                dead.append(f"{module}:{name}")
     return dead
 
 

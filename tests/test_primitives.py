@@ -1,18 +1,15 @@
-import numpy as np
 import pytest
 
 from lattice_qre.model import Model, ModelSpec
 from lattice_qre.primitives import (
     CostVector,
     HwpStrategy,
-    ZERO_COST,
     hamming_adders,
-    hwp_batched_cost,
     hwp_cost,
     popcount,
 )
 from lattice_qre.trotter_bounds import TrotterBudget
-from lattice_qre.trotter_cost import Strategy, evaluate
+from lattice_qre.trotter_cost import Strategy, evaluate, step_cost
 
 
 class TestRusSynthesis:
@@ -72,49 +69,13 @@ class TestHwp:
 
 class TestHwpBatched:
     def test_two_batches(self):
-        c = hwp_batched_cost(64, 32, HwpStrategy.BASELINE)
-        assert (c.toffoli, c.rz) == (62, 12)
-
-    def test_single_batch_matches_unbatched(self):
-        for strategy in HwpStrategy:
-            whole = hwp_cost(64, strategy)
-            batched = hwp_batched_cost(64, 64, strategy)
-            assert batched == whole
-
-    def test_remainder_batch(self):
-        c = hwp_batched_cost(5, 2, HwpStrategy.BASELINE)
-        assert (c.toffoli, c.rz) == (2, 5)
+        # FH L = 8, r = 1: five layers of 64 rotations, each phased in two
+        # batches of 32 at 31 adders and 6 rotations a batch
+        c = step_cost(Model.FERMI_HUBBARD, 8, 1, Strategy.BATCHED_BASELINE)
+        assert (c.toffoli, c.rz) == (5 * 62, 5 * 12)
 
 
-class TestCostVectorMonoid:
-    def _random_costs(self, n=50):
-        # dyadic float components keep the additions exact, so the monoid
-        # laws can be asserted with plain equality
-        rng = np.random.default_rng(11)
-        return [
-            CostVector(
-                toffoli=float(rng.integers(0, 100)),
-                t_gates=float(rng.integers(0, 400)) / 8.0,
-                rz=int(rng.integers(0, 20)),
-            )
-            for _ in range(n)
-        ]
-
-    def test_identity(self):
-        for c in self._random_costs():
-            assert c + ZERO_COST == c
-            assert ZERO_COST + c == c
-
-    def test_commutative(self):
-        costs = self._random_costs()
-        for a, b in zip(costs, reversed(costs)):
-            assert a + b == b + a
-
-    def test_associative(self):
-        costs = self._random_costs(30)
-        for a, b, c in zip(costs, costs[1:], costs[2:]):
-            assert (a + b) + c == a + (b + c)
-
+class TestCostVector:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             CostVector(toffoli=-1)

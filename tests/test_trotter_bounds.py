@@ -14,6 +14,7 @@ from lattice_qre.trotter_bounds import (
     trotter_bound,
     trotter_steps,
 )
+from lattice_qre.trotter_cost import _pinned_tau
 
 
 def round3(x: float) -> float:
@@ -130,6 +131,20 @@ class TestTrotterSteps:
     def test_degenerate_budget_rejected(self):
         with pytest.raises(ValueError):
             TrotterBudget(delta_e=0.1, y=0.5, x=0.6, z=0.5, tau=0.1)
+
+    def test_pinned_tau_gives_back_r(self):
+        # the solver pins tau onto the boundary of r steps; its float error,
+        # a few ulps of r, must not round r up
+        rng = np.random.default_rng(17)
+        for k in range(41):
+            for r in {max(2**k - 1, 1), 2**k, 2**k + 1}:
+                for _ in range(20):
+                    w = float(10 ** rng.uniform(0, 6))
+                    delta_e = float(10 ** rng.uniform(-12, 2))
+                    y, x = float(rng.uniform(0.2, 0.92)), float(10 ** rng.uniform(-4, -0.5))
+                    z = x * float(10 ** rng.uniform(-6, 0)) / 2
+                    tau = _pinned_tau(r, x, y, z, w, math.inf, delta_e)
+                    assert trotter_steps(w, tau, TrotterBudget(delta_e, y, x, z, tau)) == r
 
 
 class TestBudget:

@@ -287,6 +287,12 @@ class TestOptimizeTrotter:
         assert len(calls) <= 60
         assert est.total_toffoli < 4.88972e15   # the walk's total, z held at 1e-5
 
+    def test_deep_target_keeps_the_searched_r(self):
+        # the solver's optimum sits at r = 199,396 with tau pinned onto its
+        # boundary; evaluating that budget must not round r up to 199,397
+        est = optimize_trotter(FH8, Strategy.BASELINE, 1e-9)
+        assert est.r == 199_396
+
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import TROTTER_TABLES
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
 from lattice_qre.optimize import minimize
+from lattice_qre.primitives import CostVector, floor_log2, hwp_cost
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     _DIMS,
@@ -24,8 +25,6 @@ from lattice_qre.trotter_cost import (
     _cost,
     _objective,
     _split,
-    _step_at,
-    _step_line,
     _total,
     _v_top,
     optimize_trotter,
@@ -84,14 +83,62 @@ def test_best_step_count_brackets_the_tau_cap(cell, ux, uv):
     assert min(totals, key=totals.get) in (max(r_c - 1, 1), r_c)
 
 
-@DETERMINISTIC
-@given(cells(), st.lists(st.integers(1, 50_000), min_size=1, max_size=4))
-def test_step_costs_match_step_cost(cell, steps):
-    # the solver's step costs, built from r = 1 and r = 2
-    spec, strategy, _, _ = cell
-    line = _step_line(spec.kind, spec.L, strategy)
-    for r in steps:
-        assert _step_at(line, r) == step_cost(spec.kind, spec.L, r, strategy)
+def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
+    """The step cost summed layer by layer, as written out per model: each
+    layer's ``hwp_cost`` times its multiplicity (a batched layer of N
+    rotations as N / B copies of ``hwp_cost(B)``, B = L^2 / 2), plus the
+    direct T gates of the two-site Fourier transforms."""
+    L2 = L * L
+    if kind is Model.FERMI_HUBBARD:
+        layers, direct_t = [(L2, 4 * r + 1)], 12 * r * L2
+    elif kind is Model.CUPRATE:
+        layers, direct_t = [(L2, 8 * r + 1), (2 * L2, 8 * r)], 4 * L2 * (7 * r + 1)
+    else:
+        layers, direct_t = [(4 * L2, 7 * r + 1), (2 * L2, 19 * r)], 0
+    toffoli = rz = 0
+    for size, reps in layers:
+        batch = L2 // 2 if strategy.batched else size
+        assert size % batch == 0
+        layer = hwp_cost(batch, strategy.hwp)
+        toffoli += reps * size // batch * layer.toffoli
+        rz += reps * size // batch * layer.rz
+    return CostVector(toffoli, direct_t, rz)
+
+
+def _table_cells():
+    for kind in Model:
+        for L in range(4, 33, 4 if kind is Model.CUPRATE else 2):
+            for strategy in Strategy:
+                yield kind, L, strategy
+
+
+def test_step_costs_match_step_cost():
+    # the step table against the per-layer sum, at the published sizes and
+    # at the step counts of deep targets
+    for kind, L, strategy in _table_cells():
+        for r in (1, 2, 3, 364, 19_940):
+            assert step_cost(kind, L, r, strategy) == _summed_step_cost(kind, L, r, strategy)
+
+
+def test_catalysts_match_the_register_sums():
+    # the table's catalyst counts against the per-model sums of register
+    # sizes, as written out per model and strategy
+    for kind, L, strategy in _table_cells():
+        L2, fh = L * L, kind is Model.FERMI_HUBBARD
+        if not strategy.catalyzed:
+            count = 0
+        elif strategy.batched:
+            b = floor_log2(L2 // 2)
+            count = {Model.FERMI_HUBBARD: 2 * b + 4, Model.CUPRATE: 4 * b + 5,
+                     Model.PNICTIDE: 6 * b + 6}[kind]
+        elif fh:
+            count = 2 * floor_log2(L2) + 4
+        elif kind is Model.CUPRATE:
+            count = 3 * floor_log2(L2) + floor_log2(2 * L2) + 5
+        else:
+            count = 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
+        charged = count - 1 if fh and count else count
+        assert _catalysts(kind, L, strategy) == (charged, count)
 
 
 @DETERMINISTIC
