@@ -246,7 +246,9 @@ _U_DIM = Dimension(-1.0, 1.0)
 _DIMS = (_X_DIM, _U_DIM)
 _GRID_POINTS = 10   # per dimension of the coarse grid
 _TAU_MARGIN = 1.0 - 1e-12
-_MAX_EXACT_R = 2**53   # trotter_steps' float r holds every integer up to here
+# Up to here trotter_steps gives back the r a pinned tau was pinned to: its
+# relative slack of 1e-14 is then at most 0.1 of a step (at 2**53 it is 90).
+_MAX_EXACT_R = 10**13
 
 
 def _pinned_tau(r: int, x: float, y: float, z: float, w: float, tau_cap: float,
@@ -398,8 +400,8 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     reparametrization of v (see ``_U_DIM``); r then gallops
     and narrows to its optimum (see ``_best_step_count``), each r refined
     from the optimum of the nearest r already solved.  Raises
-    ``ValueError`` when the cost overflows, when r exceeds 2**53 (where
-    ``trotter_steps`` no longer holds every integer), or when the optimum
+    ``ValueError`` when the cost overflows, when r exceeds 1e13 (where
+    ``evaluate`` no longer recovers r from the pinned tau), or when the optimum
     needs fewer than one phase-estimation query (an error target too loose
     to mean anything); warns when x or y sits on a box edge.
     """
@@ -413,8 +415,8 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
 
     r, start = _coarse_grid(line, catalysts, w, tau_cap, delta_e, amortize_catalyst)
     if r > _MAX_EXACT_R:
-        raise ValueError(f"the Trotter step count r={r:.3g} overflows 2**53, where it is no "
-                         f"longer an exact integer, at delta_e={delta_e:g}")
+        raise ValueError(f"the Trotter step count r={r:.3g} overflows 1e13, above which the "
+                         f"time step no longer pins r exactly, at delta_e={delta_e:g}")
     points, values = {r: start}, {}
 
     def cost(q: int) -> float:

@@ -21,7 +21,7 @@ from lattice_qre.circuitlab.statevector import (
     max_unitary_deviation,
     simulate,
 )
-from lattice_qre.circuitlab import verify
+from lattice_qre.circuitlab import fermion, verify
 
 
 def _kron_unitary(gate, n):
@@ -199,17 +199,51 @@ class TestHammingWeight:
 
 class TestHwpGadgets:
     def test_zero_angle_is_identity(self):
-        gadget = build_hwp(4, 0.0, HwpStrategy.BASELINE)
-        u, leak = verify._hwp_induced_matrix(gadget)
-        assert leak < 1e-12
-        assert max_unitary_deviation(u, np.eye(16)) < 1e-12
+        column, row, value = verify._hwp_induced(build_hwp(4, 0.0, HwpStrategy.BASELINE))
+        assert np.array_equal(column, np.arange(16)) and np.array_equal(row, column)
+        assert np.max(np.abs(value - 1.0)) < 1e-12
+        assert verify._diagonal_deviation(column, row, value, np.ones(16)) < 1e-12
 
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
-        gadget = build_hwp(2, theta, HwpStrategy.BASELINE)
-        u, _ = verify._hwp_induced_matrix(gadget)
+        column, row, value = verify._hwp_induced(build_hwp(2, theta, HwpStrategy.BASELINE))
+        u = np.zeros((4, 4), dtype=complex)
+        u[row, column] = value
         rz = np.diag([1.0, np.exp(1j * theta)])
         assert max_unitary_deviation(u, np.kron(rz, rz)) < 1e-10
+        assert verify._diagonal_deviation(column, row, value, np.diag(np.kron(rz, rz))) < 1e-10
+
+    @pytest.mark.parametrize("mutant", ["none", "angle", "no_toffoli", "no_gate", "phase",
+                                        "off_diagonal"])
+    def test_sparse_comparison_equals_dense(self, mutant):
+        # the sparse comparison against diag(e^{i theta HW}) restated densely:
+        # max_unitary_deviation of the induced block, and the column norms
+        m, theta = 3, 0.913
+        for strategy in HwpStrategy:
+            gadget = build_hwp(m, 1.0001 * theta if mutant == "angle" else theta, strategy)
+            if mutant == "no_toffoli":
+                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+            elif mutant == "no_gate":
+                gadget.circuit = _without_last(gadget.circuit)
+            column, row, value = verify._hwp_induced(gadget)
+            if mutant == "phase":
+                value = value * np.exp(0.3j)
+            elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0
+                at = np.flatnonzero((column == 0) & (row == 1))
+                if at.size:
+                    value[at] += 1e-3
+                else:
+                    column, row = np.append(column, 0), np.append(row, 1)
+                    value = np.append(value, 1e-3)
+            u = np.zeros((1 << m, 1 << m), dtype=complex)
+            u[row, column] = value
+            target = np.exp(1j * theta * np.array([bin(x).count("1") for x in range(1 << m)]))
+            dense = max(float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
+                        max_unitary_deviation(u, np.diag(target)))
+            sparse = verify._diagonal_deviation(column, row, value, target)
+            assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
+            assert (sparse > 1e-9) == (mutant not in ("none", "phase"))
+            assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
 
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
@@ -241,10 +275,10 @@ class TestHwpGadgets:
                 registers = 2 * (floor_log2(m) + 1) if strategy is HwpStrategy.CATALYZED else 0
                 assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
 
-    @pytest.mark.parametrize("m", range(6, 11))
+    @pytest.mark.parametrize("m", range(6, 13))
     def test_induced_matrix_beyond_dense_sizes(self, m):
         # exhaustive over the 2**m target states, both strategies, two angles;
-        # the catalyzed gadget at m = 10 has 26 qubits
+        # the catalyzed gadget at m = 12 has 30 qubits
         result = verify.check_hwp_unitary(sizes=(m,), n_angles=2)
         assert result.passed, result.max_deviation
 
@@ -349,13 +383,116 @@ class TestFourierAndPlaquette:
         assert verify.check_plaquette(angles=(0.37, -0.9)).passed
 
 
+def _kron_annihilation(n, j):
+    """a_j by its definition: Z on the modes before j, |0><1| on mode j."""
+    factors = [np.diag([1.0, -1.0])] * j + [np.array([[0.0, 1.0], [0.0, 0.0]])]
+    out = np.eye(1)
+    for f in factors + [np.eye(2)] * (n - 1 - j):
+        out = np.kron(out, f)
+    return out
+
+
+def _dense_car_deviation(ops):
+    """The anticommutators of every ordered pair as dense products."""
+    n, eye = len(ops), np.eye(ops[0].shape[0])
+    anti, mixed = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            a, b, b_dag = ops[i], ops[j], ops[j].conj().T
+            anti[i, j] = np.max(np.abs(a @ b + b @ a))
+            mixed[i, j] = np.max(np.abs(a @ b_dag + b_dag @ a - (eye if i == j else 0.0)))
+    return anti, mixed
+
+
+def _mutate_annihilation(monkeypatch, mode, change):
+    """FermionOracle whose a_mode is ``change`` applied to the true one."""
+    build = FermionOracle._annihilation
+
+    def mutant(self, j):
+        op = build(self, j)
+        if j == mode:
+            change(op)
+        return op
+
+    monkeypatch.setattr(FermionOracle, "_annihilation", mutant)
+
+
+def _flip_first_sign(op):
+    rows, columns = np.nonzero(op)
+    op[rows[0], columns[0]] *= -1
+
+
 class TestFermionOracle:
     def test_car_enforced(self):
-        FermionOracle(5)  # raises on violation
+        assert FermionOracle(5).car_deviation == 0.0   # raises on violation
 
     def test_mode_limit(self):
         with pytest.raises(ValueError):
             FermionOracle(8)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_convention_matches_kron_product(self, n):
+        # qubit 0 is the top index bit, and mode j carries Z on modes < j
+        oracle = FermionOracle(n)
+        for j in range(n):
+            assert np.array_equal(oracle.a(j), _kron_annihilation(n, j))
+
+    def test_dropped_z_fails(self, monkeypatch):
+        # a_3 without the Z on mode 1 commutes with a_1
+        sign = 1 - 2 * ((np.arange(32) >> 3) & 1)   # Z on qubit 1 of 5
+
+        def drop_z(op):
+            op *= sign[:, None]
+
+        _mutate_annihilation(monkeypatch, 3, drop_z)
+        with pytest.raises(AssertionError, match=r"\{a_1, a_3\} != 0"):
+            FermionOracle(5)
+
+    def test_flipped_sign_fails(self, monkeypatch):
+        _mutate_annihilation(monkeypatch, 1, _flip_first_sign)
+        with pytest.raises(AssertionError, match=r"\{a_0, a_1\} != 0"):
+            FermionOracle(5)
+
+    def test_extra_nonzero_fails(self, monkeypatch):
+        def add_entry(op):
+            op[1, 0b00100] = 1.0   # column 4 already holds a_2's entry at row 0
+
+        _mutate_annihilation(monkeypatch, 2, add_entry)
+        with pytest.raises(AssertionError, match="a_2 is not a signed partial permutation"):
+            FermionOracle(5)
+
+    def test_agrees_with_dense_products(self, monkeypatch):
+        # seeded single-entry mutations of the n = 5 operators: the check's
+        # verdict and worst deviation equal the dense anticommutators'
+        true_ops = [FermionOracle(5).a(j) for j in range(5)]
+        rng = np.random.default_rng(5)
+        current = []
+        monkeypatch.setattr(FermionOracle, "_annihilation", lambda self, j: current[j])
+        verdicts = set()
+        for _ in range(200):
+            current[:] = [op.copy() for op in true_ops]
+            op = current[int(rng.integers(5))]
+            factor = [-1.0, 1j, 0.5, 1.0 + 1e-13, None][int(rng.integers(5))]
+            if factor is None:   # a new entry in an empty column and an empty row
+                empty_rows = np.flatnonzero(~op.any(axis=1))
+                empty_columns = np.flatnonzero(~op.any(axis=0))
+                op[rng.choice(empty_rows), rng.choice(empty_columns)] = rng.choice([1.0, -1j])
+            else:
+                rows, columns = np.nonzero(op)
+                k = int(rng.integers(rows.size))
+                op[rows[k], columns[k]] *= factor
+            anti, mixed = fermion._car_deviation(current)
+            dense_anti, dense_mixed = _dense_car_deviation(current)
+            assert np.max(np.abs(anti - dense_anti)) <= 1e-15
+            assert np.max(np.abs(mixed - dense_mixed)) <= 1e-15
+            worst = max(dense_anti.max(), dense_mixed.max())
+            if worst > fermion.CAR_TOLERANCE:
+                with pytest.raises(AssertionError):
+                    FermionOracle(5)
+            else:
+                assert FermionOracle(5).car_deviation == pytest.approx(worst, rel=0, abs=1e-15)
+            verdicts.add(worst > fermion.CAR_TOLERANCE)
+        assert verdicts == {True, False}
 
 
 class TestVerifySuite:
@@ -370,3 +507,20 @@ class TestVerifySuite:
         parsed = json.loads(text)
         assert all(entry["passed"] for entry in parsed)
         assert {e["name"] for e in parsed} == set(circuit_checks.results)
+
+    def test_broken_oracle_gives_a_failing_report(self, monkeypatch, tmp_path):
+        # a sign-flipped a_1: the four checks that build oracles fail with an
+        # unbounded deviation, the report is still written and verify exits 1
+        import json
+
+        from lattice_qre import cli
+
+        _mutate_annihilation(monkeypatch, 1, _flip_first_sign)
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--output", str(path)]) == 1
+        report = {entry["name"]: entry for entry in json.loads(path.read_text())}
+        failed = {name for name, entry in report.items() if not entry["passed"]}
+        assert failed == {"fswap", "two_site_fourier", "plaquette_evolution",
+                          "fermion_oracle_car"}
+        assert all(report[name]["max_deviation"] == np.inf for name in failed)
+        assert len(report) == len(verify.ALL_CHECKS)

@@ -14,7 +14,7 @@ from lattice_qre.trotter_bounds import (
     trotter_bound,
     trotter_steps,
 )
-from lattice_qre.trotter_cost import _pinned_tau
+from lattice_qre.trotter_cost import _MAX_EXACT_R, _pinned_tau
 
 
 def round3(x: float) -> float:
@@ -134,9 +134,10 @@ class TestTrotterSteps:
 
     def test_pinned_tau_gives_back_r(self):
         # the solver pins tau onto the boundary of r steps; its float error,
-        # a few ulps of r, must not round r up
+        # a few ulps of r, must not round r up, up to the solver's r limit
         rng = np.random.default_rng(17)
-        for k in range(41):
+        assert 2**43 < _MAX_EXACT_R < 2**44
+        for k in range(44):
             for r in {max(2**k - 1, 1), 2**k, 2**k + 1}:
                 for _ in range(20):
                     w = float(10 ** rng.uniform(0, 6))

@@ -293,6 +293,20 @@ class TestOptimizeTrotter:
         est = optimize_trotter(FH8, Strategy.BASELINE, 1e-9)
         assert est.r == 199_396
 
+    def test_deepest_solved_target_keeps_the_searched_r(self, monkeypatch):
+        # r = 6.4e12, just below the 1e13 limit: evaluate still recovers the
+        # solver's own r from the pinned tau (at 1e-27, r = 2e14, it was 2 off)
+        searched, best_step_count = [], trotter_cost._best_step_count
+
+        def recorded(cost, r):
+            searched.append(best_step_count(cost, r))
+            return searched[-1]
+
+        monkeypatch.setattr(trotter_cost, "_best_step_count", recorded)
+        est = optimize_trotter(FH8, Strategy.BASELINE, 1e-24)
+        assert 6e12 < est.r < trotter_cost._MAX_EXACT_R
+        assert searched == [est.r]
+
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import TROTTER_TABLES
 
