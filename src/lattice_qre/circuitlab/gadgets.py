@@ -2,9 +2,11 @@
 
 Uncomputation of adders and borrow chains is modeled unitarily (inverse
 Toffolis); the cost model credits uncomputation as measurement-plus-
-Clifford, so each builder reports the counted cost alongside the circuit,
-tallied from the gates it appends before the uncompute starts: the forward
-adders, phase-gradient additions, and rotations.
+Clifford, so the phasing gadget reports the counted cost alongside the
+circuit, tallied from the gates it appends before the uncompute starts: the
+forward adders, phase-gradient additions, and rotations.  The other
+builders have no uncompute and return plain circuits, whose gates are the
+tally.
 """
 
 from __future__ import annotations
@@ -188,13 +190,7 @@ def adjacent_fswap(circ: Circuit, i: int) -> None:
     circ.cz(i, i + 1)
 
 
-@dataclass
-class FswapGadget:
-    circuit: Circuit
-    adjacent_swaps: int
-
-
-def build_fswap(n_modes: int, i: int, j: int) -> FswapGadget:
+def build_fswap(n_modes: int, i: int, j: int) -> Circuit:
     """Fermionic swap of modes i < j on a register of n_modes wires.
 
     Non-adjacent pairs are composed from 2(j - i) - 1 adjacent swaps:
@@ -204,14 +200,11 @@ def build_fswap(n_modes: int, i: int, j: int) -> FswapGadget:
     if not 0 <= i < j < n_modes:
         raise ValueError(f"need 0 <= i < j < n_modes, got {i}, {j}, {n_modes}")
     circ = Circuit(n_modes)
-    if j == i + 1:
-        adjacent_fswap(circ, i)
-        return FswapGadget(circ, 1)
     for p in range(i, j):
         adjacent_fswap(circ, p)
     for p in range(j - 2, i - 1, -1):
         adjacent_fswap(circ, p)
-    return FswapGadget(circ, 2 * (j - i) - 1)
+    return circ
 
 
 def controlled_h(circ: Circuit, control: int, target: int) -> None:
@@ -256,13 +249,7 @@ def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta: float) -> None:
     circ.s(a); circ.s(b)
 
 
-@dataclass
-class PlaquetteGadget:
-    circuit: Circuit
-    counted: CostVector
-
-
-def build_plaquette_evolution(theta: float) -> PlaquetteGadget:
+def build_plaquette_evolution(theta: float) -> Circuit:
     """Evolution under one plaquette hopping generator on four modes.
 
     The basis change (fermionic swaps and two two-site Fourier pairs)
@@ -279,4 +266,4 @@ def build_plaquette_evolution(theta: float) -> PlaquetteGadget:
     circ.extend(basis_change.gates)
     xx_plus_yy_rotation(circ, 1, 2, theta)
     circ.extend(basis_change.inverted().gates)
-    return PlaquetteGadget(circ, CostVector(t_gates=8.0, rz=2))
+    return circ

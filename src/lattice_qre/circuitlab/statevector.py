@@ -129,7 +129,7 @@ class Circuit:
         return inv
 
     def counts(self) -> dict[str, int]:
-        out = {"toffoli": 0, "t": 0, "rz": 0}
+        out = {"toffoli": 0, "t": 0, "rz": 0, "swap": 0}
         for g in self.gates:
             if g.kind is GateKind.TOFFOLI:
                 out["toffoli"] += 1
@@ -137,6 +137,8 @@ class Circuit:
                 out["t"] += 1
             elif g.kind in (GateKind.RZ, GateKind.CRZ):
                 out["rz"] += 1
+            elif g.kind is GateKind.SWAP:
+                out["swap"] += 1
         return out
 
     def unitary(self) -> np.ndarray:

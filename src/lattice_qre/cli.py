@@ -10,7 +10,8 @@ Subcommands:
   any failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (overflowing
-inputs included).  Output is deterministic for a fixed command line.
+inputs, an unreadable ``--config`` and an unwritable ``--output``
+included).  Output is deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .model import Model, ModelSpec, default_couplings, load_config
+from .model import COUPLING_NAMES, Model, ModelSpec, default_couplings, load_config
 from .qubitization import optimize_qubitization
 from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
 from .trotter_cost import Strategy, optimize_trotter
-
-CSV_COLUMNS = [
-    "model", "method", "strategy", "L", "W", "r", "x", "y", "z", "tau",
-    "toffoli", "qubits", "ref_toffoli", "ref_qubits", "rel_dev",
-]
 
 
 @dataclass
@@ -52,14 +48,17 @@ class ResultRow:
     rel_dev: float | None = None
 
     def as_record(self) -> dict:
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+        return asdict(self)
 
 
-def _fmt_cell(value) -> str:
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+
+
+def _cell(value, float_format) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return float_format(value)
     return str(value)
 
 
@@ -68,20 +67,13 @@ def rows_to_csv(rows) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _fmt_cell(v) for k, v in row.as_record().items()})
+        writer.writerow({k: _cell(v, repr) for k, v in row.as_record().items()})
     return buf.getvalue()
 
 
-def _sig3(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.3g}"
-    return str(value)
-
-
 def rows_to_table(rows) -> str:
-    cells = [[_sig3(row.as_record()[c]) for c in CSV_COLUMNS] for row in rows]
+    sig3 = "{:.3g}".format
+    cells = [[_cell(v, sig3) for v in row.as_record().values()] for row in rows]
     widths = [max(len(c), *(len(line[i]) for line in cells)) if cells else len(c)
               for i, c in enumerate(CSV_COLUMNS)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, widths)).rstrip()]
@@ -99,14 +91,22 @@ def rows_to_json(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_spec(args) -> tuple[ModelSpec, float | None]:
+def _build_spec(args) -> tuple[list[ModelSpec], float | None]:
+    """One spec per lattice size and the error target of an ``estimate`` or
+    a ``sweep``.  The sizes are the sweep's ``--L-range``, else ``--L`` or
+    the config file's L; each other setting is its flag, else the config
+    file's value, else the model's default."""
     cfg = load_config(args.config) if args.config else {}
     kind = Model(args.model) if args.model else cfg.get("model")
     if kind is None:
         raise ValueError("--model is required (or a config file with one)")
-    L = args.L if args.L is not None else cfg.get("L")
-    if L is None:
-        raise ValueError("--L is required (or a config file with one)")
+    if args.command == "sweep":
+        sizes = _parse_l_range(args.l_range)
+    else:
+        L = args.L if args.L is not None else cfg.get("L")
+        if L is None:
+            raise ValueError("--L is required (or a config file with one)")
+        sizes = [L]
     couplings = default_couplings(kind)
     overrides = {
         f.name: cfg[f.name] for f in fields(couplings) if f.name in cfg
@@ -115,9 +115,9 @@ def _build_spec(args) -> tuple[ModelSpec, float | None]:
         flag = getattr(args, f.name, None)
         if flag is not None:
             overrides[f.name] = flag
+    couplings = replace(couplings, **overrides)
     delta_e = args.delta_e if args.delta_e is not None else cfg.get("delta_E_override")
-    spec = ModelSpec(kind, int(L), replace(couplings, **overrides))
-    return spec, delta_e
+    return [ModelSpec(kind, L, couplings) for L in sizes], delta_e
 
 
 def estimate_row(spec: ModelSpec, method: str, strategy: Strategy | None,
@@ -140,23 +140,22 @@ def estimate_row(spec: ModelSpec, method: str, strategy: Strategy | None,
 
 def reproduce_table(number: int, strategy: Strategy | None = None,
                     amortize: bool = False) -> list[ResultRow]:
+    """The rows of published table ``number`` (every strategy of a Trotter
+    table unless ``strategy`` picks one), each with its reference values
+    and the relative Toffoli deviation from them."""
     kind, method = TABLE_NUMBERS[number]
-    rows = []
     if method == "qubitization":
-        for L, (ref_tof, ref_qb) in sorted(QUBITIZATION_TABLES[kind].items()):
-            row = estimate_row(ModelSpec(kind, L), "qubitization", None, None)
-            row.ref_toffoli, row.ref_qubits = ref_tof, ref_qb
-            row.rel_dev = (row.toffoli - ref_tof) / ref_tof
-            rows.append(row)
-        return rows
-    strategies = [strategy] if strategy else list(Strategy)
-    for L, (w_ref, per_strategy) in sorted(TROTTER_TABLES[kind].items()):
-        for strat in strategies:
-            ref_tof, ref_qb = per_strategy[strat]
-            row = estimate_row(ModelSpec(kind, L), "trotter", strat, None, amortize)
-            row.ref_toffoli, row.ref_qubits = ref_tof, ref_qb
-            row.rel_dev = (row.toffoli - ref_tof) / ref_tof
-            rows.append(row)
+        cases = [(L, None, ref) for L, ref in sorted(QUBITIZATION_TABLES[kind].items())]
+    else:
+        strategies = [strategy] if strategy else list(Strategy)
+        cases = [(L, strat, per_strategy[strat])
+                 for L, (_, per_strategy) in sorted(TROTTER_TABLES[kind].items())
+                 for strat in strategies]
+    rows = []
+    for L, strat, (ref_tof, ref_qb) in cases:
+        row = estimate_row(ModelSpec(kind, L), method, strat, None, amortize)
+        rows.append(replace(row, ref_toffoli=ref_tof, ref_qubits=ref_qb,
+                            rel_dev=(row.toffoli - ref_tof) / ref_tof))
     return rows
 
 
@@ -169,18 +168,19 @@ def _add_common(parser):
     parser.add_argument("--model", choices=[m.value for m in Model])
     parser.add_argument("--method", choices=["qubitization", "trotter"],
                         default="qubitization")
-    parser.add_argument("--strategy", choices=[s.value for s in Strategy])
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--delta-e", dest="delta_e", type=float,
                         help="override the extensive error target")
-    for name in ("t", "t_prime", "t_dprime", "t1", "t2", "t3", "t4", "u", "v"):
+    for name in COUPLING_NAMES:
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
+    _add_rows_options(parser)
+
+
+def _add_rows_options(parser):
+    """The options of every subcommand that prints result rows."""
+    parser.add_argument("--strategy", choices=[s.value for s in Strategy])
     parser.add_argument("--amortize-catalyst", action="store_true",
                         help="charge catalyst synthesis once instead of per query")
-    _add_output(parser)
-
-
-def _add_output(parser):
     parser.add_argument("--format", choices=["csv", "json", "table"], default="table")
     parser.add_argument("--output", help="write to this path instead of stdout")
 
@@ -200,13 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--L-range", dest="l_range", required=True,
                          help="START:STOP[:STEP] (inclusive) or comma list")
-    p_sweep.set_defaults(L=None)
 
     p_rep = sub.add_parser("reproduce", help="re-derive a published reference table")
     p_rep.add_argument("table", choices=[f"supp-table-{i}" for i in range(1, 7)])
-    p_rep.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p_rep.add_argument("--amortize-catalyst", action="store_true")
-    _add_output(p_rep)
+    _add_rows_options(p_rep)
 
     p_ver = sub.add_parser("verify", help="run the statevector gadget checks")
     p_ver.add_argument("--output", help="write the JSON report to this path")
@@ -229,72 +226,58 @@ def _parse_l_range(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _reject_trotter_flags(args) -> None:
-    """``--strategy`` and ``--amortize-catalyst`` only shape Trotter runs."""
-    for flag, value in (("--strategy", args.strategy),
-                        ("--amortize-catalyst", args.amortize_catalyst)):
-        if value:
-            raise ValueError(f"{flag} applies only to Trotter estimates "
-                             f"(--method trotter, supp-table-4..6)")
+def _check_trotter_flags(method: str, strategy: Strategy | None, amortize: bool) -> None:
+    """``--strategy`` and ``--amortize-catalyst`` only shape Trotter runs,
+    and the latter only catalyzed ones."""
+    if method != "trotter":
+        for flag, value in (("--strategy", strategy), ("--amortize-catalyst", amortize)):
+            if value:
+                raise ValueError(f"{flag} applies only to Trotter estimates "
+                                 f"(--method trotter, supp-table-4..6)")
+    if amortize and strategy and not strategy.catalyzed:
+        raise ValueError(f"--amortize-catalyst applies only to catalyzed strategies, "
+                         f"not --strategy {strategy.value}")
 
 
-def _emit(rows, args) -> None:
-    if args.format == "csv":
-        text = rows_to_csv(rows)
-    elif args.format == "json":
-        text = rows_to_json(rows)
-    else:
-        text = rows_to_table(rows)
-    if args.output:
-        with open(args.output, "w") as fh:
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _format(rows, fmt: str) -> str:
+    if fmt == "csv":
+        return rows_to_csv(rows)
+    if fmt == "json":
+        return rows_to_json(rows)
+    return rows_to_table(rows)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("estimate", "sweep") and args.method == "qubitization":
-            _reject_trotter_flags(args)
-        if args.command == "estimate":
-            spec, delta_e = _build_spec(args)
-            strategy = Strategy(args.strategy) if args.strategy else Strategy.CATALYZED
-            row = estimate_row(spec, args.method, strategy, delta_e,
-                               args.amortize_catalyst)
-            _emit([row], args)
-            return 0
-        if args.command == "sweep":
-            rows = []
-            for L in _parse_l_range(args.l_range):
-                args.L = L
-                spec, delta_e = _build_spec(args)
-                strategy = Strategy(args.strategy) if args.strategy else Strategy.CATALYZED
-                rows.append(estimate_row(spec, args.method, strategy, delta_e,
-                                         args.amortize_catalyst))
-            _emit(rows, args)
-            return 0
-        if args.command == "reproduce":
-            number = int(args.table.rsplit("-", 1)[1])
-            if TABLE_NUMBERS[number][1] == "qubitization":
-                _reject_trotter_flags(args)
-            strategy = Strategy(args.strategy) if args.strategy else None
-            rows = reproduce_table(number, strategy, args.amortize_catalyst)
-            _emit(rows, args)
-            worst = max((abs(r.rel_dev) for r in rows if r.rel_dev is not None), default=0.0)
-            print(f"max relative toffoli deviation: {worst:.3%}", file=sys.stderr)
-            return 0
         if args.command == "verify":
             from .circuitlab import verify as circuit_verify   # only this command needs the lab
             results = circuit_verify.run_all()
-            report = circuit_verify.report_json(results)
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(report)
-            else:
-                print(report)
+            _write(circuit_verify.report_json(results) + "\n", args.output)
             return 0 if all(r.passed for r in results) else 1
-    except (ValueError, KeyError) as exc:
+        strategy = Strategy(args.strategy) if args.strategy else None
+        table = int(args.table.rsplit("-", 1)[1]) if args.command == "reproduce" else None
+        method = TABLE_NUMBERS[table][1] if table else args.method
+        _check_trotter_flags(method, strategy, args.amortize_catalyst)
+        if table:
+            rows = reproduce_table(table, strategy, args.amortize_catalyst)
+        else:
+            specs, delta_e = _build_spec(args)
+            rows = [estimate_row(spec, method, strategy or Strategy.CATALYZED, delta_e,
+                                 args.amortize_catalyst) for spec in specs]
+        _write(_format(rows, args.format), args.output)
+        if table:
+            worst = max(abs(r.rel_dev) for r in rows)
+            print(f"max relative toffoli deviation: {worst:.3%}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

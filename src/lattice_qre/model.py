@@ -64,6 +64,10 @@ COUPLING_TYPES = {
     Model.PNICTIDE: PnictideCouplings,
 }
 
+# Every coupling name of any model, in order of first appearance.
+COUPLING_NAMES = tuple(dict.fromkeys(
+    f.name for couplings in COUPLING_TYPES.values() for f in fields(couplings)))
+
 
 def default_couplings(kind: Model):
     """Benchmark couplings for a model (u/t = 8 regime)."""
@@ -166,10 +170,7 @@ def lcu_lambda(spec: ModelSpec) -> float:
 # Plain-text configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "model", "L", "t", "t_prime", "t_dprime", "t1", "t2", "t3", "t4",
-    "u", "v", "delta_E_override",
-}
+_CONFIG_KEYS = {"model", "L", "delta_E_override", *COUPLING_NAMES}
 
 
 def parse_config(text: str) -> dict:

@@ -24,7 +24,6 @@ from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
 X_SEARCH_INTERVAL = (0.5, 0.9999)
 _X_DIM = Dimension(*X_SEARCH_INTERVAL)
-_GRID_POINTS = 25
 
 
 def _odd_part(L: int) -> int:
@@ -127,19 +126,18 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x.
 
-    Evaluates x at 25 evenly spaced points of ``X_SEARCH_INTERVAL``, then
-    refines by golden section across the two grid cells around the best
-    point.  Raises ``ValueError`` when the cost overflows or the optimum
-    needs fewer than one phase-estimation query, and emits a
+    The cost is unimodal in x (its first-order condition is strictly
+    monotone on ``X_SEARCH_INTERVAL``), so golden section runs over the
+    whole interval, from its upper edge, where the optimum sits for the
+    largest lattices.  Raises ``ValueError`` when the cost overflows or the
+    optimum needs fewer than one phase-estimation query, and emits a
     ``RuntimeWarning`` when x sits on an edge of ``X_SEARCH_INTERVAL``,
     where the true optimum may lie outside.
     """
     delta_e = error_target(spec.L, delta_e)
     objective = lambda p: estimate(spec, p[0], delta_e).total_toffoli
-    best = min(_X_DIM.grid(_GRID_POINTS), key=lambda x: objective([x]))
-    step = (_X_DIM.upper - _X_DIM.lower) / (_GRID_POINTS - 1)
-    cells = Dimension(max(_X_DIM.lower, best - step), min(_X_DIM.upper, best + step))
-    result = minimize(objective, [cells], [best])
+    estimate(spec, _X_DIM.upper, delta_e)   # raises the overflow that minimize would mask
+    result = minimize(objective, [_X_DIM], [_X_DIM.upper])
     est = estimate(spec, result.point[0], delta_e)
     require_one_query(est.n_queries, delta_e)
     warn_on_edges("qubitization error split", "x", [_X_DIM], [est.x])

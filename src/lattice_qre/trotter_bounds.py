@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Model, ModelSpec
+from .model import InvalidLattice, Model, ModelSpec
 
 # ---------------------------------------------------------------------------
 # Fermi-Hubbard norm table
@@ -46,7 +46,7 @@ def fh_w(L: int, t: float = 1.0, u: float = 8.0) -> float:
     are divided by |t| and |t|^3.
     """
     if L not in FH_NORMS:
-        raise KeyError(f"no tabulated norms for L={L} (have {sorted(FH_NORMS)})")
+        raise InvalidLattice(f"no tabulated norms for L={L} (have {sorted(FH_NORMS)})")
     norm_hop, norm_comm = FH_NORMS[L]
     return (
         _HOP_COMM_COEFF * abs(u) * t * t * L * L

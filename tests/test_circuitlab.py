@@ -332,25 +332,40 @@ class TestMutantsFail:
 
 class TestFswap:
     def test_adjacent_action(self):
-        u = build_fswap(2, 0, 1).circuit.unitary()
+        u = build_fswap(2, 0, 1).unitary()
         assert abs(u[2, 1] - 1.0) < 1e-12  # |01> -> |10>
         assert abs(u[1, 2] - 1.0) < 1e-12
         assert abs(u[3, 3] + 1.0) < 1e-12  # |11> -> -|11>
 
     def test_involution(self):
-        u = build_fswap(2, 0, 1).circuit.unitary()
+        u = build_fswap(2, 0, 1).unitary()
         assert np.max(np.abs(u @ u - np.eye(4))) < 1e-12
 
     def test_long_range_swap_count(self):
-        assert build_fswap(4, 0, 3).adjacent_swaps == 5
-        assert build_fswap(6, 1, 5).adjacent_swaps == 7
+        assert build_fswap(4, 0, 3).counts()["swap"] == 5
+        assert build_fswap(6, 1, 5).counts()["swap"] == 7
+        assert build_fswap(6, 2, 3).counts()["swap"] == 1
 
     def test_conjugation(self):
         oracle = FermionOracle(4)
-        gadget = build_fswap(4, 0, 3)
-        u = gadget.circuit.unitary()
+        u = build_fswap(4, 0, 3).unitary()
         assert np.max(np.abs(u @ oracle.a(3) @ u.conj().T - oracle.a(0))) < 1e-12
         assert np.max(np.abs(u @ oracle.a(1) @ u.conj().T - oracle.a(1))) < 1e-12
+
+    def test_cancelling_pair_fails_the_check(self, monkeypatch):
+        # an adjacent fswap and its inverse leave the unitary as it was, but
+        # not the swap count the check reads from the circuit
+        def padded(n_modes, i, j):
+            circ = build_fswap(n_modes, i, j)
+            gadgets.adjacent_fswap(circ, i)
+            gadgets.adjacent_fswap(circ, i)
+            return circ
+        assert max_unitary_deviation(padded(5, 0, 3).unitary(),
+                                     build_fswap(5, 0, 3).unitary()) < 1e-12
+        monkeypatch.setattr(verify, "build_fswap", padded)
+        result = verify.check_fswap()
+        assert not result.passed
+        assert result.max_deviation == 2.0
 
 
 class TestFourierAndPlaquette:
@@ -368,13 +383,22 @@ class TestFourierAndPlaquette:
     def test_mode_relations(self):
         assert verify.check_two_site_fourier().passed
 
+    def test_extra_t_pair_fails_the_check(self, monkeypatch):
+        def padded(circ, a, b):
+            two_site_fourier(circ, a, b)
+            circ.t(a)
+            circ.tdg(a)
+        monkeypatch.setattr(verify, "two_site_fourier", padded)
+        result = verify.check_two_site_fourier()
+        assert not result.passed
+        assert result.max_deviation == 2.0
+
     def test_plaquette_zero_angle(self):
-        u = build_plaquette_evolution(0.0).circuit.unitary()
+        u = build_plaquette_evolution(0.0).unitary()
         assert max_unitary_deviation(u, np.eye(16)) < 1e-12
 
     def test_plaquette_tally(self):
-        gadget = build_plaquette_evolution(0.37)
-        counts = gadget.circuit.counts()
+        counts = build_plaquette_evolution(0.37).counts()
         assert counts["t"] == 8
         assert counts["rz"] == 2
         assert counts["toffoli"] == 0

@@ -118,6 +118,13 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert "overflows" in err
 
+    def test_untabulated_fh_norms_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--method", "trotter", "--L", "34"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no tabulated norms for L=34")
+
     def test_box_edge_warning_on_stderr(self):
         # a fresh interpreter, so the warning takes Python's default route
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -158,6 +165,30 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "empty L range" in err
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--model", "fh", "--L", "4"],
+        ["sweep", "--model", "fh", "--L-range", "4:6"],
+        ["reproduce", "supp-table-1"],
+        ["verify"],
+    ], ids=["estimate", "sweep", "reproduce", "verify"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(command + ["--output", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+        assert str(path) in err
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["estimate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(path) in err
 
 
 class TestAmortizeCatalyst:
@@ -211,6 +242,25 @@ class TestTrotterOnlyFlags:
         assert code == 2
         assert out == ""
         assert f"{flag[0]} applies only to Trotter" in err
+
+    @pytest.mark.parametrize("strategy", ["baseline", "batched-baseline"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--model", "fh", "--method", "trotter", "--L", "4"],
+        ["sweep", "--model", "fh", "--method", "trotter", "--L-range", "4:6"],
+        ["reproduce", "supp-table-4"],
+    ], ids=["estimate", "sweep", "table-4"])
+    def test_amortize_rejected_without_catalyst(self, capsys, command, strategy):
+        code, out, err = run_cli(
+            command + ["--strategy", strategy, "--amortize-catalyst"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--amortize-catalyst applies only to catalyzed strategies" in err
+
+    def test_amortize_allowed_on_a_whole_table(self, capsys):
+        code, out, _ = run_cli(
+            ["reproduce", "supp-table-6", "--amortize-catalyst", "--format", "csv"], capsys)
+        assert code == 0
+        assert {r["strategy"] for r in csv_rows(out)} == {s.value for s in cli.Strategy}
 
 
 class TestCsvRoundTrip:

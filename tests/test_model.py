@@ -23,7 +23,8 @@ def spec_from_config_file(tmp_path, text: str) -> ModelSpec:
     path = tmp_path / "run.cfg"
     path.write_text(text)
     args = cli.build_parser().parse_args(["estimate", "--config", str(path)])
-    return cli._build_spec(args)[0]
+    (spec,), _ = cli._build_spec(args)
+    return spec
 
 
 class TestDefaults:

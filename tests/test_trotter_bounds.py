@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_qre.model import Model, ModelSpec
+from lattice_qre.model import InvalidLattice, Model, ModelSpec
 from lattice_qre.trotter_bounds import (
     FH_NORMS,
     TrotterBudget,
@@ -30,9 +30,9 @@ class TestFhBound:
         assert fh_w(4, t=0.0, u=8.0) == 0.0
 
     def test_untabulated_L_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidLattice):
             fh_w(34)
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidLattice):
             fh_w(5)
 
     def test_homogeneity_degree_three(self):
