@@ -13,6 +13,11 @@ is the phase-gate convention diag(1, e^{i*angle}); it differs from the
 symmetric convention only by a global phase, and every equivalence check
 in this package is up to global phase.
 
+A family of circuits (the same gadget built at several angles: equal
+``n_qubits``, and the same gate kinds on the same qubits, gate for gate)
+runs in one ``simulate`` pass, one member per batch column, so the
+per-gate work is paid once for all of its angles.
+
 Dense arrays appear only at the boundary: ``apply_circuit`` takes
 statevectors of at most 15 qubits (the 8-bit Hamming-weight circuit,
 8 inputs + 7 carry ancillas, in half a megabyte) and ``Circuit.unitary``
@@ -107,8 +112,14 @@ class Circuit:
         self.gates.append(Gate(kind, tuple(qubits), angle))
 
     def extend(self, gates) -> None:
+        """Append ``gates`` as they are: a ``Gate`` validated its own kind,
+        arity and angle when it was made, so only the qubit range is left."""
+        gates = list(gates)
         for g in gates:
-            self.append(g.kind, *g.qubits, angle=g.angle)
+            for q in g.qubits:
+                if not 0 <= q < self.n_qubits:
+                    raise ValueError(f"qubit {q} out of range")
+        self.gates.extend(gates)
 
     def x(self, q): self.append(GateKind.X, q)
     def h(self, q): self.append(GateKind.H, q)
@@ -170,17 +181,29 @@ def _hadamard(index, amp, column, n: int, shift: int):
     return keys & ((1 << n) - 1), merged[keep], keys >> n
 
 
-def simulate(circuit: Circuit, index, amp, column):
-    """Apply ``circuit`` to a sparse batch of states.
+def simulate(circuits, index, amp, column):
+    """Apply a circuit, or a family of circuits, to a sparse batch of states.
 
     Entry i is amplitude ``amp[i]`` on basis state ``index[i]`` of batch
-    member ``column[i]``; absent entries are zero.  Returns new
+    column ``column[i]``; absent entries are zero.  Returns new
     ``(index, amp, column)`` arrays.  X, CNOT, Toffoli and SWAP move each
     entry to one new index, and the diagonal gates multiply ``amp`` where
     their qubits are all set; only H changes the number of entries.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
+
+    ``circuits`` is one ``Circuit`` or a sequence of k circuits that differ
+    only in their RZ/CRZ angles (same ``n_qubits``, and the same gate kinds
+    on the same qubits, gate for gate; otherwise ``ValueError``).  Column c
+    runs member ``c % k``: an angle gate multiplies the entries it hits by
+    e^{i*angle} of that member.
     """
-    n = circuit.n_qubits
+    family = [circuits] if isinstance(circuits, Circuit) else list(circuits)
+    head, *rest = family
+    n = head.n_qubits
+    layout = [(g.kind, g.qubits) for g in head.gates] if rest else None
+    for other in rest:
+        if other.n_qubits != n or [(g.kind, g.qubits) for g in other.gates] != layout:
+            raise ValueError("a circuit family may differ only in its RZ/CRZ angles")
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()
@@ -190,7 +213,8 @@ def simulate(circuit: Circuit, index, amp, column):
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if np.any(index < 0) or np.any(index >= 1 << n) or np.any(column < 0):
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    for gate in circuit.gates:
+    for gates in zip(*(c.gates for c in family)):
+        gate = gates[0]
         kind = gate.kind
         shift = [n - 1 - q for q in gate.qubits]   # qubit 0 is the top index bit
         if kind is GateKind.H:
@@ -206,8 +230,12 @@ def simulate(circuit: Circuit, index, amp, column):
             index ^= (differ << shift[0]) | (differ << shift[1])
         else:
             mask = sum(1 << s for s in shift)
-            phase = _PHASE[kind] if gate.angle is None else np.exp(1j * gate.angle)
-            amp[(index & mask) == mask] *= phase
+            hit = (index & mask) == mask
+            if gate.angle is None:
+                amp[hit] *= _PHASE[kind]
+            else:
+                phase = np.exp(1j * np.array([g.angle for g in gates]))
+                amp[hit] *= phase[column[hit] % phase.size]
     return index, amp, column
 
 

@@ -97,33 +97,43 @@ def check_hamming_weight(max_bits: int = 8) -> float:
     return worst
 
 
-def _hwp_induced(gadget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induced action on the targets when the other wires start in the
-    gadget's reference state (the catalyst state, or all zeros), as sparse
-    (column, row, value) entries with distinct (column, row) keys."""
-    circ = gadget.circuit
-    n = circ.n_qubits
-    m = len(gadget.targets)
-    env_bits = n - m
-    env_index, env_amp = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
-    if gadget.catalyst_prep is not None:
-        env_index, env_amp, _ = simulate(gadget.catalyst_prep, [0], [1.0], [0])
-        order = np.argsort(env_index)
-        env_index, env_amp = env_index[order], env_amp[order]
-    # every target basis state x, tensored with the reference environment
+def _hwp_induced(gadgets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Induced action on the targets of each gadget of a family (one gadget
+    built at several angles) when the other wires start in the gadget's
+    reference state (the catalyst state, or all zeros), as sparse (column,
+    row, value) entries with distinct (column, row) keys, one triple per
+    gadget.  The family runs as one simulation: batch column x*k + a holds
+    target state x of gadget a."""
+    k = len(gadgets)
+    m = len(gadgets[0].targets)
+    env_bits = gadgets[0].circuit.n_qubits - m
+    env_mask = (1 << env_bits) - 1
+    members = np.arange(k)
+    if gadgets[0].catalyst_prep is None:
+        env_key, env_amp = members << env_bits, np.ones(k, dtype=complex)
+    else:
+        env_index, env_amp, env_member = simulate(
+            [g.catalyst_prep for g in gadgets], np.zeros(k), np.ones(k), members)
+        env_key = (env_member << env_bits) | env_index
+        order = np.argsort(env_key)
+        env_key, env_amp = env_key[order], env_amp[order]
+    # every target basis state x, tensored with each gadget's reference environment
     x = np.arange(1 << m)
     index, amp, column = simulate(
-        circ, ((x[:, None] << env_bits) | env_index).ravel(),
-        np.tile(env_amp, x.size), np.repeat(x, env_index.size))
-    # overlap of each output entry's environment with the reference state
-    env = index & ((1 << env_bits) - 1)
-    slot = np.minimum(np.searchsorted(env_index, env), env_index.size - 1)
-    overlap = np.where(env_index[slot] == env, env_amp[slot].conj(), 0.0)
+        [g.circuit for g in gadgets], ((x[:, None] << env_bits) | (env_key & env_mask)).ravel(),
+        np.tile(env_amp, x.size), (x[:, None] * k + (env_key >> env_bits)).ravel())
+    # overlap of each output entry's environment with its gadget's reference state
+    key = ((column % k) << env_bits) | (index & env_mask)
+    slot = np.minimum(np.searchsorted(env_key, key), env_key.size - 1)
+    overlap = np.where(env_key[slot] == key, env_amp[slot].conj(), 0.0)
     # sum the entries that share a (column, row) key
     keys, key = np.unique((column << m) | (index >> env_bits), return_inverse=True)
     weights = amp * overlap
     value = np.bincount(key, weights.real) + 1j * np.bincount(key, weights.imag)
-    return keys >> m, keys & ((1 << m) - 1), value
+    column, row = keys >> m, keys & ((1 << m) - 1)
+    member = column % k
+    return [(column[member == a] // k, row[member == a], value[member == a])
+            for a in range(k)]
 
 
 def _diagonal_deviation(column, row, value, diagonal) -> float:
@@ -149,17 +159,19 @@ def _diagonal_deviation(column, row, value, diagonal) -> float:
 def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     """Both phasing strategies act as a tensor power of phase rotations:
     exhaustively over the 2**M target states, against the diagonal
-    e^{i*theta*HW(x)}."""
+    e^{i*theta*HW(x)}.  The gadgets of one (M, strategy), each built at its
+    own angle, are simulated together as one family."""
     rng = np.random.default_rng(HWP_ANGLE_SEED)
-    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)
+    angles = [float(theta) for theta in
+              rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)]
     worst = 0.0
     for m in sizes:
         weights = _hamming_weights(m)
         for strategy in HwpStrategy:
-            for theta in angles:
-                gadget = build_hwp(m, float(theta), strategy)
-                target = np.exp(1j * float(theta) * weights)
-                worst = max(worst, _diagonal_deviation(*_hwp_induced(gadget), target))
+            family = [build_hwp(m, theta, strategy) for theta in angles]
+            for theta, induced in zip(angles, _hwp_induced(family)):
+                target = np.exp(1j * theta * weights)
+                worst = max(worst, _diagonal_deviation(*induced, target))
     return worst
 
 
@@ -256,13 +268,19 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
     oracle = FermionOracle(4)
     # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
     energies, modes = np.linalg.eigh(plaquette_generator(oracle))
+    family = [build_plaquette_evolution(theta) for theta in angles]
+    # every basis state b under every member a at once: column k*b + a
+    k, dim = len(family), 1 << family[0].n_qubits
+    basis = np.repeat(np.arange(dim), k)
+    index, amp, column = simulate(family, basis, np.ones(basis.size), np.arange(basis.size))
     worst = 0.0
-    for theta in angles:
-        circ = build_plaquette_evolution(theta)
+    for a, (theta, circ) in enumerate(zip(angles, family)):
         counts = circ.counts()
         if counts["t"] != 8 or counts["rz"] != 2 or counts["toffoli"] != 0:
             worst = max(worst, 1.0)
-        u = circ.unitary()
+        u = np.zeros((dim, dim), dtype=complex)
+        mine = column % k == a
+        u[index[mine], column[mine] // k] = amp[mine]
         target = (modes * np.exp(1j * theta * energies)) @ modes.conj().T
         worst = max(worst, max_unitary_deviation(u, target))
     return worst

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (overflowing
 inputs, an unreadable ``--config`` and an unwritable ``--output``
-included).  Output is deterministic for a fixed command line.
+included; the output path is checked before any work runs).  Output is
+deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -219,7 +221,9 @@ def _parse_l_range(text: str) -> list[int]:
             start, stop, step = parts
         else:
             raise ValueError(f"bad L range {text!r}")
-        sizes = list(range(start, stop + 1, step))
+        if step == 0:
+            raise ValueError(f"L range step must not be zero: {text!r}")
+        sizes = list(range(start, stop + (1 if step > 0 else -1), step))   # STOP inclusive
         if not sizes:
             raise ValueError(f"empty L range {text!r}")
         return sizes
@@ -237,6 +241,16 @@ def _check_trotter_flags(method: str, strategy: Strategy | None, amortize: bool)
     if amortize and strategy and not strategy.catalyzed:
         raise ValueError(f"--amortize-catalyst applies only to catalyzed strategies, "
                          f"not --strategy {strategy.value}")
+
+
+def _check_output(path: str | None) -> None:
+    """Fail before any work if ``--output`` cannot be written: its directory
+    must exist and be writable.  The file itself is not opened yet."""
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(f"cannot write --output {path}: not a file in a writable directory")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -258,6 +272,7 @@ def _format(rows, fmt: str) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         if args.command == "verify":
             from .circuitlab import verify as circuit_verify   # only this command needs the lab
             results = circuit_verify.run_all()

@@ -16,6 +16,7 @@ from lattice_qre.circuitlab.gadgets import (
 )
 from lattice_qre.circuitlab.statevector import (
     _ARITY,
+    _KEY_BITS,
     Gate,
     GateKind,
     max_unitary_deviation,
@@ -130,6 +131,61 @@ class TestStateVector:
         assert len(set(zip(out_index.tolist(), out_column.tolist()))) == out_index.size
         assert np.max(np.abs(dense_out - reference @ dense_in)) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_family_matches_one_simulation_per_member(self, seed):
+        # members share every gate's kind and qubits and draw their own
+        # RZ/CRZ angles; column c of the batch runs member c % k
+        rng = np.random.default_rng(2000 + seed)
+        n, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        kinds = list(GateKind) * 3 + [GateKind.H] * 4
+        layout = [_random_gate(rng, kinds[i], n) for i in rng.permutation(len(kinds))]
+        family = []
+        for _ in range(k):
+            circ = Circuit(n)
+            circ.extend(Gate(g.kind, g.qubits, None if g.angle is None
+                             else float(rng.uniform(-np.pi, np.pi))) for g in layout)
+            family.append(circ)
+        n_columns = 3 * k
+        index = rng.integers(0, 1 << n, size=4 * n_columns)
+        column = np.repeat(np.arange(n_columns), 4)
+        distinct = np.unique((column << n) | index, return_index=True)[1]
+        index, column = index[distinct], column[distinct]
+        amp = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+
+        def by_key(out):
+            order = np.argsort((out[2] << n) | out[0])
+            return [part[order] for part in out]
+
+        together = by_key(simulate(family, index, amp, column))
+        alone = by_key([np.concatenate(parts) for parts in zip(*(
+            simulate(circ, index[column % k == a], amp[column % k == a],
+                     column[column % k == a])
+            for a, circ in enumerate(family)))])
+        assert np.array_equal(together[0], alone[0])
+        assert np.array_equal(together[2], alone[2])
+        assert np.max(np.abs(together[1] - alone[1])) < 1e-14
+
+    def test_family_must_share_kinds_qubits_and_width(self):
+        def family_of(*edits):
+            circuits = []
+            for width, gate in ((3, Gate(GateKind.RZ, (0,), 0.4)),) + edits:
+                circ = Circuit(width)
+                circ.h(0); circ.cnot(0, 1); circ.extend([gate])
+                circuits.append(circ)
+            return circuits
+        simulate(family_of((3, Gate(GateKind.RZ, (0,), -1.1))), [0, 1], [1.0, 1.0], [0, 1])
+        for edit in ((3, Gate(GateKind.T, (0,))),            # another kind
+                     (3, Gate(GateKind.RZ, (2,), 0.4)),       # other qubits
+                     (4, Gate(GateKind.RZ, (0,), 0.4))):      # another width
+            with pytest.raises(ValueError):
+                simulate(family_of(edit), [0, 1], [1.0, 1.0], [0, 1])
+
+    def test_extend_checks_the_qubit_range(self):
+        circ = Circuit(2)
+        with pytest.raises(ValueError):
+            circ.extend([Gate(GateKind.CNOT, (0, 2))])
+        assert circ.gates == []
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
         circ = Circuit(4)
@@ -199,14 +255,16 @@ class TestHammingWeight:
 
 class TestHwpGadgets:
     def test_zero_angle_is_identity(self):
-        column, row, value = verify._hwp_induced(build_hwp(4, 0.0, HwpStrategy.BASELINE))
+        family = [build_hwp(4, theta, HwpStrategy.BASELINE) for theta in (0.7, 0.0)]
+        column, row, value = verify._hwp_induced(family)[1]
         assert np.array_equal(column, np.arange(16)) and np.array_equal(row, column)
         assert np.max(np.abs(value - 1.0)) < 1e-12
         assert verify._diagonal_deviation(column, row, value, np.ones(16)) < 1e-12
 
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
-        column, row, value = verify._hwp_induced(build_hwp(2, theta, HwpStrategy.BASELINE))
+        family = [build_hwp(2, a, HwpStrategy.BASELINE) for a in (theta, 0.0, -2.0 * theta)]
+        column, row, value = verify._hwp_induced(family)[0]
         u = np.zeros((4, 4), dtype=complex)
         u[row, column] = value
         rz = np.diag([1.0, np.exp(1j * theta)])
@@ -217,33 +275,47 @@ class TestHwpGadgets:
                                         "off_diagonal"])
     def test_sparse_comparison_equals_dense(self, mutant):
         # the sparse comparison against diag(e^{i theta HW}) restated densely:
-        # max_unitary_deviation of the induced block, and the column norms
-        m, theta = 3, 0.913
+        # max_unitary_deviation of the induced block, and the column norms,
+        # for every member of a family simulated together
+        m, thetas = 3, (0.913, -2.2, 1.4)
         for strategy in HwpStrategy:
-            gadget = build_hwp(m, 1.0001 * theta if mutant == "angle" else theta, strategy)
-            if mutant == "no_toffoli":
-                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
-            elif mutant == "no_gate":
-                gadget.circuit = _without_last(gadget.circuit)
-            column, row, value = verify._hwp_induced(gadget)
-            if mutant == "phase":
-                value = value * np.exp(0.3j)
-            elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0
-                at = np.flatnonzero((column == 0) & (row == 1))
-                if at.size:
-                    value[at] += 1e-3
-                else:
-                    column, row = np.append(column, 0), np.append(row, 1)
-                    value = np.append(value, 1e-3)
-            u = np.zeros((1 << m, 1 << m), dtype=complex)
-            u[row, column] = value
-            target = np.exp(1j * theta * np.array([bin(x).count("1") for x in range(1 << m)]))
-            dense = max(float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
-                        max_unitary_deviation(u, np.diag(target)))
-            sparse = verify._diagonal_deviation(column, row, value, target)
-            assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
-            assert (sparse > 1e-9) == (mutant not in ("none", "phase"))
-            assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
+            family = [build_hwp(m, 1.0001 * theta if mutant == "angle" else theta, strategy)
+                      for theta in thetas]
+            for gadget in family:
+                if mutant == "no_toffoli":
+                    gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+                elif mutant == "no_gate":
+                    gadget.circuit = _without_last(gadget.circuit)
+            for theta, (column, row, value) in zip(thetas, verify._hwp_induced(family)):
+                if mutant == "phase":
+                    value = value * np.exp(0.3j)
+                elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0
+                    at = np.flatnonzero((column == 0) & (row == 1))
+                    if at.size:
+                        value[at] += 1e-3
+                    else:
+                        column, row = np.append(column, 0), np.append(row, 1)
+                        value = np.append(value, 1e-3)
+                u = np.zeros((1 << m, 1 << m), dtype=complex)
+                u[row, column] = value
+                weights = np.array([bin(x).count("1") for x in range(1 << m)])
+                target = np.exp(1j * theta * weights)
+                dense = max(float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
+                            max_unitary_deviation(u, np.diag(target)))
+                sparse = verify._diagonal_deviation(column, row, value, target)
+                assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
+                assert (sparse > 1e-9) == (mutant not in ("none", "phase"))
+                assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
+
+    def test_family_members_match_separate_simulations(self):
+        # each member of a simulated family induces what it induces alone
+        for strategy in HwpStrategy:
+            family = [build_hwp(4, theta, strategy) for theta in (0.3, -1.9, 2.6)]
+            for gadget, together in zip(family, verify._hwp_induced(family)):
+                alone = verify._hwp_induced([gadget])[0]
+                assert np.array_equal(together[0], alone[0])
+                assert np.array_equal(together[1], alone[1])
+                assert np.max(np.abs(together[2] - alone[2])) < 1e-14
 
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
@@ -275,10 +347,15 @@ class TestHwpGadgets:
                 registers = 2 * (floor_log2(m) + 1) if strategy is HwpStrategy.CATALYZED else 0
                 assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
 
-    @pytest.mark.parametrize("m", range(6, 13))
+    @pytest.mark.parametrize("m", range(6, 15))
     def test_induced_matrix_beyond_dense_sizes(self, m):
-        # exhaustive over the 2**m target states, both strategies, two angles;
-        # the catalyzed gadget at m = 12 has 30 qubits
+        # exhaustive over the 2**m target states, both strategies, two angles
+        # as one family; the catalyzed gadget at m = 14 has 33 qubits, and
+        # its batch columns x*2 + a stay inside the (column, index) keys
+        n = build_hwp(m, 1.0, HwpStrategy.CATALYZED).circuit.n_qubits
+        assert n + (2 * (1 << m) - 1).bit_length() <= _KEY_BITS
+        if m == 14:
+            assert n == 33
         result = verify.check_hwp_unitary(sizes=(m,), n_angles=2)
         assert result.passed, result.max_deviation
 

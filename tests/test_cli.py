@@ -160,6 +160,19 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
+    def test_descending_range_keeps_stop(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--model", "fh", "--method", "qubitization",
+             "--L-range", "8:4:-2", "--format", "csv"], capsys)
+        assert code == 0
+        assert [r["L"] for r in csv_rows(out)] == ["8", "6", "4"]
+
+    def test_zero_step_exits_2(self, capsys):
+        code, out, err = run_cli(["sweep", "--model", "fh", "--L-range", "4:8:0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "L range step must not be zero" in err
+
     def test_empty_range_exits_2(self, capsys):
         code, out, err = run_cli(["sweep", "--model", "fh", "--L-range", "8:4"], capsys)
         assert code == 2
@@ -174,13 +187,26 @@ class TestBadPaths:
         ["reproduce", "supp-table-1"],
         ["verify"],
     ], ids=["estimate", "sweep", "reproduce", "verify"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # the path is refused before any check or estimate runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran work for an unwritable --output")
+        from lattice_qre.circuitlab import verify
+        monkeypatch.setattr(verify, "run_all", no_work)
+        monkeypatch.setattr(cli, "estimate_row", no_work)
         path = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(command + ["--output", str(path)], capsys)
         assert code == 2
         assert out == ""
         assert err.splitlines()[-1].startswith("error: ")
         assert str(path) in err
+        assert not path.parent.exists()
+
+    def test_output_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["estimate", "--model", "fh", "--L", "4",
+                                  "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == "" and str(tmp_path) in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing.cfg"
