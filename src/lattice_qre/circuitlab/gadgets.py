@@ -103,7 +103,7 @@ class HwpGadget:
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
-                    borrows: list[int], theta: float) -> int:
+                    borrows: list[int], theta) -> int:
     """Kick the phase e^{i*theta*w} back from the catalyst register.
 
     Subtracts the weight register from the catalyst modulo 2^k via a borrow
@@ -147,12 +147,13 @@ def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
     return uncompute_from
 
 
-def build_hwp(M: int, theta: float, strategy: HwpStrategy) -> HwpGadget:
+def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     """One layer of M same-angle phase rotations via Hamming-weight phasing.
 
     The induced action on the M target qubits is diag(e^{i*theta*HW(x)}),
     i.e. a tensor power of single-qubit phase rotations.  Ancillas return
-    to |0>; the catalyst state (catalyzed mode) returns unchanged.
+    to |0>; the catalyst state (catalyzed mode) returns unchanged.  A 1-D
+    array ``theta`` builds the family of these gadgets, one per angle.
     """
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
     k = floor_log2(M) + 1
@@ -231,7 +232,7 @@ def two_site_fourier(circ: Circuit, a: int, b: int) -> None:
     circ.cz(a, b)
 
 
-def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta: float) -> None:
+def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta) -> None:
     """exp(i*theta*(XX + YY)) on wires a, b: Cliffords plus two rotations."""
     # exp(i theta XX)
     circ.h(a); circ.h(b)
@@ -249,12 +250,13 @@ def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta: float) -> None:
     circ.s(a); circ.s(b)
 
 
-def build_plaquette_evolution(theta: float) -> Circuit:
+def build_plaquette_evolution(theta) -> Circuit:
     """Evolution under one plaquette hopping generator on four modes.
 
     The basis change (fermionic swaps and two two-site Fourier pairs)
     diagonalizes the generator into two same-angle rotations on the middle
-    mode pair.  Counted cost: eight T gates and two rotations.
+    mode pair.  Counted cost: eight T gates and two rotations.  A 1-D array
+    ``theta`` builds the family of these evolutions, one per angle.
     """
     circ = Circuit(4)
     basis_change = Circuit(4)

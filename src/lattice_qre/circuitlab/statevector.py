@@ -13,10 +13,10 @@ is the phase-gate convention diag(1, e^{i*angle}); it differs from the
 symmetric convention only by a global phase, and every equivalence check
 in this package is up to global phase.
 
-A family of circuits (the same gadget built at several angles: equal
-``n_qubits``, and the same gate kinds on the same qubits, gate for gate)
-runs in one ``simulate`` pass, one member per batch column, so the
-per-gate work is paid once for all of its angles.
+An RZ/CRZ gate carries one angle, or a 1-D array with one angle per
+member of a family: the same gadget at k angles is then one circuit, built
+once, whose batch column c runs member ``c % k``.  The members share their
+layout by construction, and the per-gate work is paid once for all of them.
 
 Dense arrays appear only at the boundary: ``apply_circuit`` takes
 statevectors of at most 15 qubits (the 8-bit Hamming-weight circuit,
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -77,16 +78,21 @@ _PHASE = {   # the diagonal gates without an angle
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None   # RZ/CRZ: one, or one per family member
 
     def __post_init__(self):
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind.value} expects {_ARITY[self.kind]} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-        needs_angle = self.kind in (GateKind.RZ, GateKind.CRZ)
-        if needs_angle != (self.angle is not None):
+        if (self.kind in (GateKind.RZ, GateKind.CRZ)) != (self.angle is not None):
             raise ValueError(f"angle mismatch for {self.kind.value}")
+        if self.angle is not None and not isinstance(self.angle, Real):
+            angle = np.asarray(self.angle)
+            if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
+                raise ValueError(f"{self.kind.value} needs a real angle or a non-empty "
+                                 f"1-D array of them, got {self.angle!r}")
+            object.__setattr__(self, "angle", angle)
 
     def inverse(self) -> "Gate":
         if self.kind in _INVERSE:
@@ -105,7 +111,7 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
 
-    def append(self, kind: GateKind, *qubits: int, angle: float | None = None) -> None:
+    def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
         for q in qubits:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"qubit {q} out of range")
@@ -181,8 +187,8 @@ def _hadamard(index, amp, column, n: int, shift: int):
     return keys & ((1 << n) - 1), merged[keep], keys >> n
 
 
-def simulate(circuits, index, amp, column):
-    """Apply a circuit, or a family of circuits, to a sparse batch of states.
+def simulate(circuit, index, amp, column):
+    """Apply ``circuit`` to a sparse batch of states.
 
     Entry i is amplitude ``amp[i]`` on basis state ``index[i]`` of batch
     column ``column[i]``; absent entries are zero.  Returns new
@@ -191,19 +197,12 @@ def simulate(circuits, index, amp, column):
     their qubits are all set; only H changes the number of entries.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
 
-    ``circuits`` is one ``Circuit`` or a sequence of k circuits that differ
-    only in their RZ/CRZ angles (same ``n_qubits``, and the same gate kinds
-    on the same qubits, gate for gate; otherwise ``ValueError``).  Column c
-    runs member ``c % k``: an angle gate multiplies the entries it hits by
-    e^{i*angle} of that member.
+    An RZ/CRZ gate multiplies the entries it hits in column c by
+    e^{i*angle[c % len(angle)]}: a circuit whose angles are arrays of length
+    k is a family of k circuits, and column c runs member ``c % k``.  A
+    float angle is a family of one.
     """
-    family = [circuits] if isinstance(circuits, Circuit) else list(circuits)
-    head, *rest = family
-    n = head.n_qubits
-    layout = [(g.kind, g.qubits) for g in head.gates] if rest else None
-    for other in rest:
-        if other.n_qubits != n or [(g.kind, g.qubits) for g in other.gates] != layout:
-            raise ValueError("a circuit family may differ only in its RZ/CRZ angles")
+    n = circuit.n_qubits
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()
@@ -213,8 +212,7 @@ def simulate(circuits, index, amp, column):
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if np.any(index < 0) or np.any(index >= 1 << n) or np.any(column < 0):
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    for gates in zip(*(c.gates for c in family)):
-        gate = gates[0]
+    for gate in circuit.gates:
         kind = gate.kind
         shift = [n - 1 - q for q in gate.qubits]   # qubit 0 is the top index bit
         if kind is GateKind.H:
@@ -234,14 +232,15 @@ def simulate(circuits, index, amp, column):
             if gate.angle is None:
                 amp[hit] *= _PHASE[kind]
             else:
-                phase = np.exp(1j * np.array([g.angle for g in gates]))
+                phase = np.exp(1j * np.atleast_1d(gate.angle))
                 amp[hit] *= phase[column[hit] % phase.size]
     return index, amp, column
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Dense boundary of ``simulate``: ``state`` has shape (2**n,) or
-    (2**n, batch), with n at most ``MAX_DENSE_QUBITS``."""
+    (2**n, batch), with n at most ``MAX_DENSE_QUBITS``; batch column c runs
+    family member ``c % k`` as in ``simulate``."""
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense states limited to {MAX_DENSE_QUBITS} qubits, got {n}")

@@ -97,32 +97,31 @@ def check_hamming_weight(max_bits: int = 8) -> float:
     return worst
 
 
-def _hwp_induced(gadgets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Induced action on the targets of each gadget of a family (one gadget
-    built at several angles) when the other wires start in the gadget's
-    reference state (the catalyst state, or all zeros), as sparse (column,
-    row, value) entries with distinct (column, row) keys, one triple per
-    gadget.  The family runs as one simulation: batch column x*k + a holds
-    target state x of gadget a."""
-    k = len(gadgets)
-    m = len(gadgets[0].targets)
-    env_bits = gadgets[0].circuit.n_qubits - m
+def _hwp_induced(gadget, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Induced action on the targets of each of the k members of a gadget
+    family (``build_hwp`` at k angles) when the other wires start in the
+    gadget's reference state (the catalyst state, or all zeros), as sparse
+    (column, row, value) entries with distinct (column, row) keys, one
+    triple per member.  The family runs as one simulation: batch column
+    x*k + a holds target state x of member a."""
+    m = len(gadget.targets)
+    env_bits = gadget.circuit.n_qubits - m
     env_mask = (1 << env_bits) - 1
     members = np.arange(k)
-    if gadgets[0].catalyst_prep is None:
+    if gadget.catalyst_prep is None:
         env_key, env_amp = members << env_bits, np.ones(k, dtype=complex)
     else:
         env_index, env_amp, env_member = simulate(
-            [g.catalyst_prep for g in gadgets], np.zeros(k), np.ones(k), members)
+            gadget.catalyst_prep, np.zeros(k), np.ones(k), members)
         env_key = (env_member << env_bits) | env_index
         order = np.argsort(env_key)
         env_key, env_amp = env_key[order], env_amp[order]
-    # every target basis state x, tensored with each gadget's reference environment
+    # every target basis state x, tensored with each member's reference environment
     x = np.arange(1 << m)
     index, amp, column = simulate(
-        [g.circuit for g in gadgets], ((x[:, None] << env_bits) | (env_key & env_mask)).ravel(),
+        gadget.circuit, ((x[:, None] << env_bits) | (env_key & env_mask)).ravel(),
         np.tile(env_amp, x.size), (x[:, None] * k + (env_key >> env_bits)).ravel())
-    # overlap of each output entry's environment with its gadget's reference state
+    # overlap of each output entry's environment with its member's reference state
     key = ((column % k) << env_bits) | (index & env_mask)
     slot = np.minimum(np.searchsorted(env_key, key), env_key.size - 1)
     overlap = np.where(env_key[slot] == key, env_amp[slot].conj(), 0.0)
@@ -159,17 +158,16 @@ def _diagonal_deviation(column, row, value, diagonal) -> float:
 def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     """Both phasing strategies act as a tensor power of phase rotations:
     exhaustively over the 2**M target states, against the diagonal
-    e^{i*theta*HW(x)}.  The gadgets of one (M, strategy), each built at its
-    own angle, are simulated together as one family."""
+    e^{i*theta*HW(x)}.  Each (M, strategy) is built once, as the family of
+    its gadgets at all the angles, and simulated once."""
     rng = np.random.default_rng(HWP_ANGLE_SEED)
-    angles = [float(theta) for theta in
-              rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)]
+    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)
     worst = 0.0
     for m in sizes:
         weights = _hamming_weights(m)
         for strategy in HwpStrategy:
-            family = [build_hwp(m, theta, strategy) for theta in angles]
-            for theta, induced in zip(angles, _hwp_induced(family)):
+            gadget = build_hwp(m, angles, strategy)
+            for theta, induced in zip(angles, _hwp_induced(gadget, n_angles)):
                 target = np.exp(1j * theta * weights)
                 worst = max(worst, _diagonal_deviation(*induced, target))
     return worst
@@ -268,16 +266,14 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
     oracle = FermionOracle(4)
     # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
     energies, modes = np.linalg.eigh(plaquette_generator(oracle))
-    family = [build_plaquette_evolution(theta) for theta in angles]
+    circ = build_plaquette_evolution(np.array(angles))
+    counts = circ.counts()
+    worst = 0.0 if (counts["t"], counts["rz"], counts["toffoli"]) == (8, 2, 0) else 1.0
     # every basis state b under every member a at once: column k*b + a
-    k, dim = len(family), 1 << family[0].n_qubits
+    k, dim = len(angles), 1 << circ.n_qubits
     basis = np.repeat(np.arange(dim), k)
-    index, amp, column = simulate(family, basis, np.ones(basis.size), np.arange(basis.size))
-    worst = 0.0
-    for a, (theta, circ) in enumerate(zip(angles, family)):
-        counts = circ.counts()
-        if counts["t"] != 8 or counts["rz"] != 2 or counts["toffoli"] != 0:
-            worst = max(worst, 1.0)
+    index, amp, column = simulate(circ, basis, np.ones(basis.size), np.arange(basis.size))
+    for a, theta in enumerate(angles):
         u = np.zeros((dim, dim), dtype=complex)
         mine = column % k == a
         u[index[mine], column[mine] // k] = amp[mine]

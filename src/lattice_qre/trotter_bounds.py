@@ -113,7 +113,7 @@ def pnictide_w(L: int, t1=1.0, t2=1.3, t3=0.85, t4=0.85, u=8.0, v=8.0) -> float:
 
 
 def trotter_bound(spec: ModelSpec) -> float:
-    """W for a model spec; ``ValueError`` when it overflows."""
+    """W for a model spec; ``ValueError`` when it overflows or is 0."""
     c = spec.couplings
     try:
         if spec.kind is Model.FERMI_HUBBARD:
@@ -126,6 +126,8 @@ def trotter_bound(spec: ModelSpec) -> float:
         w = math.inf
     if not math.isfinite(w):
         raise ValueError(f"the Trotter bound W overflows for the couplings {c}")
+    if w == 0:
+        raise ValueError(f"the Trotter bound W is 0 for the couplings {c}: no error to budget")
     return w
 
 

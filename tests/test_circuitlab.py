@@ -133,18 +133,21 @@ class TestStateVector:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_family_matches_one_simulation_per_member(self, seed):
-        # members share every gate's kind and qubits and draw their own
-        # RZ/CRZ angles; column c of the batch runs member c % k
+        # every RZ/CRZ gate carries k angles; column c of the batch runs
+        # member c % k, which is the circuit with each gate's angle[c % k]
         rng = np.random.default_rng(2000 + seed)
         n, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
         kinds = list(GateKind) * 3 + [GateKind.H] * 4
         layout = [_random_gate(rng, kinds[i], n) for i in rng.permutation(len(kinds))]
-        family = []
-        for _ in range(k):
+        family = Circuit(n)
+        family.extend(Gate(g.kind, g.qubits, None if g.angle is None
+                           else rng.uniform(-np.pi, np.pi, size=k)) for g in layout)
+        members = []
+        for a in range(k):
             circ = Circuit(n)
-            circ.extend(Gate(g.kind, g.qubits, None if g.angle is None
-                             else float(rng.uniform(-np.pi, np.pi))) for g in layout)
-            family.append(circ)
+            circ.extend(Gate(g.kind, g.qubits, None if g.angle is None else float(g.angle[a]))
+                        for g in family.gates)
+            members.append(circ)
         n_columns = 3 * k
         index = rng.integers(0, 1 << n, size=4 * n_columns)
         column = np.repeat(np.arange(n_columns), 4)
@@ -160,25 +163,19 @@ class TestStateVector:
         alone = by_key([np.concatenate(parts) for parts in zip(*(
             simulate(circ, index[column % k == a], amp[column % k == a],
                      column[column % k == a])
-            for a, circ in enumerate(family)))])
+            for a, circ in enumerate(members)))])
         assert np.array_equal(together[0], alone[0])
         assert np.array_equal(together[2], alone[2])
         assert np.max(np.abs(together[1] - alone[1])) < 1e-14
 
-    def test_family_must_share_kinds_qubits_and_width(self):
-        def family_of(*edits):
-            circuits = []
-            for width, gate in ((3, Gate(GateKind.RZ, (0,), 0.4)),) + edits:
-                circ = Circuit(width)
-                circ.h(0); circ.cnot(0, 1); circ.extend([gate])
-                circuits.append(circ)
-            return circuits
-        simulate(family_of((3, Gate(GateKind.RZ, (0,), -1.1))), [0, 1], [1.0, 1.0], [0, 1])
-        for edit in ((3, Gate(GateKind.T, (0,))),            # another kind
-                     (3, Gate(GateKind.RZ, (2,), 0.4)),       # other qubits
-                     (4, Gate(GateKind.RZ, (0,), 0.4))):      # another width
+    @pytest.mark.parametrize("angle", [np.zeros((2, 2)), np.array([]), 1j, None, [0.1, "x"]])
+    def test_angle_is_a_real_number_or_a_1d_array(self, angle):
+        for kind in (GateKind.RZ, GateKind.CRZ):
             with pytest.raises(ValueError):
-                simulate(family_of(edit), [0, 1], [1.0, 1.0], [0, 1])
+                Gate(kind, tuple(range(_ARITY[kind])), angle)
+        assert Gate(GateKind.RZ, (0,), [0.1, -2]).angle.tolist() == [0.1, -2.0]
+        with pytest.raises(ValueError):
+            Gate(GateKind.T, (0,), 0.1)
 
     def test_extend_checks_the_qubit_range(self):
         circ = Circuit(2)
@@ -255,16 +252,16 @@ class TestHammingWeight:
 
 class TestHwpGadgets:
     def test_zero_angle_is_identity(self):
-        family = [build_hwp(4, theta, HwpStrategy.BASELINE) for theta in (0.7, 0.0)]
-        column, row, value = verify._hwp_induced(family)[1]
+        gadget = build_hwp(4, np.array([0.7, 0.0]), HwpStrategy.BASELINE)
+        column, row, value = verify._hwp_induced(gadget, 2)[1]
         assert np.array_equal(column, np.arange(16)) and np.array_equal(row, column)
         assert np.max(np.abs(value - 1.0)) < 1e-12
         assert verify._diagonal_deviation(column, row, value, np.ones(16)) < 1e-12
 
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
-        family = [build_hwp(2, a, HwpStrategy.BASELINE) for a in (theta, 0.0, -2.0 * theta)]
-        column, row, value = verify._hwp_induced(family)[0]
+        gadget = build_hwp(2, np.array([theta, 0.0, -2.0 * theta]), HwpStrategy.BASELINE)
+        column, row, value = verify._hwp_induced(gadget, 3)[0]
         u = np.zeros((4, 4), dtype=complex)
         u[row, column] = value
         rz = np.diag([1.0, np.exp(1j * theta)])
@@ -279,14 +276,13 @@ class TestHwpGadgets:
         # for every member of a family simulated together
         m, thetas = 3, (0.913, -2.2, 1.4)
         for strategy in HwpStrategy:
-            family = [build_hwp(m, 1.0001 * theta if mutant == "angle" else theta, strategy)
-                      for theta in thetas]
-            for gadget in family:
-                if mutant == "no_toffoli":
-                    gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
-                elif mutant == "no_gate":
-                    gadget.circuit = _without_last(gadget.circuit)
-            for theta, (column, row, value) in zip(thetas, verify._hwp_induced(family)):
+            gadget = build_hwp(m, (1.0001 if mutant == "angle" else 1.0) * np.array(thetas),
+                               strategy)
+            if mutant == "no_toffoli":
+                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+            elif mutant == "no_gate":
+                gadget.circuit = _without_last(gadget.circuit)
+            for theta, (column, row, value) in zip(thetas, verify._hwp_induced(gadget, 3)):
                 if mutant == "phase":
                     value = value * np.exp(0.3j)
                 elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0
@@ -308,14 +304,16 @@ class TestHwpGadgets:
                 assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
 
     def test_family_members_match_separate_simulations(self):
-        # each member of a simulated family induces what it induces alone
+        # member a of the gadget built at all the angles induces exactly what
+        # the gadget built at angle a alone induces
+        thetas = np.array([0.3, -1.9, 2.6])
         for strategy in HwpStrategy:
-            family = [build_hwp(4, theta, strategy) for theta in (0.3, -1.9, 2.6)]
-            for gadget, together in zip(family, verify._hwp_induced(family)):
-                alone = verify._hwp_induced([gadget])[0]
+            family = verify._hwp_induced(build_hwp(4, thetas, strategy), thetas.size)
+            for theta, together in zip(thetas, family):
+                alone = verify._hwp_induced(build_hwp(4, float(theta), strategy), 1)[0]
                 assert np.array_equal(together[0], alone[0])
                 assert np.array_equal(together[1], alone[1])
-                assert np.max(np.abs(together[2] - alone[2])) < 1e-14
+                assert np.array_equal(together[2], alone[2])
 
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
@@ -608,6 +606,20 @@ class TestVerifySuite:
         parsed = json.loads(text)
         assert all(entry["passed"] for entry in parsed)
         assert {e["name"] for e in parsed} == set(circuit_checks.results)
+
+    def test_one_build_per_gadget_family(self, monkeypatch):
+        # the HWP check builds each (M, strategy) once at all ten angles, and
+        # the plaquette check its circuit once at all five
+        builds = {"build_hwp": 0, "build_plaquette_evolution": 0}
+        for name in builds:
+            def counted(*args, name=name, build=getattr(verify, name)):
+                builds[name] += 1
+                return build(*args)
+            monkeypatch.setattr(verify, name, counted)
+        assert verify.check_hwp_unitary().passed
+        assert builds == {"build_hwp": 8, "build_plaquette_evolution": 0}
+        assert verify.check_plaquette().passed
+        assert builds == {"build_hwp": 8, "build_plaquette_evolution": 1}
 
     def test_broken_oracle_gives_a_failing_report(self, monkeypatch, tmp_path):
         # a sign-flipped a_1: the four checks that build oracles fail with an

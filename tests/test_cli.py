@@ -118,6 +118,14 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert "overflows" in err
 
+    def test_zero_trotter_bound_exits_2(self, capsys):
+        args = ["estimate", "--model", "fh", "--L", "4", "--u", "0", "--method"]
+        code, out, err = run_cli(args + ["trotter"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "W is 0" in err
+        assert run_cli(args + ["qubitization"], capsys)[0] == 0
+
     def test_untabulated_fh_norms_exit_2(self, capsys):
         code, out, err = run_cli(
             ["estimate", "--model", "fh", "--method", "trotter", "--L", "34"], capsys)

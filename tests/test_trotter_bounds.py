@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_qre.model import InvalidLattice, Model, ModelSpec
+from lattice_qre.model import FermiHubbardCouplings, InvalidLattice, Model, ModelSpec
 from lattice_qre.trotter_bounds import (
     FH_NORMS,
     TrotterBudget,
@@ -46,6 +46,15 @@ class TestFhBound:
         comms = [FH_NORMS[L][1] for L in sorted(FH_NORMS)]
         assert hops == sorted(hops)
         assert comms == sorted(comms)
+
+    def test_zero_w_is_refused(self):
+        # L = 4 has a zero hopping-commutator norm, so u = 0 leaves no
+        # Trotter error to budget there, and only there
+        free = FermiHubbardCouplings(t=1.0, u=0.0)
+        assert fh_w(4, u=0.0) == 0.0
+        assert trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 6, free)) > 0.0
+        with pytest.raises(ValueError, match="W is 0"):
+            trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 4, free))
 
 
 class TestPolynomialBounds:
