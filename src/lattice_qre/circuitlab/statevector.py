@@ -15,12 +15,12 @@ in this package is up to global phase.
 
 An RZ/CRZ gate carries one angle, or a 1-D array with one angle per
 member of a family: the same gadget at k angles is then one circuit, built
-once, whose batch column c runs member ``c % k``.  The members share their
-layout by construction, and the per-gate work is paid once for all of them.
+once, whose batch column c runs member ``c % k``, and whose ``unitary()``
+is a stack of k matrices.  The per-gate work is paid once for all members.
 
 Dense arrays appear only at the boundary: ``apply_circuit`` takes
-statevectors of at most 15 qubits (the 8-bit Hamming-weight circuit,
-8 inputs + 7 carry ancillas, in half a megabyte) and ``Circuit.unitary``
+statevectors of at most 15 qubits (the catalyzed HWP gadget at M = 5,
+14 qubits, in ``check_catalyst_invariance``) and ``Circuit.unitary``
 matrices of at most 10.  A circuit itself may be larger, up to the 62 bits
 of a (column, index) key.
 """
@@ -74,7 +74,7 @@ _PHASE = {   # the diagonal gates without an angle
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # equal only to itself: array angles have no truth value
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
@@ -159,10 +159,17 @@ class Circuit:
         return out
 
     def unitary(self) -> np.ndarray:
-        """Dense matrix: the circuit applied to every basis state at once."""
+        """Dense matrix of the circuit; a family whose array angles have length
+        k gives a (k, 2**n, 2**n) stack, one matrix per member."""
         if self.n_qubits > MAX_DENSE_UNITARY_QUBITS:
             raise ValueError(f"dense unitary limited to {MAX_DENSE_UNITARY_QUBITS} qubits")
-        return apply_circuit(np.eye(1 << self.n_qubits, dtype=complex), self)
+        sizes = {g.angle.size for g in self.gates if isinstance(g.angle, np.ndarray)}
+        if len(sizes) > 1:
+            raise ValueError(f"family angles of lengths {sorted(sizes)}: no member count")
+        dim, k = 1 << self.n_qubits, max(sizes, default=1)
+        # column b*k + a holds basis state b under member a
+        u = apply_circuit(np.repeat(np.eye(dim, dtype=complex), k, axis=1), self)
+        return u.reshape(dim, dim, k).transpose(2, 0, 1) if sizes else u
 
 
 def zero_state(n_qubits: int) -> np.ndarray:

@@ -97,7 +97,8 @@ def _build_spec(args) -> tuple[list[ModelSpec], float | None]:
     """One spec per lattice size and the error target of an ``estimate`` or
     a ``sweep``.  The sizes are the sweep's ``--L-range``, else ``--L`` or
     the config file's L; each other setting is its flag, else the config
-    file's value, else the model's default."""
+    file's value, else the model's default.  A coupling flag or key that
+    the model lacks is an error."""
     cfg = load_config(args.config) if args.config else {}
     kind = Model(args.model) if args.model else cfg.get("model")
     if kind is None:
@@ -110,14 +111,13 @@ def _build_spec(args) -> tuple[list[ModelSpec], float | None]:
             raise ValueError("--L is required (or a config file with one)")
         sizes = [L]
     couplings = default_couplings(kind)
-    overrides = {
-        f.name: cfg[f.name] for f in fields(couplings) if f.name in cfg
-    }
-    for f in fields(couplings):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            overrides[f.name] = flag
-    couplings = replace(couplings, **overrides)
+    given = {name: cfg[name] for name in COUPLING_NAMES if name in cfg}
+    given.update((name, getattr(args, name)) for name in COUPLING_NAMES
+                 if getattr(args, name) is not None)
+    foreign = sorted(given.keys() - {f.name for f in fields(couplings)})
+    if foreign:
+        raise ValueError(f"the {kind.value} model has no coupling {', '.join(foreign)}")
+    couplings = replace(couplings, **given)
     delta_e = args.delta_e if args.delta_e is not None else cfg.get("delta_E_override")
     return [ModelSpec(kind, L, couplings) for L in sizes], delta_e
 

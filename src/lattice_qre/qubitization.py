@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query
+from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query, system_qubits
 from .optimize import Dimension, minimize, warn_on_edges
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
@@ -39,7 +39,7 @@ class WalkCounts:
     toffoli: int        # select + two prepares
     rotations: int      # arbitrary-angle rotations per walk
     t_direct: int       # bare T gates per walk
-    register_overhead: int  # qubits beyond the phase register
+    ancillas: int       # qubits beyond the phase and system registers
 
 
 def walk_counts(kind: Model, L: int) -> WalkCounts:
@@ -53,12 +53,12 @@ def walk_counts(kind: Model, L: int) -> WalkCounts:
     # with this count; see README, "Known deviations").
     if kind is Model.FERMI_HUBBARD:
         return WalkCounts(5 * L * L + 10 * lg - 4 + usp_toffoli,
-                          2 if binary else 5, 4, 2 * L * L + 3)
+                          2 if binary else 5, 4, 3)
     if kind is Model.CUPRATE:
         return WalkCounts(5 * L * L + 12 * lg + 2 + usp_toffoli,
-                          10 if binary else 13, 4, 2 * L * L + 3)
+                          10 if binary else 13, 4, 3)
     return WalkCounts(14 * L * L + 12 * lg + 27 + usp_toffoli,
-                      18 if binary else 21, 22, 4 * L * L + 10)
+                      18 if binary else 21, 22, 10)
 
 
 def query_count(lam: float, delta_e: float, x: float) -> float:
@@ -119,7 +119,7 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
         n_queries=queries,
         n_t=n_t,
         n_toffoli=n_toffoli,
-        total_qubits=math.ceil(phase_bits) + counts.register_overhead,
+        total_qubits=math.ceil(phase_bits) + system_qubits(spec) + counts.ancillas,
     )
 
 

@@ -177,6 +177,27 @@ class TestStateVector:
         with pytest.raises(ValueError):
             Gate(GateKind.T, (0,), 0.1)
 
+    def test_family_unitary_is_one_matrix_per_member(self):
+        angles = [0.1, 0.7]
+        stack = build_plaquette_evolution(np.array(angles)).unitary()
+        assert stack.shape == (2, 16, 16)
+        for u, theta in zip(stack, angles):
+            assert np.array_equal(u, build_plaquette_evolution(theta).unitary())
+        assert build_plaquette_evolution(np.array([0.37])).unitary().shape == (1, 16, 16)
+        assert build_plaquette_evolution(0.37).unitary().shape == (16, 16)
+
+    def test_family_angles_of_different_lengths_have_no_unitary(self):
+        circ = Circuit(2)
+        circ.rz(0, np.array([0.1, 0.2]))
+        circ.crz(0, 1, np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError):
+            circ.unitary()
+
+    def test_gates_compare_by_identity(self):
+        a, b = (Gate(GateKind.RZ, (0,), np.array([1.0, 2.0])) for _ in range(2))
+        assert a != b and a == a
+        assert len({a, b}) == 2
+
     def test_extend_checks_the_qubit_range(self):
         circ = Circuit(2)
         with pytest.raises(ValueError):
@@ -480,6 +501,7 @@ class TestFourierAndPlaquette:
 
     def test_plaquette_matches_exponential(self):
         assert verify.check_plaquette(angles=(0.37, -0.9)).passed
+        assert verify.check_plaquette(angles=(0.37,)).passed
 
 
 def _kron_annihilation(n, j):

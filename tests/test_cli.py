@@ -75,6 +75,16 @@ class TestEstimate:
         assert code == 2
         assert "--model" in err
 
+    @pytest.mark.parametrize("command", [["estimate", "--L", "4"], ["sweep", "--L-range", "4:6"]])
+    def test_foreign_coupling_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = fh\nt1 = 5\n")
+        for route in (["--model", "fh", "--t-prime", "0.3"], ["--config", str(path)]):
+            code, out, err = run_cli(command + route, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: the fh model has no coupling t")
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate", "--model", "bogus", "--L", "4"])

@@ -2,12 +2,16 @@
 referenced by package code outside its own definition; a name only tests
 reach is dead API.  A reference is a name, an attribute or an import.  The
 names the package exports (``lattice_qre.__all__``) and the CLI entry point
-count as used."""
+count as used.  The benchmark's tracer, which wraps package attributes by
+name, must still find every one of them."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import lattice_qre
+from lattice_qre import cli, qubitization, trotter_cost
+from lattice_qre.circuitlab import statevector, verify
 
 PACKAGE = Path(lattice_qre.__file__).resolve().parent
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -57,3 +61,20 @@ def unreferenced_public_names() -> list[str]:
 
 def test_no_public_name_without_a_package_caller():
     assert unreferenced_public_names() == []
+
+
+def test_benchmark_tracer_finds_and_restores_its_wraps():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (cli, qubitization, trotter_cost, statevector, verify)
+    before = [dict(vars(m)) for m in modules]
+    with tracing.Tracer() as tracer:
+        tracing.install(tracer)
+        wrapped = [name for m, old in zip(modules, before)
+                   for name, value in vars(m).items() if value is not old.get(name)]
+        assert len(wrapped) == 19
+    for m, old in zip(modules, before):
+        assert vars(m).keys() == old.keys()
+        assert all(vars(m)[name] is value for name, value in old.items())
