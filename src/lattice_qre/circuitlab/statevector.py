@@ -163,13 +163,19 @@ class Circuit:
         k gives a (k, 2**n, 2**n) stack, one matrix per member."""
         if self.n_qubits > MAX_DENSE_UNITARY_QUBITS:
             raise ValueError(f"dense unitary limited to {MAX_DENSE_UNITARY_QUBITS} qubits")
+        dim, k = 1 << self.n_qubits, self.members()
+        # column b*k + a holds basis state b under member a
+        u = apply_circuit(np.repeat(np.eye(dim, dtype=complex), k or 1, axis=1), self)
+        return u if k is None else u.reshape(dim, dim, k).transpose(2, 0, 1)
+
+    def members(self) -> int | None:
+        """The family size k, the one length of every array angle, or None
+        when all angles are numbers.  Raises ``ValueError`` when array angles
+        differ in length: such a circuit has no member count."""
         sizes = {g.angle.size for g in self.gates if isinstance(g.angle, np.ndarray)}
         if len(sizes) > 1:
             raise ValueError(f"family angles of lengths {sorted(sizes)}: no member count")
-        dim, k = 1 << self.n_qubits, max(sizes, default=1)
-        # column b*k + a holds basis state b under member a
-        u = apply_circuit(np.repeat(np.eye(dim, dtype=complex), k, axis=1), self)
-        return u.reshape(dim, dim, k).transpose(2, 0, 1) if sizes else u
+        return sizes.pop() if sizes else None
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -207,9 +213,11 @@ def simulate(circuit, index, amp, column):
     An RZ/CRZ gate multiplies the entries it hits in column c by
     e^{i*angle[c % len(angle)]}: a circuit whose angles are arrays of length
     k is a family of k circuits, and column c runs member ``c % k``.  A
-    float angle is a family of one.
+    float angle is a family of one.  Array angles of different lengths
+    raise ``ValueError`` (see ``Circuit.members``).
     """
     n = circuit.n_qubits
+    circuit.members()
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()

@@ -11,19 +11,22 @@ negligible by comparison and ignored.
 Per-walk non-Clifford counts depend on whether the lattice dimension is a
 power of two: otherwise the uniform state preparations over the odd part m
 of L add Toffolis and rotations.
+
+The split x is where d ln(total)/dx changes sign on ``X_SEARCH_INTERVAL``,
+found by bisection to adjacent floats, so it is set by the model alone.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query, system_qubits
-from .optimize import Dimension, minimize, warn_on_edges
+from .optimize import minimize
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
 X_SEARCH_INTERVAL = (0.5, 0.9999)
-_X_DIM = Dimension(*X_SEARCH_INTERVAL)
 
 
 def _odd_part(L: int) -> int:
@@ -126,19 +129,25 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x.
 
-    The cost is unimodal in x (its first-order condition is strictly
-    monotone on ``X_SEARCH_INTERVAL``), so golden section runs over the
-    whole interval, from its upper edge, where the optimum sits for the
-    largest lattices.  Raises ``ValueError`` when the cost overflows or the
-    optimum needs fewer than one phase-estimation query, and emits a
-    ``RuntimeWarning`` when x sits on an edge of ``X_SEARCH_INTERVAL``,
-    where the true optimum may lie outside.
+    With Q the queries and P the per-walk cost of ``estimate``, and n_rot
+    rotations per walk, d ln(total)/dx = -1/(2x) + Λ (2x - 1) / (2x (1 - x) P)
+    with Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  2x times it rises with x on
+    ``X_SEARCH_INTERVAL``, so ``minimize`` bisects for its sign change.
+    Raises ``ValueError`` when the cost overflows or the optimum needs fewer
+    than one phase-estimation query, and emits a ``RuntimeWarning`` when x
+    sits on an edge of ``X_SEARCH_INTERVAL``, where the true optimum may
+    lie outside.
     """
     delta_e = error_target(spec.L, delta_e)
-    objective = lambda p: estimate(spec, p[0], delta_e).total_toffoli
-    estimate(spec, _X_DIM.upper, delta_e)   # raises the overflow that minimize would mask
-    result = minimize(objective, [_X_DIM], [_X_DIM.upper])
-    est = estimate(spec, result.point[0], delta_e)
+    lam = walk_counts(spec.kind, spec.L).rotations * RUS_T_SLOPE / (2.0 * math.log(2.0))
+
+    def slope(x: float) -> float:
+        est = estimate(spec, x, delta_e)
+        return lam * (2.0 * x - 1.0) / ((1.0 - x) * est.total_toffoli / est.n_queries) - 1.0
+
+    est = estimate(spec, minimize(slope, *X_SEARCH_INTERVAL).point, delta_e)
     require_one_query(est.n_queries, delta_e)
-    warn_on_edges("qubitization error split", "x", [_X_DIM], [est.x])
+    if est.x in X_SEARCH_INTERVAL:
+        warnings.warn(f"qubitization error split x={est.x!r} sits on the search-box edge "
+                      f"{est.x}; the optimum may lie beyond it", RuntimeWarning, stacklevel=2)
     return est

@@ -18,6 +18,12 @@ cost is an exact affine function of r.  For the pnictide model the
 diagonal-hopping layers appear 2r times each (16r in total) plus 3r
 on-site layers; the published per-model tables are reproduced only with
 this count.
+
+The solver needs no general-purpose search.  At each step count r the
+budget split solves its first-order conditions: the Trotter share of dE in
+closed form, the catalyst share in proportion to the rotation share, and
+the rotation share by one bisection (``_best_budget``).  r gallops from the
+step count at which the tau-cap kink reaches the Trotter share 1/3.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 from .model import (
     InvalidLattice,
@@ -35,7 +40,7 @@ from .model import (
     require_one_query,
     system_qubits,
 )
-from .optimize import Dimension, minimize, warn_on_edges
+from .optimize import minimize
 from .primitives import (
     CostVector,
     HwpStrategy,
@@ -230,124 +235,63 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     )
 
 
-# Search box.  tau is not a free dimension: within a fixed step count r the
-# cost strictly improves as tau grows, so the optimum sits on the boundary
-# tau_r = r * sqrt(dE_T / W) (or at the step-error cap).  Nor is z, which
-# follows from x (see ``_split``).  The search runs over x and the Trotter
-# slice v = (1 - s)(1 - y) of the error budget, on which alone tau depends.
-_X_DIM = Dimension(1e-4, 0.35, "log")
-_Y_DIM = Dimension(0.2, 0.92)
-_V_GRID = Dimension(1.0 - _Y_DIM.upper, 1.0 - _Y_DIM.lower)   # y's box at s = 0
-# The refinement writes v = v_top * (1 - u**2) (see ``_v_top``): an even,
-# smooth function of u that peaks at v_top, so the tau-cap kink, where the
-# optimum usually lies, becomes the smooth minimum u = 0.  (Nelder-Mead
-# stalls on the kink itself, in (x, y) and in (x, v) alike.)
-_U_DIM = Dimension(-1.0, 1.0)
-_DIMS = (_X_DIM, _U_DIM)
-_GRID_POINTS = 10   # per dimension of the coarse grid
 _TAU_MARGIN = 1.0 - 1e-12
 # Up to here trotter_steps gives back the r a pinned tau was pinned to: its
 # relative slack of 1e-14 is then at most 0.1 of a step (at 2**53 it is 90).
 _MAX_EXACT_R = 10**13
+# The rotation share q is bisected in ln q above this floor: far below the
+# optimum (q > 1e-4 * p on every table cell) and far above an underflow of
+# the synthesis precision q * dE * tau.
+_LOG_Q_FLOOR = math.log(1e-200)
 
 
-def _pinned_tau(r: int, x: float, y: float, z: float, w: float, tau_cap: float,
-                delta_e: float) -> float:
-    """Largest tau still giving r steps under the (x, y, z) split, at most tau_cap."""
-    return min(r * math.sqrt((1.0 - (x + z)) * (1.0 - y) * delta_e / w), tau_cap)
+def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> float:
+    """Largest tau still giving r steps under the Trotter share t of dE, at most tau_cap."""
+    return min(r * math.sqrt(t * delta_e / w), tau_cap)
 
 
-def _split(rz: int, charged: int, r: int, w: float, tau_cap: float, delta_e: float,
-           amortize: bool, x: float, v: float) -> tuple[float, float, float]:
-    """(y, z, tau) at rotation slice x and Trotter slice v, for r steps of
-    ``rz`` rotations.
+def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
+                 tau_cap: float, delta_e: float, amortize: bool
+                 ) -> tuple[float, float, float, float]:
+    """(x, y, z, tau): the cheapest budget for the r-step evolution ``step``.
 
-    x and z enter the cost only through their own synthesis terms and
-    through s = x + z, so at fixed s, y and r the catalyst slice costs least
-    where both terms have the same derivative: z = x * charged / rz, or
-    z = x * charged / (N_q * rz) when the catalysts are charged once
-    (``amortize``).  tau = min(r * sqrt(v * dE / W), tau_cap) does not
-    depend on the split, so with N_q = 0.76*pi / (y * tau * dE) the
-    amortized split is z = k * y, and y = 1 - v / (1 - x - z) makes z the
-    smaller root of z**2 - (a + k) z + k (a - v) with a = 1 - x.  y is
-    clamped to its box (an amortized z then follows the clamped y).
-    Raises ``ValueError`` when x + z >= 1.
+    Written as shares of dE that sum to 1 -- phase estimation p = y,
+    rotations q = x(1 - y), catalysts c = z(1 - y) and Trotter
+    t = (1 - s)(1 - y) -- the Lagrange conditions of the total give:
+    - t = min(1/3, v_k).  Below the kink v_k = (tau_cap / r)**2 W / dE the
+      share buys tau = r * sqrt(t dE / W), and the conditions balance it at
+      1/3; beyond the kink tau stays at its cap and the share buys nothing.
+    - c = q * charged / rz, or c = q * p * tau * dE * charged / (0.76*pi * rz)
+      when the catalysts are charged once (``amortize``).
+    - q * P = Λ * p with Λ = RUS_T_SLOPE * rz / (2 ln 2) and P the per-query
+      cost of ``_cost``.  The residual rises with q, so ``minimize``
+      bisects for its root in ln q.
     """
-    k = x * charged / rz
-    if amortize:
-        k *= min(r * math.sqrt(v * delta_e / w), tau_cap) * delta_e / QPE_QUERY_CONSTANT
-        a = 1.0 - x
-        z = 2.0 * k * (a - v) / (a + k + math.sqrt((a - k) ** 2 + 4.0 * k * v))
-    else:
-        z = k
-    if not x + z < 1.0:
-        raise ValueError(f"the split x={x}, z={z} leaves no Trotter budget")
-    y = 1.0 - v / (1.0 - (x + z))
-    if not _Y_DIM.lower <= y <= _Y_DIM.upper:
-        y = min(max(y, _Y_DIM.lower), _Y_DIM.upper)
+    t = min(1.0 / 3.0, (tau_cap / r) ** 2 * w / delta_e)
+    tau = _pinned_tau(r, t, w, tau_cap, delta_e)
+    ratio = catalysts[0] / step.rz
+    k = ratio * tau * delta_e / QPE_QUERY_CONSTANT   # amortized: c = k * q * p
+    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
+
+    def split(q: float) -> tuple[float, float, float]:
+        """(x, y, z) at rotation share q."""
         if amortize:
-            z = k * y
-    return y, z, _pinned_tau(r, x, y, z, w, tau_cap, delta_e)
+            p = (1.0 - t - q) / (1.0 + k * q)
+            c = k * q * p
+        else:
+            p, c = 1.0 - t - (1.0 + ratio) * q, ratio * q
+        return q / (1.0 - p), p, c / (1.0 - p)
 
+    def slope(log_q: float) -> float:
+        q = math.exp(log_q)
+        x, y, z = split(q)
+        n_t1, _, n_q, total = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)
+        per_query = (total - n_t1 / 2.0 if amortize else total) / n_q
+        return q * per_query - lam * y
 
-def _v_top(r: int, w: float, tau_cap: float, delta_e: float) -> float:
-    """The largest Trotter slice worth giving r steps: beyond the kink
-    (tau_cap / r)**2 W / dE tau stays at its cap, so the slack would buy
-    cheaper synthesis as part of x, and beyond 1 - y_min it leaves y below
-    its box."""
-    return min((tau_cap / r) ** 2 * w / delta_e, 1.0 - _Y_DIM.lower)
-
-
-def _total(step: CostVector, catalysts: tuple[int, int], r: int, w: float, tau_cap: float,
-           delta_e: float, amortize: bool, x: float, v: float) -> float:
-    """Total Toffolis at the slices (x, v) for an r-step evolution ``step``."""
-    y, z, tau = _split(step.rz, catalysts[0], r, w, tau_cap, delta_e, amortize, x, v)
-    return _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
-
-
-def _objective(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
-               tau_cap: float, delta_e: float, amortize: bool, point) -> float:
-    """``_total`` at the refinement point (x, u), v = v_top * (1 - u**2)."""
-    x, u = point
-    v = _v_top(r, w, tau_cap, delta_e) * (1.0 - u * u)
-    return _total(step, catalysts, r, w, tau_cap, delta_e, amortize, x, v)
-
-
-def _coarse_grid(line: tuple[tuple[int, int], ...], catalysts: tuple[int, int], w: float,
-                 tau_cap: float, delta_e: float, amortize: bool) -> tuple[int, list[float]]:
-    """(r, refinement point (x, u)) of the cheapest point of a coarse (x, v)
-    grid.
-
-    At a fixed point, tau = r * k grows with r, k = sqrt(v * dE / W), until
-    it reaches tau_cap at r_c = ceil(tau_cap / k).  Below r_c the cost
-    falls with r (N_q ~ 1/r, and the per-query cost is affine in r with a
-    non-negative intercept); from r_c on N_q is fixed and every step-cost
-    component grows.  So each point needs only r_c - 1 and r_c, and as r_c
-    depends on v alone, each v shares two step costs across its x values.
-    A point whose split is undefined (x + z >= 1), or whose total is NaN or
-    overflows, counts as +inf.  Raises ``ValueError`` when no grid point
-    has a finite total.
-    """
-    best, best_r, best_xv = math.inf, 0, None
-    xs = _X_DIM.grid(_GRID_POINTS)
-    for v in _V_GRID.grid(_GRID_POINTS):
-        try:
-            r_c = math.ceil(tau_cap / math.sqrt(v * delta_e / w))
-        except (ZeroDivisionError, OverflowError):
-            continue   # no step count within floats
-        for r in sorted({max(r_c - 1, 1), r_c}):
-            step = _step_at(line, r)
-            for x in xs:
-                try:
-                    total = _total(step, catalysts, r, w, tau_cap, delta_e, amortize, x, v)
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    continue
-                if total < best:   # false for NaN and +inf
-                    best, best_r, best_xv = total, r, (x, v)
-    if best_xv is None:
-        raise ValueError(f"the Trotter cost overflows at W={w:g}, delta_e={delta_e:g}")
-    x, v = best_xv
-    return best_r, [x, math.sqrt(max(1.0 - v / _v_top(best_r, w, tau_cap, delta_e), 0.0))]
+    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # where p reaches 0
+    x, y, z = split(math.exp(minimize(slope, _LOG_Q_FLOOR, math.log(q_max)).point))
+    return x, y, z, _pinned_tau(r, (1.0 - (x + z)) * (1.0 - y), w, tau_cap, delta_e)
 
 
 def _best_step_count(cost, r: int) -> int:
@@ -390,20 +334,15 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
                      amortize_catalyst: bool = False) -> TrotterEstimate:
     """Minimize the total Toffoli count over the budget split and time step.
 
-    Deterministic.  tau is pinned to the largest value still giving r steps
-    (bounded by the step-error cap) and the catalyst slice z follows from x
-    in closed form (see ``_split``), so the free variables are r and the
-    pair (x, v), v = (1 - s)(1 - y) being the Trotter slice.  A plain pass
-    over a coarse (x, v) grid evaluates each point at the only two step
-    counts that can be best for it (see ``_coarse_grid``).  ``minimize``
-    refines from the best grid point at its r, over x and a smooth
-    reparametrization of v (see ``_U_DIM``); r then gallops
-    and narrows to its optimum (see ``_best_step_count``), each r refined
-    from the optimum of the nearest r already solved.  Raises
-    ``ValueError`` when the cost overflows, when r exceeds 1e13 (where
-    ``evaluate`` no longer recovers r from the pinned tau), or when the optimum
-    needs fewer than one phase-estimation query (an error target too loose
-    to mean anything); warns when x or y sits on a box edge.
+    Deterministic.  At each step count r the budget split and the pinned
+    tau follow from their first-order conditions (see ``_best_budget``).
+    r starts at r0 = ceil(tau_cap * sqrt(3 W / dE)), where the kink reaches
+    the Trotter share 1/3: below r0 tau grows with r, from r0 on it sits at
+    its cap.  r then gallops and narrows to its optimum (see
+    ``_best_step_count``).  Raises ``ValueError`` when r0 exceeds 1e13
+    (where ``evaluate`` no longer recovers r from the pinned tau), or when
+    the optimum needs fewer than one phase-estimation query (an error
+    target too loose to mean anything).
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
@@ -413,30 +352,21 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     catalysts = _catalysts(spec.kind, spec.L, strategy)
     line = _step_line(spec.kind, spec.L, strategy)
 
-    r, start = _coarse_grid(line, catalysts, w, tau_cap, delta_e, amortize_catalyst)
-    if r > _MAX_EXACT_R:
-        raise ValueError(f"the Trotter step count r={r:.3g} overflows 1e13, above which the "
+    r0 = tau_cap * math.sqrt(3.0 * w / delta_e)
+    if not r0 <= _MAX_EXACT_R:
+        raise ValueError(f"the Trotter step count r={r0:.3g} overflows 1e13, above which the "
                          f"time step no longer pins r exactly, at delta_e={delta_e:g}")
-    points, values = {r: start}, {}
+    solved = {}   # r -> (total, (x, y, z, tau))
 
-    def cost(q: int) -> float:
-        if q not in values:
-            nearest = min(points, key=lambda p: abs(p - q))
-            objective = partial(_objective, _step_at(line, q), catalysts, q, w, tau_cap,
-                                delta_e, amortize_catalyst)
-            try:
-                result = minimize(objective, _DIMS, points[nearest])
-            except ValueError:   # the warm start is undefined at q steps
-                values[q] = math.inf
-            else:
-                points[q], values[q] = result.point, result.value
-        return values[q]
+    def cost(n: int) -> float:
+        if n not in solved:
+            step = _step_at(line, n)
+            budget = _best_budget(step, catalysts, n, w, tau_cap, delta_e, amortize_catalyst)
+            solved[n] = _cost(step, catalysts, *budget, delta_e, amortize_catalyst)[3], budget
+        return solved[n][0]
 
-    r = _best_step_count(cost, r)
-    x, u = points[r]
-    y, z, tau = _split(_step_at(line, r).rz, catalysts[0], r, w, tau_cap, delta_e,
-                       amortize_catalyst, x, _v_top(r, w, tau_cap, delta_e) * (1.0 - u * u))
+    r = _best_step_count(cost, math.ceil(r0))
+    x, y, z, tau = solved[r][1]
     est = evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
     require_one_query(est.n_queries, delta_e)
-    warn_on_edges("Trotter budget", "xy", (_X_DIM, _Y_DIM), (x, y))
     return est

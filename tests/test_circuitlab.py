@@ -193,6 +193,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             circ.unitary()
 
+    def test_family_angles_of_different_lengths_do_not_simulate(self):
+        # column 2 would mix member 0 of the RZ with member 2 of the CRZ
+        circ = Circuit(2)
+        circ.rz(0, [0.1, 0.2])
+        circ.crz(0, 1, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="no member count"):
+            simulate(circ, [3, 3, 3], [1.0, 1.0, 1.0], [0, 1, 2])
+        with pytest.raises(ValueError, match="no member count"):
+            apply_circuit(np.eye(4, dtype=complex)[:, [3, 3, 3]], circ)
+
     def test_gates_compare_by_identity(self):
         a, b = (Gate(GateKind.RZ, (0,), np.array([1.0, 2.0])) for _ in range(2))
         assert a != b and a == a

@@ -10,8 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import lattice_qre
-from lattice_qre import cli, qubitization, trotter_cost
+from lattice_qre import cli, optimize, qubitization, trotter_cost
 from lattice_qre.circuitlab import statevector, verify
+from lattice_qre.model import Model, ModelSpec
 
 PACKAGE = Path(lattice_qre.__file__).resolve().parent
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -78,3 +79,23 @@ def test_benchmark_tracer_finds_and_restores_its_wraps():
     for m, old in zip(modules, before):
         assert vars(m).keys() == old.keys()
         assert all(vars(m)[name] is value for name, value in old.items())
+
+
+def test_each_solver_calls_the_minimizer_the_tracer_wraps(monkeypatch):
+    # the benchmark's solver counters wrap trotter_cost.minimize and
+    # qubitization.minimize and sum the evaluations of their results
+    assert trotter_cost.minimize is optimize.minimize
+    assert qubitization.minimize is optimize.minimize
+    evaluations = {trotter_cost: [], qubitization: []}
+    for module, seen in evaluations.items():
+        def counted(*args, seen=seen):
+            result = optimize.minimize(*args)
+            seen.append(result.evaluations)
+            return result
+        monkeypatch.setattr(module, "minimize", counted)
+    spec = ModelSpec(Model.FERMI_HUBBARD, 4)
+    trotter_cost.optimize_trotter(spec, trotter_cost.Strategy.CATALYZED)
+    assert evaluations[trotter_cost] and not evaluations[qubitization]
+    qubitization.optimize_qubitization(spec)
+    assert evaluations[qubitization]
+    assert all(n > 0 for seen in evaluations.values() for n in seen)

@@ -2,60 +2,51 @@ import math
 
 import pytest
 
-from lattice_qre.optimize import Dimension, minimize
+from lattice_qre.optimize import minimize
 
 
 class TestOneDimensional:
     def test_quadratic(self):
-        result = minimize(lambda p: (p[0] - 0.3) ** 2, [Dimension(0.0, 1.0)], [0.9])
-        assert abs(result.point[0] - 0.3) < 1e-6
+        # an interior root: the slope of (p - 0.3)**2 changes sign at 0.3
+        result = minimize(lambda p: 2.0 * (p - 0.3), 0.0, 1.0)
+        assert abs(result.point - 0.3) <= 1e-15
 
     def test_log_scale(self):
-        result = minimize(lambda p: (p[0] - 1e-3) ** 2 / p[0],
-                          [Dimension(1e-6, 1.0, "log")], [0.1])
-        assert result.point[0] == pytest.approx(1e-3, rel=1e-2)
+        # (p - 1e-3)**2 / p in u = ln p: its slope has the sign of p**2 - 1e-6
+        result = minimize(lambda u: math.exp(2.0 * u) - 1e-6, math.log(1e-6), 0.0)
+        assert math.exp(result.point) == pytest.approx(1e-3, rel=1e-14)
 
 
 class TestConstrained:
-    # points outside the region where the objective is defined score +inf
     def test_boundary_optimum(self):
-        # the starts at and near the upper corner need the simplex to step into the box
-        dims = [Dimension(-1.0, 1.0), Dimension(-1.0, 1.0)]
-        for start in ([0.5, 0.75], [0.9, 0.8], [1.0, 1.0]):
-            result = minimize(
-                lambda p: p[0] ** 2 + p[1] ** 2 if p[0] + p[1] > 1.0 else math.inf, dims, start)
-            assert result.value <= 0.5 + 1e-3
-            assert result.point[0] + result.point[1] > 1.0
+        # a slope of one sign returns the edge it points to, exactly
+        assert minimize(lambda p: -1.0, 0.5, 0.9999).point == 0.9999
+        assert minimize(lambda p: 1.0, 0.5, 0.9999).point == 0.5
 
-    def test_empty_feasible_set(self):
-        with pytest.raises(ValueError, match="not finite at the start"):
-            minimize(lambda p: float("nan"), [Dimension(0.0, 1.0)], [0.5])
-
-    def test_infinite_start_rejected(self):
-        dims = [Dimension(0.0, 1.0), Dimension(0.0, 1.0)]
-        with pytest.raises(ValueError, match="not finite at the start"):
-            minimize(lambda p: p[0] if p[1] > 0.5 else math.inf, dims, [0.5, 0.2])
+    def test_slope_only_inside(self):
+        # the slope is never asked for at an edge, where it may be undefined
+        seen = []
+        minimize(lambda p: seen.append(p) or 1.0 / p - 1.0 / (1.0 - p), 0.0, 1.0)
+        assert seen and all(0.0 < p < 1.0 for p in seen)
 
 
 class TestDeterminism:
     def test_bit_identical_runs(self):
-        dims = [Dimension(0.1, 5.0, "log"), Dimension(-2.0, 2.0)]
-        f = lambda p: (p[0] - 1.7) ** 2 + abs(p[1] + 0.3) ** 1.5
-        a = minimize(f, dims, [0.5, 1.0])
-        b = minimize(f, dims, [0.5, 1.0])
-        assert a.point == b.point
-        assert a.value == b.value
+        slope = lambda p: math.tanh(p - 1.7) + 0.1 * p ** 3
+        assert minimize(slope, -2.0, 5.0) == minimize(slope, -2.0, 5.0)
 
     def test_never_worse_than_start(self):
-        dims = [Dimension(0.0, 1.0), Dimension(0.0, 1.0)]
-        f = lambda p: (p[0] - 0.21) ** 2 + (p[1] - 0.77) ** 2
-        for start in ([0.0, 0.0], [0.25, 0.75], [0.21, 0.77], [1.0, 0.5]):
-            result = minimize(f, dims, start)
-            assert result.value <= f(start)
-            assert result.value == f(result.point)
+        # the edges, the minimum and a fine grid across the box all cost no less
+        f = lambda p: (p - 0.21) ** 2 + abs(p - 0.21) ** 3
+        result = minimize(lambda p: 2.0 * (p - 0.21) + 3.0 * (p - 0.21) * abs(p - 0.21),
+                          0.0, 1.0)
+        for start in (0.0, 0.25, 0.21, 1.0, *(i / 1000 for i in range(1001))):
+            assert f(result.point) <= f(start)
 
-    def test_nonfinite_objective_handled(self):
-        result = minimize(lambda p: float("nan") if p[0] < 0.5 else p[0],
-                          [Dimension(0.0, 1.0)], [0.9])
-        assert result.value >= 0.5
-        assert math.isfinite(result.value)
+    def test_evaluation_count(self):
+        # one evaluation per halving, down to adjacent floats: 52 halvings of
+        # [0.5, 1), where the float spacing is 2**-53
+        calls = []
+        result = minimize(lambda p: calls.append(p) or p - 0.75, 0.5, 1.0)
+        assert result.evaluations == len(calls) == 52
+        assert result.point == 0.75

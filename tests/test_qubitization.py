@@ -76,6 +76,47 @@ class TestOptimize:
             est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 64))
         assert est.x == X_SEARCH_INTERVAL[1]
 
+    @staticmethod
+    def _log_slope(spec, x, delta_e):
+        """(d ln(total)/dx at x, its query term -1/(2x), and the five-point
+        finite difference of ln(total) with step (1 - x) / 100).
+
+        Q ~ x**-1/2 queries cost P = total / Q each, and every one of the
+        n_rot synthesized rotations per walk costs 0.53 log2 of a precision
+        proportional to sqrt(x (1 - x)).
+        """
+        n_rot = walk_counts(spec.kind, spec.L).rotations
+        est = estimate(spec, x, delta_e)
+        per_walk = est.total_toffoli / est.n_queries
+        query = -0.5 / x
+        walk = n_rot * 0.53 / (2.0 * math.log(2.0)) * (2.0 * x - 1.0) / (
+            2.0 * x * (1.0 - x) * per_walk)
+        h = 0.01 * (1.0 - x)
+        f = lambda u: math.log(estimate(spec, u, delta_e).total_toffoli)  # noqa: E731
+        numeric = (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+        return query + walk, query, numeric
+
+    def test_x_is_where_the_slope_vanishes(self):
+        # x is set by the model, not by a search path: d ln(total)/dx is zero
+        # to 1e-9 of its query term at every table cell (and the slope
+        # restated here is the finite-difference slope of the totals)
+        from lattice_qre.reference_tables import QUBITIZATION_TABLES
+
+        for kind, table in QUBITIZATION_TABLES.items():
+            for L in table:
+                spec = ModelSpec(kind, L)
+                est = optimize_qubitization(spec)
+                slope, query, numeric = self._log_slope(spec, est.x, est.delta_e)
+                assert abs(slope) <= 1e-9 * abs(query)
+                assert abs(numeric - slope) <= 1e-7 * abs(query)
+
+    def test_x_on_the_edge_where_the_slope_stays_negative(self):
+        spec = ModelSpec(Model.FERMI_HUBBARD, 64)
+        with pytest.warns(RuntimeWarning, match=r"x=0\.9999 sits on the search-box edge"):
+            est = optimize_qubitization(spec)
+        assert est.x == X_SEARCH_INTERVAL[1]
+        assert self._log_slope(spec, est.x, est.delta_e)[0] < 0.0
+
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import QUBITIZATION_TABLES
 

@@ -153,7 +153,7 @@ class TestTrotterSteps:
                     delta_e = float(10 ** rng.uniform(-12, 2))
                     y, x = float(rng.uniform(0.2, 0.92)), float(10 ** rng.uniform(-4, -0.5))
                     z = x * float(10 ** rng.uniform(-6, 0)) / 2
-                    tau = _pinned_tau(r, x, y, z, w, math.inf, delta_e)
+                    tau = _pinned_tau(r, (1.0 - (x + z)) * (1.0 - y), w, math.inf, delta_e)
                     assert trotter_steps(w, tau, TrotterBudget(delta_e, y, x, z, tau)) == r
 
 

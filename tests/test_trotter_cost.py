@@ -273,8 +273,9 @@ class TestOptimizeTrotter:
         assert est.total_toffoli < 5_820_268.0
 
     def test_deep_target_in_few_refinements(self, monkeypatch):
-        # the step count gallops from the coarse grid's r = 20,389 to 19,940:
-        # O(log r) refinements (a walk by one step took 452)
+        # the step count starts at r0 = 19,940, where the tau-cap kink reaches
+        # the Trotter share 1/3, and stays there: O(log r) per-r solves (a
+        # walk by one step took 452)
         calls = []
 
         def counted(*args):
@@ -287,15 +288,9 @@ class TestOptimizeTrotter:
         assert len(calls) <= 60
         assert est.total_toffoli < 4.88972e15   # the walk's total, z held at 1e-5
 
-    def test_deep_target_keeps_the_searched_r(self):
-        # the solver's optimum sits at r = 199,396 with tau pinned onto its
-        # boundary; evaluating that budget must not round r up to 199,397
-        est = optimize_trotter(FH8, Strategy.BASELINE, 1e-9)
-        assert est.r == 199_396
-
-    def test_deepest_solved_target_keeps_the_searched_r(self, monkeypatch):
-        # r = 6.4e12, just below the 1e13 limit: evaluate still recovers the
-        # solver's own r from the pinned tau (at 1e-27, r = 2e14, it was 2 off)
+    @staticmethod
+    def _searched_r(monkeypatch, strategy, delta_e):
+        """(estimate, the r values ``_best_step_count`` returned)."""
         searched, best_step_count = [], trotter_cost._best_step_count
 
         def recorded(cost, r):
@@ -303,7 +298,21 @@ class TestOptimizeTrotter:
             return searched[-1]
 
         monkeypatch.setattr(trotter_cost, "_best_step_count", recorded)
-        est = optimize_trotter(FH8, Strategy.BASELINE, 1e-24)
+        return optimize_trotter(FH8, strategy, delta_e), searched
+
+    def test_deep_target_keeps_the_searched_r(self, monkeypatch):
+        # the optimum sits at r = 199,397 with tau pinned onto its boundary;
+        # evaluating that budget must give back the searched r (the exact
+        # per-r optima: 7.907120794406776e18 at 199,396, 7.907120794406354e18
+        # at 199,397)
+        est, searched = self._searched_r(monkeypatch, Strategy.BASELINE, 1e-9)
+        assert est.r == 199_397
+        assert searched == [est.r]
+
+    def test_deepest_solved_target_keeps_the_searched_r(self, monkeypatch):
+        # r = 6.3e12, just below the 1e13 limit: evaluate still recovers the
+        # solver's own r from the pinned tau (at 1e-27, r = 2e14, it was 2 off)
+        est, searched = self._searched_r(monkeypatch, Strategy.BASELINE, 1e-24)
         assert 6e12 < est.r < trotter_cost._MAX_EXACT_R
         assert searched == [est.r]
 

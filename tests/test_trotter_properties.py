@@ -6,27 +6,21 @@ Derandomized, so every run draws the same examples.
 
 import math
 from dataclasses import fields, replace
-from functools import partial
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
-from lattice_qre.optimize import minimize
 from lattice_qre.primitives import CostVector, floor_log2, hwp_cost
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
-    _DIMS,
     _TAU_MARGIN,
-    _V_GRID,
-    _X_DIM,
     Strategy,
+    _best_budget,
     _catalysts,
     _cost,
-    _objective,
-    _split,
-    _total,
-    _v_top,
+    _pinned_tau,
     optimize_trotter,
     step_cost,
 )
@@ -50,37 +44,11 @@ def cells(draw, max_depth=1.5):
             delta_e, draw(st.booleans()))
 
 
-def _in_box(dim, u: float) -> float:
-    """The point a fraction u of the way across ``dim`` on its own scale."""
-    lo, hi = dim.encode(dim.lower), dim.encode(dim.upper)
-    return dim.decode(lo + u * (hi - lo))
-
-
 def _setting(cell):
     """(W, tau_cap, catalysts) of a drawn cell."""
     spec, strategy, _, _ = cell
     w = trotter_bound(spec)
     return w, tau_max(w) * _TAU_MARGIN, _catalysts(spec.kind, spec.L, strategy)
-
-
-@DETERMINISTIC
-@given(cells(), st.floats(0, 1), st.floats(0, 1))
-def test_best_step_count_brackets_the_tau_cap(cell, ux, uv):
-    # at a fixed point (x, v) of the coarse grid, z from the split, the best
-    # r is r_c - 1 or r_c, where tau = r * sqrt(v dE / W) first reaches its
-    # cap: the premise of the solver's coarse grid
-    spec, strategy, delta_e, amortize = cell
-    x, v = _in_box(_X_DIM, ux), _in_box(_V_GRID, uv)
-    w, tau_cap, catalysts = _setting(cell)
-    r_c = math.ceil(tau_cap / math.sqrt(v * delta_e / w))
-    totals = {}
-    for r in range(1, 2 * r_c + 5):
-        try:
-            totals[r] = _total(step_cost(spec.kind, spec.L, r, strategy), catalysts, r, w,
-                               tau_cap, delta_e, amortize, x, v)
-        except ValueError:   # x + z >= 1 at few steps
-            continue
-    assert min(totals, key=totals.get) in (max(r_c - 1, 1), r_c)
 
 
 def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
@@ -142,50 +110,47 @@ def test_catalysts_match_the_register_sums():
 
 
 @DETERMINISTIC
-@given(cells(), st.floats(0.002, 0.5), st.floats(0.2, 0.92), st.integers(1, 400))
-def test_split_is_cheapest_at_fixed_s(cell, s, y, r):
-    # at fixed s = x + z, y and r, the split's z costs no more than 16 other
-    # divisions of s, whether the catalysts are charged per query or once
+@given(cells())
+def test_no_budget_transfer_lowers_the_total(cell):
+    # at the solver's r, moving 1e-3 of the smaller share between any two of
+    # the shares of dE -- phase estimation p, rotations q, catalysts c and
+    # Trotter t -- costs no less; past the tau-cap kink, t buys nothing
     spec, strategy, delta_e, amortize = cell
-    if not strategy.catalyzed:
-        strategy = Strategy.BATCHED_CATALYZED if strategy.batched else Strategy.CATALYZED
-    w, tau_cap, catalysts = _setting((spec, strategy, delta_e, amortize))
-    step = step_cost(spec.kind, spec.L, r, strategy)
-    v = (1.0 - s) * (1.0 - y)
-    split = partial(_split, step.rz, catalysts[0], r, w, tau_cap, delta_e, amortize)
-    lo, hi = 0.0, s   # x + z(x) rises with x: bisect for the x whose split sums to s
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid + split(mid, v)[1] < s else (lo, mid)
-    x = 0.5 * (lo + hi)
-    split_y, z, tau = split(x, v)
-    assert math.isclose(x + z, s, rel_tol=1e-12) and math.isclose(split_y, y, rel_tol=1e-9)
-    best = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
-    for j in (*range(-8, 0), *range(1, 9)):   # z scaled by 2**(j/8), 1/2 .. 2
-        other = min(z * 2.0 ** (j / 8.0), 0.999 * s)
-        total = _cost(step, catalysts, s - other, y, other, tau, delta_e, amortize)[3]
-        assert best <= total * (1.0 + 1e-12)
+    est = optimize_trotter(spec, strategy, delta_e, amortize)
+    w, tau_cap, catalysts = _setting(cell)
+    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    b = est.budget
+    shares = (b.y, b.x * (1.0 - b.y), b.z * (1.0 - b.y), (1.0 - b.s) * (1.0 - b.y))
+
+    def total(p, q, c, t):
+        tau = _pinned_tau(est.r, t, w, tau_cap, delta_e)
+        return _cost(step, catalysts, q / (1.0 - p), p, c / (1.0 - p), tau, delta_e, amortize)[3]
+
+    assert math.isclose(total(*shares), est.total_toffoli, rel_tol=1e-12)
+    for i, j in permutations(range(4), 2):
+        moved = 1e-3 * min(shares[i], shares[j])
+        if moved == 0.0:   # no catalysts
+            continue
+        other = list(shares)
+        other[i] -= moved
+        other[j] += moved
+        assert est.total_toffoli <= total(*other) * (1.0 + 1e-12)
 
 
 @DETERMINISTIC
 @given(cells())
 def test_step_count_beats_its_neighbours(cell):
-    # the solver's r is no worse than r - 2 .. r + 2, each refined from the
-    # solver's own optimum: the premise of its galloping search over r
+    # the solver's r is no worse than r - 2 .. r + 2, each solved for its
+    # own cheapest budget: the premise of its galloping search over r
     spec, strategy, delta_e, amortize = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
     w, tau_cap, catalysts = _setting(cell)
-    v = (1.0 - est.budget.s) * (1.0 - est.budget.y)
     for r in (est.r - 2, est.r - 1, est.r + 1, est.r + 2):
         if r < 1:
             continue
-        u = math.sqrt(max(1.0 - v / _v_top(r, w, tau_cap, delta_e), 0.0))
-        objective = partial(_objective, step_cost(spec.kind, spec.L, r, strategy), catalysts,
-                            r, w, tau_cap, delta_e, amortize)
-        try:
-            other = minimize(objective, _DIMS, (est.budget.x, u)).value
-        except ValueError:   # the optimum's x leaves no budget at r steps
-            continue
+        step = step_cost(spec.kind, spec.L, r, strategy)
+        x, y, z, tau = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
+        other = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
         assert est.total_toffoli <= other * (1.0 + 1e-9)
 
 
