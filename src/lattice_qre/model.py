@@ -140,10 +140,11 @@ def error_target(L: int, delta_e: float | None) -> float:
 
 def require_one_query(n_queries: float, delta_e: float) -> None:
     """Reject an optimum with fewer than one phase-estimation query: its
-    error target is too loose for the estimate to mean anything."""
+    error target is too loose for the estimate to mean anything.
+    ``n_queries`` is the optimum's query count or a bound above it."""
     if n_queries < 1.0:
         raise ValueError(f"error target delta_e={delta_e:g} is too loose: the optimum needs "
-                         f"{n_queries:.3g} phase-estimation queries, fewer than one")
+                         f"at most {n_queries:.3g} phase-estimation queries, fewer than one")
 
 
 def lcu_lambda(spec: ModelSpec) -> float:

@@ -87,28 +87,25 @@ class QubitizationEstimate:
         return self.n_toffoli + self.n_t / 2.0
 
 
+def _walk_t(counts: WalkCounts, lam: float, delta_e: float, x: float) -> float:
+    """T gates per walk: the direct ones plus the synthesized rotations.
+
+    Each of the n rotations per walk receives an equal slice of the
+    walk-synthesis budget sqrt(1-x)*dE/lam, spread over all queries.
+    """
+    n_rot = counts.rotations
+    ratio = lam / delta_e   # squared as a ratio, so a loose dE cannot overflow
+    inverse_budget = n_rot * math.pi * ratio * ratio / math.sqrt(x * (1.0 - x))
+    return counts.t_direct + n_rot * (RUS_T_SLOPE * math.log2(inverse_budget) + RUS_T_OFFSET)
+
+
 def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> QubitizationEstimate:
     """Resource estimate at a fixed error split x."""
     delta_e = error_target(spec.L, delta_e)
     lam = lcu_lambda(spec)
     counts = walk_counts(spec.kind, spec.L)
     queries = query_count(lam, delta_e, x)
-
-    # Each of the n rotations per walk receives an equal slice of the
-    # walk-synthesis budget sqrt(1-x)*dE/lam, spread over all queries.
-    n_rot = counts.rotations
-    synth_t_per_walk = 0.0
-    if n_rot:
-        try:
-            inverse_budget = (
-                n_rot * math.pi * lam * lam
-                / (math.sqrt(x * (1.0 - x)) * delta_e * delta_e)
-            )
-        except ZeroDivisionError:   # delta_e**2 underflows; rejected below
-            inverse_budget = math.inf
-        synth_t_per_walk = n_rot * (RUS_T_SLOPE * math.log2(inverse_budget) + RUS_T_OFFSET)
-
-    n_t = queries * (counts.t_direct + synth_t_per_walk)
+    n_t = queries * _walk_t(counts, lam, delta_e, x)
     n_toffoli = queries * counts.toffoli
     phase_bits = math.log2(math.pi * lam * spec.L**6 / (2.0 * math.sqrt(x) * delta_e))
     if not math.isfinite(n_t + n_toffoli + phase_bits):
@@ -129,21 +126,27 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x.
 
-    With Q the queries and P the per-walk cost of ``estimate``, and n_rot
-    rotations per walk, d ln(total)/dx = -1/(2x) + Λ (2x - 1) / (2x (1 - x) P)
-    with Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  2x times it rises with x on
-    ``X_SEARCH_INTERVAL``, so ``minimize`` bisects for its sign change.
-    Raises ``ValueError`` when the cost overflows or the optimum needs fewer
-    than one phase-estimation query, and emits a ``RuntimeWarning`` when x
-    sits on an edge of ``X_SEARCH_INTERVAL``, where the true optimum may
-    lie outside.
+    With Q the queries, P the per-walk cost (its Toffolis plus half of
+    ``_walk_t``) and n_rot rotations per walk,
+    d ln(total)/dx = -1/(2x) + Λ (2x - 1) / (2x (1 - x) P) with
+    Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  2x times it rises with x on
+    ``X_SEARCH_INTERVAL``, so ``minimize`` bisects for its sign change, and
+    ``estimate`` runs once, at the optimum.  Raises ``ValueError`` when the
+    cost overflows or the optimum needs fewer than one phase-estimation
+    query, and emits a ``RuntimeWarning`` when x sits on an edge of
+    ``X_SEARCH_INTERVAL``, where the true optimum may lie outside.
     """
     delta_e = error_target(spec.L, delta_e)
-    lam = walk_counts(spec.kind, spec.L).rotations * RUS_T_SLOPE / (2.0 * math.log(2.0))
+    lam = lcu_lambda(spec)
+    counts = walk_counts(spec.kind, spec.L)
+    # No split needs more queries than the lowest x.  Where even that is
+    # below one, the rotations' precision is so coarse that P can reach 0.
+    require_one_query(query_count(lam, delta_e, X_SEARCH_INTERVAL[0]), delta_e)
+    rate = counts.rotations * RUS_T_SLOPE / (2.0 * math.log(2.0))
 
     def slope(x: float) -> float:
-        est = estimate(spec, x, delta_e)
-        return lam * (2.0 * x - 1.0) / ((1.0 - x) * est.total_toffoli / est.n_queries) - 1.0
+        per_walk = counts.toffoli + _walk_t(counts, lam, delta_e, x) / 2.0
+        return rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk) - 1.0
 
     est = estimate(spec, minimize(slope, *X_SEARCH_INTERVAL).point, delta_e)
     require_one_query(est.n_queries, delta_e)

@@ -167,16 +167,14 @@ class TrotterBudget:
             raise ValueError("tau must be positive")
 
     @property
-    def delta_e_pe(self) -> float:
-        return self.y * self.delta_e
+    def shares(self) -> tuple[float, float, float]:
+        """(p, q, c): the shares of ΔE for phase estimation, the per-step
+        rotations and the catalyst states."""
+        return self.y, self.x * (1.0 - self.y), self.z * (1.0 - self.y)
 
     @property
     def delta_e_trotter(self) -> float:
         return (1.0 - self.s) * (1.0 - self.y) * self.delta_e
-
-    @property
-    def delta_e_rotation(self) -> float:
-        return self.s * (1.0 - self.y) * self.delta_e
 
 
 def tau_max(W: float) -> float:

@@ -22,8 +22,9 @@ this count.
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and
-the rotation share by one bisection (``_best_budget``).  r gallops from the
-step count at which the tau-cap kink reaches the Trotter share 1/3.
+the rotation share by one bisection (``_best_budget``).  r walks by single
+steps from the step count at which the tau-cap kink reaches the Trotter
+share 1/3.
 """
 
 from __future__ import annotations
@@ -174,24 +175,24 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     return qubits
 
 
-def _cost(step: CostVector, catalysts: tuple[int, int], x: float, y: float, z: float,
+def _cost(step: CostVector, catalysts: tuple[int, int], p: float, q: float, c: float,
           tau: float, delta_e: float, amortize: bool) -> tuple[float, float, float, float]:
     """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution is
-    ``step``: N_q = 0.76*pi / (y * tau * dE) queries at N_tof + N_t / 2 each.
+    ``step``, at the shares of dE p (phase estimation), q (rotations) and c
+    (catalysts): N_q = 0.76*pi / (p * tau * dE) queries at N_tof + N_t / 2
+    each.
 
-    Each synthesis group splits its phase budget (slice x resp. z of the
-    rotation budget, times tau) equally across its rotations: N_t2 for the
-    per-layer rotations, N_t1 for the catalyst states.  ``amortize``
-    charges N_t1 once instead of per query.
+    Each synthesis group splits its phase budget (share q resp. c of dE,
+    times tau) equally across its rotations: N_t2 for the per-layer
+    rotations, N_t1 for the catalyst states.  ``amortize`` charges N_t1
+    once instead of per query.
     """
-    phase_x = x * (1.0 - y) * delta_e * tau
-    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / phase_x) + RUS_T_OFFSET)
+    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / (q * delta_e * tau)) + RUS_T_OFFSET)
     n_t1 = 0.0
     charged, count = catalysts
     if count:
-        phase_z = z * (1.0 - y) * delta_e * tau
-        n_t1 = charged * (RUS_T_SLOPE * math.log2(count / phase_z) + RUS_T_OFFSET)
-    n_q = QPE_QUERY_CONSTANT / (y * tau * delta_e)
+        n_t1 = charged * (RUS_T_SLOPE * math.log2(count / (c * delta_e * tau)) + RUS_T_OFFSET)
+    n_q = QPE_QUERY_CONSTANT / (p * tau * delta_e)
     per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
     return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
 
@@ -224,7 +225,7 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     r = trotter_steps(w, budget.tau, budget)
     step = step_cost(spec.kind, spec.L, r, strategy)
     n_t1, n_t2, n_q, total = _cost(
-        step, _catalysts(spec.kind, spec.L, strategy), budget.x, budget.y, budget.z,
+        step, _catalysts(spec.kind, spec.L, strategy), *budget.shares,
         budget.tau, budget.delta_e, amortize_catalyst,
     )
     return TrotterEstimate(
@@ -253,11 +254,11 @@ def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> f
 def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
                  tau_cap: float, delta_e: float, amortize: bool
                  ) -> tuple[float, float, float, float]:
-    """(x, y, z, tau): the cheapest budget for the r-step evolution ``step``.
+    """(p, q, c, tau): the cheapest shares of dE for the r-step evolution
+    ``step``, and the tau that the Trotter share pins.
 
-    Written as shares of dE that sum to 1 -- phase estimation p = y,
-    rotations q = x(1 - y), catalysts c = z(1 - y) and Trotter
-    t = (1 - s)(1 - y) -- the Lagrange conditions of the total give:
+    The shares -- phase estimation p, rotations q, catalysts c and Trotter
+    t -- sum to 1, and the Lagrange conditions of the total give:
     - t = min(1/3, v_k).  Below the kink v_k = (tau_cap / r)**2 W / dE the
       share buys tau = r * sqrt(t dE / W), and the conditions balance it at
       1/3; beyond the kink tau stays at its cap and the share buys nothing.
@@ -266,6 +267,9 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     - q * P = Λ * p with Λ = RUS_T_SLOPE * rz / (2 ln 2) and P the per-query
       cost of ``_cost``.  The residual rises with q, so ``minimize``
       bisects for its root in ln q.
+    Raises ``ValueError`` when the residual stays negative up to p = 0:
+    the synthesis T count per query has turned negative, so the error
+    target is too loose for the model.
     """
     t = min(1.0 / 3.0, (tau_cap / r) ** 2 * w / delta_e)
     tau = _pinned_tau(r, t, w, tau_cap, delta_e)
@@ -273,60 +277,40 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     k = ratio * tau * delta_e / QPE_QUERY_CONSTANT   # amortized: c = k * q * p
     lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
 
-    def split(q: float) -> tuple[float, float, float]:
-        """(x, y, z) at rotation share q."""
+    def shares(log_q: float) -> tuple[float, float, float]:
+        """(p, q, c) at rotation share exp(log_q)."""
+        q = math.exp(log_q)
         if amortize:
             p = (1.0 - t - q) / (1.0 + k * q)
-            c = k * q * p
-        else:
-            p, c = 1.0 - t - (1.0 + ratio) * q, ratio * q
-        return q / (1.0 - p), p, c / (1.0 - p)
+            return p, q, k * q * p
+        return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
 
     def slope(log_q: float) -> float:
-        q = math.exp(log_q)
-        x, y, z = split(q)
-        n_t1, _, n_q, total = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)
+        p, q, c = shares(log_q)
+        if p <= 0.0:   # q rounds onto the edge where p runs out
+            return -1.0
+        n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
         per_query = (total - n_t1 / 2.0 if amortize else total) / n_q
-        return q * per_query - lam * y
+        return q * per_query - lam * p
 
-    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # where p reaches 0
-    x, y, z = split(math.exp(minimize(slope, _LOG_Q_FLOOR, math.log(q_max)).point))
-    return x, y, z, _pinned_tau(r, (1.0 - (x + z)) * (1.0 - y), w, tau_cap, delta_e)
+    log_q_max = math.log((1.0 - t) / (1.0 if amortize else 1.0 + ratio))   # p = 0
+    log_q = minimize(slope, _LOG_Q_FLOOR, log_q_max).point
+    if log_q == log_q_max:
+        raise ValueError(f"error target delta_e={delta_e:g} is too loose: the total falls "
+                         f"without bound as phase estimation's share of it goes to 0")
+    return (*shares(log_q), tau)
 
 
 def _best_step_count(cost, r: int) -> int:
-    """Integer r >= 1 minimizing the unimodal ``cost``, searched from r.
-
-    Gallops away from r in the direction that improves, by steps of 1, 2,
-    4, ... while the cost falls (Bentley and Yao, 1976), then narrows the
-    last bracket by integer ternary search: O(log d) costs for an optimum
-    d steps away.
+    """Integer r >= 1 minimizing the unimodal ``cost``, walked from r by
+    single steps in whichever direction lowers it.  Started at r0, the
+    walk ends on r0 or r0 - 1 on every published cell: three or four
+    ``cost`` calls, which the caller memoizes.
     """
-    here = cost(r)
     for direction in (1, -1):
-        if r + direction >= 1 and cost(r + direction) < here:
-            break
-    else:
-        return r
-    behind, best, step = r, r + direction, 1
-    while True:
-        step *= 2
-        ahead = max(best + direction * step, 1)
-        if ahead == best:
-            return best   # falls all the way to r = 1
-        if not cost(ahead) < cost(best):
-            break
-        behind, best = best, ahead
-    (lo, hi), mid = sorted((behind, ahead)), best
-    while hi - lo > 2:   # invariant: cost(mid) <= cost(lo), cost(hi)
-        probe = (lo + mid) // 2 if mid - lo > hi - mid else (mid + hi + 1) // 2
-        if cost(probe) < cost(mid):
-            lo, mid, hi = (lo, probe, mid) if probe < mid else (mid, probe, hi)
-        elif probe < mid:
-            lo = probe
-        else:
-            hi = probe
-    return mid
+        while r + direction >= 1 and cost(r + direction) < cost(r):
+            r += direction
+    return r
 
 
 def optimize_trotter(spec: ModelSpec, strategy: Strategy,
@@ -338,11 +322,12 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     tau follow from their first-order conditions (see ``_best_budget``).
     r starts at r0 = ceil(tau_cap * sqrt(3 W / dE)), where the kink reaches
     the Trotter share 1/3: below r0 tau grows with r, from r0 on it sits at
-    its cap.  r then gallops and narrows to its optimum (see
+    its cap.  r then walks by single steps to its optimum (see
     ``_best_step_count``).  Raises ``ValueError`` when r0 exceeds 1e13
     (where ``evaluate`` no longer recovers r from the pinned tau), or when
-    the optimum needs fewer than one phase-estimation query (an error
-    target too loose to mean anything).
+    the error target is too loose to mean anything: the optimum needs
+    fewer than one phase-estimation query, or no optimum keeps a share
+    for phase estimation.
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)
@@ -356,17 +341,16 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     if not r0 <= _MAX_EXACT_R:
         raise ValueError(f"the Trotter step count r={r0:.3g} overflows 1e13, above which the "
                          f"time step no longer pins r exactly, at delta_e={delta_e:g}")
-    solved = {}   # r -> (total, (x, y, z, tau))
+    solved = {}   # r -> (N_q, total, (p, q, c, tau))
 
     def cost(n: int) -> float:
         if n not in solved:
             step = _step_at(line, n)
             budget = _best_budget(step, catalysts, n, w, tau_cap, delta_e, amortize_catalyst)
-            solved[n] = _cost(step, catalysts, *budget, delta_e, amortize_catalyst)[3], budget
-        return solved[n][0]
+            solved[n] = *_cost(step, catalysts, *budget, delta_e, amortize_catalyst)[2:], budget
+        return solved[n][1]
 
-    r = _best_step_count(cost, math.ceil(r0))
-    x, y, z, tau = solved[r][1]
-    est = evaluate(spec, strategy, TrotterBudget(delta_e, y, x, z, tau), w, amortize_catalyst)
-    require_one_query(est.n_queries, delta_e)
-    return est
+    n_q, _, (p, q, c, tau) = solved[_best_step_count(cost, math.ceil(r0))]
+    require_one_query(n_q, delta_e)
+    return evaluate(spec, strategy, TrotterBudget(delta_e, p, q / (1.0 - p), c / (1.0 - p), tau),
+                    w, amortize_catalyst)

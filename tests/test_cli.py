@@ -111,6 +111,19 @@ class TestEstimate:
         assert f"delta_e={float(delta_e):g}" in err
         assert "fewer than one" in err
 
+    @pytest.mark.parametrize("method", ["trotter", "qubitization"])
+    @pytest.mark.parametrize("delta_e", ["1e18", "1e32", "1e156", "1e300"])
+    def test_very_loose_delta_e_exits_2(self, capsys, method, delta_e):
+        # far past one query the rotations' synthesis T count turns negative
+        # and dE**2 overflows; the target is still reported as too loose
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--method", method, "--L", "4",
+             "--delta-e", delta_e], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: error target delta_e={float(delta_e):g} is too loose")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("method,flags", [
         ("trotter", ["--t", "1e120"]), ("trotter", ["--u", "1e200"]),
         ("qubitization", ["--u", "1e307"]),

@@ -126,6 +126,24 @@ class TestOptimize:
                 for L in table:
                     optimize_qubitization(ModelSpec(kind, L))
 
+    def test_one_estimate_per_solve(self, monkeypatch):
+        # the slope reads the per-walk cost alone; the full estimate is
+        # built once, at the optimum
+        from lattice_qre import qubitization
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(qubitization, "estimate", counted)
+        for kind in Model:
+            calls.clear()
+            est = optimize_qubitization(ModelSpec(kind, 8))
+            assert len(calls) == 1
+            assert calls[0][1] == est.x
+
     def test_x_opt_range(self):
         est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4))
         assert 0.97 <= est.x <= 0.999

@@ -159,9 +159,10 @@ class TestTrotterSteps:
 
 class TestBudget:
     def test_slices_sum_to_total(self):
+        # the shares evaluate reads, plus the Trotter slice, make up dE
         b = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
-        total = b.delta_e_pe + b.delta_e_trotter + b.delta_e_rotation
-        assert total == pytest.approx(b.delta_e, rel=1e-12)
+        total = sum(b.shares) + b.delta_e_trotter / b.delta_e
+        assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_bad_y(self):
         with pytest.raises(ValueError):

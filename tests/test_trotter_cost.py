@@ -274,8 +274,8 @@ class TestOptimizeTrotter:
 
     def test_deep_target_in_few_refinements(self, monkeypatch):
         # the step count starts at r0 = 19,940, where the tau-cap kink reaches
-        # the Trotter share 1/3, and stays there: O(log r) per-r solves (a
-        # walk by one step took 452)
+        # the Trotter share 1/3, and stays there: three per-r solves, at r0
+        # and at its two neighbours
         calls = []
 
         def counted(*args):
@@ -285,7 +285,7 @@ class TestOptimizeTrotter:
         monkeypatch.setattr(trotter_cost, "minimize", counted)
         est = optimize_trotter(FH8, Strategy.CATALYZED, 1e-7)
         assert est.r == 19_940
-        assert len(calls) <= 60
+        assert len(calls) == 3
         assert est.total_toffoli < 4.88972e15   # the walk's total, z held at 1e-5
 
     @staticmethod
@@ -315,6 +315,22 @@ class TestOptimizeTrotter:
         est, searched = self._searched_r(monkeypatch, Strategy.BASELINE, 1e-24)
         assert 6e12 < est.r < trotter_cost._MAX_EXACT_R
         assert searched == [est.r]
+
+    def test_table_r_is_r0_or_one_below(self, trotter_sweep):
+        # on every published cell the walk from r0 = ceil(tau_cap sqrt(3W/dE))
+        # ends on r0 or r0 - 1, and no r in r0 - 3 .. r0 + 3 is cheaper when
+        # each is solved for its own cheapest budget
+        for (kind, L, strategy), est in trotter_sweep.results.items():
+            w, delta_e = est.w_bound, est.budget.delta_e
+            tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
+            catalysts = trotter_cost._catalysts(kind, L, strategy)
+            r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
+            assert est.r in (r0, r0 - 1)
+            for r in range(max(r0 - 3, 1), r0 + 4):
+                step = step_cost(kind, L, r, strategy)
+                budget = trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, False)
+                other = trotter_cost._cost(step, catalysts, *budget, delta_e, False)[3]
+                assert est.total_toffoli <= other * (1.0 + 1e-12)
 
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import TROTTER_TABLES

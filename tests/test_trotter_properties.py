@@ -120,11 +120,11 @@ def test_no_budget_transfer_lowers_the_total(cell):
     w, tau_cap, catalysts = _setting(cell)
     step = step_cost(spec.kind, spec.L, est.r, strategy)
     b = est.budget
-    shares = (b.y, b.x * (1.0 - b.y), b.z * (1.0 - b.y), (1.0 - b.s) * (1.0 - b.y))
+    shares = (*b.shares, (1.0 - b.s) * (1.0 - b.y))
 
     def total(p, q, c, t):
         tau = _pinned_tau(est.r, t, w, tau_cap, delta_e)
-        return _cost(step, catalysts, q / (1.0 - p), p, c / (1.0 - p), tau, delta_e, amortize)[3]
+        return _cost(step, catalysts, p, q, c, tau, delta_e, amortize)[3]
 
     assert math.isclose(total(*shares), est.total_toffoli, rel_tol=1e-12)
     for i, j in permutations(range(4), 2):
@@ -141,7 +141,7 @@ def test_no_budget_transfer_lowers_the_total(cell):
 @given(cells())
 def test_step_count_beats_its_neighbours(cell):
     # the solver's r is no worse than r - 2 .. r + 2, each solved for its
-    # own cheapest budget: the premise of its galloping search over r
+    # own cheapest budget: the premise of its walk over r
     spec, strategy, delta_e, amortize = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
     w, tau_cap, catalysts = _setting(cell)
@@ -149,8 +149,8 @@ def test_step_count_beats_its_neighbours(cell):
         if r < 1:
             continue
         step = step_cost(spec.kind, spec.L, r, strategy)
-        x, y, z, tau = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
-        other = _cost(step, catalysts, x, y, z, tau, delta_e, amortize)[3]
+        p, q, c, tau = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
+        other = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)[3]
         assert est.total_toffoli <= other * (1.0 + 1e-9)
 
 
