@@ -13,7 +13,7 @@ is the phase-gate convention diag(1, e^{i*angle}); it differs from the
 symmetric convention only by a global phase, and every equivalence check
 in this package is up to global phase.
 
-An RZ/CRZ gate carries one angle, or a 1-D array with one angle per
+An RZ gate carries one angle, or a 1-D array with one angle per
 member of a family: the same gadget at k angles is then one circuit, built
 once, whose batch column c runs member ``c % k``, and whose ``unitary()``
 is a stack of k matrices.  The per-gate work is paid once for all members.
@@ -49,14 +49,13 @@ class GateKind(str, Enum):
     CNOT = "cnot"
     CZ = "cz"
     SWAP = "swap"
-    CRZ = "crz"
     TOFFOLI = "toffoli"
 
 
 _ARITY = {
     GateKind.X: 1, GateKind.H: 1, GateKind.S: 1, GateKind.SDG: 1,
     GateKind.T: 1, GateKind.TDG: 1, GateKind.RZ: 1,
-    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.SWAP: 2, GateKind.CRZ: 2,
+    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.SWAP: 2,
     GateKind.TOFFOLI: 3,
 }
 
@@ -78,14 +77,14 @@ _PHASE = {   # the diagonal gates without an angle
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
-    angle: float | np.ndarray | None = None   # RZ/CRZ: one, or one per family member
+    angle: float | np.ndarray | None = None   # RZ: one, or one per family member
 
     def __post_init__(self):
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind.value} expects {_ARITY[self.kind]} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-        if (self.kind in (GateKind.RZ, GateKind.CRZ)) != (self.angle is not None):
+        if (self.kind is GateKind.RZ) != (self.angle is not None):
             raise ValueError(f"angle mismatch for {self.kind.value}")
         if self.angle is not None and not isinstance(self.angle, Real):
             angle = np.asarray(self.angle)
@@ -137,7 +136,6 @@ class Circuit:
     def cnot(self, c, t): self.append(GateKind.CNOT, c, t)
     def cz(self, a, b): self.append(GateKind.CZ, a, b)
     def swap(self, a, b): self.append(GateKind.SWAP, a, b)
-    def crz(self, c, t, angle): self.append(GateKind.CRZ, c, t, angle=angle)
     def toffoli(self, c1, c2, t): self.append(GateKind.TOFFOLI, c1, c2, t)
 
     def inverted(self) -> "Circuit":
@@ -152,7 +150,7 @@ class Circuit:
                 out["toffoli"] += 1
             elif g.kind in (GateKind.T, GateKind.TDG):
                 out["t"] += 1
-            elif g.kind in (GateKind.RZ, GateKind.CRZ):
+            elif g.kind is GateKind.RZ:
                 out["rz"] += 1
             elif g.kind is GateKind.SWAP:
                 out["swap"] += 1
@@ -210,7 +208,7 @@ def simulate(circuit, index, amp, column):
     their qubits are all set; only H changes the number of entries.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
 
-    An RZ/CRZ gate multiplies the entries it hits in column c by
+    An RZ gate multiplies the entries it hits in column c by
     e^{i*angle[c % len(angle)]}: a circuit whose angles are arrays of length
     k is a family of k circuits, and column c runs member ``c % k``.  A
     float angle is a family of one.  Array angles of different lengths

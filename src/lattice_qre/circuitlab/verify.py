@@ -145,13 +145,8 @@ def _diagonal_deviation(column, row, value, diagonal) -> float:
     leakage = np.abs(1.0 - np.sqrt(np.bincount(column, np.abs(value) ** 2,
                                                minlength=diagonal.size)))
     off = np.abs(value[~on])
-    # the global-phase rule of max_unitary_deviation, at the target's largest entry
-    k = np.argmax(np.abs(diagonal))
-    phase = induced_diagonal[k] / diagonal[k]
-    if abs(abs(phase) - 1.0) <= 1e-6:
-        diagonal = phase * diagonal
     return float(max(leakage.max(), off.max(initial=0.0),
-                     np.abs(induced_diagonal - diagonal).max()))
+                     max_unitary_deviation(induced_diagonal, diagonal)))
 
 
 @_check("hwp_unitary", 1e-9)

@@ -12,21 +12,18 @@ Per-walk non-Clifford counts depend on whether the lattice dimension is a
 power of two: otherwise the uniform state preparations over the odd part m
 of L add Toffolis and rotations.
 
-The split x is where d ln(total)/dx changes sign on ``X_SEARCH_INTERVAL``,
-found by bisection to adjacent floats, so it is set by the model alone.
+The split x is where d ln(total)/dx changes sign on (1/2, 1), found by
+bisection to adjacent floats, so it is set by the model alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query, system_qubits
 from .optimize import minimize
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
-
-X_SEARCH_INTERVAL = (0.5, 0.9999)
 
 
 def _odd_part(L: int) -> int:
@@ -129,28 +126,29 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     With Q the queries, P the per-walk cost (its Toffolis plus half of
     ``_walk_t``) and n_rot rotations per walk,
     d ln(total)/dx = -1/(2x) + Λ (2x - 1) / (2x (1 - x) P) with
-    Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  2x times it rises with x on
-    ``X_SEARCH_INTERVAL``, so ``minimize`` bisects for its sign change, and
-    ``estimate`` runs once, at the optimum.  Raises ``ValueError`` when the
-    cost overflows or the optimum needs fewer than one phase-estimation
-    query, and emits a ``RuntimeWarning`` when x sits on an edge of
-    ``X_SEARCH_INTERVAL``, where the true optimum may lie outside.
+    Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  The walk term is at most 0 up to
+    x = 1/2, and 2x times the slope rises with x, so ``minimize`` bisects
+    (1/2, 1) for its sign change, and ``estimate`` runs once, at the
+    optimum.  Raises ``ValueError`` when the optimum needs fewer than one
+    phase-estimation query, or when the slope stays negative up to x = 1.
     """
     delta_e = error_target(spec.L, delta_e)
     lam = lcu_lambda(spec)
     counts = walk_counts(spec.kind, spec.L)
-    # No split needs more queries than the lowest x.  Where even that is
+    # No split above 1/2 needs more queries than x = 1/2.  Where even that is
     # below one, the rotations' precision is so coarse that P can reach 0.
-    require_one_query(query_count(lam, delta_e, X_SEARCH_INTERVAL[0]), delta_e)
+    require_one_query(query_count(lam, delta_e, 0.5), delta_e)
     rate = counts.rotations * RUS_T_SLOPE / (2.0 * math.log(2.0))
 
     def slope(x: float) -> float:
         per_walk = counts.toffoli + _walk_t(counts, lam, delta_e, x) / 2.0
         return rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk) - 1.0
 
-    est = estimate(spec, minimize(slope, *X_SEARCH_INTERVAL).point, delta_e)
+    x = minimize(slope, 0.5, 1.0).point
+    if x == 1.0:
+        raise ValueError(f"the qubitization error split overflows: d ln(total)/dx stays "
+                         f"negative up to x = 1 at lambda={lam:g}, delta_e={delta_e:g} (the "
+                         f"walk cost overflows, or x is within float resolution of 1)")
+    est = estimate(spec, x, delta_e)
     require_one_query(est.n_queries, delta_e)
-    if est.x in X_SEARCH_INTERVAL:
-        warnings.warn(f"qubitization error split x={est.x!r} sits on the search-box edge "
-                      f"{est.x}; the optimum may lie beyond it", RuntimeWarning, stacklevel=2)
     return est

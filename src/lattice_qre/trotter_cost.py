@@ -22,14 +22,15 @@ this count.
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and
-the rotation share by one bisection (``_best_budget``).  r walks by single
-steps from the step count at which the tau-cap kink reaches the Trotter
-share 1/3.
+the rotation share by one bisection over its own domain (``_best_budget``).
+r walks by single steps from the step count at which the tau-cap kink
+reaches the Trotter share 1/3.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -192,7 +193,7 @@ def _cost(step: CostVector, catalysts: tuple[int, int], p: float, q: float, c: f
     charged, count = catalysts
     if count:
         n_t1 = charged * (RUS_T_SLOPE * math.log2(count / (c * delta_e * tau)) + RUS_T_OFFSET)
-    n_q = QPE_QUERY_CONSTANT / (p * tau * delta_e)
+    n_q = QPE_QUERY_CONSTANT / ((tau * delta_e) * p)   # tau * dE first: p may be subnormal
     per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
     return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
 
@@ -240,10 +241,6 @@ _TAU_MARGIN = 1.0 - 1e-12
 # Up to here trotter_steps gives back the r a pinned tau was pinned to: its
 # relative slack of 1e-14 is then at most 0.1 of a step (at 2**53 it is 90).
 _MAX_EXACT_R = 10**13
-# The rotation share q is bisected in ln q above this floor: far below the
-# optimum (q > 1e-4 * p on every table cell) and far above an underflow of
-# the synthesis precision q * dE * tau.
-_LOG_Q_FLOOR = math.log(1e-200)
 
 
 def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> float:
@@ -265,8 +262,8 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     - c = q * charged / rz, or c = q * p * tau * dE * charged / (0.76*pi * rz)
       when the catalysts are charged once (``amortize``).
     - q * P = Λ * p with Λ = RUS_T_SLOPE * rz / (2 ln 2) and P the per-query
-      cost of ``_cost``.  The residual rises with q, so ``minimize``
-      bisects for its root in ln q.
+      cost of ``_cost``.  The residual is -Λ (1 - t) as q -> 0 and rises
+      with q, so ``minimize`` bisects q's domain (0, q_max) for its root.
     Raises ``ValueError`` when the residual stays negative up to p = 0:
     the synthesis T count per query has turned negative, so the error
     target is too loose for the model.
@@ -277,38 +274,40 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     k = ratio * tau * delta_e / QPE_QUERY_CONSTANT   # amortized: c = k * q * p
     lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
 
-    def shares(log_q: float) -> tuple[float, float, float]:
-        """(p, q, c) at rotation share exp(log_q)."""
-        q = math.exp(log_q)
+    def shares(q: float) -> tuple[float, float, float]:
+        """(p, q, c) at rotation share q."""
         if amortize:
             p = (1.0 - t - q) / (1.0 + k * q)
             return p, q, k * q * p
         return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
 
-    def slope(log_q: float) -> float:
-        p, q, c = shares(log_q)
+    def slope(q: float) -> float:
+        p, _, c = shares(q)
         if p <= 0.0:   # q rounds onto the edge where p runs out
             return -1.0
         n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
         per_query = (total - n_t1 / 2.0 if amortize else total) / n_q
         return q * per_query - lam * p
 
-    log_q_max = math.log((1.0 - t) / (1.0 if amortize else 1.0 + ratio))   # p = 0
-    log_q = minimize(slope, _LOG_Q_FLOOR, log_q_max).point
-    if log_q == log_q_max:
+    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
+    q = minimize(slope, 0.0, q_max).point
+    if q == q_max:
         raise ValueError(f"error target delta_e={delta_e:g} is too loose: the total falls "
                          f"without bound as phase estimation's share of it goes to 0")
-    return (*shares(log_q), tau)
+    return (*shares(q), tau)
 
 
 def _best_step_count(cost, r: int) -> int:
     """Integer r >= 1 minimizing the unimodal ``cost``, walked from r by
     single steps in whichever direction lowers it.  Started at r0, the
     walk ends on r0 or r0 - 1 on every published cell: three or four
-    ``cost`` calls, which the caller memoizes.
+    ``cost`` calls, which the caller memoizes.  A step must gain more than
+    the totals' rounding, 4 eps of |cost(r)| (too loose a target can make it
+    negative): near 1e13 steps a walk on smaller gains drifts on noise.
     """
+    rounding = 4.0 * sys.float_info.epsilon
     for direction in (1, -1):
-        while r + direction >= 1 and cost(r + direction) < cost(r):
+        while r + direction >= 1 and cost(r + direction) < cost(r) - rounding * abs(cost(r)):
             r += direction
     return r
 

@@ -57,9 +57,6 @@ def _kron_unitary(gate, n):
             elif gate.kind is GateKind.SWAP:
                 a, b = gate.qubits
                 bits[a], bits[b] = bits[b], bits[a]
-            elif gate.kind is GateKind.CRZ:
-                c, t = gate.qubits
-                phase = np.exp(1j * gate.angle) if bits[c] and bits[t] else 1.0
             elif gate.kind is GateKind.TOFFOLI:
                 c1, c2, t = gate.qubits
                 if bits[c1] and bits[c2]:
@@ -75,7 +72,7 @@ def _kron_unitary(gate, n):
 
 def _random_gate(rng, kind, n):
     qubits = tuple(int(q) for q in rng.permutation(n)[:_ARITY[kind]])
-    angle = float(rng.uniform(-np.pi, np.pi)) if kind in (GateKind.RZ, GateKind.CRZ) else None
+    angle = float(rng.uniform(-np.pi, np.pi)) if kind is GateKind.RZ else None
     return Gate(kind, qubits, angle)
 
 
@@ -90,7 +87,7 @@ class TestStateVector:
         Gate(GateKind.SDG, (1,)), Gate(GateKind.T, (2,)), Gate(GateKind.TDG, (0,)),
         Gate(GateKind.RZ, (1,), 0.913), Gate(GateKind.CNOT, (3, 1)),
         Gate(GateKind.CZ, (0, 2)), Gate(GateKind.SWAP, (1, 3)),
-        Gate(GateKind.CRZ, (2, 0), -1.37), Gate(GateKind.TOFFOLI, (3, 0, 2)),
+        Gate(GateKind.TOFFOLI, (3, 0, 2)),
     ]
 
     def test_every_gate_against_kron_embedding(self):
@@ -133,7 +130,7 @@ class TestStateVector:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_family_matches_one_simulation_per_member(self, seed):
-        # every RZ/CRZ gate carries k angles; column c of the batch runs
+        # every RZ gate carries k angles; column c of the batch runs
         # member c % k, which is the circuit with each gate's angle[c % k]
         rng = np.random.default_rng(2000 + seed)
         n, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
@@ -170,9 +167,8 @@ class TestStateVector:
 
     @pytest.mark.parametrize("angle", [np.zeros((2, 2)), np.array([]), 1j, None, [0.1, "x"]])
     def test_angle_is_a_real_number_or_a_1d_array(self, angle):
-        for kind in (GateKind.RZ, GateKind.CRZ):
-            with pytest.raises(ValueError):
-                Gate(kind, tuple(range(_ARITY[kind])), angle)
+        with pytest.raises(ValueError):
+            Gate(GateKind.RZ, (0,), angle)
         assert Gate(GateKind.RZ, (0,), [0.1, -2]).angle.tolist() == [0.1, -2.0]
         with pytest.raises(ValueError):
             Gate(GateKind.T, (0,), 0.1)
@@ -189,15 +185,15 @@ class TestStateVector:
     def test_family_angles_of_different_lengths_have_no_unitary(self):
         circ = Circuit(2)
         circ.rz(0, np.array([0.1, 0.2]))
-        circ.crz(0, 1, np.array([0.1, 0.2, 0.3]))
+        circ.rz(1, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
             circ.unitary()
 
     def test_family_angles_of_different_lengths_do_not_simulate(self):
-        # column 2 would mix member 0 of the RZ with member 2 of the CRZ
+        # column 2 would mix member 0 of the first RZ with member 2 of the second
         circ = Circuit(2)
         circ.rz(0, [0.1, 0.2])
-        circ.crz(0, 1, [0.1, 0.2, 0.3])
+        circ.rz(1, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="no member count"):
             simulate(circ, [3, 3, 3], [1.0, 1.0, 1.0], [0, 1, 2])
         with pytest.raises(ValueError, match="no member count"):
@@ -218,7 +214,7 @@ class TestStateVector:
         rng = np.random.default_rng(17)
         circ = Circuit(4)
         circ.h(0); circ.t(1); circ.cnot(0, 2); circ.rz(3, 0.77)
-        circ.toffoli(0, 1, 3); circ.swap(1, 2); circ.crz(2, 0, -1.3)
+        circ.toffoli(0, 1, 3); circ.swap(1, 2); circ.rz(0, -1.3)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
         out = apply_circuit(state, circ)

@@ -156,18 +156,42 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: no tabulated norms for L=34")
 
-    def test_box_edge_warning_on_stderr(self):
-        # a fresh interpreter, so the warning takes Python's default route
+    def test_x_past_the_old_box_edge_leaves_stderr_empty(self):
+        # FH L = 64 used to warn that x sat on the search-box edge 0.9999; a
+        # fresh interpreter, so any warning would take Python's default route
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "lattice_qre.cli", "estimate", "--model", "fh",
-             "--method", "qubitization", "--L", "64"],
+             "--method", "qubitization", "--L", "64", "--format", "json"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
-        assert proc.stdout.startswith("model")
-        assert "RuntimeWarning: qubitization error split x=0.9999 sits on the search-box edge" \
-            in proc.stderr
+        assert proc.stderr == ""
+        assert 0.9999 < json.loads(proc.stdout)["rows"][0]["x"] < 1.0
+
+    def test_x_within_float_resolution_of_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--method", "qubitization", "--L", "100000000"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the qubitization error split overflows")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["fh", "cuprate", "pnictide"])
+    @pytest.mark.parametrize("L", ["4", "8"])
+    @pytest.mark.parametrize("strategy", ["catalyzed", "batched-catalyzed"])
+    @pytest.mark.parametrize("delta_e", ["1e18", "1e100", "1e300", "1.7e308"])
+    def test_very_loose_amortized_delta_e_exits_2(self, capsys, model, L, strategy, delta_e):
+        # catalysts charged once: phase estimation's share p can be subnormal,
+        # and at the top of the float range p * tau * dE underflowed to 0
+        code, out, err = run_cli(
+            ["estimate", "--model", model, "--method", "trotter", "--L", L,
+             "--strategy", strategy, "--delta-e", delta_e, "--amortize-catalyst"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: error target delta_e={float(delta_e):g} is too loose")
+        assert err.count("\n") == 1
 
 
 class TestSweep:

@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lattice_qre.model import Model, ModelSpec, extensive_error
+from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
 from lattice_qre.qubitization import (
-    X_SEARCH_INTERVAL,
     estimate,
     optimize_qubitization,
     query_count,
@@ -70,11 +72,16 @@ class TestOptimize:
         with pytest.raises(ValueError, match="delta_e=1e\\+09 .* fewer than one"):
             optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 8), 1e9)
 
-    def test_x_on_box_edge_warns(self):
-        # at FH L = 64 the cost still falls as x approaches the upper edge
-        with pytest.warns(RuntimeWarning, match=r"x=0\.9999 sits on the search-box edge"):
-            est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 64))
-        assert est.x == X_SEARCH_INTERVAL[1]
+    def test_x_past_the_old_box_edge(self):
+        # at FH L = 64 the cost still falls past x = 0.9999, once the edge of
+        # the search box; the optimum beyond it is 1.3e-5 cheaper, and nothing
+        # warns
+        spec = ModelSpec(Model.FERMI_HUBBARD, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = optimize_qubitization(spec)
+        assert 0.9999 < est.x < 1.0
+        assert est.total_toffoli < estimate(spec, 0.9999).total_toffoli * (1.0 - 1e-5)
 
     @staticmethod
     def _log_slope(spec, x, delta_e):
@@ -110,12 +117,30 @@ class TestOptimize:
                 assert abs(slope) <= 1e-9 * abs(query)
                 assert abs(numeric - slope) <= 1e-7 * abs(query)
 
-    def test_x_on_the_edge_where_the_slope_stays_negative(self):
-        spec = ModelSpec(Model.FERMI_HUBBARD, 64)
-        with pytest.warns(RuntimeWarning, match=r"x=0\.9999 sits on the search-box edge"):
-            est = optimize_qubitization(spec)
-        assert est.x == X_SEARCH_INTERVAL[1]
-        assert self._log_slope(spec, est.x, est.delta_e)[0] < 0.0
+    @pytest.mark.parametrize("L,delta_e", [(10**8, None), (8, 1e-300)])
+    def test_slope_negative_up_to_one_raises(self, L, delta_e):
+        # at L = 1e8 the optimum lies within float resolution of x = 1; at
+        # dE = 1e-300 the per-walk cost overflows.  Either way no x below 1
+        # turns the slope, and the solver refuses rather than return x = 1
+        with pytest.raises(ValueError, match="split overflows: d ln\\(total\\)/dx stays negative"):
+            optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, L), delta_e)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.sampled_from(list(Model)), st.integers(2, 2048), st.floats(-6.0, 0.0),
+           st.lists(st.floats(0.9, 1.1), min_size=6, max_size=6))
+    def test_x_is_an_interior_root(self, kind, half_l, depth, jitter):
+        # over models, even L up to 4096, targets down to 1e-6 of the
+        # extensive one and couplings jittered by 10%: x lies inside (1/2, 1)
+        # and the slope changes sign across it
+        base = default_couplings(kind)
+        couplings = replace(base, **{
+            f.name: getattr(base, f.name) * scale for f, scale in zip(fields(base), jitter)})
+        spec = ModelSpec(kind, 2 * half_l, couplings)
+        est = optimize_qubitization(spec, extensive_error(spec.L) * 10.0 ** depth)
+        assert 0.5 < est.x < 1.0
+        h = 1e-6 * (1.0 - est.x)
+        assert self._log_slope(spec, est.x - h, est.delta_e)[0] < 0.0
+        assert self._log_slope(spec, est.x + h, est.delta_e)[0] > 0.0
 
     def test_no_table_cell_on_box_edge(self):
         from lattice_qre.reference_tables import QUBITIZATION_TABLES

@@ -6,7 +6,7 @@ import pytest
 from lattice_qre import trotter_cost
 from lattice_qre.model import InvalidLattice, Model, ModelSpec
 from lattice_qre.optimize import minimize
-from lattice_qre.trotter_bounds import TrotterBudget, tau_max
+from lattice_qre.trotter_bounds import TrotterBudget, tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     Strategy,
     evaluate,
@@ -315,6 +315,16 @@ class TestOptimizeTrotter:
         est, searched = self._searched_r(monkeypatch, Strategy.BASELINE, 1e-24)
         assert 6e12 < est.r < trotter_cost._MAX_EXACT_R
         assert searched == [est.r]
+
+    def test_deepest_solved_target_walk_stays_on_r0(self):
+        # near r = 6.3e12 adjacent totals differ by about 3e-26 relative, far
+        # below their rounding; a walk that stepped on any lower total ended
+        # at r0 + 1, r0 + 1, r0 - 1 and r0 + 2 on the four strategies
+        w = trotter_bound(FH8)
+        r0 = math.ceil(tau_max(w) * trotter_cost._TAU_MARGIN * math.sqrt(3.0 * w / 1e-24))
+        assert r0 == 6_305_476_245_674
+        for strategy in Strategy:
+            assert optimize_trotter(FH8, strategy, 1e-24).r == r0
 
     def test_table_r_is_r0_or_one_below(self, trotter_sweep):
         # on every published cell the walk from r0 = ceil(tau_cap sqrt(3W/dE))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
-from lattice_qre.primitives import CostVector, floor_log2, hwp_cost
+from lattice_qre.primitives import RUS_T_SLOPE, CostVector, floor_log2, hwp_cost
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     _TAU_MARGIN,
@@ -135,6 +135,23 @@ def test_no_budget_transfer_lowers_the_total(cell):
         other[i] -= moved
         other[j] += moved
         assert est.total_toffoli <= total(*other) * (1.0 + 1e-12)
+
+
+@DETERMINISTIC
+@given(cells())
+def test_rotation_share_solves_its_condition(cell):
+    # at the returned shares q * P = Λ * p, the first-order condition that
+    # the bisection over q solves, holds to 1e-12 of Λ * p: P is the
+    # per-query cost and Λ = RUS_T_SLOPE * rz / (2 ln 2)
+    spec, strategy, delta_e, amortize = cell
+    est = optimize_trotter(spec, strategy, delta_e, amortize)
+    _, _, catalysts = _setting(cell)
+    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    p, q, c = est.budget.shares
+    n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, est.budget.tau, delta_e, amortize)
+    per_query = ((total - n_t1 / 2.0) if amortize else total) / n_q
+    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
+    assert abs(q * per_query - lam * p) <= 1e-12 * lam * p
 
 
 @DETERMINISTIC
