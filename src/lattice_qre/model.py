@@ -186,12 +186,15 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "model":
-            out[key] = Model(value.lower())
-        elif key == "L":
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
+        try:
+            if key == "model":
+                out[key] = Model(value.lower())
+            elif key == "L":
+                out[key] = int(value)
+            else:
+                out[key] = float(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return out
 
 

@@ -1,6 +1,10 @@
-"""Shared fixtures: the heavyweight sweeps are computed once per session."""
+"""Shared fixtures: the heavyweight sweeps are computed once per session.
+
+The two table sweeps solve under ``simplefilter("error")``, so a warning on
+any of the 197 table cells fails every test that uses them."""
 
 import time
+import warnings
 
 import pytest
 
@@ -20,23 +24,27 @@ class Sweep:
 @pytest.fixture(scope="session")
 def qubitization_sweep():
     start = time.perf_counter()
-    results = {
-        (kind, L): optimize_qubitization(ModelSpec(kind, L))
-        for kind, table in QUBITIZATION_TABLES.items()
-        for L in table
-    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {
+            (kind, L): optimize_qubitization(ModelSpec(kind, L))
+            for kind, table in QUBITIZATION_TABLES.items()
+            for L in table
+        }
     return Sweep(results, time.perf_counter() - start)
 
 
 @pytest.fixture(scope="session")
 def trotter_sweep():
     start = time.perf_counter()
-    results = {
-        (kind, L, strategy): optimize_trotter(ModelSpec(kind, L), strategy)
-        for kind, table in TROTTER_TABLES.items()
-        for L in table
-        for strategy in Strategy
-    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {
+            (kind, L, strategy): optimize_trotter(ModelSpec(kind, L), strategy)
+            for kind, table in TROTTER_TABLES.items()
+            for L in table
+            for strategy in Strategy
+        }
     return Sweep(results, time.perf_counter() - start)
 
 

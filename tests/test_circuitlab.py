@@ -554,8 +554,9 @@ class TestFermionOracle:
         assert FermionOracle(5).car_deviation == 0.0   # raises on violation
 
     def test_mode_limit(self):
+        assert FermionOracle(5).n_modes == fermion.MAX_MODES
         with pytest.raises(ValueError):
-            FermionOracle(8)
+            FermionOracle(6)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_convention_matches_kron_product(self, n):
@@ -584,8 +585,10 @@ class TestFermionOracle:
         def add_entry(op):
             op[1, 0b00100] = 1.0   # column 4 already holds a_2's entry at row 0
 
+        # a_2 a_0 maps |10100> to |00001> through the new entry, and nothing
+        # in a_0 a_2 cancels it
         _mutate_annihilation(monkeypatch, 2, add_entry)
-        with pytest.raises(AssertionError, match="a_2 is not a signed partial permutation"):
+        with pytest.raises(AssertionError, match=r"\{a_0, a_2\} != 0 \(deviation 1\)"):
             FermionOracle(5)
 
     def test_agrees_with_dense_products(self, monkeypatch):
@@ -648,6 +651,21 @@ class TestVerifySuite:
         assert builds == {"build_hwp": 8, "build_plaquette_evolution": 0}
         assert verify.check_plaquette().passed
         assert builds == {"build_hwp": 8, "build_plaquette_evolution": 1}
+
+    def test_oracle_sizes_match_the_checks(self, monkeypatch):
+        # the suite builds oracles of exactly the sizes its gadget checks
+        # use, and the largest of them is the oracle's limit
+        sizes = set()
+        init = FermionOracle.__init__
+
+        def recorded(self, n_modes):
+            sizes.add(n_modes)
+            init(self, n_modes)
+
+        monkeypatch.setattr(FermionOracle, "__init__", recorded)
+        assert all(r.passed for r in verify.run_all())
+        assert sizes == {2, 4, 5}
+        assert max(sizes) == fermion.MAX_MODES
 
     def test_broken_oracle_gives_a_failing_report(self, monkeypatch, tmp_path):
         # a sign-flipped a_1: the four checks that build oracles fail with an

@@ -271,6 +271,16 @@ class TestBadPaths:
         assert err.startswith("error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("line", ["L = 4.0", "u = eight", "model = foo"])
+    def test_bad_config_value_names_its_line(self, tmp_path, capsys, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# a comment\n\n{line}\n")
+        code, out, err = run_cli(["estimate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        key = line.split(" = ")[0]
+        assert err.startswith(f"error: config line 3: {key}: ")
+
 
 class TestAmortizeCatalyst:
     def test_flag_never_increases_cost(self, capsys):

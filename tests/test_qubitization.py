@@ -142,15 +142,6 @@ class TestOptimize:
         assert self._log_slope(spec, est.x - h, est.delta_e)[0] < 0.0
         assert self._log_slope(spec, est.x + h, est.delta_e)[0] > 0.0
 
-    def test_no_table_cell_on_box_edge(self):
-        from lattice_qre.reference_tables import QUBITIZATION_TABLES
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for kind, table in QUBITIZATION_TABLES.items():
-                for L in table:
-                    optimize_qubitization(ModelSpec(kind, L))
-
     def test_one_estimate_per_solve(self, monkeypatch):
         # the slope reads the per-walk cost alone; the full estimate is
         # built once, at the optimum

@@ -88,6 +88,8 @@ class TestPolynomialBounds:
             assert cuprate_w(4, *c[:4]) >= 0.0
 
     def test_dispatch(self):
+        # each bound's default couplings equal the model's defaults
+        assert trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 8)) == fh_w(8)
         assert trotter_bound(ModelSpec(Model.CUPRATE, 8)) == cuprate_w(8)
         assert trotter_bound(ModelSpec(Model.PNICTIDE, 6)) == pnictide_w(6)
 

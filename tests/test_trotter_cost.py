@@ -341,13 +341,3 @@ class TestOptimizeTrotter:
                 budget = trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, False)
                 other = trotter_cost._cost(step, catalysts, *budget, delta_e, False)[3]
                 assert est.total_toffoli <= other * (1.0 + 1e-12)
-
-    def test_no_table_cell_on_box_edge(self):
-        from lattice_qre.reference_tables import TROTTER_TABLES
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for kind, table in TROTTER_TABLES.items():
-                for L in table:
-                    for strategy in Strategy:
-                        optimize_trotter(ModelSpec(kind, L), strategy)
