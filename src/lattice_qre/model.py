@@ -186,6 +186,8 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"config line {lineno}: {key}: repeated")
         try:
             if key == "model":
                 out[key] = Model(value.lower())

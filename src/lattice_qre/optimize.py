@@ -3,8 +3,8 @@
 Both solvers reduce their budget split to one scalar equation whose
 residual, a positive multiple of the derivative of the total along the
 split, increases with the variable.  ``minimize`` bisects for its sign
-change down to adjacent floats.  No randomness and no tolerance: two runs
-with the same inputs are bit-identical.
+change down to adjacent floats within the bracket it is given.  No
+randomness and no tolerance: two runs with the same inputs are bit-identical.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ this count.
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and
-the rotation share by one bisection over its own domain (``_best_budget``).
+the rotation share by a Newton-seeded bisection (``_best_budget``).
 r walks by single steps from the step count at which the tau-cap kink
 reaches the Trotter share 1/3.
 """
@@ -248,6 +248,24 @@ def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> f
     return min(r * math.sqrt(t * delta_e / w), tau_cap)
 
 
+def _newton_share(a: float, lam_u: float, q_max: float, k: float) -> float | None:
+    """Newton root in u = ln q of ln(q P) = ln(Λ_u (q_max - q) / (1 + k q)), P = a - Λ_u u,
+    from u0 = ln q_max - ln(a / Λ_u + 1 - ln q_max), the W_-1 log-form seed at k = 0.  None once
+    a step leaves P > Λ_u (where the residual rises with u) or q < q_max, or never settles."""
+    u = math.log(q_max)
+    u -= math.log(max(a / lam_u + 1.0 - u, 1.0))   # below 1, P(q_max) <= 0: refused next
+    for _ in range(8):
+        q, per_query = math.exp(u), a - lam_u * u
+        if not (per_query > lam_u and q < q_max):
+            return None
+        step = ((u + math.log(per_query / lam_u * (1.0 + k * q) / (q_max - q)))
+                / (1.0 - lam_u / per_query + q / (q_max - q) + k * q / (1.0 + k * q)))
+        u -= step
+        if abs(step) < 1e-12:
+            return math.exp(u)
+    return None
+
+
 def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
                  tau_cap: float, delta_e: float, amortize: bool
                  ) -> tuple[float, float, float, float]:
@@ -262,8 +280,10 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     - c = q * charged / rz, or c = q * p * tau * dE * charged / (0.76*pi * rz)
       when the catalysts are charged once (``amortize``).
     - q * P = Λ * p with Λ = RUS_T_SLOPE * rz / (2 ln 2) and P the per-query
-      cost of ``_cost``.  The residual is -Λ (1 - t) as q -> 0 and rises
-      with q, so ``minimize`` bisects q's domain (0, q_max) for its root.
+      cost of ``_cost``, P = A - Λ_u ln q with Λ_u = Λ (1 + charged / rz), or Λ
+      amortized.  The residual, -Λ (1 - t) as q -> 0, rises with q; ``minimize``
+      bisects it to adjacent floats within 1e-13 of its log form's Newton root
+      (``_newton_share``), or over (0, q_max) if it keeps its sign there.
     Raises ``ValueError`` when the residual stays negative up to p = 0:
     the synthesis T count per query has turned negative, so the error
     target is too loose for the model.
@@ -271,7 +291,7 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     t = min(1.0 / 3.0, (tau_cap / r) ** 2 * w / delta_e)
     tau = _pinned_tau(r, t, w, tau_cap, delta_e)
     ratio = catalysts[0] / step.rz
-    k = ratio * tau * delta_e / QPE_QUERY_CONSTANT   # amortized: c = k * q * p
+    k = ratio * tau * delta_e / QPE_QUERY_CONSTANT if amortize else 0.0   # c = k * q * p
     lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
 
     def shares(q: float) -> tuple[float, float, float]:
@@ -281,16 +301,24 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
             return p, q, k * q * p
         return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
 
+    def per_query(p: float, q: float, c: float) -> float:
+        n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
+        return (total - n_t1 / 2.0 if amortize else total) / n_q
+
     def slope(q: float) -> float:
         p, _, c = shares(q)
         if p <= 0.0:   # q rounds onto the edge where p runs out
             return -1.0
-        n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
-        per_query = (total - n_t1 / 2.0 if amortize else total) / n_q
-        return q * per_query - lam * p
+        return q * per_query(p, q, c) - lam * p
 
     q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
-    q = minimize(slope, 0.0, q_max).point
+    lam_u = lam if amortize else lam * (1.0 + ratio)
+    q_in = 0.5 * q_max   # the whole domain's first midpoint: at q = 1, c * dE can overflow
+    g = _newton_share(per_query(*shares(q_in)) + lam_u * math.log(q_in), lam_u, q_max, k)
+    lo, hi = (0.0, q_max) if g is None else (g * (1.0 - 1e-13), min(g * (1.0 + 1e-13), q_max))
+    if g is not None and not slope(lo) < 0.0 <= slope(hi):
+        lo, hi = 0.0, q_max   # the root lies outside: bisect the whole domain
+    q = minimize(slope, lo, hi).point
     if q == q_max:
         raise ValueError(f"error target delta_e={delta_e:g} is too loose: the total falls "
                          f"without bound as phase estimation's share of it goes to 0")

@@ -281,6 +281,14 @@ class TestBadPaths:
         key = line.split(" = ")[0]
         assert err.startswith(f"error: config line 3: {key}: ")
 
+    def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = fh\nL = 4\n# a comment\nL = 8\n")
+        code, out, err = run_cli(["estimate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config line 4: L: repeated")
+
 
 class TestAmortizeCatalyst:
     def test_flag_never_increases_cost(self, capsys):

@@ -4,8 +4,9 @@ import warnings
 import pytest
 
 from lattice_qre import trotter_cost
-from lattice_qre.model import InvalidLattice, Model, ModelSpec
+from lattice_qre.model import InvalidLattice, Model, ModelSpec, extensive_error
 from lattice_qre.optimize import minimize
+from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     Strategy,
@@ -341,3 +342,56 @@ class TestOptimizeTrotter:
                 budget = trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, False)
                 other = trotter_cost._cost(step, catalysts, *budget, delta_e, False)[3]
                 assert est.total_toffoli <= other * (1.0 + 1e-12)
+
+
+def _table_trotter_cells():
+    """(spec, strategy) of the 152 Trotter cells of the published tables."""
+    return [(ModelSpec(kind, L), strategy)
+            for kind, table in TROTTER_TABLES.items() for L in table for strategy in Strategy]
+
+
+class TestRotationShareBracket:
+    def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
+        # the Newton-seeded bracket and the whole domain (0, q_max) bisect to
+        # the same floats: every table cell at 1, 1e-2 and 1e-4 of the
+        # extensive target, at r0 - 1, r0 and r0 + 1, amortized too when
+        # catalyzed
+        solves = []
+        for spec, strategy in _table_trotter_cells():
+            w = trotter_bound(spec)
+            tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
+            catalysts = trotter_cost._catalysts(spec.kind, spec.L, strategy)
+            for share in (1.0, 1e-2, 1e-4):
+                delta_e = extensive_error(spec.L) * share
+                r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
+                for r in (r0 - 1, r0, r0 + 1):
+                    step = step_cost(spec.kind, spec.L, r, strategy)
+                    for amortize in (False, True) if strategy.catalyzed else (False,):
+                        solves.append((step, catalysts, r, w, tau_cap, delta_e, amortize))
+        assert len(solves) == 2052
+        seeded = [trotter_cost._best_budget(*args) for args in solves]
+        lowers = []
+
+        def recorded(slope, lower, upper):
+            lowers.append(lower)
+            return minimize(slope, lower, upper)
+
+        monkeypatch.setattr(trotter_cost, "_newton_share", lambda *args: None)
+        monkeypatch.setattr(trotter_cost, "minimize", recorded)
+        assert [trotter_cost._best_budget(*args) for args in solves] == seeded
+        assert lowers == [0.0] * len(solves)
+
+    def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
+        # no table cell falls back to the whole domain of q
+        brackets = []
+
+        def recorded(slope, lower, upper):
+            brackets.append((lower, upper))
+            return minimize(slope, lower, upper)
+
+        monkeypatch.setattr(trotter_cost, "minimize", recorded)
+        for spec, strategy in _table_trotter_cells():
+            optimize_trotter(spec, strategy)
+        assert len(brackets) >= 3 * 152
+        for lower, upper in brackets:
+            assert 0.0 < upper - lower <= 1e-12 * upper
