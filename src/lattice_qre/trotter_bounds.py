@@ -96,20 +96,31 @@ _PNICTIDE_TERMS = (
 )
 
 
+def _factors(terms):
+    """Each term as its coefficient and the (variable, exponent) pairs of
+    its nonzero exponents, in variable order."""
+    return tuple((coeff, tuple((i, e) for i, e in enumerate(exps) if e))
+                 for coeff, exps in terms)
+
+
 def _poly(terms, values) -> float:
+    """sum of coeff * prod(|value| ** exponent) over ``_factors`` terms.
+    Only the powers a term uses are taken: an unused |u| ** 3 could
+    overflow where the polynomial does not."""
     mags = [abs(v) for v in values]
-    return sum(
-        coeff * math.prod(m ** e for m, e in zip(mags, exps) if e)
-        for coeff, exps in terms
-    )
+    return sum(coeff * math.prod(mags[i] ** e for i, e in factors) for coeff, factors in terms)
+
+
+_CUPRATE_POLY = _factors(_CUPRATE_TERMS)
+_PNICTIDE_POLY = _factors(_PNICTIDE_TERMS)
 
 
 def cuprate_w(L: int, t=1.0, t_prime=0.3, t_dprime=0.2, u=8.0) -> float:
-    return L * L * _poly(_CUPRATE_TERMS, (t, t_prime, t_dprime, u))
+    return L * L * _poly(_CUPRATE_POLY, (t, t_prime, t_dprime, u))
 
 
 def pnictide_w(L: int, t1=1.0, t2=1.3, t3=0.85, t4=0.85, u=8.0, v=8.0) -> float:
-    return L * L * _poly(_PNICTIDE_TERMS, (t1, t2, t3, t4, u, v))
+    return L * L * _poly(_PNICTIDE_POLY, (t1, t2, t3, t4, u, v))
 
 
 def trotter_bound(spec: ModelSpec) -> float:
@@ -157,6 +168,9 @@ class TrotterBudget:
         return self.x + self.z
 
     def __post_init__(self):
+        for name in ("delta_e", "y", "x", "z", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_e <= 0:
             raise ValueError("delta_e must be positive")
         if not 0.0 < self.y < 1.0:

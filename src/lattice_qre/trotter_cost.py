@@ -24,7 +24,8 @@ budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and
 the rotation share by a Newton-seeded bisection (``_best_budget``).
 r walks by single steps from the step count at which the tau-cap kink
-reaches the Trotter share 1/3.
+reaches the Trotter share 1/3, and the estimate is built from that solve,
+as ``evaluate`` would re-derive it from its budget.
 """
 
 from __future__ import annotations
@@ -224,11 +225,16 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     if strategy.catalyzed and budget.z <= 0:
         raise ValueError("catalyzed strategy needs a positive z budget")
     r = trotter_steps(w, budget.tau, budget)
-    step = step_cost(spec.kind, spec.L, r, strategy)
-    n_t1, n_t2, n_q, total = _cost(
-        step, _catalysts(spec.kind, spec.L, strategy), *budget.shares,
-        budget.tau, budget.delta_e, amortize_catalyst,
-    )
+    return _estimate(spec, strategy, budget, w, r, step_cost(spec.kind, spec.L, r, strategy),
+                     _catalysts(spec.kind, spec.L, strategy), amortize_catalyst)
+
+
+def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: float, r: int,
+              step: CostVector, catalysts: tuple[int, int], amortize: bool) -> TrotterEstimate:
+    """The estimate of ``budget`` at r steps whose evolution costs ``step``,
+    costed at the budget's own shares."""
+    n_t1, n_t2, n_q, total = _cost(step, catalysts, *budget.shares,
+                                   budget.tau, budget.delta_e, amortize)
     return TrotterEstimate(
         spec=spec, strategy=strategy, budget=budget, w_bound=w, r=r,
         n_queries=n_q, n_toffoli_per_u=step.toffoli, n_t_direct=step.t_gates,
@@ -350,7 +356,10 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     r starts at r0 = ceil(tau_cap * sqrt(3 W / dE)), where the kink reaches
     the Trotter share 1/3: below r0 tau grows with r, from r0 on it sits at
     its cap.  r then walks by single steps to its optimum (see
-    ``_best_step_count``).  Raises ``ValueError`` when r0 exceeds 1e13
+    ``_best_step_count``).  The estimate is assembled from that solve: the
+    walked r, its step cost and one ``_cost`` at the budget's own (round-
+    tripped) shares, so ``evaluate`` at the returned budget gives it back.
+    Raises ``ValueError`` when r0 exceeds 1e13
     (where ``evaluate`` no longer recovers r from the pinned tau), or when
     the error target is too loose to mean anything: the optimum needs
     fewer than one phase-estimation query, or no optimum keeps a share
@@ -377,7 +386,8 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
             solved[n] = *_cost(step, catalysts, *budget, delta_e, amortize_catalyst)[2:], budget
         return solved[n][1]
 
-    n_q, _, (p, q, c, tau) = solved[_best_step_count(cost, math.ceil(r0))]
+    r = _best_step_count(cost, math.ceil(r0))
+    n_q, _, (p, q, c, tau) = solved[r]
     require_one_query(n_q, delta_e)
-    return evaluate(spec, strategy, TrotterBudget(delta_e, p, q / (1.0 - p), c / (1.0 - p), tau),
-                    w, amortize_catalyst)
+    budget = TrotterBudget(delta_e, p, q / (1.0 - p), c / (1.0 - p), tau)
+    return _estimate(spec, strategy, budget, w, r, _step_at(line, r), catalysts, amortize_catalyst)

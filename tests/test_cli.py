@@ -43,6 +43,19 @@ class TestEstimate:
         assert row["qubits"] == 66
         assert isinstance(row["toffoli"], float)
 
+    @pytest.mark.parametrize("model,flag,r,toffoli", [
+        ("cuprate", "--u", 12_020_572, 1.5634524545129034e+24),
+        ("pnictide", "--v", 18_699_484, 1.0152632837192645e+25)])
+    def test_coupling_whose_cube_overflows(self, capsys, model, flag, r, toffoli):
+        # W takes u and v at most squared: 1e110 gives a finite bound and an
+        # estimate, although (1e110)**3 would overflow
+        code, out, _ = run_cli(
+            ["estimate", "--model", model, "--method", "trotter", "--L", "4",
+             flag, "1e110", "--delta-e", "1e60", "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["r"], row["toffoli"]) == (r, toffoli)
+
     def test_coupling_override(self, capsys):
         code, out, _ = run_cli(
             ["estimate", "--model", "fh", "--method", "qubitization",

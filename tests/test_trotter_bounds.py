@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lattice_qre.model import FermiHubbardCouplings, InvalidLattice, Model, ModelSpec
 from lattice_qre.trotter_bounds import (
+    _CUPRATE_POLY,
+    _CUPRATE_TERMS,
+    _PNICTIDE_POLY,
+    _PNICTIDE_TERMS,
     FH_NORMS,
     TrotterBudget,
+    _poly,
     cuprate_w,
     fh_w,
     pnictide_w,
@@ -94,6 +101,62 @@ class TestPolynomialBounds:
         assert trotter_bound(ModelSpec(Model.PNICTIDE, 6)) == pnictide_w(6)
 
 
+def _generator_poly(terms, values) -> float:
+    """The bound as a sum of products over every term's exponent tuple, the
+    form ``_poly`` replaced: the oracle of its ``_factors`` terms."""
+    mags = [abs(v) for v in values]
+    return sum(
+        coeff * math.prod(m ** e for m, e in zip(mags, exps) if e)
+        for coeff, exps in terms
+    )
+
+
+def _outcome(poly, terms, values):
+    """repr of the value, or the exception type it raised."""
+    try:
+        return repr(poly(terms, values))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@st.composite
+def _couplings(draw, n):
+    """n signed couplings within a decade of a common scale from 1e-100 to
+    1e100, so that no term swamps another's last bits.  Each after the
+    leading one may be 0, and any may be a size whose square or cube
+    overflows."""
+    scale = draw(st.floats(-100.0, 100.0))
+    values = []
+    for i in range(n):
+        if i and draw(st.integers(0, 4)) == 0:
+            values.append(0.0)
+            continue
+        if draw(st.integers(0, 9)) == 0:
+            magnitude = draw(st.sampled_from([1e110, 1e160, 1e300]))
+        else:
+            magnitude = 10.0 ** (scale + draw(st.floats(-1.0, 1.0)))
+        values.append(draw(st.sampled_from([1.0, -1.0])) * magnitude)
+    return tuple(values)
+
+
+class TestFactoredPolynomial:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_couplings(4))
+    @example((1.0, 0.3, 0.2, 1e110))   # u cubed would overflow; no term cubes it
+    @example((1e110, 0.3, 0.2, 8.0))   # t cubed overflows in both forms
+    def test_cuprate_bit_identical(self, values):
+        assert (_outcome(_poly, _CUPRATE_POLY, values)
+                == _outcome(_generator_poly, _CUPRATE_TERMS, values))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_couplings(6))
+    @example((1.0, 1.3, 0.85, 0.85, 8.0, 1e110))   # v cubed would overflow
+    @example((1.0, 1.3, 0.85, 0.85, 1e160, 8.0))   # u squared overflows in both
+    def test_pnictide_bit_identical(self, values):
+        assert (_outcome(_poly, _PNICTIDE_POLY, values)
+                == _outcome(_generator_poly, _PNICTIDE_TERMS, values))
+
+
 class TestTauMax:
     def test_unit(self):
         assert tau_max(math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-12)
@@ -165,6 +228,16 @@ class TestBudget:
         b = TrotterBudget(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
         total = sum(b.shares) + b.delta_e_trotter / b.delta_e
         assert total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name,value", [
+        ("delta_e", math.nan), ("delta_e", math.inf), ("y", math.nan), ("x", math.nan),
+        ("x", math.inf), ("z", math.nan), ("z", math.inf), ("tau", math.nan),
+        ("tau", math.inf)])
+    def test_non_finite_field_named(self, name, value):
+        fields = dict(delta_e=0.3264, y=0.6, x=0.01, z=0.001, tau=0.02)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrotterBudget(**fields)
 
     def test_bad_y(self):
         with pytest.raises(ValueError):

@@ -395,3 +395,28 @@ class TestRotationShareBracket:
         assert len(brackets) >= 3 * 152
         for lower, upper in brackets:
             assert 0.0 < upper - lower <= 1e-12 * upper
+
+
+class TestAssembledEstimate:
+    """``optimize_trotter`` builds its estimate from the solve; re-deriving it
+    from the budget with ``evaluate`` gives the same dataclass, r included."""
+
+    def test_table_cells(self, trotter_sweep):
+        assert len(trotter_sweep.results) == 152
+        for est in trotter_sweep.results.values():
+            assert evaluate(est.spec, est.strategy, est.budget, est.w_bound) == est
+
+    def test_amortized_table_cells(self):
+        cells = [(spec, strategy) for spec, strategy in _table_trotter_cells()
+                 if strategy.catalyzed]
+        assert len(cells) == 76
+        for spec, strategy in cells:
+            est = optimize_trotter(spec, strategy, amortize_catalyst=True)
+            assert evaluate(spec, strategy, est.budget, est.w_bound, True) == est
+
+    @pytest.mark.parametrize("delta_e", [1e-7, 1e-9, 1e-24])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_deep_targets(self, strategy, delta_e):
+        for amortize in (False, True) if strategy.catalyzed else (False,):
+            est = optimize_trotter(FH8, strategy, delta_e, amortize)
+            assert evaluate(FH8, strategy, est.budget, est.w_bound, amortize) == est
