@@ -268,15 +268,6 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return out.reshape(state.shape)
 
 
-def reduced_density(state: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Density matrix of the kept qubits after tracing out the rest."""
-    rest = tuple(q for q in range(n) if q not in keep)
-    t = state.reshape((2,) * n)
-    t = np.moveaxis(t, keep + rest, range(n))
-    m = t.reshape(1 << len(keep), 1 << len(rest))
-    return m @ m.conj().T
-
-
 def max_unitary_deviation(u: np.ndarray, v: np.ndarray) -> float:
     """Max entrywise distance between u and v after removing a global phase."""
     index = np.unravel_index(np.argmax(np.abs(v)), v.shape)

@@ -213,8 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_l_range(text: str) -> list[int]:
+    try:
+        parts = [int(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ValueError(f"bad L range {text!r}") from None
     if ":" in text:
-        parts = [int(p) for p in text.split(":")]
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 2
         elif len(parts) == 3:
@@ -227,7 +230,7 @@ def _parse_l_range(text: str) -> list[int]:
         if not sizes:
             raise ValueError(f"empty L range {text!r}")
         return sizes
-    return [int(p) for p in text.split(",")]
+    return parts
 
 
 def _check_trotter_flags(method: str, strategy: Strategy | None, amortize: bool) -> None:

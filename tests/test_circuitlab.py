@@ -342,6 +342,30 @@ class TestHwpGadgets:
                 assert np.array_equal(together[1], alone[1])
                 assert np.array_equal(together[2], alone[2])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_induced_matrix_equals_the_dense_catalyst_projection(self, m):
+        # <x', phi|U|x, phi> from the dense unitary of each family member and
+        # the closed-form catalyst state (x)_i (|0> + e^{i 2^i theta}|1>)/sqrt2,
+        # every other environment wire at 0
+        thetas = np.array([0.913, -2.2, 1.4])
+        for strategy in HwpStrategy:
+            gadget = build_hwp(m, thetas, strategy)
+            n = gadget.circuit.n_qubits
+            for theta, u, (column, row, value) in zip(
+                    thetas, gadget.circuit.unitary(), verify._hwp_induced(gadget, thetas.size)):
+                env = np.ones(1, dtype=complex)
+                for wire in range(m, n):
+                    if wire in gadget.catalyst:
+                        i = gadget.catalyst.index(wire)
+                        factor = np.array([1.0, np.exp(1j * (1 << i) * theta)]) / np.sqrt(2.0)
+                    else:
+                        factor = np.array([1.0, 0.0])
+                    env = np.kron(env, factor)
+                frame = np.kron(np.eye(1 << m), env[:, None])   # |x> -> |x, phi>
+                induced = np.zeros((1 << m, 1 << m), dtype=complex)
+                induced[row, column] = value
+                assert np.max(np.abs(induced - frame.conj().T @ u @ frame)) < 1e-13
+
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
             for strategy in HwpStrategy:
@@ -410,6 +434,25 @@ class TestMutantsFail:
         monkeypatch.setattr(verify, "build_hwp",
                             lambda m, theta, strategy: build_hwp(m, 1.0001 * theta, strategy))
         assert not verify.check_hwp_unitary().passed
+
+    @pytest.mark.parametrize("mutant", ["angle_off_by_1e_4", "missing_first_h"])
+    def test_catalyst_prep_mutant(self, monkeypatch, mutant):
+        # the circuit is intact and only the catalyst preparation is broken:
+        # built at 1.0001 theta, or without its first H
+        def broken(m, theta, strategy):
+            gadget = build_hwp(m, theta, strategy)
+            prep = gadget.catalyst_prep
+            if prep is not None:
+                if mutant == "angle_off_by_1e_4":
+                    prep = build_hwp(m, 1.0001 * theta, strategy).catalyst_prep
+                else:
+                    assert prep.gates[0].kind is GateKind.H
+                    prep = Circuit(prep.n_qubits, prep.gates[1:])
+            gadget.catalyst_prep = prep
+            return gadget
+        monkeypatch.setattr(verify, "build_hwp", broken)
+        assert not verify.check_hwp_unitary().passed
+        assert not verify.check_catalyst_invariance().passed
 
     def test_hwp_cancelling_toffoli_pair(self, monkeypatch):
         # a Toffoli pair that cancels leaves every unitary intact; only the
@@ -637,6 +680,19 @@ class TestVerifySuite:
         parsed = json.loads(text)
         assert all(entry["passed"] for entry in parsed)
         assert {e["name"] for e in parsed} == set(circuit_checks.results)
+
+    def test_report_names_thresholds_and_keys(self, circuit_checks):
+        # the nine checks, in order, with the thresholds they are held to
+        import json
+
+        assert [(r.name, r.threshold) for r in circuit_checks.results.values()] == [
+            ("hamming_weight", 1e-12), ("hwp_unitary", 1e-9), ("hwp_tallies", 0.0),
+            ("catalyst_invariance", 1e-12), ("fswap", 1e-12), ("two_site_fourier", 1e-12),
+            ("plaquette_evolution", 1e-9), ("unitarity", 1e-10), ("fermion_oracle_car", 1e-12),
+        ]
+        parsed = json.loads(verify.report_json(list(circuit_checks.results.values())))
+        assert all(list(entry) == ["name", "max_deviation", "threshold", "seconds", "passed"]
+                   for entry in parsed)
 
     def test_one_build_per_gadget_family(self, monkeypatch):
         # the HWP check builds each (M, strategy) once at all ten angles, and

@@ -294,6 +294,13 @@ class TestBadPaths:
         key = line.split(" = ")[0]
         assert err.startswith(f"error: config line 3: {key}: ")
 
+    @pytest.mark.parametrize("text", ["4,,6", "4:", "x", "4.0,6", ""])
+    def test_malformed_l_range_item_names_the_range(self, capsys, text):
+        code, out, err = run_cli(["sweep", "--model", "fh", "--L-range", text], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: bad L range {text!r}"
+
     def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("model = fh\nL = 4\n# a comment\nL = 8\n")
