@@ -5,7 +5,7 @@
 entry belongs to).  The gadgets the cost model counts are X, CNOT, Toffoli
 and phase gates, which map each entry to one entry, so a basis input stays
 a single entry however many qubits the gadget has; H, which appears only
-in basis changes and the catalyst preparation, splits an entry in two.
+in basis changes and the catalyst preparation, pairs entries by one sort.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -183,19 +183,22 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def _hadamard(index, amp, column, n: int, shift: int):
-    """H on the qubit at bit ``shift``: each entry splits into its |0> and
-    |1> images, and equal (column, index) keys are summed."""
+    """H on the qubit at bit ``shift``: a stable sort of the keys with that
+    bit cleared puts each entry next to its partner (index ^ bit), if any; a
+    pair's h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop."""
     bit = 1 << shift
-    sign = 1 - 2 * ((index >> shift) & 1)
-    half = _SQRT_HALF * amp
-    base = column << n
-    keys, slot = np.unique(np.concatenate((base | (index & ~bit), base | (index | bit))),
-                           return_inverse=True)
-    weights = np.concatenate((half, sign * half))
-    merged = np.bincount(slot, weights.real) + 1j * np.bincount(slot, weights.imag)
-    keep = merged != 0
-    keys = keys[keep]
-    return keys & ((1 << n) - 1), merged[keep], keys >> n
+    key = (column << n) | (index & ~bit)
+    order = np.argsort(key, kind="stable")
+    key, half = key[order], _SQRT_HALF * amp[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(first)
+    key = np.concatenate((key[start], key[start] | bit))
+    amp = np.concatenate((np.add.reduceat(half, start),
+                          np.add.reduceat(np.where(index[order] & bit, -half, half), start)))
+    keep = amp != 0
+    key = key[keep]
+    return key & ((1 << n) - 1), amp[keep], key >> n
 
 
 def simulate(circuit, index, amp, column):
@@ -269,9 +272,11 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
 
 
 def max_unitary_deviation(u: np.ndarray, v: np.ndarray) -> float:
-    """Max entrywise distance between u and v after removing a global phase."""
-    index = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-    phase = u[index] / v[index]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return float(np.max(np.abs(u - v)))
+    """Max entrywise distance between u and v after removing a global phase
+    (u/v where |v| is largest, if within 1e-6 of unit modulus); a stack of
+    matrices, shape (k, rows, columns), has one phase per member."""
+    u, v = (np.reshape(a, (len(a) if np.ndim(a) == 3 else 1, -1)) for a in (u, v))
+    at = np.argmax(np.abs(v), axis=1, keepdims=True)
+    phase = np.take_along_axis(u, at, 1) / np.take_along_axis(v, at, 1)
+    phase[np.abs(np.abs(phase) - 1.0) > 1e-6] = 1.0
     return float(np.max(np.abs(u - phase * v)))

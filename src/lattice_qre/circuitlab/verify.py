@@ -26,6 +26,7 @@ from .gadgets import (
 )
 from .statevector import (
     Circuit,
+    GateKind,
     apply_circuit,
     max_unitary_deviation,
     simulate,
@@ -106,39 +107,27 @@ def _in_catalyst_frame(gadget) -> Circuit:
     return Circuit(prep.n_qubits, prep.gates + gadget.circuit.gates + prep.inverted().gates)
 
 
-def _hwp_induced(gadget, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _hwp_family(gadget, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Induced action on the targets of each of the k members of a gadget
-    family (``build_hwp`` at k angles) when the other wires start and end
-    in the gadget's reference state (the catalyst state, or all zeros), as
-    sparse (column, row, value) entries with distinct (column, row) keys,
-    one triple per member.  The family runs as one simulation of P†UP on
-    the inputs x (x) 0, batch column x*k + a holding target state x of
-    member a, and the induced matrix is the outputs whose environment is
-    all zeros."""
+    family (``build_hwp`` at k angles) when the other wires start and end in
+    the gadget's reference state (the catalyst state, or all zeros): the
+    members' diagonals and leakages |1 - column norm|, both (k, 2**M), and
+    the largest |entry| off any diagonal.  One simulation of P†UP on the
+    inputs x (x) 0 runs the family, batch column x*k + a holding target x of
+    member a; the induced matrix is the outputs whose environment is zero."""
     m = len(gadget.targets)
     env_bits = gadget.circuit.n_qubits - m
     column = np.arange(k << m)
     index, amp, column = simulate(_in_catalyst_frame(gadget), (column // k) << env_bits,
                                   np.ones(column.size), column)
     kept = (index & ((1 << env_bits) - 1)) == 0
-    index, amp, column = index[kept] >> env_bits, amp[kept], column[kept]
-    member = column % k
-    return [(column[member == a] // k, index[member == a], amp[member == a])
-            for a in range(k)]
-
-
-def _diagonal_deviation(column, row, value, diagonal) -> float:
-    """``max_unitary_deviation`` of the sparse matrix (column, row, value)
-    from diag(``diagonal``), together with its worst leakage |1 - column
-    norm|, without forming either matrix."""
-    on = column == row
-    induced_diagonal = np.zeros(diagonal.size, dtype=complex)
-    induced_diagonal[column[on]] = value[on]
-    leakage = np.abs(1.0 - np.sqrt(np.bincount(column, np.abs(value) ** 2,
-                                               minlength=diagonal.size)))
-    off = np.abs(value[~on])
-    return float(max(leakage.max(), off.max(initial=0.0),
-                     max_unitary_deviation(induced_diagonal, diagonal)))
+    row, amp, column = index[kept] >> env_bits, amp[kept], column[kept]
+    on = row == column // k
+    diagonal = np.zeros(k << m, dtype=complex)
+    diagonal[column[on]] = amp[on]
+    norm = np.sqrt(np.bincount(column, np.abs(amp) ** 2, minlength=k << m))
+    return (diagonal.reshape(1 << m, k).T, np.abs(1.0 - norm).reshape(1 << m, k).T,
+            float(np.abs(amp[~on]).max(initial=0.0)))
 
 
 @_check("hwp_unitary", 1e-9)
@@ -146,17 +135,16 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     """Both phasing strategies act as a tensor power of phase rotations:
     exhaustively over the 2**M target states, against the diagonal
     e^{i*theta*HW(x)}.  Each (M, strategy) is built once, as the family of
-    its gadgets at all the angles, and simulated once."""
+    its gadgets at all the angles, simulated once and compared at once."""
     rng = np.random.default_rng(HWP_ANGLE_SEED)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)
     worst = 0.0
     for m in sizes:
-        weights = _hamming_weights(m)
+        targets = np.exp(1j * angles[:, None] * _hamming_weights(m))
         for strategy in HwpStrategy:
-            gadget = build_hwp(m, angles, strategy)
-            for theta, induced in zip(angles, _hwp_induced(gadget, n_angles)):
-                target = np.exp(1j * theta * weights)
-                worst = max(worst, _diagonal_deviation(*induced, target))
+            diagonal, leakage, off = _hwp_family(build_hwp(m, angles, strategy), n_angles)
+            worst = max(worst, float(leakage.max()), off,
+                        max_unitary_deviation(diagonal[:, None], targets[:, None]))
     return worst
 
 
@@ -254,15 +242,15 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
     circ = build_plaquette_evolution(np.array(angles))
     counts = circ.counts()
     worst = 0.0 if (counts["t"], counts["rz"], counts["toffoli"]) == (8, 2, 0) else 1.0
-    for theta, u in zip(angles, circ.unitary()):
-        target = (modes * np.exp(1j * theta * energies)) @ modes.conj().T
-        worst = max(worst, max_unitary_deviation(u, target))
-    return worst
+    targets = (modes * np.exp(1j * np.array(angles)[:, None, None] * energies)) @ modes.conj().T
+    return max(worst, max_unitary_deviation(circ.unitary(), targets))
 
 
 @_check("unitarity", 1e-10)
 def check_unitarity() -> float:
-    """Dense U'U = I for representative small gadgets."""
+    """U†U = I for representative small gadgets.  Without H a circuit sends
+    each basis state to one: U†U is then diagonal, the column norms, unless
+    two land on one index (inf).  Only a circuit with H forms U densely."""
     worst = 0.0
     for circ in (
         build_hwp(3, 0.913, HwpStrategy.CATALYZED).circuit,
@@ -270,9 +258,16 @@ def check_unitarity() -> float:
         build_plaquette_evolution(0.61),
         build_fswap(5, 0, 4),
     ):
-        u = circ.unitary()
-        dim = u.shape[0]
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
+        dim = 1 << circ.n_qubits
+        if any(g.kind is GateKind.H for g in circ.gates):
+            u = circ.unitary()
+            worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
+        else:
+            index, amp, column = simulate(circ, np.arange(dim), np.ones(dim), np.arange(dim))
+            if np.bincount(index, minlength=dim).max() > 1:
+                return math.inf
+            norm = np.bincount(column, np.abs(amp) ** 2, minlength=dim)
+            worst = max(worst, float(np.max(np.abs(norm - 1.0))))
     return worst
 
 

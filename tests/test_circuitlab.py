@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_qre.model import Model
 from lattice_qre.primitives import HwpStrategy, floor_log2, hamming_adders, hwp_cost
@@ -17,6 +21,8 @@ from lattice_qre.circuitlab.gadgets import (
 from lattice_qre.circuitlab.statevector import (
     _ARITY,
     _KEY_BITS,
+    _SQRT_HALF,
+    _hadamard,
     Gate,
     GateKind,
     max_unitary_deviation,
@@ -165,6 +171,39 @@ class TestStateVector:
         assert np.array_equal(together[2], alone[2])
         assert np.max(np.abs(together[1] - alone[1])) < 1e-14
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 5), batch=st.integers(1, 3))
+    def test_hadamard_pairs_match_dense_and_the_merge(self, data, n, batch):
+        # sparse batches where an entry's partner (index ^ bit) is present or
+        # not, with amplitudes from a small set so that some pairs cancel
+        keys = np.array(sorted(data.draw(st.sets(st.integers(0, (batch << n) - 1),
+                                                 min_size=1, max_size=batch << n))))
+        values = st.sampled_from([1.0, -1.0, 0.5, 1j, -1j, 0.5 - 0.5j]) | st.complex_numbers(
+            max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+        amp = np.array(data.draw(st.lists(values, min_size=keys.size, max_size=keys.size)),
+                       dtype=complex)
+        qubit = data.draw(st.integers(0, n - 1))
+        index, column = keys & ((1 << n) - 1), keys >> n
+        out_index, out_amp, out_column = _hadamard(index, amp, column, n, n - 1 - qubit)
+        out_keys = (out_column << n) | out_index
+        assert np.unique(out_keys).size == out_keys.size and np.all(out_amp != 0)
+        dense_in = np.zeros((1 << n, batch), dtype=complex)
+        dense_in[index, column] = amp
+        dense_out = np.zeros_like(dense_in)
+        dense_out[out_index, out_column] = out_amp
+        dense_h = _kron_unitary(Gate(GateKind.H, (qubit,)), n)
+        assert np.max(np.abs(dense_out - dense_h @ dense_in)) < 1e-14
+        # the earlier kernel: both images of every entry, equal keys merged by
+        # np.unique and summed by np.bincount
+        bit = 1 << (n - 1 - qubit)
+        merged_keys, slot = np.unique(np.concatenate(((keys & ~bit), keys | bit)),
+                                      return_inverse=True)
+        half = _SQRT_HALF * amp
+        weights = np.concatenate((half, np.where(index & bit, -1, 1) * half))
+        merged = np.bincount(slot, weights.real) + 1j * np.bincount(slot, weights.imag)
+        assert dict(zip(out_keys.tolist(), out_amp.tolist())) == {
+            key: value for key, value in zip(merged_keys.tolist(), merged.tolist()) if value != 0}
+
     @pytest.mark.parametrize("angle", [np.zeros((2, 2)), np.array([]), 1j, None, [0.1, "x"]])
     def test_angle_is_a_real_number_or_a_1d_array(self, angle):
         with pytest.raises(ValueError):
@@ -280,91 +319,103 @@ class TestHammingWeight:
 class TestHwpGadgets:
     def test_zero_angle_is_identity(self):
         gadget = build_hwp(4, np.array([0.7, 0.0]), HwpStrategy.BASELINE)
-        column, row, value = verify._hwp_induced(gadget, 2)[1]
-        assert np.array_equal(column, np.arange(16)) and np.array_equal(row, column)
-        assert np.max(np.abs(value - 1.0)) < 1e-12
-        assert verify._diagonal_deviation(column, row, value, np.ones(16)) < 1e-12
+        diagonal, leakage, off = verify._hwp_family(gadget, 2)
+        assert diagonal.shape == leakage.shape == (2, 16) and off == 0.0
+        assert np.max(np.abs(diagonal[1] - 1.0)) < 1e-12 and leakage[1].max() < 1e-12
+        assert max_unitary_deviation(diagonal[1], np.ones(16)) < 1e-12
 
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
         gadget = build_hwp(2, np.array([theta, 0.0, -2.0 * theta]), HwpStrategy.BASELINE)
-        column, row, value = verify._hwp_induced(gadget, 3)[0]
-        u = np.zeros((4, 4), dtype=complex)
-        u[row, column] = value
+        diagonal, leakage, off = verify._hwp_family(gadget, 3)
+        assert off == 0.0   # no entry off the diagonal: it is the induced matrix
         rz = np.diag([1.0, np.exp(1j * theta)])
-        assert max_unitary_deviation(u, np.kron(rz, rz)) < 1e-10
-        assert verify._diagonal_deviation(column, row, value, np.diag(np.kron(rz, rz))) < 1e-10
+        assert max_unitary_deviation(np.diag(diagonal[0]), np.kron(rz, rz)) < 1e-10
+        assert leakage[0].max() < 1e-10
 
     @pytest.mark.parametrize("mutant", ["none", "angle", "no_toffoli", "no_gate", "phase",
                                         "off_diagonal"])
-    def test_sparse_comparison_equals_dense(self, mutant):
-        # the sparse comparison against diag(e^{i theta HW}) restated densely:
-        # max_unitary_deviation of the induced block, and the column norms,
-        # for every member of a family simulated together
-        m, thetas = 3, (0.913, -2.2, 1.4)
+    def test_sparse_comparison_equals_dense(self, monkeypatch, mutant):
+        # the family comparison against diag(e^{i theta HW}) restated densely:
+        # max_unitary_deviation of each member's induced block, from its dense
+        # unitary and the closed-form catalyst state, and the column norms;
+        # the phase and off-diagonal mutants act on the simulated outputs
+        m, thetas = 3, np.array((0.913, -2.2, 1.4))
+
+        def mutated(circuit, index, amp, column):
+            index, amp, column = simulate(circuit, index, amp, column)
+            if mutant == "phase":
+                amp = amp * np.exp(0.3j)
+            elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0, each member
+                row_1 = 1 << (circuit.n_qubits - m)
+                for a in range(thetas.size):
+                    at = np.flatnonzero((index == row_1) & (column == a))
+                    if at.size:
+                        amp[at] += 1e-3
+                    else:
+                        index, column = np.append(index, row_1), np.append(column, a)
+                        amp = np.append(amp, 1e-3)
+            return index, amp, column
+
+        monkeypatch.setattr(verify, "simulate", mutated)
+        weights = np.array([bin(x).count("1") for x in range(1 << m)])
+        targets = np.exp(1j * thetas[:, None] * weights)
+        built = (1.0001 if mutant == "angle" else 1.0) * thetas
         for strategy in HwpStrategy:
-            gadget = build_hwp(m, (1.0001 if mutant == "angle" else 1.0) * np.array(thetas),
-                               strategy)
+            gadget = build_hwp(m, built, strategy)
             if mutant == "no_toffoli":
                 gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
             elif mutant == "no_gate":
                 gadget.circuit = _without_last(gadget.circuit)
-            for theta, (column, row, value) in zip(thetas, verify._hwp_induced(gadget, 3)):
+            dense = 0.0
+            for u, target in zip(_projected_family(gadget, built), targets):
                 if mutant == "phase":
-                    value = value * np.exp(0.3j)
-                elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0
-                    at = np.flatnonzero((column == 0) & (row == 1))
-                    if at.size:
-                        value[at] += 1e-3
-                    else:
-                        column, row = np.append(column, 0), np.append(row, 1)
-                        value = np.append(value, 1e-3)
-                u = np.zeros((1 << m, 1 << m), dtype=complex)
-                u[row, column] = value
-                weights = np.array([bin(x).count("1") for x in range(1 << m)])
-                target = np.exp(1j * theta * weights)
-                dense = max(float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
+                    u = u * np.exp(0.3j)
+                elif mutant == "off_diagonal":
+                    u[1, 0] += 1e-3
+                dense = max(dense, float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
                             max_unitary_deviation(u, np.diag(target)))
-                sparse = verify._diagonal_deviation(column, row, value, target)
-                assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
-                assert (sparse > 1e-9) == (mutant not in ("none", "phase"))
-                assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
+            diagonal, leakage, off = verify._hwp_family(gadget, thetas.size)
+            sparse = max(float(leakage.max()), off,
+                         max_unitary_deviation(diagonal[:, None], targets[:, None]))
+            assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
+            assert (sparse > 1e-9) == (mutant not in ("none", "phase"))
+            assert (sparse == pytest.approx(1e-3)) == (mutant == "off_diagonal")
 
     def test_family_members_match_separate_simulations(self):
         # member a of the gadget built at all the angles induces exactly what
         # the gadget built at angle a alone induces
         thetas = np.array([0.3, -1.9, 2.6])
         for strategy in HwpStrategy:
-            family = verify._hwp_induced(build_hwp(4, thetas, strategy), thetas.size)
-            for theta, together in zip(thetas, family):
-                alone = verify._hwp_induced(build_hwp(4, float(theta), strategy), 1)[0]
-                assert np.array_equal(together[0], alone[0])
-                assert np.array_equal(together[1], alone[1])
-                assert np.array_equal(together[2], alone[2])
+            diagonal, leakage, off = verify._hwp_family(build_hwp(4, thetas, strategy),
+                                                        thetas.size)
+            offs = []
+            for a, theta in enumerate(thetas):
+                alone = verify._hwp_family(build_hwp(4, float(theta), strategy), 1)
+                assert np.array_equal(diagonal[a], alone[0][0])
+                assert np.array_equal(leakage[a], alone[1][0])
+                offs.append(alone[2])
+            assert off == max(offs)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_induced_matrix_equals_the_dense_catalyst_projection(self, m):
         # <x', phi|U|x, phi> from the dense unitary of each family member and
-        # the closed-form catalyst state (x)_i (|0> + e^{i 2^i theta}|1>)/sqrt2,
-        # every other environment wire at 0
+        # the closed-form catalyst state: its diagonal, its column norms and
+        # its largest entry off the diagonal; also for the circuit without its
+        # last Toffoli, which leaves garbage outside the targets
         thetas = np.array([0.913, -2.2, 1.4])
-        for strategy in HwpStrategy:
+        for strategy, broken in itertools.product(HwpStrategy, (False, True)):
             gadget = build_hwp(m, thetas, strategy)
-            n = gadget.circuit.n_qubits
-            for theta, u, (column, row, value) in zip(
-                    thetas, gadget.circuit.unitary(), verify._hwp_induced(gadget, thetas.size)):
-                env = np.ones(1, dtype=complex)
-                for wire in range(m, n):
-                    if wire in gadget.catalyst:
-                        i = gadget.catalyst.index(wire)
-                        factor = np.array([1.0, np.exp(1j * (1 << i) * theta)]) / np.sqrt(2.0)
-                    else:
-                        factor = np.array([1.0, 0.0])
-                    env = np.kron(env, factor)
-                frame = np.kron(np.eye(1 << m), env[:, None])   # |x> -> |x, phi>
-                induced = np.zeros((1 << m, 1 << m), dtype=complex)
-                induced[row, column] = value
-                assert np.max(np.abs(induced - frame.conj().T @ u @ frame)) < 1e-13
+            if broken:
+                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+            projected = _projected_family(gadget, thetas)
+            diagonal, leakage, off = verify._hwp_family(gadget, thetas.size)
+            assert np.max(np.abs(diagonal - np.diagonal(projected, axis1=1, axis2=2))) < 1e-13
+            norms = np.linalg.norm(projected, axis=1)
+            assert np.max(np.abs(leakage - np.abs(1.0 - norms))) < 1e-13
+            assert (leakage.max() > 0.1) == broken
+            off_diagonal = projected * (1 - np.eye(1 << m))
+            assert abs(off - np.max(np.abs(off_diagonal))) < 1e-13
 
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
@@ -407,6 +458,26 @@ class TestHwpGadgets:
             assert n == 33
         result = verify.check_hwp_unitary(sizes=(m,), n_angles=2)
         assert result.passed, result.max_deviation
+
+
+def _projected_family(gadget, thetas):
+    """<x', phi|U|x, phi> for each member of a gadget family, (k, 2**M, 2**M),
+    from its dense unitary and the closed-form catalyst state
+    (x)_i (|0> + e^{i 2^i theta}|1>)/sqrt2, every other environment wire at 0."""
+    m, n = len(gadget.targets), gadget.circuit.n_qubits
+    out = []
+    for theta, u in zip(thetas, gadget.circuit.unitary()):
+        env = np.ones(1, dtype=complex)
+        for wire in range(m, n):
+            if wire in gadget.catalyst:
+                i = gadget.catalyst.index(wire)
+                factor = np.array([1.0, np.exp(1j * (1 << i) * theta)]) / np.sqrt(2.0)
+            else:
+                factor = np.array([1.0, 0.0])
+            env = np.kron(env, factor)
+        frame = np.kron(np.eye(1 << m), env[:, None])   # |x> -> |x, phi>
+        out.append(frame.conj().T @ u @ frame)
+    return np.array(out)
 
 
 def _without_last(circuit, kind=None):
@@ -465,6 +536,22 @@ class TestMutantsFail:
         assert verify.check_hwp_unitary().passed
         assert not verify.check_hwp_tallies().passed
         assert not verify.check_hamming_weight().passed
+
+    @pytest.mark.parametrize("mutant", ["amplitude_scaled", "two_columns_on_one_index"])
+    def test_sparse_unitarity_mutant(self, monkeypatch, mutant):
+        # the H-free circuits' basis outputs, one amplitude scaled by 1 + 1e-6
+        # or basis column 1 sent where column 0 goes
+        def broken(circuit, index, amp, column):
+            index, amp, column = simulate(circuit, index, amp, column)
+            if mutant == "amplitude_scaled":
+                amp[3] *= 1 + 1e-6
+            else:
+                index[column == 1] = index[column == 0]
+            return index, amp, column
+        monkeypatch.setattr(verify, "simulate", broken)
+        result = verify.check_unitarity()
+        assert not result.passed
+        assert (result.max_deviation == np.inf) == (mutant == "two_columns_on_one_index")
 
     def test_adder_chain_missing_last_gate(self, monkeypatch):
         def broken(m):
@@ -693,6 +780,25 @@ class TestVerifySuite:
         parsed = json.loads(verify.report_json(list(circuit_checks.results.values())))
         assert all(list(entry) == ["name", "max_deviation", "threshold", "seconds", "passed"]
                    for entry in parsed)
+
+    def test_sparse_unitarity_reads_the_dense_unitary(self, monkeypatch):
+        # the three H-free circuits are simulated on their basis states, and
+        # the (row, column, amp) triples are exactly the nonzeros of their
+        # dense unitaries; only the plaquette, which has H, forms U densely
+        seen = []
+
+        def recorded(circuit, index, amp, column):
+            seen.append((circuit, simulate(circuit, index, amp, column)))
+            return seen[-1][1]
+        monkeypatch.setattr(verify, "simulate", recorded)
+        assert verify.check_unitarity().passed
+        assert len(seen) == 3
+        for circ, (index, amp, column) in seen:
+            assert all(g.kind is not GateKind.H for g in circ.gates)
+            u = circ.unitary()
+            rows, columns = np.nonzero(u)
+            assert dict(zip(zip(rows.tolist(), columns.tolist()), u[rows, columns].tolist())) \
+                == dict(zip(zip(index.tolist(), column.tolist()), amp.tolist()))
 
     def test_one_build_per_gadget_family(self, monkeypatch):
         # the HWP check builds each (M, strategy) once at all ten angles, and
