@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 import time
 from dataclasses import asdict, dataclass
 
@@ -136,8 +137,8 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     exhaustively over the 2**M target states, against the diagonal
     e^{i*theta*HW(x)}.  Each (M, strategy) is built once, as the family of
     its gadgets at all the angles, simulated once and compared at once."""
-    rng = np.random.default_rng(HWP_ANGLE_SEED)
-    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n_angles)
+    rng = random.Random(HWP_ANGLE_SEED)
+    angles = np.array([rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(n_angles)])
     worst = 0.0
     for m in sizes:
         targets = np.exp(1j * angles[:, None] * _hamming_weights(m))
@@ -169,14 +170,14 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     """The catalyst register comes back unentangled and unchanged: with
     rho_in = |phi><phi| pure, tr(rho_in rho_out) is the probability that
     P†UP, run on (target) (x) |0>, leaves the catalyst wires at zero."""
-    rng = np.random.default_rng(HWP_ANGLE_SEED + 1)
+    rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
-        theta = float(rng.uniform(0.1, 2.0))
+        theta = rng.uniform(0.1, 2.0)
         gadget = build_hwp(m, theta, HwpStrategy.CATALYZED)
         n = gadget.circuit.n_qubits
         # arbitrary fixed target state entangling all weight sectors
-        target = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         target /= np.linalg.norm(target)
         state = apply_circuit(np.kron(target, zero_state(n - m)), _in_catalyst_frame(gadget))
         catalyst = sum(1 << (n - 1 - wire) for wire in gadget.catalyst)

@@ -195,7 +195,9 @@ def tau_max(W: float) -> float:
     """Largest admissible time step: keeps the per-step error below sqrt(2)/r^2."""
     if W <= 0:
         raise ValueError(f"tau_max needs W > 0, got {W}")
-    return (math.sqrt(2.0) / W) ** (1.0 / 3.0)
+    if not (cap := (math.sqrt(2.0) / W) ** (1.0 / 3.0)) < math.inf:
+        raise ValueError(f"tau_max needs a finite time step: W={W:g} is too small")
+    return cap
 
 
 def trotter_steps(W: float, tau: float, budget: TrotterBudget) -> int:

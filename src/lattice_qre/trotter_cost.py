@@ -21,11 +21,11 @@ this count.
 
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
-closed form, the catalyst share in proportion to the rotation share, and
-the rotation share by a Newton-seeded bisection (``_best_budget``).
-r walks by single steps from the step count at which the tau-cap kink
-reaches the Trotter share 1/3, and the estimate is built from that solve,
-as ``evaluate`` would re-derive it from its budget.
+closed form, the catalyst share in proportion to the rotation share, and the
+rotation share by bisecting, from a Newton seed, a closed-form residual that
+one ``_cost`` fixes (``_best_budget``).  r walks by single steps from the
+step count at which the tau-cap kink reaches the Trotter share 1/3, and the
+estimate is built from that solve, as ``evaluate`` would re-derive it.
 """
 
 from __future__ import annotations
@@ -286,10 +286,11 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     - c = q * charged / rz, or c = q * p * tau * dE * charged / (0.76*pi * rz)
       when the catalysts are charged once (``amortize``).
     - q * P = Λ * p with Λ = RUS_T_SLOPE * rz / (2 ln 2) and P the per-query
-      cost of ``_cost``, P = A - Λ_u ln q with Λ_u = Λ (1 + charged / rz), or Λ
-      amortized.  The residual, -Λ (1 - t) as q -> 0, rises with q; ``minimize``
-      bisects it to adjacent floats within 1e-13 of its log form's Newton root
-      (``_newton_share``), or over (0, q_max) if it keeps its sign there.
+      cost of ``_cost``: P = a - Λ_u ln q with Λ_u = Λ (1 + charged / rz), or Λ
+      amortized, and a read from one ``_cost`` at q_max / 2.  The residual
+      q (a - Λ_u ln q) - Λ_u (q_max - q) / (1 + k q) rises with q from -Λ (1 - t);
+      ``minimize`` bisects it to adjacent floats within 1e-13 of its log form's
+      Newton root (``_newton_share``), or over (0, q_max) if it keeps its sign.
     Raises ``ValueError`` when the residual stays negative up to p = 0:
     the synthesis T count per query has turned negative, so the error
     target is too loose for the model.
@@ -298,7 +299,6 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     tau = _pinned_tau(r, t, w, tau_cap, delta_e)
     ratio = catalysts[0] / step.rz
     k = ratio * tau * delta_e / QPE_QUERY_CONSTANT if amortize else 0.0   # c = k * q * p
-    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
 
     def shares(q: float) -> tuple[float, float, float]:
         """(p, q, c) at rotation share q."""
@@ -307,20 +307,16 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
             return p, q, k * q * p
         return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
 
-    def per_query(p: float, q: float, c: float) -> float:
-        n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
-        return (total - n_t1 / 2.0 if amortize else total) / n_q
+    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
+    lam_u = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0)) * (1.0 if amortize else 1.0 + ratio)
+    q_in = 0.5 * q_max   # the whole domain's first midpoint: at q = 1, c * dE can overflow
+    n_t1, _, n_q, total = _cost(step, catalysts, *shares(q_in), tau, delta_e, amortize)
+    a = (total - n_t1 / 2.0 if amortize else total) / n_q + lam_u * math.log(q_in)
 
     def slope(q: float) -> float:
-        p, _, c = shares(q)
-        if p <= 0.0:   # q rounds onto the edge where p runs out
-            return -1.0
-        return q * per_query(p, q, c) - lam * p
+        return q * (a - lam_u * math.log(q)) - lam_u * (q_max - q) / (1.0 + k * q)
 
-    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
-    lam_u = lam if amortize else lam * (1.0 + ratio)
-    q_in = 0.5 * q_max   # the whole domain's first midpoint: at q = 1, c * dE can overflow
-    g = _newton_share(per_query(*shares(q_in)) + lam_u * math.log(q_in), lam_u, q_max, k)
+    g = _newton_share(a, lam_u, q_max, k)
     lo, hi = (0.0, q_max) if g is None else (g * (1.0 - 1e-13), min(g * (1.0 + 1e-13), q_max))
     if g is not None and not slope(lo) < 0.0 <= slope(hi):
         lo, hi = 0.0, q_max   # the root lies outside: bisect the whole domain

@@ -1,4 +1,5 @@
-"""The benchmark's output checks hold on every published-table cell.
+"""The benchmark's output checks hold on every published-table cell and on
+the precision-scan draws of its first seed.
 
 ``perfbench/workloads.py`` checks each solver output it times: the total is
 at least one Toffoli and ``evaluate`` (or ``estimate``) gives it back, the
@@ -33,4 +34,17 @@ def test_table_cells_pass_the_benchmark_checks(qubitization_sweep, trotter_sweep
                else trotter_sweep.results[kind, L, cell.strategy])
         if found := workloads.check_table_cell(cell, est):
             problems[cell.key] = found
+    assert problems == {}
+
+
+def test_precision_draws_pass_the_benchmark_checks():
+    # the precision-scan workload's own checks, on the 192 cells of its first
+    # seed: jittered couplings and targets down to 10**-1.5 of the extensive one
+    workloads = _workloads()
+    cells = [cell for pair in workloads.precision_draws(1) for cell in pair]
+    assert len(cells) == 192
+    problems = {}
+    for i, cell in enumerate(cells):
+        if found := workloads.check_cell(cell, workloads.solve(cell)):
+            problems[i, cell.key] = found
     assert problems == {}

@@ -814,6 +814,23 @@ class TestVerifySuite:
         assert verify.check_plaquette().passed
         assert builds == {"build_hwp": 8, "build_plaquette_evolution": 1}
 
+    def test_a_pass_leaves_numpy_random_unloaded(self):
+        # the seeded angles and target states come from the standard library,
+        # so a cold verify does not pay for importing numpy.random
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(verify.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from lattice_qre.circuitlab import verify; "
+             "assert all(r.passed for r in verify.run_all()); print('numpy.random' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_oracle_sizes_match_the_checks(self, monkeypatch):
         # the suite builds oracles of exactly the sizes its gadget checks
         # use, and the largest of them is the oracle's limit

@@ -162,6 +162,17 @@ class TestEstimate:
         assert "W is 0" in err
         assert run_cli(args + ["qubitization"], capsys)[0] == 0
 
+    def test_subnormal_trotter_bound_exits_2(self, capsys):
+        # W = 2.7e-319 leaves no finite time step: refused for W, not as an
+        # infinite step count
+        code, out, err = run_cli(["estimate", "--model", "fh", "--L", "4", "--u", "1e-320",
+                                  "--method", "trotter"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "W=2.7" in err
+        assert "r=inf" not in err
+
     def test_untabulated_fh_norms_exit_2(self, capsys):
         code, out, err = run_cli(
             ["estimate", "--model", "fh", "--method", "trotter", "--L", "34"], capsys)

@@ -169,6 +169,11 @@ class TestTauMax:
         with pytest.raises(ValueError):
             tau_max(0.0)
 
+    def test_subnormal_w_has_no_finite_step(self):
+        # sqrt(2) / W overflows: the cap would be inf, and every tau below it
+        with pytest.raises(ValueError, match="W=4.94066e-324"):
+            tau_max(5e-324)
+
 
 class TestTrotterSteps:
     def _budget(self, tau=0.02):

@@ -396,6 +396,24 @@ class TestRotationShareBracket:
         for lower, upper in brackets:
             assert 0.0 < upper - lower <= 1e-12 * upper
 
+    def test_each_solve_reads_the_cost_once(self, monkeypatch):
+        # one _cost at q_max / 2 gives the per-query cost's intercept; Newton
+        # and the bisection then work on the closed-form residual alone
+        calls = []
+        cost = trotter_cost._cost
+        monkeypatch.setattr(trotter_cost, "_cost", lambda *args: calls.append(args) or cost(*args))
+        for spec, strategy in _table_trotter_cells()[::7]:
+            w = trotter_bound(spec)
+            tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
+            catalysts = trotter_cost._catalysts(spec.kind, spec.L, strategy)
+            delta_e = extensive_error(spec.L)
+            r = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
+            step = step_cost(spec.kind, spec.L, r, strategy)
+            for amortize in (False, True) if strategy.catalyzed else (False,):
+                calls.clear()
+                trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
+                assert len(calls) == 1
+
 
 class TestAssembledEstimate:
     """``optimize_trotter`` builds its estimate from the solve; re-deriving it

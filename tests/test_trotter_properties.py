@@ -8,6 +8,7 @@ import math
 from dataclasses import fields, replace
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from lattice_qre.primitives import RUS_T_SLOPE, CostVector, floor_log2, hwp_cost
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     _TAU_MARGIN,
+    QPE_QUERY_CONSTANT,
     Strategy,
     _best_budget,
     _catalysts,
@@ -152,6 +154,43 @@ def test_rotation_share_solves_its_condition(cell):
     per_query = ((total - n_t1 / 2.0) if amortize else total) / n_q
     lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
     assert abs(q * per_query - lam * p) <= 1e-12 * lam * p
+
+
+@DETERMINISTIC
+@given(cells(), st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=3, max_size=3, unique=True))
+@pytest.mark.parametrize("strategy,amortize", [
+    (Strategy.BASELINE, False), (Strategy.CATALYZED, False),
+    (Strategy.CATALYZED, True), (Strategy.BATCHED_CATALYZED, True)])
+def test_per_query_cost_is_affine_in_log_q(strategy, amortize, cell, fractions):
+    # the premise of the solver's closed-form residual: at the shares a rotation
+    # share q implies, the per-query cost of _cost is P = a - Λ_u ln q with
+    # Λ_u = Λ (1 + charged / rz), or Λ when the catalysts are charged once
+    spec, _, delta_e, _ = cell
+    est = optimize_trotter(spec, strategy, delta_e, amortize)
+    _, _, catalysts = _setting((spec, strategy, delta_e, amortize))
+    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    tau = est.budget.tau
+    t = 1.0 - sum(est.budget.shares)
+    ratio = catalysts[0] / step.rz
+    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
+    k = ratio * tau * delta_e / QPE_QUERY_CONSTANT
+
+    def per_query(q):
+        if amortize:
+            p = (1.0 - t - q) / (1.0 + k * q)
+            c = k * q * p
+        else:
+            p, c = 1.0 - t - (1.0 + ratio) * q, ratio * q
+        n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)
+        return ((total - n_t1 / 2.0) if amortize else total) / n_q
+
+    lam_u = lam if amortize else lam * (1.0 + ratio)
+    q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)
+    qs = [f * q_max for f in fractions]
+    costs = [per_query(q) for q in qs]
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        assert math.isclose(costs[i] - costs[j], -lam_u * math.log(qs[i] / qs[j]),
+                            abs_tol=1e-12 * max(abs(costs[i]), abs(costs[j])))
 
 
 @DETERMINISTIC
