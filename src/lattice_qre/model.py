@@ -17,6 +17,7 @@ accepted but irrelevant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -79,9 +80,10 @@ class ModelSpec:
     """A model kind plus lattice size and couplings.
 
     ``L`` must be even and at least 2 (Fermi-Hubbard) or 4 (cuprate,
-    pnictide).  The cuprate Trotter scheme additionally needs L to be a
-    multiple of 4; that stricter check lives with the Trotter code because
-    the qubitization estimates are valid at any even L.
+    pnictide), and L^2 must fit in a float.  The cuprate Trotter scheme
+    additionally needs L to be a multiple of 4; that stricter check lives
+    with the Trotter code because the qubitization estimates are valid at
+    any even L.
     """
 
     kind: Model
@@ -101,6 +103,8 @@ class ModelSpec:
         min_L = 2 if kind is Model.FERMI_HUBBARD else 4
         if self.L < min_L or self.L % 2:
             raise InvalidLattice(f"L={self.L} invalid for {kind.value}: need even L >= {min_L}")
+        if self.L * self.L > sys.float_info.max:   # every cost formula takes L^2 as a float
+            raise InvalidLattice(f"L={self.L} is too large: L^2 overflows a float")
         vals = {f.name: getattr(self.couplings, f.name) for f in fields(self.couplings)}
         if not all(math.isfinite(v) for v in vals.values()):
             raise ValueError("couplings must be finite")

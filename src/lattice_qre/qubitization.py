@@ -13,7 +13,10 @@ power of two: otherwise the uniform state preparations over the odd part m
 of L add Toffolis and rotations.
 
 The split x is where d ln(total)/dx changes sign on (1/2, 1), found by
-bisection to adjacent floats, so it is set by the model alone.
+bisection to adjacent floats, so it is set by the model alone.  A few Newton
+steps on the condition's log form narrow the bisection to 1e-13 of their
+root; where the sign change lies outside that bracket, the bisection runs
+over all of (1/2, 1).
 """
 
 from __future__ import annotations
@@ -120,6 +123,30 @@ def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> Qubitiz
     )
 
 
+def _newton_split(rate: float, seed_cost: float) -> float | None:
+    """Newton root of the slope's zero in its log form, ln(rate (2x - 1)) = v + ln P, in
+    v = ln(1 - x), where the per-walk cost P = a - (rate / 2)(ln x + v) has P(3/4) = seed_cost;
+    from x0 = 1 - rate / P(3/4).  None once a step leaves x in (1/2, 1) or P > 0, or never
+    settles."""
+    if not (math.isfinite(seed_cost) and seed_cost > 2.0 * rate):
+        return None
+    a = seed_cost + 0.5 * rate * math.log(3.0 / 16.0)
+    v = math.log(rate / seed_cost)
+    for _ in range(8):
+        s = math.exp(v)   # 1 - x, read without forming x: near x = 1 it rounds away
+        per_walk = a - 0.5 * rate * (math.log1p(-s) + v)
+        if not (s < 0.5 and per_walk > 0.0):
+            return None
+        step = ((math.log(rate * (1.0 - 2.0 * s)) - v - math.log(per_walk))
+                / (rate * (1.0 - 2.0 * s) / (2.0 * (1.0 - s) * per_walk)
+                   - 1.0 - 2.0 * s / (1.0 - 2.0 * s)))
+        v -= step
+        if abs(step) < 1e-12:
+            x = 1.0 - math.exp(v)
+            return x if 0.5 < x < 1.0 else None
+    return None
+
+
 def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> QubitizationEstimate:
     """Minimize the total Toffoli count over the error split x.
 
@@ -127,10 +154,15 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     ``_walk_t``) and n_rot rotations per walk,
     d ln(total)/dx = -1/(2x) + Λ (2x - 1) / (2x (1 - x) P) with
     Λ = n_rot * RUS_T_SLOPE / (2 ln 2).  The walk term is at most 0 up to
-    x = 1/2, and 2x times the slope rises with x, so ``minimize`` bisects
-    (1/2, 1) for its sign change, and ``estimate`` runs once, at the
-    optimum.  Raises ``ValueError`` when the optimum needs fewer than one
-    phase-estimation query, or when the slope stays negative up to x = 1.
+    x = 1/2, and 2x times the slope rises with x, so its sign changes
+    once on (1/2, 1), where Λ (2x - 1) = (1 - x) P.  P is affine in
+    ln x + ln(1 - x), so one ``_walk_t`` at x = 3/4 fixes it, and Newton
+    steps on the condition's log form (``_newton_split``) give a root g.
+    ``minimize`` bisects [g (1 - 1e-13), g (1 + 1e-13)], cut below 1, if
+    the slope changes sign across it, else all of (1/2, 1); ``estimate``
+    runs once, at the optimum.  Raises ``ValueError`` when the optimum
+    needs fewer than one phase-estimation query, or when the slope stays
+    negative up to x = 1.
     """
     delta_e = error_target(spec.L, delta_e)
     lam = lcu_lambda(spec)
@@ -140,11 +172,19 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     require_one_query(query_count(lam, delta_e, 0.5), delta_e)
     rate = counts.rotations * RUS_T_SLOPE / (2.0 * math.log(2.0))
 
-    def slope(x: float) -> float:
-        per_walk = counts.toffoli + _walk_t(counts, lam, delta_e, x) / 2.0
-        return rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk) - 1.0
+    def per_walk(x: float) -> float:
+        return counts.toffoli + _walk_t(counts, lam, delta_e, x) / 2.0
 
-    x = minimize(slope, 0.5, 1.0).point
+    def slope(x: float) -> float:
+        return rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk(x)) - 1.0
+
+    g = _newton_split(rate, per_walk(0.75))
+    # the slope divides by 1 - x: the bracket ends on the float below 1 at most
+    lo, hi = ((0.5, 1.0) if g is None
+              else (g * (1.0 - 1e-13), min(g * (1.0 + 1e-13), math.nextafter(1.0, 0.0))))
+    if g is not None and not slope(lo) < 0.0 <= slope(hi):
+        lo, hi = 0.5, 1.0   # the root lies outside: bisect the whole domain
+    x = minimize(slope, lo, hi).point
     if x == 1.0:
         raise ValueError(f"the qubitization error split overflows: d ln(total)/dx stays "
                          f"negative up to x = 1 at lambda={lam:g}, delta_e={delta_e:g} (the "

@@ -97,18 +97,31 @@ _PNICTIDE_TERMS = (
 
 
 def _factors(terms):
-    """Each term as its coefficient and the (variable, exponent) pairs of
-    its nonzero exponents, in variable order."""
-    return tuple((coeff, tuple((i, e) for i, e in enumerate(exps) if e))
-                 for coeff, exps in terms)
+    """A polynomial compiled once into two tables: the (variable, exponent)
+    powers its terms use, in order of first use, and each term as its
+    coefficient and three indices into those powers, in variable order,
+    padded with the index of a trailing 1.0."""
+    powers = tuple(dict.fromkeys((i, e) for _, exps in terms for i, e in enumerate(exps) if e))
+    index = {power: n for n, power in enumerate(powers)}
+    one = len(powers)
+    compiled = []
+    for coeff, exps in terms:
+        slots = [index[i, e] for i, e in enumerate(exps) if e]
+        compiled.append((coeff, *slots, *[one] * (3 - len(slots))))
+    return powers, tuple(compiled)
 
 
-def _poly(terms, values) -> float:
-    """sum of coeff * prod(|value| ** exponent) over ``_factors`` terms.
-    Only the powers a term uses are taken: an unused |u| ** 3 could
-    overflow where the polynomial does not."""
-    mags = [abs(v) for v in values]
-    return sum(coeff * math.prod(mags[i] ** e for i, e in factors) for coeff, factors in terms)
+def _poly(poly, values) -> float:
+    """sum of coeff * prod(|value| ** exponent) over the terms of a
+    ``_factors`` polynomial, in term order.  Each power the terms use is
+    taken once, and one they do not use is never taken: an unused
+    |u| ** 3 could overflow where the polynomial does not.  The product
+    (f1 * f2) * f3 is the left-to-right ``math.prod`` of a term's
+    factors, a padded 1.0 included, so the value is bit-identical to it."""
+    powers, terms = poly
+    p = [abs(values[i]) ** e for i, e in powers]
+    p.append(1.0)
+    return sum(c * (p[i] * p[j] * p[k]) for c, i, j, k in terms)
 
 
 _CUPRATE_POLY = _factors(_CUPRATE_TERMS)

@@ -23,9 +23,10 @@ The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and the
 rotation share by bisecting, from a Newton seed, a closed-form residual that
-one ``_cost`` fixes (``_best_budget``).  r walks by single steps from the
-step count at which the tau-cap kink reaches the Trotter share 1/3, and the
-estimate is built from that solve, as ``evaluate`` would re-derive it.
+one ``_cost`` fixes (``_best_budget``).  r starts at the step count at which
+the tau-cap kink reaches the Trotter share 1/3, takes at most one step
+below it or walks up by single steps, and the estimate is built from that
+solve, as ``evaluate`` would re-derive it.
 """
 
 from __future__ import annotations
@@ -327,18 +328,32 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     return (*shares(q), tau)
 
 
-def _best_step_count(cost, r: int) -> int:
-    """Integer r >= 1 minimizing the unimodal ``cost``, walked from r by
-    single steps in whichever direction lowers it.  Started at r0, the
-    walk ends on r0 or r0 - 1 on every published cell: three or four
-    ``cost`` calls, which the caller memoizes.  A step must gain more than
-    the totals' rounding, 4 eps of |cost(r)| (too loose a target can make it
+def _best_step_count(cost, r0: int) -> int:
+    """Integer r >= 1 minimizing the unimodal ``cost`` from r0, the step
+    count at which the tau-cap kink reaches the Trotter share 1/3.
+
+    Below r0 the Trotter share is 1/3 and the feasible shares (p, q, c) do
+    not depend on r, while tau grows with it: at any fixed shares every
+    term of the total falls with r as long as the synthesis T count per
+    rotation and per catalyst exceeds -0.53 / ln 2, so the optimum over
+    the shares falls too.  The walk therefore takes at most one step
+    below r0 -- to r0 - 1 if it is cheaper, and stops there -- and
+    otherwise walks up by single steps while that lowers ``cost``.  On
+    every published cell it ends on r0 - 1 (two ``cost`` calls, which the
+    caller memoizes) or on r0 (three).  A step must gain more than the
+    totals' rounding, 4 eps of |cost(r)| (too loose a target can make it
     negative): near 1e13 steps a walk on smaller gains drifts on noise.
     """
     rounding = 4.0 * sys.float_info.epsilon
-    for direction in (1, -1):
-        while r + direction >= 1 and cost(r + direction) < cost(r) - rounding * abs(cost(r)):
-            r += direction
+
+    def beats(other: int, r: int) -> bool:
+        return cost(other) < cost(r) - rounding * abs(cost(r))
+
+    if r0 > 1 and beats(r0 - 1, r0):
+        return r0 - 1
+    r = r0
+    while beats(r + 1, r):
+        r += 1
     return r
 
 
@@ -351,10 +366,11 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     tau follow from their first-order conditions (see ``_best_budget``).
     r starts at r0 = ceil(tau_cap * sqrt(3 W / dE)), where the kink reaches
     the Trotter share 1/3: below r0 tau grows with r, from r0 on it sits at
-    its cap.  r then walks by single steps to its optimum (see
-    ``_best_step_count``).  The estimate is assembled from that solve: the
-    walked r, its step cost and one ``_cost`` at the budget's own (round-
-    tripped) shares, so ``evaluate`` at the returned budget gives it back.
+    its cap.  r then takes at most one step down, or walks up by single
+    steps, to its optimum (see ``_best_step_count``).  The estimate is
+    assembled from that solve: the walked r, its step cost and one
+    ``_cost`` at the budget's own (round-tripped) shares, so ``evaluate``
+    at the returned budget gives it back.
     Raises ``ValueError`` when r0 exceeds 1e13
     (where ``evaluate`` no longer recovers r from the pinned tau), or when
     the error target is too loose to mean anything: the optimum needs

@@ -202,6 +202,21 @@ class TestEstimate:
         assert err.startswith("error: the qubitization error split overflows")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("model,method", [
+        ("fh", "qubitization"), ("cuprate", "qubitization"), ("cuprate", "trotter"),
+        ("pnictide", "trotter")])
+    @pytest.mark.parametrize("L", [10**160, 2 * 10**200])
+    @pytest.mark.parametrize("flags", [[], ["--delta-e", "1"]])
+    def test_l_whose_square_overflows_exits_2(self, capsys, model, method, L, flags):
+        # L^2 does not fit in a float: refused for L, not as an OverflowError
+        # of the error target or of lambda, nor blamed on the couplings' W
+        code, out, err = run_cli(["estimate", "--model", model, "--method", method,
+                                  "--L", str(L), *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: L={L} is too large: L^2 overflows a float\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("model", ["fh", "cuprate", "pnictide"])
     @pytest.mark.parametrize("L", ["4", "8"])
     @pytest.mark.parametrize("strategy", ["catalyzed", "batched-catalyzed"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestValidation:
     def test_small_L_rejected_for_multiband(self):
         with pytest.raises(InvalidLattice):
             ModelSpec(Model.PNICTIDE, 2)
+
+    def test_l_whose_square_overflows_rejected(self):
+        # every cost formula takes L^2 as a float: the largest even L whose
+        # square fits is accepted, the next even L is refused and named
+        L = math.isqrt(int(sys.float_info.max))
+        L -= L % 2
+        assert extensive_error(ModelSpec(Model.FERMI_HUBBARD, L).L) < math.inf
+        with pytest.raises(InvalidLattice, match=f"L={L + 2} is too large"):
+            ModelSpec(Model.FERMI_HUBBARD, L + 2)
 
     def test_zero_hopping_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_qre import qubitization
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
+from lattice_qre.optimize import minimize
 from lattice_qre.qubitization import (
     estimate,
     optimize_qubitization,
@@ -145,8 +147,6 @@ class TestOptimize:
     def test_one_estimate_per_solve(self, monkeypatch):
         # the slope reads the per-walk cost alone; the full estimate is
         # built once, at the optimum
-        from lattice_qre import qubitization
-
         calls = []
 
         def counted(*args):
@@ -186,3 +186,89 @@ class TestOptimize:
             spec = ModelSpec(kind, 6)
             est = optimize_qubitization(spec)
             assert est.total_qubits >= system_qubits(spec)
+
+
+def _table_specs():
+    """The 45 specs of the published qubitization tables."""
+    from lattice_qre.reference_tables import QUBITIZATION_TABLES
+
+    return [ModelSpec(kind, L) for kind, table in QUBITIZATION_TABLES.items() for L in table]
+
+
+def _recorded_brackets(monkeypatch):
+    """(lower, upper, evaluations) of each ``minimize`` call of the solver."""
+    brackets = []
+
+    def recorded(slope, lower, upper):
+        result = minimize(slope, lower, upper)
+        brackets.append((lower, upper, result.evaluations))
+        return result
+
+    monkeypatch.setattr(qubitization, "minimize", recorded)
+    return brackets
+
+
+class TestSplitBracket:
+    def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
+        # the Newton-seeded bracket and the whole domain (1/2, 1) bisect to
+        # the same x: the table cells, the precision-scan draws of seeds 1-3
+        # and L = 64 .. 4096, at the extensive target and 1e-4 of it
+        from test_benchmark_checks import _workloads
+
+        workloads = _workloads()
+        solves = [(spec, None) for spec in _table_specs()]
+        solves += [(cell.spec, cell.delta_e) for seed in (1, 2, 3)
+                   for cell, _ in workloads.precision_draws(seed)]
+        solves += [(ModelSpec(kind, L), extensive_error(L) * share) for kind in Model
+                   for L in range(64, 4097, 32) for share in (1.0, 1e-4)]
+        assert len(solves) == 45 + 288 + 762
+        seeded = [optimize_qubitization(*solve).x for solve in solves]
+        brackets = _recorded_brackets(monkeypatch)
+        monkeypatch.setattr(qubitization, "_newton_split", lambda *args: None)
+        assert [optimize_qubitization(*solve).x for solve in solves] == seeded
+        assert {lower for lower, _, _ in brackets} == {0.5}
+
+    def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
+        # no table cell falls back to the whole domain: 11 evaluations a cell
+        # where bisecting (1/2, 1) took 52
+        brackets = _recorded_brackets(monkeypatch)
+        xs = [optimize_qubitization(spec).x for spec in _table_specs()]
+        assert len(brackets) == 45
+        assert sum(evaluations for _, _, evaluations in brackets) == 495
+        for (lower, upper, _), x in zip(brackets, xs):
+            assert 0.5 < lower < x <= upper < 1.0
+            assert upper - lower <= 1e-12 * x
+
+    @pytest.mark.parametrize("L", [3 * 10**6, 10**7, 3 * 10**7])
+    def test_bracket_ends_below_one(self, monkeypatch, L):
+        # within 1e-13 of 1 the bracket is cut at the float below 1: the slope
+        # divides by 1 - x, so it is never read at x = 1
+        brackets = _recorded_brackets(monkeypatch)
+        for kind in Model:
+            est = optimize_qubitization(ModelSpec(kind, L))
+            (lower, upper, _), = brackets
+            brackets.clear()
+            assert lower > 0.5
+            assert lower < est.x <= upper <= math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("kind,L,delta_e", [
+        (Model.FERMI_HUBBARD, 4, 1e-151), (Model.FERMI_HUBBARD, 10, 1e-150),
+        (Model.CUPRATE, 16, 10.0 ** -149.25), (Model.PNICTIDE, 16, 10.0 ** -148.5)])
+    def test_root_beside_the_walk_cost_overflow(self, monkeypatch, kind, L, delta_e):
+        # the walk cost overflows a little past the root, where the slope then
+        # reads -1; bisecting (1/2, 1) alone steps over the root into that
+        # region and refuses, while the Newton bracket holds the root itself
+        spec = ModelSpec(kind, L)
+        est = optimize_qubitization(spec, delta_e)
+        assert 0.5 < est.x < 1.0
+        assert math.isfinite(est.total_toffoli)
+        rate = walk_counts(kind, L).rotations * 0.53 / (2.0 * math.log(2.0))
+        slopes = []
+        for x in (est.x * (1.0 - 1e-14), est.x * (1.0 + 1e-14)):
+            at = estimate(spec, x, delta_e)
+            per_walk = at.total_toffoli / at.n_queries
+            slopes.append(rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk) - 1.0)
+        assert slopes[0] < 0.0 < slopes[1]
+        monkeypatch.setattr(qubitization, "_newton_split", lambda *args: None)
+        with pytest.raises(ValueError, match="split overflows"):
+            optimize_qubitization(spec, delta_e)

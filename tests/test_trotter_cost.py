@@ -382,7 +382,8 @@ class TestRotationShareBracket:
         assert lowers == [0.0] * len(solves)
 
     def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
-        # no table cell falls back to the whole domain of q
+        # no table cell falls back to the whole domain of q; the r walk
+        # solves 120 cells at r0 and r0 - 1, and 32 also at r0 + 1
         brackets = []
 
         def recorded(slope, lower, upper):
@@ -392,7 +393,7 @@ class TestRotationShareBracket:
         monkeypatch.setattr(trotter_cost, "minimize", recorded)
         for spec, strategy in _table_trotter_cells():
             optimize_trotter(spec, strategy)
-        assert len(brackets) >= 3 * 152
+        assert len(brackets) == 336
         for lower, upper in brackets:
             assert 0.0 < upper - lower <= 1e-12 * upper
 

@@ -5,6 +5,7 @@ Derandomized, so every run draws the same examples.
 """
 
 import math
+import sys
 from dataclasses import fields, replace
 from itertools import permutations
 
@@ -12,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_qre import trotter_cost
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
 from lattice_qre.primitives import RUS_T_SLOPE, CostVector, floor_log2, hwp_cost
+from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
     _TAU_MARGIN,
     QPE_QUERY_CONSTANT,
     Strategy,
     _best_budget,
+    _best_step_count,
     _catalysts,
     _cost,
     _pinned_tau,
@@ -218,3 +222,84 @@ def test_total_never_rises_with_a_looser_target(cell, looser):
     tight = optimize_trotter(spec, strategy, delta_e, amortize)
     loose = optimize_trotter(spec, strategy, delta_e * looser, amortize)
     assert loose.total_toffoli <= tight.total_toffoli * (1.0 + 1e-6)
+
+
+def _total_at(cell, r):
+    """The total at r steps, solved for its own cheapest budget."""
+    spec, strategy, delta_e, amortize = cell
+    w, tau_cap, catalysts = _setting(cell)
+    step = step_cost(spec.kind, spec.L, r, strategy)
+    budget = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
+    return _cost(step, catalysts, *budget, delta_e, amortize)[3]
+
+
+@DETERMINISTIC
+@given(cells())
+def test_total_falls_with_r_below_r0(cell):
+    # the premise of the walk's single step below r0: there the Trotter share
+    # is 1/3 and the feasible shares do not depend on r, so the total, solved
+    # at each r, falls strictly as r rises towards r0
+    spec, _, delta_e, _ = cell
+    w, tau_cap, _ = _setting(cell)
+    r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
+    totals = [_total_at(cell, r) for r in range(max(r0 - 3, 1), r0)]
+    assert all(lower > higher for lower, higher in zip(totals, totals[1:]))
+
+
+def _two_direction_walk(cost, r):
+    """The walk the solver replaced: up from r by single steps while a step
+    gains more than 4 eps of |cost(r)|, then down the same way."""
+    rounding = 4.0 * sys.float_info.epsilon
+    for direction in (1, -1):
+        while r + direction >= 1 and cost(r + direction) < cost(r) - rounding * abs(cost(r)):
+            r += direction
+    return r
+
+
+def _outcome(walk, cost, r0):
+    """The walk's r, or the message of the error it raised."""
+    try:
+        return walk(cost, r0)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _walks_agree(solves):
+    """Run each (spec, strategy, dE, amortize) solve with both walks over the
+    solver's own memoized per-r cost; the (new, old) outcomes."""
+    outcomes = []
+
+    def both(cost, r0):
+        outcomes.append((_outcome(_best_step_count, cost, r0),
+                         _outcome(_two_direction_walk, cost, r0)))
+        return _best_step_count(cost, r0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter_cost, "_best_step_count", both)
+        for solve in solves:
+            try:
+                optimize_trotter(*solve)
+            except ValueError:
+                pass
+    return outcomes
+
+
+@DETERMINISTIC
+@given(cells())
+def test_walk_matches_the_two_direction_walk(cell):
+    # the single step below r0 ends where the walk up and then down ended
+    (new, old), = _walks_agree([cell])
+    assert new == old
+
+
+def test_walk_matches_the_two_direction_walk_on_loose_targets():
+    # each table cell, amortized too when catalyzed, at 10**0.5 .. 10**300
+    # times its extensive target: most are refused, some inside the walk
+    solves = [(ModelSpec(kind, L), strategy, extensive_error(L) * 10.0 ** k, amortize)
+              for kind, table in TROTTER_TABLES.items() for L in table
+              for strategy in Strategy
+              for amortize in ((False, True) if strategy.catalyzed else (False,))
+              for k in (0.5, 1, 2, 3, 5, 10, 30, 100, 300)]
+    outcomes = _walks_agree(solves)
+    assert len(outcomes) == len(solves) == 2052
+    assert all(new == old for new, old in outcomes)
