@@ -15,6 +15,7 @@ from lattice_qre.qubitization import (
     query_count,
     walk_counts,
 )
+from lattice_qre.reference_tables import QUBITIZATION_TABLES
 
 
 class TestWalkCounts:
@@ -109,8 +110,6 @@ class TestOptimize:
         # x is set by the model, not by a search path: d ln(total)/dx is zero
         # to 1e-9 of its query term at every table cell (and the slope
         # restated here is the finite-difference slope of the totals)
-        from lattice_qre.reference_tables import QUBITIZATION_TABLES
-
         for kind, table in QUBITIZATION_TABLES.items():
             for L in table:
                 spec = ModelSpec(kind, L)
@@ -190,8 +189,6 @@ class TestOptimize:
 
 def _table_specs():
     """The 45 specs of the published qubitization tables."""
-    from lattice_qre.reference_tables import QUBITIZATION_TABLES
-
     return [ModelSpec(kind, L) for kind, table in QUBITIZATION_TABLES.items() for L in table]
 
 
