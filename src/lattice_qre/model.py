@@ -17,6 +17,7 @@ accepted but irrelevant.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -79,11 +80,11 @@ def default_couplings(kind: Model):
 class ModelSpec:
     """A model kind plus lattice size and couplings.
 
-    ``L`` must be even and at least 2 (Fermi-Hubbard) or 4 (cuprate,
-    pnictide), and L^2 must fit in a float.  The cuprate Trotter scheme
-    additionally needs L to be a multiple of 4; that stricter check lives
-    with the Trotter code because the qubitization estimates are valid at
-    any even L.
+    ``L`` must be an integer (stored as ``operator.index`` gives it), even
+    and at least 2 (Fermi-Hubbard) or 4 (cuprate, pnictide), and L^2 must
+    fit in a float.  The cuprate Trotter scheme additionally needs L to be
+    a multiple of 4; that stricter check lives with the Trotter code
+    because the qubitization estimates are valid at any even L.
     """
 
     kind: Model
@@ -100,6 +101,10 @@ class ModelSpec:
                 f"{kind.value} expects {COUPLING_TYPES[kind].__name__}, "
                 f"got {type(self.couplings).__name__}"
             )
+        try:   # an integer-valued float or str would reach int-only code (bit_length)
+            object.__setattr__(self, "L", operator.index(self.L))
+        except TypeError:
+            raise InvalidLattice(f"L={self.L!r} invalid: need an integer") from None
         min_L = 2 if kind is Model.FERMI_HUBBARD else 4
         if self.L < min_L or self.L % 2:
             raise InvalidLattice(f"L={self.L} invalid for {kind.value}: need even L >= {min_L}")

@@ -291,10 +291,10 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
       amortized, and a read from one ``_cost`` at q_max / 2.  The residual
       q (a - Λ_u ln q) - Λ_u (q_max - q) / (1 + k q) rises with q from -Λ (1 - t);
       ``minimize`` bisects it to adjacent floats within 1e-13 of its log form's
-      Newton root (``_newton_share``), or over (0, q_max) if it keeps its sign.
-    Raises ``ValueError`` when the residual stays negative up to p = 0:
-    the synthesis T count per query has turned negative, so the error
-    target is too loose for the model.
+      Newton root (``_newton_share``), which keeps P > Λ_u and so q < q_max / 2.
+    Raises ``ValueError`` (too loose) when Newton finds no root or the residual
+    does not change sign across that bracket: on every solve checked that did,
+    P had fallen to Λ_u, and a bisection of all of (0, q_max) refused it too.
     """
     t = min(1.0 / 3.0, (tau_cap / r) ** 2 * w / delta_e)
     tau = _pinned_tau(r, t, w, tau_cap, delta_e)
@@ -310,7 +310,7 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
 
     q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
     lam_u = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0)) * (1.0 if amortize else 1.0 + ratio)
-    q_in = 0.5 * q_max   # the whole domain's first midpoint: at q = 1, c * dE can overflow
+    q_in = 0.5 * q_max   # the middle of q's domain: at q = 1, c * dE can overflow
     n_t1, _, n_q, total = _cost(step, catalysts, *shares(q_in), tau, delta_e, amortize)
     a = (total - n_t1 / 2.0 if amortize else total) / n_q + lam_u * math.log(q_in)
 
@@ -318,14 +318,12 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
         return q * (a - lam_u * math.log(q)) - lam_u * (q_max - q) / (1.0 + k * q)
 
     g = _newton_share(a, lam_u, q_max, k)
-    lo, hi = (0.0, q_max) if g is None else (g * (1.0 - 1e-13), min(g * (1.0 + 1e-13), q_max))
-    if g is not None and not slope(lo) < 0.0 <= slope(hi):
-        lo, hi = 0.0, q_max   # the root lies outside: bisect the whole domain
-    q = minimize(slope, lo, hi).point
-    if q == q_max:
-        raise ValueError(f"error target delta_e={delta_e:g} is too loose: the total falls "
-                         f"without bound as phase estimation's share of it goes to 0")
-    return (*shares(q), tau)
+    if g is not None:
+        lo, hi = g * (1.0 - 1e-13), g * (1.0 + 1e-13)
+    if g is None or not slope(lo) < 0.0 <= slope(hi):
+        raise ValueError(f"error target delta_e={delta_e:g} is too loose: no Newton root certifies "
+                         f"a rotation share at r={r} (it needs a per-query cost above {lam_u:.3g})")
+    return (*shares(minimize(slope, lo, hi).point), tau)
 
 
 def _best_step_count(cost, r0: int) -> int:
@@ -374,8 +372,8 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     Raises ``ValueError`` when r0 exceeds 1e13
     (where ``evaluate`` no longer recovers r from the pinned tau), or when
     the error target is too loose to mean anything: the optimum needs
-    fewer than one phase-estimation query, or no optimum keeps a share
-    for phase estimation.
+    fewer than one phase-estimation query, or Newton steps certify no
+    rotation share at some r.
     """
     strategy = Strategy(strategy)
     _check_lattice(spec.kind, spec.L)

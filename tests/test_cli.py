@@ -217,6 +217,18 @@ class TestEstimate:
         assert err == f"error: L={L} is too large: L^2 overflows a float\n"
         assert "Traceback" not in err
 
+    def test_uncertified_rotation_share_exits_2(self, capsys):
+        # at r = 1 the per-query cost has fallen to the synthesis T count's
+        # slope, so no Newton root certifies a rotation share
+        code, out, err = run_cli(
+            ["estimate", "--model", "fh", "--L", "4", "--method", "trotter",
+             "--strategy", "batched-catalyzed", "--delta-e", "8.16e16"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: error target delta_e=8.16e+16 is too loose: no Newton root "
+                       "certifies a rotation share at r=1 (it needs a per-query cost above "
+                       "7.26)\n")
+
     @pytest.mark.parametrize("model", ["fh", "cuprate", "pnictide"])
     @pytest.mark.parametrize("L", ["4", "8"])
     @pytest.mark.parametrize("strategy", ["catalyzed", "batched-catalyzed"])

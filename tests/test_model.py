@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,17 @@ class TestValidation:
     def test_small_L_rejected_for_multiband(self):
         with pytest.raises(InvalidLattice):
             ModelSpec(Model.PNICTIDE, 2)
+
+    @pytest.mark.parametrize("L", [8.0, 8.5, "8"])
+    def test_non_integer_L_rejected(self, L):
+        # a float or str L would reach int-only code (L.bit_length) in both
+        # solvers
+        with pytest.raises(InvalidLattice, match=re.escape(f"L={L!r} invalid: need an integer")):
+            ModelSpec(Model.FERMI_HUBBARD, L)
+
+    def test_index_L_stored_as_int(self):
+        spec = ModelSpec(Model.FERMI_HUBBARD, np.int64(8))
+        assert type(spec.L) is int and spec == ModelSpec(Model.FERMI_HUBBARD, 8)
 
     def test_l_whose_square_overflows_rejected(self):
         # every cost formula takes L^2 as a float: the largest even L whose

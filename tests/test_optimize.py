@@ -18,11 +18,6 @@ class TestOneDimensional:
 
 
 class TestConstrained:
-    def test_boundary_optimum(self):
-        # a slope of one sign returns the edge it points to, exactly
-        assert minimize(lambda p: -1.0, 0.5, 0.9999).point == 0.9999
-        assert minimize(lambda p: 1.0, 0.5, 0.9999).point == 0.5
-
     def test_slope_only_inside(self):
         # the slope is never asked for at an edge, where it may be undefined
         seen = []

@@ -207,10 +207,12 @@ def _recorded_brackets(monkeypatch):
 
 class TestSplitBracket:
     def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
-        # the Newton-seeded bracket and the whole domain (1/2, 1) bisect to
-        # the same x: the table cells, the precision-scan draws of seeds 1-3
-        # and L = 64 .. 4096, at the extensive target and 1e-4 of it
+        # bisecting the solver's own slope over its whole domain (1/2, 1) gives
+        # the Newton bracket's x exactly: the table cells, the precision-scan
+        # draws of seeds 1-3 and L = 64 .. 4096, at the extensive target and
+        # 1e-4 of it
         from test_benchmark_checks import _workloads
+        from test_trotter_cost import _whole_domain_root
 
         workloads = _workloads()
         solves = [(spec, None) for spec in _table_specs()]
@@ -219,14 +221,21 @@ class TestSplitBracket:
         solves += [(ModelSpec(kind, L), extensive_error(L) * share) for kind in Model
                    for L in range(64, 4097, 32) for share in (1.0, 1e-4)]
         assert len(solves) == 45 + 288 + 762
-        seeded = [optimize_qubitization(*solve).x for solve in solves]
-        brackets = _recorded_brackets(monkeypatch)
-        monkeypatch.setattr(qubitization, "_newton_split", lambda *args: None)
-        assert [optimize_qubitization(*solve).x for solve in solves] == seeded
-        assert {lower for lower, _, _ in brackets} == {0.5}
+        solved = []
+
+        def recorded(slope, lower, upper):
+            result = minimize(slope, lower, upper)
+            solved.append((slope, result.point))
+            return result
+
+        monkeypatch.setattr(qubitization, "minimize", recorded)
+        xs = [optimize_qubitization(*solve).x for solve in solves]
+        assert [x for _, x in solved] == xs
+        for slope, x in solved:
+            assert _whole_domain_root(slope, 0.5, 1.0) == x
 
     def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
-        # no table cell falls back to the whole domain: 11 evaluations a cell
+        # every table cell bisects a Newton bracket: 11 evaluations a cell
         # where bisecting (1/2, 1) took 52
         brackets = _recorded_brackets(monkeypatch)
         xs = [optimize_qubitization(spec).x for spec in _table_specs()]
@@ -253,8 +262,8 @@ class TestSplitBracket:
         (Model.CUPRATE, 16, 10.0 ** -149.25), (Model.PNICTIDE, 16, 10.0 ** -148.5)])
     def test_root_beside_the_walk_cost_overflow(self, monkeypatch, kind, L, delta_e):
         # the walk cost overflows a little past the root, where the slope then
-        # reads -1; bisecting (1/2, 1) alone steps over the root into that
-        # region and refuses, while the Newton bracket holds the root itself
+        # reads -1; the Newton bracket holds the root itself, and without a
+        # Newton root the solver refuses
         spec = ModelSpec(kind, L)
         est = optimize_qubitization(spec, delta_e)
         assert 0.5 < est.x < 1.0

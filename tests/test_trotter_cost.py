@@ -344,6 +344,17 @@ class TestOptimizeTrotter:
                 assert est.total_toffoli <= other * (1.0 + 1e-12)
 
 
+def _whole_domain_root(slope, lower, upper):
+    """The oracle of the solvers' Newton brackets: bisect the sign change of
+    ``slope`` over all of (lower, upper) to adjacent floats; the upper one."""
+    while lower < (mid := lower + 0.5 * (upper - lower)) < upper:
+        if slope(mid) < 0.0:
+            lower = mid
+        else:
+            upper = mid
+    return upper
+
+
 def _table_trotter_cells():
     """(spec, strategy) of the 152 Trotter cells of the published tables."""
     return [(ModelSpec(kind, L), strategy)
@@ -352,10 +363,10 @@ def _table_trotter_cells():
 
 class TestRotationShareBracket:
     def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
-        # the Newton-seeded bracket and the whole domain (0, q_max) bisect to
-        # the same floats: every table cell at 1, 1e-2 and 1e-4 of the
-        # extensive target, at r0 - 1, r0 and r0 + 1, amortized too when
-        # catalyzed
+        # bisecting the solver's own residual over its whole domain (0, q_max)
+        # gives the Newton bracket's q exactly: every table cell at 1, 1e-2
+        # and 1e-4 of the extensive target, at r0 - 1, r0 and r0 + 1,
+        # amortized too when catalyzed
         solves = []
         for spec, strategy in _table_trotter_cells():
             w = trotter_bound(spec)
@@ -369,20 +380,28 @@ class TestRotationShareBracket:
                     for amortize in (False, True) if strategy.catalyzed else (False,):
                         solves.append((step, catalysts, r, w, tau_cap, delta_e, amortize))
         assert len(solves) == 2052
-        seeded = [trotter_cost._best_budget(*args) for args in solves]
-        lowers = []
+        q_maxes, solved = [], []
+        newton = trotter_cost._newton_share
+
+        def recorded_newton(a, lam_u, q_max, k):
+            q_maxes.append(q_max)
+            return newton(a, lam_u, q_max, k)
 
         def recorded(slope, lower, upper):
-            lowers.append(lower)
-            return minimize(slope, lower, upper)
+            result = minimize(slope, lower, upper)
+            solved.append((slope, result.point))
+            return result
 
-        monkeypatch.setattr(trotter_cost, "_newton_share", lambda *args: None)
+        monkeypatch.setattr(trotter_cost, "_newton_share", recorded_newton)
         monkeypatch.setattr(trotter_cost, "minimize", recorded)
-        assert [trotter_cost._best_budget(*args) for args in solves] == seeded
-        assert lowers == [0.0] * len(solves)
+        for args in solves:
+            trotter_cost._best_budget(*args)
+        assert len(solved) == len(q_maxes) == len(solves)
+        for (slope, q), q_max in zip(solved, q_maxes):
+            assert _whole_domain_root(slope, 0.0, q_max) == q
 
     def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
-        # no table cell falls back to the whole domain of q; the r walk
+        # every table cell bisects a Newton bracket 1e-13 wide; the r walk
         # solves 120 cells at r0 and r0 - 1, and 32 also at r0 + 1
         brackets = []
 

@@ -246,6 +246,33 @@ def test_total_falls_with_r_below_r0(cell):
     assert all(lower > higher for lower, higher in zip(totals, totals[1:]))
 
 
+@DETERMINISTIC
+@given(cells())
+def test_every_bracket_ends_below_q_max(cell):
+    # Newton keeps the per-query cost P above Λ_u, so its root has
+    # q Λ_u < q P = Λ_u (q_max - q) / (1 + k q), i.e. q < q_max / 2: each
+    # per-r bracket ends below q_max with no cap, plain and amortized
+    spec, strategy, delta_e, _ = cell
+    q_maxes, uppers = [], []
+    newton, bisect = trotter_cost._newton_share, trotter_cost.minimize
+
+    def recorded_newton(a, lam_u, q_max, k):
+        q_maxes.append(q_max)
+        return newton(a, lam_u, q_max, k)
+
+    def recorded(slope, lower, upper):
+        uppers.append(upper)
+        return bisect(slope, lower, upper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter_cost, "_newton_share", recorded_newton)
+        patch.setattr(trotter_cost, "minimize", recorded)
+        for amortize in (False, True):
+            optimize_trotter(spec, strategy, delta_e, amortize)
+    assert len(uppers) == len(q_maxes) >= 4
+    assert all(upper < 0.5 * q_max * (1.0 + 1e-12) for upper, q_max in zip(uppers, q_maxes))
+
+
 def _two_direction_walk(cost, r):
     """The walk the solver replaced: up from r by single steps while a step
     gains more than 4 eps of |cost(r)|, then down the same way."""
