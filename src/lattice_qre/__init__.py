@@ -17,15 +17,16 @@ from .model import (
 from .primitives import CostVector, HwpStrategy
 from .qubitization import QubitizationEstimate, optimize_qubitization
 from .trotter_bounds import TrotterBudget, tau_max, trotter_bound, trotter_steps
-from .trotter_cost import Strategy, TrotterEstimate, evaluate, optimize_trotter
+from .trotter_cost import (Strategy, TrotterEstimate, evaluate, optimize_trotter, step_cost,
+                           total_qubits)
 
 __all__ = [
     "CostVector", "CuprateCouplings", "FermiHubbardCouplings", "HwpStrategy",
     "InvalidLattice", "Model", "ModelSpec", "PnictideCouplings",
     "QubitizationEstimate", "Strategy", "TrotterBudget", "TrotterEstimate",
     "default_couplings", "evaluate", "extensive_error", "lcu_lambda",
-    "optimize_qubitization", "optimize_trotter", "tau_max", "trotter_bound",
-    "trotter_steps",
+    "optimize_qubitization", "optimize_trotter", "step_cost", "tau_max", "total_qubits",
+    "trotter_bound", "trotter_steps",
 ]
 
 __version__ = "0.1.0"

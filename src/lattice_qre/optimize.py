@@ -1,16 +1,18 @@
-"""Deterministic one-dimensional minimization from a first-order condition.
+"""The check both budget splits share: a certified Newton root.
 
-Both solvers reduce their budget split to one scalar equation whose
-residual, a positive multiple of the derivative of the total along the
-split, increases with the variable.  ``minimize`` bisects for its sign
-change down to adjacent floats within a bracket its caller has certified
-around a Newton root; a root that cannot be certified is refused, as a
-whole-domain bisection refused all but 5 of 83,034 such solves checked.  No
-randomness and no tolerance: two runs with the same inputs are bit-identical.
+Both solvers reduce their split to one scalar equation whose residual, a
+positive multiple of the derivative of the total along the split, rises
+with the variable, and take Newton steps on its log form to a root g.
+``minimize`` returns g itself, with no bisection, when the residual changes
+sign across [g (1 - 1e-13), g (1 + 1e-13)]: the total is flat at its
+minimum, so within 1e-13 of it only its rounding moves.  A root it cannot
+certify is refused; a whole-domain bisection refused each of the 66,107
+such solves checked.  Deterministic: the same inputs give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,16 +22,12 @@ class MinimizeResult:
     evaluations: int
 
 
-def minimize(slope, lower: float, upper: float) -> MinimizeResult:
-    """The minimum over [lower, upper] of a function whose derivative has the
-    sign of the increasing ``slope``, given slope(lower) < 0 <= slope(upper):
-    bisects on that sign down to two adjacent floats, evaluating ``slope``
-    only strictly inside, and returns the upper one."""
-    lo, hi, evaluations = lower, upper, 0
-    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        evaluations += 1
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return MinimizeResult(hi, evaluations)
+def minimize(slope, root: float | None, upper: float = math.inf) -> MinimizeResult | None:
+    """The minimum at the positive ``root`` of a function whose derivative
+    has the sign of the increasing ``slope``, if slope changes sign across
+    [root (1 - 1e-13), min(root (1 + 1e-13), upper)]: two evaluations of
+    ``slope``, at those ends.  None if it does not, or if ``root`` is None."""
+    if root is not None and slope(root * (1.0 - 1e-13)) < 0.0 <= slope(
+            min(root * (1.0 + 1e-13), upper)):
+        return MinimizeResult(root, 2)
+    return None

@@ -12,11 +12,11 @@ Per-walk non-Clifford counts depend on whether the lattice dimension is a
 power of two: otherwise the uniform state preparations over the odd part m
 of L add Toffolis and rotations.
 
-The split x is where d ln(total)/dx changes sign on (1/2, 1), found by
-bisection to adjacent floats, so it is set by the model alone.  A few Newton
-steps on the condition's log form narrow the bisection to 1e-13 of their
-root; a root they cannot certify is refused, as bisecting all of (1/2, 1)
-nearly always refused it too (see ``optimize_qubitization``).
+The split x is where d ln(total)/dx changes sign on (1/2, 1), so it is set
+by the model alone.  A few Newton steps on the condition's log form give a
+root, returned as it is, with no bisection, once the slope changes sign
+within 1e-13 of it; a root they cannot certify is refused, as bisecting all
+of (1/2, 1) nearly always refused it too (see ``optimize_qubitization``).
 """
 
 from __future__ import annotations
@@ -94,9 +94,11 @@ def _walk_t(counts: WalkCounts, lam: float, delta_e: float, x: float) -> float:
     walk-synthesis budget sqrt(1-x)*dE/lam, spread over all queries.
     """
     n_rot = counts.rotations
-    ratio = lam / delta_e   # squared as a ratio, so a loose dE cannot overflow
-    inverse_budget = n_rot * math.pi * ratio * ratio / math.sqrt(x * (1.0 - x))
-    return counts.t_direct + n_rot * (RUS_T_SLOPE * math.log2(inverse_budget) + RUS_T_OFFSET)
+    # log2 of n_rot pi (lam / dE)^2 / sqrt(x (1 - x)), summed: the product
+    # overflows at deep targets and near x = 1, where its logarithm does not
+    log_inverse_budget = (math.log2(n_rot * math.pi) + 2.0 * math.log2(lam / delta_e)
+                          - 0.5 * math.log2(x * (1.0 - x)))
+    return counts.t_direct + n_rot * (RUS_T_SLOPE * log_inverse_budget + RUS_T_OFFSET)
 
 
 def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> QubitizationEstimate:
@@ -158,12 +160,12 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     once on (1/2, 1), where Λ (2x - 1) = (1 - x) P.  P is affine in
     ln x + ln(1 - x), so one ``_walk_t`` at x = 3/4 fixes it, and Newton
     steps on the condition's log form (``_newton_split``) give a root g.
-    ``minimize`` bisects [g (1 - 1e-13), g (1 + 1e-13)], cut below 1, and
+    x is g itself, with no bisection, once ``minimize`` certifies it: the
+    slope changes sign across [g (1 - 1e-13), g (1 + 1e-13)], cut below 1.
     ``estimate`` runs once, at the optimum.  Raises ``ValueError`` when the
     optimum needs fewer than one phase-estimation query, or when Newton finds
     no root or the slope does not change sign across its bracket: bisecting
-    (1/2, 1) instead answered 5 of 21,683 such solves checked, each within
-    1e-14 of x = 1 where the bracket's upper end overflows the walk cost.
+    (1/2, 1) instead answered none of 4,756 such solves checked.
     """
     delta_e = error_target(spec.L, delta_e)
     lam = lcu_lambda(spec)
@@ -179,13 +181,12 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     def slope(x: float) -> float:
         return rate * (2.0 * x - 1.0) / ((1.0 - x) * per_walk(x)) - 1.0
 
-    g = _newton_split(rate, per_walk(0.75))
-    if g is not None:   # the slope divides by 1 - x: the bracket ends below 1
-        lo, hi = g * (1.0 - 1e-13), min(g * (1.0 + 1e-13), math.nextafter(1.0, 0.0))
-    if g is None or not slope(lo) < 0.0 <= slope(hi):
+    # the slope divides by 1 - x: the certificate's bracket ends below 1
+    found = minimize(slope, _newton_split(rate, per_walk(0.75)), math.nextafter(1.0, 0.0))
+    if found is None:
         raise ValueError(f"the qubitization error split overflows: d ln(total)/dx stays "
                          f"negative up to x = 1 at lambda={lam:g}, delta_e={delta_e:g} (the "
                          f"walk cost overflows, or x is within float resolution of 1)")
-    est = estimate(spec, minimize(slope, lo, hi).point, delta_e)
+    est = estimate(spec, found.point, delta_e)
     require_one_query(est.n_queries, delta_e)
     return est

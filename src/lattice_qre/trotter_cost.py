@@ -22,8 +22,10 @@ this count.
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and the
-rotation share by bisecting, from a Newton seed, a closed-form residual that
-one ``_cost`` fixes (``_best_budget``).  r starts at the step count at which
+rotation share as the certified Newton root, with no bisection, of a
+closed-form residual that one ``_cost`` fixes (``_best_budget``).  One pass
+over ``_STEPS`` gives a solve its step line, catalysts and qubit count
+(``_structure``).  r starts at the step count at which
 the tau-cap kink reaches the Trotter share 1/3, takes at most one step
 below it or walks up by single steps, and the estimate is built from that
 solve, as ``evaluate`` would re-derive it.
@@ -105,52 +107,54 @@ def _hwp_runs(L: int, size: int, strategy: Strategy) -> tuple[int, int]:
     return (L * L // 2, 2 * size) if strategy.batched else (size * L * L, 1)
 
 
-def _catalysts(kind: Model, L: int, strategy: Strategy) -> tuple[int, int]:
-    """(charged, count): catalyst rotations charged with synthesis T gates,
-    and the qubits of (equivalently, rotations to synthesize) all catalyst
-    states, whose budget slice z they share.
+def _structure(kind: Model, L: int, strategy: Strategy
+               ) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], tuple[int, int], int]:
+    """(line, catalysts, ancillas) of the r-step evolution, from one pass
+    over ``_STEPS[kind]``; refuses a lattice the model's scheme cannot tile.
 
-    Each angle's catalyst is sized by its layer's weight register,
-    floor(log2 M) + 1 for runs of M rotations.  The Fermi-Hubbard catalysts
-    are charged with one rotation fewer than their register size, matching
-    the published accounting.
+    - line: the (Toffoli, T, rz) fields of ``step_cost`` at r = 0 and their
+      slope in r, exact ints: each layer's runs (``_hwp_runs``) cost
+      ``hwp_cost`` per application, and every multiplicity and the direct T
+      count are affine in r.
+    - catalysts: (charged, count), (0, 0) unless catalyzed: the catalyst
+      rotations charged with synthesis T gates (budget slice z), and the
+      qubits of all catalyst states.  Each angle's catalyst is sized by its
+      layer's weight register, floor(log2 M) + 1 for runs of M; the
+      Fermi-Hubbard ones are charged one rotation fewer, matching the
+      published accounting.
+    - ancillas: the qubits beyond the system register: the weight workspace
+      of the largest run, a phase qubit, a synthesis ancilla and, catalyzed,
+      the catalyst and phase-gradient registers.
     """
-    if not strategy.catalyzed:
-        return 0, 0
-    _, layers, extra = _STEPS[kind]
-    count = extra[strategy.batched] + sum(
-        angles * (floor_log2(_hwp_runs(L, size, strategy)[0]) + 1)
-        for size, _, _, angles in layers)
-    return (count - 1 if kind is Model.FERMI_HUBBARD else count), count
-
-
-def _check_lattice(kind: Model, L: int) -> None:
     if L < 2 or L % 2:
         raise InvalidLattice(f"L={L}: need even L >= 2")
     if kind is Model.CUPRATE and L % 4:
         raise InvalidLattice(f"L={L}: the cuprate Trotter scheme needs L % 4 == 0")
-
-
-def _step_line(kind: Model, L: int, strategy: Strategy) -> tuple[tuple[int, int], ...]:
-    """(intercept, slope) in r of the Toffoli, T and rz fields of
-    ``step_cost``, as exact ints: each layer's runs cost ``hwp_cost`` per
-    application, and every multiplicity and the direct T count are affine
-    in r."""
-    direct_t, layers, _ = _STEPS[kind]
-    toffoli, rz = [0, 0], [0, 0]
-    for size, a, b, _ in layers:
+    (t_a, t_b), layers, extra = _STEPS[kind]
+    hwp, count = strategy.hwp, extra[strategy.batched]
+    toffoli_a = toffoli_b = rz_a = rz_b = m_hw = 0
+    for size, a, b, angles in layers:
         m, runs = _hwp_runs(L, size, strategy)
-        run = hwp_cost(m, strategy.hwp)
-        for i, reps in enumerate((a, b)):
-            toffoli[i] += reps * runs * int(run.toffoli)
-            rz[i] += reps * runs * run.rz
-    return tuple(toffoli), (direct_t[0] * L * L, direct_t[1] * L * L), tuple(rz)
+        run = hwp_cost(m, hwp)
+        toffoli_a += a * runs * int(run.toffoli)
+        toffoli_b += b * runs * int(run.toffoli)
+        rz_a += a * runs * run.rz
+        rz_b += b * runs * run.rz
+        count += angles * (floor_log2(m) + 1)
+        m_hw = max(m_hw, m)
+    line = (toffoli_a, t_a * L * L, rz_a), (toffoli_b, t_b * L * L, rz_b)
+    ancillas = hamming_adders(m_hw) + 2   # +1 phase qubit, +1 synthesis ancilla
+    if not strategy.catalyzed:
+        return line, (0, 0), ancillas
+    charged = count - 1 if kind is Model.FERMI_HUBBARD else count
+    return line, (charged, count), ancillas + count + floor_log2(m_hw) + 1
 
 
-def _step_at(line: tuple[tuple[int, int], ...], r: int) -> CostVector:
-    """The r-step evolution's cost from its ``_step_line``."""
-    toffoli, t_gates, rz = (a + b * r for a, b in line)
-    return CostVector(float(toffoli), float(t_gates), rz)
+def _step_at(line: tuple[tuple[int, int, int], tuple[int, int, int]], r: int) -> CostVector:
+    """The r-step evolution's cost from its ``_structure`` line."""
+    (toffoli, t_gates, rz), (d_toffoli, d_t_gates, d_rz) = line
+    return CostVector(float(toffoli + d_toffoli * r), float(t_gates + d_t_gates * r),
+                      rz + d_rz * r)
 
 
 def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
@@ -158,24 +162,17 @@ def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
 
     Catalyst-state synthesis is excluded; the cost kernel charges it.
     """
-    kind, strategy = Model(kind), Strategy(strategy)
-    _check_lattice(kind, L)
+    line = _structure(Model(kind), L, Strategy(strategy))[0]
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    return _step_at(_step_line(kind, L, strategy), r)
+    return _step_at(line, r)
 
 
 def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     """Logical qubits: system register, weight workspace, phase-estimation
     and rotation-synthesis ancillas, plus catalyst and phase-gradient
     registers for catalyzed strategies."""
-    kind, L, strategy = spec.kind, spec.L, Strategy(strategy)
-    _check_lattice(kind, L)
-    m_hw = max(_hwp_runs(L, size, strategy)[0] for size, *_ in _STEPS[kind][1])
-    qubits = system_qubits(spec) + hamming_adders(m_hw) + 2  # +1 phase qubit, +1 synthesis ancilla
-    if strategy.catalyzed:
-        qubits += _catalysts(kind, L, strategy)[1] + floor_log2(m_hw) + 1
-    return qubits
+    return system_qubits(spec) + _structure(spec.kind, spec.L, Strategy(strategy))[2]
 
 
 def _cost(step: CostVector, catalysts: tuple[int, int], p: float, q: float, c: float,
@@ -226,12 +223,14 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     if strategy.catalyzed and budget.z <= 0:
         raise ValueError("catalyzed strategy needs a positive z budget")
     r = trotter_steps(w, budget.tau, budget)
-    return _estimate(spec, strategy, budget, w, r, step_cost(spec.kind, spec.L, r, strategy),
-                     _catalysts(spec.kind, spec.L, strategy), amortize_catalyst)
+    line, catalysts, ancillas = _structure(spec.kind, spec.L, strategy)
+    return _estimate(spec, strategy, budget, w, r, _step_at(line, r), catalysts, ancillas,
+                     amortize_catalyst)
 
 
 def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: float, r: int,
-              step: CostVector, catalysts: tuple[int, int], amortize: bool) -> TrotterEstimate:
+              step: CostVector, catalysts: tuple[int, int], ancillas: int,
+              amortize: bool) -> TrotterEstimate:
     """The estimate of ``budget`` at r steps whose evolution costs ``step``,
     costed at the budget's own shares."""
     n_t1, n_t2, n_q, total = _cost(step, catalysts, *budget.shares,
@@ -240,7 +239,7 @@ def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: flo
         spec=spec, strategy=strategy, budget=budget, w_bound=w, r=r,
         n_queries=n_q, n_toffoli_per_u=step.toffoli, n_t_direct=step.t_gates,
         n_t1=n_t1, n_t2=n_t2, total_toffoli=total,
-        total_qubits=total_qubits(spec, strategy),
+        total_qubits=system_qubits(spec) + ancillas,
     )
 
 
@@ -290,8 +289,10 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
       cost of ``_cost``: P = a - Λ_u ln q with Λ_u = Λ (1 + charged / rz), or Λ
       amortized, and a read from one ``_cost`` at q_max / 2.  The residual
       q (a - Λ_u ln q) - Λ_u (q_max - q) / (1 + k q) rises with q from -Λ (1 - t);
-      ``minimize`` bisects it to adjacent floats within 1e-13 of its log form's
-      Newton root (``_newton_share``), which keeps P > Λ_u and so q < q_max / 2.
+      q is the Newton root g of its log form (``_newton_share``), which keeps
+      P > Λ_u and so q < q_max / 2, returned as it is once ``minimize``
+      certifies it: the residual changes sign across [g (1 - 1e-13),
+      g (1 + 1e-13)].  There is no bisection.
     Raises ``ValueError`` (too loose) when Newton finds no root or the residual
     does not change sign across that bracket: on every solve checked that did,
     P had fallen to Λ_u, and a bisection of all of (0, q_max) refused it too.
@@ -317,13 +318,11 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     def slope(q: float) -> float:
         return q * (a - lam_u * math.log(q)) - lam_u * (q_max - q) / (1.0 + k * q)
 
-    g = _newton_share(a, lam_u, q_max, k)
-    if g is not None:
-        lo, hi = g * (1.0 - 1e-13), g * (1.0 + 1e-13)
-    if g is None or not slope(lo) < 0.0 <= slope(hi):
+    found = minimize(slope, _newton_share(a, lam_u, q_max, k))
+    if found is None:
         raise ValueError(f"error target delta_e={delta_e:g} is too loose: no Newton root certifies "
                          f"a rotation share at r={r} (it needs a per-query cost above {lam_u:.3g})")
-    return (*shares(minimize(slope, lo, hi).point), tau)
+    return (*shares(found.point), tau)
 
 
 def _best_step_count(cost, r0: int) -> int:
@@ -376,28 +375,26 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     rotation share at some r.
     """
     strategy = Strategy(strategy)
-    _check_lattice(spec.kind, spec.L)
+    line, catalysts, ancillas = _structure(spec.kind, spec.L, strategy)
     delta_e = error_target(spec.L, delta_e)
     w = trotter_bound(spec)
     tau_cap = tau_max(w) * _TAU_MARGIN
-    catalysts = _catalysts(spec.kind, spec.L, strategy)
-    line = _step_line(spec.kind, spec.L, strategy)
 
     r0 = tau_cap * math.sqrt(3.0 * w / delta_e)
     if not r0 <= _MAX_EXACT_R:
         raise ValueError(f"the Trotter step count r={r0:.3g} overflows 1e13, above which the "
                          f"time step no longer pins r exactly, at delta_e={delta_e:g}")
-    solved = {}   # r -> (N_q, total, (p, q, c, tau))
+    solved = {}   # r -> (step, N_q, total, (p, q, c, tau))
 
     def cost(n: int) -> float:
         if n not in solved:
             step = _step_at(line, n)
             budget = _best_budget(step, catalysts, n, w, tau_cap, delta_e, amortize_catalyst)
-            solved[n] = *_cost(step, catalysts, *budget, delta_e, amortize_catalyst)[2:], budget
-        return solved[n][1]
+            solved[n] = step, *_cost(step, catalysts, *budget, delta_e, amortize_catalyst)[2:], budget
+        return solved[n][2]
 
     r = _best_step_count(cost, math.ceil(r0))
-    n_q, _, (p, q, c, tau) = solved[r]
+    step, n_q, _, (p, q, c, tau) = solved[r]
     require_one_query(n_q, delta_e)
     budget = TrotterBudget(delta_e, p, q / (1.0 - p), c / (1.0 - p), tau)
-    return _estimate(spec, strategy, budget, w, r, _step_at(line, r), catalysts, amortize_catalyst)
+    return _estimate(spec, strategy, budget, w, r, step, catalysts, ancillas, amortize_catalyst)

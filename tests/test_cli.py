@@ -140,7 +140,7 @@ class TestEstimate:
     @pytest.mark.parametrize("method,flags", [
         ("trotter", ["--t", "1e120"]), ("trotter", ["--u", "1e200"]),
         ("qubitization", ["--u", "1e307"]),
-        ("trotter", ["--delta-e", "1e-300"]), ("qubitization", ["--delta-e", "1e-300"]),
+        ("trotter", ["--delta-e", "1e-300"]), ("qubitization", ["--delta-e", "1e-302"]),
         ("trotter", ["--delta-e", "1e-170"]),   # r = 6.4e85, beyond exact float integers
         ("trotter", ["--delta-e", "1e-27"]),    # r = 2e14 and 2e15: above 1e13 steps,
         ("trotter", ["--delta-e", "1e-29"])])   # a pinned tau no longer gives back r

@@ -83,14 +83,16 @@ def test_benchmark_tracer_finds_and_restores_its_wraps():
 
 def test_each_solver_calls_the_minimizer_the_tracer_wraps(monkeypatch):
     # the benchmark's solver counters wrap trotter_cost.minimize and
-    # qubitization.minimize and sum the evaluations of their results
+    # qubitization.minimize and sum the evaluations of their results; each
+    # call reads the slope exactly twice and reports it
     assert trotter_cost.minimize is optimize.minimize
     assert qubitization.minimize is optimize.minimize
     evaluations = {trotter_cost: [], qubitization: []}
     for module, seen in evaluations.items():
-        def counted(*args, seen=seen):
-            result = optimize.minimize(*args)
-            seen.append(result.evaluations)
+        def counted(slope, *args, seen=seen):
+            calls = []
+            result = optimize.minimize(lambda v: calls.append(v) or slope(v), *args)
+            seen.append((result.evaluations, len(calls)))
             return result
         monkeypatch.setattr(module, "minimize", counted)
     spec = ModelSpec(Model.FERMI_HUBBARD, 4)
@@ -98,4 +100,4 @@ def test_each_solver_calls_the_minimizer_the_tracer_wraps(monkeypatch):
     assert evaluations[trotter_cost] and not evaluations[qubitization]
     qubitization.optimize_qubitization(spec)
     assert evaluations[qubitization]
-    assert all(n > 0 for seen in evaluations.values() for n in seen)
+    assert all(counts == (2, 2) for seen in evaluations.values() for counts in seen)

@@ -1,47 +1,48 @@
 import math
 
-import pytest
-
-from lattice_qre.optimize import minimize
+from lattice_qre.optimize import MinimizeResult, minimize
 
 
-class TestOneDimensional:
-    def test_quadratic(self):
-        # an interior root: the slope of (p - 0.3)**2 changes sign at 0.3
-        result = minimize(lambda p: 2.0 * (p - 0.3), 0.0, 1.0)
-        assert abs(result.point - 0.3) <= 1e-15
-
-    def test_log_scale(self):
-        # (p - 1e-3)**2 / p in u = ln p: its slope has the sign of p**2 - 1e-6
-        result = minimize(lambda u: math.exp(2.0 * u) - 1e-6, math.log(1e-6), 0.0)
-        assert math.exp(result.point) == pytest.approx(1e-3, rel=1e-14)
+def _counted(slope):
+    """``slope`` and the list of the points it is evaluated at."""
+    seen = []
+    return (lambda p: seen.append(p) or slope(p)), seen
 
 
-class TestConstrained:
-    def test_slope_only_inside(self):
-        # the slope is never asked for at an edge, where it may be undefined
-        seen = []
-        minimize(lambda p: seen.append(p) or 1.0 / p - 1.0 / (1.0 - p), 0.0, 1.0)
-        assert seen and all(0.0 < p < 1.0 for p in seen)
+class TestCertificate:
+    def test_sign_change_returns_the_root(self):
+        # the slope of (p - 0.3)**2 changes sign at 0.3: the root itself comes
+        # back, read from the slope at the two ends of its 1e-13 bracket
+        slope, seen = _counted(lambda p: 2.0 * (p - 0.3))
+        assert minimize(slope, 0.3) == MinimizeResult(0.3, 2)
+        assert seen == [0.3 * (1.0 - 1e-13), 0.3 * (1.0 + 1e-13)]
 
+    def test_no_sign_change_is_refused(self):
+        # a root more than 1e-13 from the sign change is not certified
+        slope, seen = _counted(lambda p: 2.0 * (p - 0.3))
+        assert minimize(slope, 0.3 * (1.0 + 1e-12)) is None
+        assert minimize(slope, 0.3 * (1.0 - 1e-12)) is None
+        assert 0 < len(seen) <= 4
 
-class TestDeterminism:
+    def test_no_root_is_refused(self):
+        slope, seen = _counted(lambda p: p - 0.3)
+        assert minimize(slope, None) is None
+        assert minimize(slope, None, 1.0) is None
+        assert seen == []
+
+    def test_upper_caps_the_bracket(self):
+        # the slope p - 1 turns only at 1, where a 1 / (1 - p) slope would be
+        # undefined: capped at the float below 1, the bracket misses it
+        below_one = math.nextafter(1.0, 0.0)
+        root = math.nextafter(below_one, 0.0)
+        slope, seen = _counted(lambda p: p - 1.0)
+        assert minimize(slope, root) == MinimizeResult(root, 2)
+        assert seen[-1] > 1.0
+        seen.clear()
+        assert minimize(slope, root, below_one) is None
+        assert seen == [root * (1.0 - 1e-13), below_one]
+
     def test_bit_identical_runs(self):
-        slope = lambda p: math.tanh(p - 1.7) + 0.1 * p ** 3
-        assert minimize(slope, -2.0, 5.0) == minimize(slope, -2.0, 5.0)
-
-    def test_never_worse_than_start(self):
-        # the edges, the minimum and a fine grid across the box all cost no less
-        f = lambda p: (p - 0.21) ** 2 + abs(p - 0.21) ** 3
-        result = minimize(lambda p: 2.0 * (p - 0.21) + 3.0 * (p - 0.21) * abs(p - 0.21),
-                          0.0, 1.0)
-        for start in (0.0, 0.25, 0.21, 1.0, *(i / 1000 for i in range(1001))):
-            assert f(result.point) <= f(start)
-
-    def test_evaluation_count(self):
-        # one evaluation per halving, down to adjacent floats: 52 halvings of
-        # [0.5, 1), where the float spacing is 2**-53
-        calls = []
-        result = minimize(lambda p: calls.append(p) or p - 0.75, 0.5, 1.0)
-        assert result.evaluations == len(calls) == 52
-        assert result.point == 0.75
+        slope = lambda p: math.tanh(p - 1.7) + 0.1 * p ** 3   # noqa: E731
+        root = 1.411194424569159   # bisected to adjacent floats
+        assert minimize(slope, root) == minimize(slope, root) == MinimizeResult(root, 2)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_qre import qubitization
-from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
+from lattice_qre.model import (
+    Model,
+    ModelSpec,
+    default_couplings,
+    extensive_error,
+    lcu_lambda,
+)
 from lattice_qre.optimize import minimize
 from lattice_qre.qubitization import (
     estimate,
@@ -118,13 +124,41 @@ class TestOptimize:
                 assert abs(slope) <= 1e-9 * abs(query)
                 assert abs(numeric - slope) <= 1e-7 * abs(query)
 
-    @pytest.mark.parametrize("L,delta_e", [(10**8, None), (8, 1e-300)])
+    @pytest.mark.parametrize("L,delta_e", [(10**8, None)])
     def test_slope_negative_up_to_one_raises(self, L, delta_e):
-        # at L = 1e8 the optimum lies within float resolution of x = 1; at
-        # dE = 1e-300 the per-walk cost overflows.  Either way no x below 1
-        # turns the slope, and the solver refuses rather than return x = 1
+        # at L = 1e8 the optimum lies within float resolution of x = 1: no x
+        # below 1 turns the slope, and the solver refuses rather than return
+        # x = 1
         with pytest.raises(ValueError, match="split overflows: d ln\\(total\\)/dx stays negative"):
             optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, L), delta_e)
+
+    @pytest.mark.parametrize("L,delta_e,toffoli", [
+        (8, 1e-300, 1.7166661040155e306), (10**7, 1e-135, 9.4247779608009e164)])
+    def test_walk_cost_past_the_float_range_of_its_product(self, L, delta_e, toffoli):
+        # n_rot pi (lam / dE)^2 / sqrt(x (1 - x)) overflows at dE = 1e-300, and
+        # at L = 1e7, dE = 1e-135 near its root x = 1 - 3.8e-15; its log does
+        # not, so the walk cost stays finite and the slope turns at x
+        spec = ModelSpec(Model.FERMI_HUBBARD, L)
+        est = optimize_qubitization(spec, delta_e)
+        assert 0.5 < est.x < 1.0
+        assert est.total_toffoli == pytest.approx(toffoli, rel=1e-12)
+        slopes = [self._log_slope(spec, x, delta_e)[0]
+                  for x in (est.x * (1.0 - 1e-13), min(est.x * (1.0 + 1e-13), 1.0 - 2**-53))]
+        assert slopes[0] < 0.0 <= slopes[1]
+
+    def test_walk_cost_matches_its_product_form(self):
+        # where the product n_rot pi (lam / dE)^2 / sqrt(x (1 - x)) is finite,
+        # its log2 and the summed logs agree to rounding
+        for spec in _table_specs():
+            counts, lam = walk_counts(spec.kind, spec.L), lcu_lambda(spec)
+            delta_e = extensive_error(spec.L)
+            for x in (0.5, 0.75, 0.999, 1.0 - 1e-12):
+                product = counts.rotations * math.pi * (lam / delta_e) ** 2 / math.sqrt(
+                    x * (1.0 - x))
+                walk_t = counts.t_direct + counts.rotations * (
+                    0.53 * math.log2(product) + 4.86)
+                assert qubitization._walk_t(counts, lam, delta_e, x) == pytest.approx(
+                    walk_t, rel=1e-14)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.sampled_from(list(Model)), st.integers(2, 2048), st.floats(-6.0, 0.0),
@@ -192,23 +226,26 @@ def _table_specs():
     return [ModelSpec(kind, L) for kind, table in QUBITIZATION_TABLES.items() for L in table]
 
 
-def _recorded_brackets(monkeypatch):
-    """(lower, upper, evaluations) of each ``minimize`` call of the solver."""
-    brackets = []
+def _recorded_checks(monkeypatch):
+    """(points, evaluations) of each ``minimize`` call of the solver: the x
+    at which it read the slope, and the evaluations it reported."""
+    checks = []
 
-    def recorded(slope, lower, upper):
-        result = minimize(slope, lower, upper)
-        brackets.append((lower, upper, result.evaluations))
+    def recorded(slope, root, upper):
+        seen = []
+        result = minimize(lambda x: seen.append(x) or slope(x), root, upper)
+        checks.append((seen, result.evaluations))
         return result
 
     monkeypatch.setattr(qubitization, "minimize", recorded)
-    return brackets
+    return checks
 
 
 class TestSplitBracket:
     def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
-        # bisecting the solver's own slope over its whole domain (1/2, 1) gives
-        # the Newton bracket's x exactly: the table cells, the precision-scan
+        # bisecting the solver's own slope over its whole domain (1/2, 1)
+        # lands within 1e-13 of the certified Newton root, and the total there
+        # within 1e-15 of the solver's: the table cells, the precision-scan
         # draws of seeds 1-3 and L = 64 .. 4096, at the extensive target and
         # 1e-4 of it
         from test_benchmark_checks import _workloads
@@ -223,37 +260,41 @@ class TestSplitBracket:
         assert len(solves) == 45 + 288 + 762
         solved = []
 
-        def recorded(slope, lower, upper):
-            result = minimize(slope, lower, upper)
-            solved.append((slope, result.point))
-            return result
+        def recorded(slope, root, upper):
+            solved.append(slope)
+            return minimize(slope, root, upper)
 
         monkeypatch.setattr(qubitization, "minimize", recorded)
-        xs = [optimize_qubitization(*solve).x for solve in solves]
-        assert [x for _, x in solved] == xs
-        for slope, x in solved:
-            assert _whole_domain_root(slope, 0.5, 1.0) == x
+        for solve in solves:
+            est = optimize_qubitization(*solve)
+            slope, = solved
+            solved.clear()
+            oracle = _whole_domain_root(slope, 0.5, 1.0)
+            assert abs(est.x - oracle) <= 1e-13 * oracle
+            at_oracle = estimate(est.spec, oracle, est.delta_e).total_toffoli
+            assert abs(est.total_toffoli - at_oracle) <= 1e-15 * at_oracle
 
-    def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
-        # every table cell bisects a Newton bracket: 11 evaluations a cell
-        # where bisecting (1/2, 1) took 52
-        brackets = _recorded_brackets(monkeypatch)
+    def test_table_cells_certify_each_root_in_two_evaluations(self, monkeypatch):
+        # each table cell reads the slope twice, at the ends of its Newton
+        # root's 1e-13 bracket, where bisecting (1/2, 1) took 52
+        checks = _recorded_checks(monkeypatch)
         xs = [optimize_qubitization(spec).x for spec in _table_specs()]
-        assert len(brackets) == 45
-        assert sum(evaluations for _, _, evaluations in brackets) == 495
-        for (lower, upper, _), x in zip(brackets, xs):
-            assert 0.5 < lower < x <= upper < 1.0
-            assert upper - lower <= 1e-12 * x
+        assert len(checks) == 45
+        assert sum(evaluations for _, evaluations in checks) == 90
+        for (points, evaluations), x in zip(checks, xs):
+            assert evaluations == len(points) == 2
+            assert 0.5 < points[0] < x <= points[1] < 1.0
+            assert points[1] - points[0] <= 1e-12 * x
 
     @pytest.mark.parametrize("L", [3 * 10**6, 10**7, 3 * 10**7])
     def test_bracket_ends_below_one(self, monkeypatch, L):
-        # within 1e-13 of 1 the bracket is cut at the float below 1: the slope
-        # divides by 1 - x, so it is never read at x = 1
-        brackets = _recorded_brackets(monkeypatch)
+        # within 1e-13 of 1 the certificate's bracket is cut at the float
+        # below 1: the slope divides by 1 - x, so it is never read at x = 1
+        checks = _recorded_checks(monkeypatch)
         for kind in Model:
             est = optimize_qubitization(ModelSpec(kind, L))
-            (lower, upper, _), = brackets
-            brackets.clear()
+            ((lower, upper), _), = checks
+            checks.clear()
             assert lower > 0.5
             assert lower < est.x <= upper <= math.nextafter(1.0, 0.0)
 
@@ -261,8 +302,8 @@ class TestSplitBracket:
         (Model.FERMI_HUBBARD, 4, 1e-151), (Model.FERMI_HUBBARD, 10, 1e-150),
         (Model.CUPRATE, 16, 10.0 ** -149.25), (Model.PNICTIDE, 16, 10.0 ** -148.5)])
     def test_root_beside_the_walk_cost_overflow(self, monkeypatch, kind, L, delta_e):
-        # the walk cost overflows a little past the root, where the slope then
-        # reads -1; the Newton bracket holds the root itself, and without a
+        # the product form of the walk cost overflowed a little past the root,
+        # where the slope then read -1; the root is certified, and without a
         # Newton root the solver refuses
         spec = ModelSpec(kind, L)
         est = optimize_qubitization(spec, delta_e)

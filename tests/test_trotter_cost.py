@@ -5,7 +5,7 @@ import pytest
 
 from lattice_qre import trotter_cost
 from lattice_qre.model import InvalidLattice, Model, ModelSpec, extensive_error
-from lattice_qre.optimize import minimize
+from lattice_qre.optimize import MinimizeResult, minimize
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
@@ -334,7 +334,7 @@ class TestOptimizeTrotter:
         for (kind, L, strategy), est in trotter_sweep.results.items():
             w, delta_e = est.w_bound, est.budget.delta_e
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._catalysts(kind, L, strategy)
+            catalysts = trotter_cost._structure(kind, L, strategy)[1]
             r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
             assert est.r in (r0, r0 - 1)
             for r in range(max(r0 - 3, 1), r0 + 4):
@@ -364,14 +364,15 @@ def _table_trotter_cells():
 class TestRotationShareBracket:
     def test_newton_bracket_matches_the_full_domain(self, monkeypatch):
         # bisecting the solver's own residual over its whole domain (0, q_max)
-        # gives the Newton bracket's q exactly: every table cell at 1, 1e-2
-        # and 1e-4 of the extensive target, at r0 - 1, r0 and r0 + 1,
-        # amortized too when catalyzed
+        # lands within 1e-13 of the certified Newton root, and the total there
+        # within 1e-15 of the solver's: every table cell at 1, 1e-2 and 1e-4 of
+        # the extensive target, at r0 - 1, r0 and r0 + 1, amortized too when
+        # catalyzed
         solves = []
         for spec, strategy in _table_trotter_cells():
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._catalysts(spec.kind, spec.L, strategy)
+            catalysts = trotter_cost._structure(spec.kind, spec.L, strategy)[1]
             for share in (1.0, 1e-2, 1e-4):
                 delta_e = extensive_error(spec.L) * share
                 r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
@@ -380,52 +381,64 @@ class TestRotationShareBracket:
                     for amortize in (False, True) if strategy.catalyzed else (False,):
                         solves.append((step, catalysts, r, w, tau_cap, delta_e, amortize))
         assert len(solves) == 2052
-        q_maxes, solved = [], []
+        q_maxes, roots = [], []
         newton = trotter_cost._newton_share
 
         def recorded_newton(a, lam_u, q_max, k):
             q_maxes.append(q_max)
             return newton(a, lam_u, q_max, k)
 
-        def recorded(slope, lower, upper):
-            result = minimize(slope, lower, upper)
-            solved.append((slope, result.point))
-            return result
+        def recorded(slope, root):
+            roots.append((slope, root))
+            return minimize(slope, root)
+
+        def total(args, budget):
+            step, catalysts, _, _, _, delta_e, amortize = args
+            return trotter_cost._cost(step, catalysts, *budget, delta_e, amortize)[3]
 
         monkeypatch.setattr(trotter_cost, "_newton_share", recorded_newton)
-        monkeypatch.setattr(trotter_cost, "minimize", recorded)
         for args in solves:
-            trotter_cost._best_budget(*args)
-        assert len(solved) == len(q_maxes) == len(solves)
-        for (slope, q), q_max in zip(solved, q_maxes):
-            assert _whole_domain_root(slope, 0.0, q_max) == q
+            q_maxes.clear()
+            roots.clear()
+            monkeypatch.setattr(trotter_cost, "minimize", recorded)
+            solved = trotter_cost._best_budget(*args)
+            (slope, g), = roots
+            q_max, = q_maxes
+            oracle = _whole_domain_root(slope, 0.0, q_max)
+            assert solved[1] == g
+            assert abs(g - oracle) <= 1e-13 * oracle
+            monkeypatch.setattr(trotter_cost, "minimize", lambda *_: MinimizeResult(oracle, 0))
+            at_oracle = total(args, trotter_cost._best_budget(*args))
+            assert abs(total(args, solved) - at_oracle) <= 1e-15 * at_oracle
 
-    def test_table_cells_bisect_a_narrow_bracket(self, monkeypatch):
-        # every table cell bisects a Newton bracket 1e-13 wide; the r walk
-        # solves 120 cells at r0 and r0 - 1, and 32 also at r0 + 1
-        brackets = []
+    def test_table_cells_certify_each_root_in_two_evaluations(self, monkeypatch):
+        # the r walk solves 120 table cells at r0 and r0 - 1 and 32 also at
+        # r0 + 1; each per-r solve reads the residual twice, at the ends of its
+        # Newton root's 1e-13 bracket
+        evaluations = []
 
-        def recorded(slope, lower, upper):
-            brackets.append((lower, upper))
-            return minimize(slope, lower, upper)
+        def recorded(slope, root):
+            seen = []
+            result = minimize(lambda q: seen.append(q) or slope(q), root)
+            evaluations.append((result.evaluations, len(seen)))
+            return result
 
         monkeypatch.setattr(trotter_cost, "minimize", recorded)
         for spec, strategy in _table_trotter_cells():
             optimize_trotter(spec, strategy)
-        assert len(brackets) == 336
-        for lower, upper in brackets:
-            assert 0.0 < upper - lower <= 1e-12 * upper
+        assert len(evaluations) == 336
+        assert set(evaluations) == {(2, 2)}
 
     def test_each_solve_reads_the_cost_once(self, monkeypatch):
         # one _cost at q_max / 2 gives the per-query cost's intercept; Newton
-        # and the bisection then work on the closed-form residual alone
+        # and the root's certificate then work on the closed-form residual alone
         calls = []
         cost = trotter_cost._cost
         monkeypatch.setattr(trotter_cost, "_cost", lambda *args: calls.append(args) or cost(*args))
         for spec, strategy in _table_trotter_cells()[::7]:
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._catalysts(spec.kind, spec.L, strategy)
+            catalysts = trotter_cost._structure(spec.kind, spec.L, strategy)[1]
             delta_e = extensive_error(spec.L)
             r = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
             step = step_cost(spec.kind, spec.L, r, strategy)

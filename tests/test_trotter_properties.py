@@ -24,9 +24,9 @@ from lattice_qre.trotter_cost import (
     Strategy,
     _best_budget,
     _best_step_count,
-    _catalysts,
     _cost,
     _pinned_tau,
+    _structure,
     optimize_trotter,
     step_cost,
 )
@@ -54,7 +54,7 @@ def _setting(cell):
     """(W, tau_cap, catalysts) of a drawn cell."""
     spec, strategy, _, _ = cell
     w = trotter_bound(spec)
-    return w, tau_max(w) * _TAU_MARGIN, _catalysts(spec.kind, spec.L, strategy)
+    return w, tau_max(w) * _TAU_MARGIN, _structure(spec.kind, spec.L, strategy)[1]
 
 
 def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
@@ -112,7 +112,7 @@ def test_catalysts_match_the_register_sums():
         else:
             count = 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
         charged = count - 1 if fh and count else count
-        assert _catalysts(kind, L, strategy) == (charged, count)
+        assert _structure(kind, L, strategy)[1] == (charged, count)
 
 
 @DETERMINISTIC
@@ -146,8 +146,8 @@ def test_no_budget_transfer_lowers_the_total(cell):
 @DETERMINISTIC
 @given(cells())
 def test_rotation_share_solves_its_condition(cell):
-    # at the returned shares q * P = Λ * p, the first-order condition that
-    # the bisection over q solves, holds to 1e-12 of Λ * p: P is the
+    # at the returned shares q * P = Λ * p, the first-order condition whose
+    # certified Newton root gives q, holds to 1e-12 of Λ * p: P is the
     # per-query cost and Λ = RUS_T_SLOPE * rz / (2 ln 2)
     spec, strategy, delta_e, amortize = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
@@ -250,19 +250,22 @@ def test_total_falls_with_r_below_r0(cell):
 @given(cells())
 def test_every_bracket_ends_below_q_max(cell):
     # Newton keeps the per-query cost P above Λ_u, so its root has
-    # q Λ_u < q P = Λ_u (q_max - q) / (1 + k q), i.e. q < q_max / 2: each
-    # per-r bracket ends below q_max with no cap, plain and amortized
+    # q Λ_u < q P = Λ_u (q_max - q) / (1 + k q), i.e. q < q_max / 2: the
+    # upper end at which each per-r certificate reads the residual lies
+    # below q_max with no cap, plain and amortized
     spec, strategy, delta_e, _ = cell
     q_maxes, uppers = [], []
-    newton, bisect = trotter_cost._newton_share, trotter_cost.minimize
+    newton, certify = trotter_cost._newton_share, trotter_cost.minimize
 
     def recorded_newton(a, lam_u, q_max, k):
         q_maxes.append(q_max)
         return newton(a, lam_u, q_max, k)
 
-    def recorded(slope, lower, upper):
-        uppers.append(upper)
-        return bisect(slope, lower, upper)
+    def recorded(slope, root):
+        seen = []
+        result = certify(lambda q: seen.append(q) or slope(q), root)
+        uppers.append(seen[-1])
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trotter_cost, "_newton_share", recorded_newton)
