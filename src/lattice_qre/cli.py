@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (overflowing
 inputs, an unreadable ``--config`` and an unwritable ``--output``
-included; the output path is checked before any work runs).  Output is
-deterministic for a fixed command line.
+included; the output path is checked before any work runs).  The rows of
+``estimate``, ``sweep`` and ``reproduce`` are deterministic for a fixed
+command line; the ``verify`` report is not, as it carries each check's
+wall time (``seconds``).
 """
 
 from __future__ import annotations
@@ -23,59 +25,33 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
 
-from .model import COUPLING_NAMES, Model, ModelSpec, default_couplings, load_config
+from .model import COUPLING_NAMES, Model, ModelSpec, load_config
 from .qubitization import optimize_qubitization
 from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
 from .trotter_cost import Strategy, optimize_trotter
 
-
-@dataclass
-class ResultRow:
-    model: str
-    method: str
-    strategy: str
-    L: int
-    W: float | None
-    r: int | None
-    x: float
-    y: float | None
-    z: float | None
-    tau: float | None
-    toffoli: float
-    qubits: int
-    ref_toffoli: float | None = None
-    ref_qubits: int | None = None
-    rel_dev: float | None = None
-
-    def as_record(self) -> dict:
-        return asdict(self)
+# The columns of every output format, in order.  A row is a dict holding
+# the columns its method fills; a column it lacks prints empty (null in JSON).
+CSV_COLUMNS = ("model", "method", "strategy", "L", "W", "r", "x", "y", "z", "tau",
+               "toffoli", "qubits", "ref_toffoli", "ref_qubits", "rel_dev")
 
 
-CSV_COLUMNS = [f.name for f in fields(ResultRow)]
-
-
-def _cell(value, float_format) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return float_format(value)
-    return str(value)
+def _cells(row: dict, float_format) -> list[str]:
+    return ["" if v is None else float_format(v) if isinstance(v, float) else str(v)
+            for v in map(row.get, CSV_COLUMNS)]
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _cell(v, repr) for k, v in row.as_record().items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(_cells(row, repr) for row in rows)
     return buf.getvalue()
 
 
 def rows_to_table(rows) -> str:
-    sig3 = "{:.3g}".format
-    cells = [[_cell(v, sig3) for v in row.as_record().values()] for row in rows]
+    cells = [_cells(row, "{:.3g}".format) for row in rows]
     widths = [max(len(c), *(len(line[i]) for line in cells)) if cells else len(c)
               for i, c in enumerate(CSV_COLUMNS)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, widths)).rstrip()]
@@ -85,7 +61,8 @@ def rows_to_table(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
-    return json.dumps({"rows": [row.as_record() for row in rows]}, indent=2)
+    return json.dumps({"rows": [{c: row.get(c) for c in CSV_COLUMNS} for row in rows]},
+                      indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +87,30 @@ def _build_spec(args) -> tuple[list[ModelSpec], float | None]:
         if L is None:
             raise ValueError("--L is required (or a config file with one)")
         sizes = [L]
-    couplings = default_couplings(kind)
     given = {name: cfg[name] for name in COUPLING_NAMES if name in cfg}
     given.update((name, getattr(args, name)) for name in COUPLING_NAMES
                  if getattr(args, name) is not None)
-    foreign = sorted(given.keys() - {f.name for f in fields(couplings)})
-    if foreign:
-        raise ValueError(f"the {kind.value} model has no coupling {', '.join(foreign)}")
-    couplings = replace(couplings, **given)
     delta_e = args.delta_e if args.delta_e is not None else cfg.get("delta_E_override")
-    return [ModelSpec(kind, L, couplings) for L in sizes], delta_e
+    return [ModelSpec(kind, L).with_couplings(**given) for L in sizes], delta_e
 
 
 def estimate_row(spec: ModelSpec, method: str, strategy: Strategy | None,
-                 delta_e: float | None, amortize: bool = False) -> ResultRow:
+                 delta_e: float | None, amortize: bool = False) -> dict:
+    """One output row: the columns of ``CSV_COLUMNS`` that ``method`` fills."""
+    row = {"model": spec.kind.value, "method": method, "L": spec.L}
     if method == "qubitization":
         est = optimize_qubitization(spec, delta_e)
-        return ResultRow(
-            model=spec.kind.value, method=method, strategy="", L=spec.L,
-            W=None, r=None, x=est.x, y=None, z=None, tau=None,
-            toffoli=est.total_toffoli, qubits=est.total_qubits,
-        )
+        return row | {"strategy": "", "x": est.x,
+                      "toffoli": est.total_toffoli, "qubits": est.total_qubits}
     est = optimize_trotter(spec, strategy, delta_e, amortize_catalyst=amortize)
     b = est.budget
-    return ResultRow(
-        model=spec.kind.value, method="trotter", strategy=est.strategy.value,
-        L=spec.L, W=est.w_bound, r=est.r, x=b.x, y=b.y, z=b.z, tau=b.tau,
-        toffoli=est.total_toffoli, qubits=est.total_qubits,
-    )
+    return row | {"strategy": est.strategy.value, "W": est.w_bound, "r": est.r,
+                  "x": b.x, "y": b.y, "z": b.z, "tau": b.tau,
+                  "toffoli": est.total_toffoli, "qubits": est.total_qubits}
 
 
 def reproduce_table(number: int, strategy: Strategy | None = None,
-                    amortize: bool = False) -> list[ResultRow]:
+                    amortize: bool = False) -> list[dict]:
     """The rows of published table ``number`` (every strategy of a Trotter
     table unless ``strategy`` picks one), each with its reference values
     and the relative Toffoli deviation from them."""
@@ -156,8 +125,8 @@ def reproduce_table(number: int, strategy: Strategy | None = None,
     rows = []
     for L, strat, (ref_tof, ref_qb) in cases:
         row = estimate_row(ModelSpec(kind, L), method, strat, None, amortize)
-        rows.append(replace(row, ref_toffoli=ref_tof, ref_qubits=ref_qb,
-                            rel_dev=(row.toffoli - ref_tof) / ref_tof))
+        rows.append(row | {"ref_toffoli": ref_tof, "ref_qubits": ref_qb,
+                           "rel_dev": (row["toffoli"] - ref_tof) / ref_tof})
     return rows
 
 
@@ -191,23 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-qre",
         description="Fault-tolerant resource estimates for Fermi-Hubbard-type models",
+        allow_abbrev=False,   # a prefix such as --L must not stand for --L-range
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="single resource estimate")
+    p_est = sub.add_parser("estimate", help="single resource estimate", allow_abbrev=False)
     _add_common(p_est)
     p_est.add_argument("--L", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="estimates over a range of L")
+    p_sweep = sub.add_parser("sweep", help="estimates over a range of L", allow_abbrev=False)
     _add_common(p_sweep)
     p_sweep.add_argument("--L-range", dest="l_range", required=True,
                          help="START:STOP[:STEP] (inclusive) or comma list")
 
-    p_rep = sub.add_parser("reproduce", help="re-derive a published reference table")
+    p_rep = sub.add_parser("reproduce", help="re-derive a published reference table",
+                           allow_abbrev=False)
     p_rep.add_argument("table", choices=[f"supp-table-{i}" for i in range(1, 7)])
     _add_rows_options(p_rep)
 
-    p_ver = sub.add_parser("verify", help="run the statevector gadget checks")
+    p_ver = sub.add_parser("verify", help="run the statevector gadget checks",
+                           allow_abbrev=False)
     p_ver.add_argument("--output", help="write the JSON report to this path")
     return parser
 
@@ -293,7 +265,7 @@ def main(argv=None) -> int:
                                  args.amortize_catalyst) for spec in specs]
         _write(_format(rows, args.format), args.output)
         if table:
-            worst = max(abs(r.rel_dev) for r in rows)
+            worst = max(abs(r["rel_dev"]) for r in rows)
             print(f"max relative toffoli deviation: {worst:.3%}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

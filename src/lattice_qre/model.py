@@ -118,6 +118,11 @@ class ModelSpec:
             raise ValueError("leading hopping coupling must be nonzero")
 
     def with_couplings(self, **updates) -> "ModelSpec":
+        """This spec with the named couplings replaced; a name the model
+        lacks is a ``ValueError``."""
+        foreign = sorted(updates.keys() - {f.name for f in fields(self.couplings)})
+        if foreign:
+            raise ValueError(f"the {self.kind.value} model has no coupling {', '.join(foreign)}")
         return replace(self, couplings=replace(self.couplings, **updates))
 
 

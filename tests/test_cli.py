@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -286,6 +287,72 @@ class TestSweep:
         assert "empty L range" in err
 
 
+class TestAbbreviations:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "fh", "--L-range", "4:8", "--L", "6"],
+        ["estimate", "--model", "fh", "--L", "4", "--delta", "1e-2"],
+        ["estimate", "--model", "fh", "--L", "4", "--form", "csv"],
+        ["estimate", "--model", "cuprate", "--L", "4", "--t-p", "0.3"],
+    ], ids=["L", "delta", "form", "t-p"])
+    def test_prefix_of_a_flag_exits_2(self, capsys, argv):
+        # a prefix is not taken for the flag it begins: --L is not --L-range
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+    def test_full_names_still_work(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--model", "cuprate", "--L-range", "4:8", "--delta-e", "1e-2",
+             "--t-prime", "0.3", "--format", "csv"], capsys)
+        assert code == 0
+        assert [r["L"] for r in csv_rows(out)] == ["4", "6", "8"]
+
+
+def printed_rows(out: str, fmt: str) -> tuple[list[str], list[dict]]:
+    """The column names and the rows of printed output, each row keyed by
+    column; a table cell is read from under its column's header."""
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        assert all(list(row) == list(rows[0]) for row in rows)
+        return list(rows[0]), rows
+    if fmt == "csv":
+        columns, *lines = csv.reader(io.StringIO(out))
+    else:
+        header, *body = out.splitlines()
+        columns = header.split()
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        lines = [[line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+                 for line in body]
+    return columns, [dict(zip(columns, line)) for line in lines]
+
+
+class TestOutputLayout:
+    COLUMNS = ["model", "method", "strategy", "L", "W", "r", "x", "y", "z", "tau",
+               "toffoli", "qubits", "ref_toffoli", "ref_qubits", "rel_dev"]
+    REFERENCE = COLUMNS[-3:]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("command,empty", [
+        (["estimate", "--model", "fh", "--method", "qubitization", "--L", "4"],
+         ["strategy", "W", "r", "y", "z", "tau", *REFERENCE]),
+        (["estimate", "--model", "fh", "--method", "trotter", "--L", "4"], REFERENCE),
+        (["reproduce", "supp-table-1"], ["strategy", "W", "r", "y", "z", "tau"]),
+        (["reproduce", "supp-table-4", "--strategy", "baseline"], []),
+    ], ids=["qubitization", "trotter", "reproduce-1", "reproduce-4"])
+    def test_columns_in_order_and_empty_cells(self, capsys, fmt, command, empty):
+        code, out, _ = run_cli(command + ["--format", fmt], capsys)
+        assert code == 0
+        columns, rows = printed_rows(out, fmt)
+        assert columns == list(cli.CSV_COLUMNS) == self.COLUMNS
+        for row in rows:
+            assert [c for c in columns if row[c] in ("", None)] == empty
+            if fmt == "json":   # an empty column is null, but a blank strategy is ""
+                assert [c for c in columns if row[c] is None] == [
+                    c for c in empty if c != "strategy"]
+
+
 class TestBadPaths:
     @pytest.mark.parametrize("command", [
         ["estimate", "--model", "fh", "--L", "4"],
@@ -432,8 +499,8 @@ class TestCsvRoundTrip:
         assert len(rows) == len(expected)
         for printed, row in zip(rows, expected):
             for column in ("W", "x", "y", "z", "tau", "toffoli", "rel_dev"):
-                assert float(printed[column]) == getattr(row, column)
-            assert int(printed["qubits"]) == row.qubits
+                assert float(printed[column]) == row[column]
+            assert int(printed["qubits"]) == row["qubits"]
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"

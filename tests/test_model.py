@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,26 @@ class TestLambda:
     def test_system_qubits(self):
         assert system_qubits(ModelSpec(Model.FERMI_HUBBARD, 4)) == 32
         assert system_qubits(ModelSpec(Model.PNICTIDE, 4)) == 64
+
+
+class TestWithCouplings:
+    @pytest.mark.parametrize("kind,foreign", [
+        (Model.FERMI_HUBBARD, "t_prime"), (Model.CUPRATE, "t1"), (Model.PNICTIDE, "t")])
+    def test_foreign_coupling_is_refused_by_name(self, kind, foreign):
+        message = f"^the {kind.value} model has no coupling {foreign}$"
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(kind, 4).with_couplings(u=4.0, **{foreign: 0.5})
+
+    def test_every_foreign_coupling_is_named(self):
+        with pytest.raises(ValueError, match="^the fh model has no coupling t1, v$"):
+            ModelSpec(Model.FERMI_HUBBARD, 4).with_couplings(v=1.0, t1=2.0)
+
+    @pytest.mark.parametrize("kind", list(Model))
+    def test_override_round_trips(self, kind):
+        spec = ModelSpec(kind, 4)
+        changed = spec.with_couplings(u=4.0)
+        assert changed.couplings == replace(default_couplings(kind), u=4.0)
+        assert changed.with_couplings(u=8.0) == spec
 
 
 class TestConfig:
