@@ -15,7 +15,7 @@ from .model import (
     lcu_lambda,
 )
 from .primitives import CostVector, HwpStrategy
-from .qubitization import QubitizationEstimate, optimize_qubitization
+from .qubitization import QubitizationEstimate, estimate, optimize_qubitization
 from .trotter_bounds import TrotterBudget, tau_max, trotter_bound, trotter_steps
 from .trotter_cost import (Strategy, TrotterEstimate, evaluate, optimize_trotter, step_cost,
                            total_qubits)
@@ -24,7 +24,7 @@ __all__ = [
     "CostVector", "CuprateCouplings", "FermiHubbardCouplings", "HwpStrategy",
     "InvalidLattice", "Model", "ModelSpec", "PnictideCouplings",
     "QubitizationEstimate", "Strategy", "TrotterBudget", "TrotterEstimate",
-    "default_couplings", "evaluate", "extensive_error", "lcu_lambda",
+    "default_couplings", "estimate", "evaluate", "extensive_error", "lcu_lambda",
     "optimize_qubitization", "optimize_trotter", "step_cost", "tau_max", "total_qubits",
     "trotter_bound", "trotter_steps",
 ]

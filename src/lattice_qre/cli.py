@@ -20,15 +20,12 @@ wall time (``seconds``).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 
 from .model import COUPLING_NAMES, Model, ModelSpec, load_config
 from .qubitization import optimize_qubitization
-from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
 from .trotter_cost import Strategy, optimize_trotter
 
 # The columns of every output format, in order.  A row is a dict holding
@@ -43,6 +40,7 @@ def _cells(row: dict, float_format) -> list[str]:
 
 
 def rows_to_csv(rows) -> str:
+    import csv   # loaded only for this format
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -61,6 +59,7 @@ def rows_to_table(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
+    import json   # loaded only for this format
     return json.dumps({"rows": [{c: row.get(c) for c in CSV_COLUMNS} for row in rows]},
                       indent=2)
 
@@ -113,8 +112,11 @@ def reproduce_table(number: int, strategy: Strategy | None = None,
                     amortize: bool = False) -> list[dict]:
     """The rows of published table ``number`` (every strategy of a Trotter
     table unless ``strategy`` picks one), each with its reference values
-    and the relative Toffoli deviation from them."""
+    and the relative Toffoli deviation from them.  A ``strategy`` or
+    ``amortize`` that the table's method cannot take is a ``ValueError``."""
+    from .reference_tables import QUBITIZATION_TABLES, TABLE_NUMBERS, TROTTER_TABLES
     kind, method = TABLE_NUMBERS[number]
+    _check_trotter_flags(method, strategy, amortize)
     if method == "qubitization":
         cases = [(L, None, ref) for L, ref in sorted(QUBITIZATION_TABLES[kind].items())]
     else:
@@ -254,17 +256,16 @@ def main(argv=None) -> int:
             _write(circuit_verify.report_json(results) + "\n", args.output)
             return 0 if all(r.passed for r in results) else 1
         strategy = Strategy(args.strategy) if args.strategy else None
-        table = int(args.table.rsplit("-", 1)[1]) if args.command == "reproduce" else None
-        method = TABLE_NUMBERS[table][1] if table else args.method
-        _check_trotter_flags(method, strategy, args.amortize_catalyst)
-        if table:
-            rows = reproduce_table(table, strategy, args.amortize_catalyst)
+        if args.command == "reproduce":
+            rows = reproduce_table(int(args.table.rsplit("-", 1)[1]), strategy,
+                                   args.amortize_catalyst)
         else:
+            _check_trotter_flags(args.method, strategy, args.amortize_catalyst)
             specs, delta_e = _build_spec(args)
-            rows = [estimate_row(spec, method, strategy or Strategy.CATALYZED, delta_e,
+            rows = [estimate_row(spec, args.method, strategy or Strategy.CATALYZED, delta_e,
                                  args.amortize_catalyst) for spec in specs]
         _write(_format(rows, args.format), args.output)
-        if table:
+        if args.command == "reproduce":
             worst = max(abs(r["rel_dev"]) for r in rows)
             print(f"max relative toffoli deviation: {worst:.3%}", file=sys.stderr)
     except (ValueError, OSError) as exc:

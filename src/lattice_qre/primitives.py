@@ -38,15 +38,11 @@ class CostVector:
             raise ValueError("cost components must be non-negative")
 
 
-def popcount(M: int) -> int:
-    if M < 1:
-        raise ValueError(f"popcount needs M >= 1, got {M}")
-    return M.bit_count()
-
-
 def hamming_adders(M: int) -> int:
     """Half/full adders (equivalently Toffolis) to compute an M-bit Hamming weight."""
-    return M - popcount(M)
+    if M < 1:
+        raise ValueError(f"hamming_adders needs M >= 1, got {M}")
+    return M - M.bit_count()
 
 
 def floor_log2(M: int) -> int:
@@ -61,6 +57,14 @@ def ceil_log2(M: int) -> int:
     return (M - 1).bit_length()
 
 
+def _hwp_counts(M: int, catalyzed: bool) -> tuple[int, int]:
+    """(Toffolis, rotations) of Hamming-weight phasing on M >= 1 rotations: the weight's
+    adders and a rotation per weight bit, floor(log2 M) + 1 of them, or, catalyzed, the adders,
+    a phase-gradient addition over the weight bits (a Toffoli each) and one rotation."""
+    adders, bits = hamming_adders(M), M.bit_length()
+    return (adders + bits, 1) if catalyzed else (adders, bits)
+
+
 def hwp_cost(M: int, strategy: HwpStrategy) -> CostVector:
     """Cost of one layer of M same-angle Z-rotations via Hamming-weight phasing.
 
@@ -70,6 +74,5 @@ def hwp_cost(M: int, strategy: HwpStrategy) -> CostVector:
     """
     if M < 1:
         raise ValueError(f"hwp_cost needs M >= 1, got {M}")
-    if HwpStrategy(strategy) is HwpStrategy.BASELINE:
-        return CostVector(toffoli=hamming_adders(M) + 0.0, rz=floor_log2(M) + 1)
-    return CostVector(toffoli=M + floor_log2(M) - popcount(M) + 1.0, rz=1)
+    toffoli, rz = _hwp_counts(M, HwpStrategy(strategy) is HwpStrategy.CATALYZED)
+    return CostVector(toffoli=toffoli + 0.0, rz=rz)

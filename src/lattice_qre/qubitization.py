@@ -22,6 +22,7 @@ of (1/2, 1) nearly always refused it too (see ``optimize_qubitization``).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query, system_qubits
@@ -35,14 +36,10 @@ def _odd_part(L: int) -> int:
     return L
 
 
-@dataclass(frozen=True)
-class WalkCounts:
-    """Non-Clifford tallies for one (controlled) walk operator."""
-
-    toffoli: int        # select + two prepares
-    rotations: int      # arbitrary-angle rotations per walk
-    t_direct: int       # bare T gates per walk
-    ancillas: int       # qubits beyond the phase and system registers
+# Non-Clifford tallies for one (controlled) walk operator: the Toffolis of select and two
+# prepares, the arbitrary-angle rotations and bare T gates per walk, and the qubits beyond
+# the phase and system registers.  A named tuple: each solve builds one, cheaply.
+WalkCounts = namedtuple("WalkCounts", "toffoli rotations t_direct ancillas")
 
 
 def walk_counts(kind: Model, L: int) -> WalkCounts:
@@ -103,9 +100,13 @@ def _walk_t(counts: WalkCounts, lam: float, delta_e: float, x: float) -> float:
 
 def estimate(spec: ModelSpec, x: float, delta_e: float | None = None) -> QubitizationEstimate:
     """Resource estimate at a fixed error split x."""
-    delta_e = error_target(spec.L, delta_e)
-    lam = lcu_lambda(spec)
-    counts = walk_counts(spec.kind, spec.L)
+    return _estimate(spec, x, error_target(spec.L, delta_e), lcu_lambda(spec),
+                     walk_counts(spec.kind, spec.L))
+
+
+def _estimate(spec: ModelSpec, x: float, delta_e: float, lam: float,
+              counts: WalkCounts) -> QubitizationEstimate:
+    """``estimate`` from the model's ``lcu_lambda`` and ``walk_counts``."""
     queries = query_count(lam, delta_e, x)
     n_t = queries * _walk_t(counts, lam, delta_e, x)
     n_toffoli = queries * counts.toffoli
@@ -162,7 +163,8 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     steps on the condition's log form (``_newton_split``) give a root g.
     x is g itself, with no bisection, once ``minimize`` certifies it: the
     slope changes sign across [g (1 - 1e-13), g (1 + 1e-13)], cut below 1.
-    ``estimate`` runs once, at the optimum.  Raises ``ValueError`` when the
+    The estimate is built once, at the optimum, from the lambda and walk
+    counts read here.  Raises ``ValueError`` when the
     optimum needs fewer than one phase-estimation query, or when Newton finds
     no root or the slope does not change sign across its bracket: bisecting
     (1/2, 1) instead answered none of 4,756 such solves checked.
@@ -187,6 +189,6 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
         raise ValueError(f"the qubitization error split overflows: d ln(total)/dx stays "
                          f"negative up to x = 1 at lambda={lam:g}, delta_e={delta_e:g} (the "
                          f"walk cost overflows, or x is within float resolution of 1)")
-    est = estimate(spec, found.point, delta_e)
+    est = _estimate(spec, found.point, delta_e, lam, counts)
     require_one_query(est.n_queries, delta_e)
     return est

@@ -113,15 +113,18 @@ def _factors(terms):
 
 def _poly(poly, values) -> float:
     """sum of coeff * prod(|value| ** exponent) over the terms of a
-    ``_factors`` polynomial, in term order.  Each power the terms use is
-    taken once, and one they do not use is never taken: an unused
-    |u| ** 3 could overflow where the polynomial does not.  The product
-    (f1 * f2) * f3 is the left-to-right ``math.prod`` of a term's
+    ``_factors`` polynomial, added left to right in term order.  Each power
+    the terms use is taken once, and one they do not use is never taken: an
+    unused |u| ** 3 could overflow where the polynomial does not.  The
+    product (f1 * f2) * f3 is the left-to-right ``math.prod`` of a term's
     factors, a padded 1.0 included, so the value is bit-identical to it."""
     powers, terms = poly
     p = [abs(values[i]) ** e for i, e in powers]
     p.append(1.0)
-    return sum(c * (p[i] * p[j] * p[k]) for c, i, j, k in terms)
+    total = 0.0
+    for c, i, j, k in terms:
+        total += c * (p[i] * p[j] * p[k])
+    return total
 
 
 _CUPRATE_POLY = _factors(_CUPRATE_TERMS)
@@ -181,9 +184,11 @@ class TrotterBudget:
         return self.x + self.z
 
     def __post_init__(self):
-        for name in ("delta_e", "y", "x", "z", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # one test for the usual all-finite budget; an overflowing sum names no field
+        if not math.isfinite(self.delta_e + self.y + self.x + self.z + self.tau):
+            for name in ("delta_e", "y", "x", "z", "tau"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_e <= 0:
             raise ValueError("delta_e must be positive")
         if not 0.0 < self.y < 1.0:

@@ -34,6 +34,7 @@ solve, as ``evaluate`` would re-derive it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -47,15 +48,7 @@ from .model import (
     system_qubits,
 )
 from .optimize import minimize
-from .primitives import (
-    CostVector,
-    HwpStrategy,
-    RUS_T_OFFSET,
-    RUS_T_SLOPE,
-    floor_log2,
-    hamming_adders,
-    hwp_cost,
-)
+from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, CostVector, _hwp_counts, hamming_adders
 from .trotter_bounds import TrotterBudget, tau_max, trotter_bound, trotter_steps
 
 QPE_QUERY_CONSTANT = 0.76 * math.pi
@@ -69,15 +62,11 @@ class Strategy(str, Enum):
 
     @property
     def batched(self) -> bool:
-        return self in (Strategy.BATCHED_CATALYZED, Strategy.BATCHED_BASELINE)
+        return self.startswith("batched-")   # each name states both choices
 
     @property
     def catalyzed(self) -> bool:
-        return self in (Strategy.CATALYZED, Strategy.BATCHED_CATALYZED)
-
-    @property
-    def hwp(self) -> HwpStrategy:
-        return HwpStrategy.CATALYZED if self.catalyzed else HwpStrategy.BASELINE
+        return self.endswith("catalyzed")
 
 
 # The step structure of each model: the only source of layer sizes,
@@ -98,13 +87,13 @@ _STEPS = {
 }
 
 
-def _hwp_runs(L: int, size: int, strategy: Strategy) -> tuple[int, int]:
+def _hwp_runs(L: int, size: int, batched: bool) -> tuple[int, int]:
     """(rotations M per Hamming-weight phasing run, runs per application)
     of a layer of size * L^2 rotations: one run over all of them, or,
     batched, 2 * size runs of L^2 / 2.  Batching caps the workspace at the
     batch; the same-angle batches share their catalyst, so only the adders
     and phase-gradient additions repeat."""
-    return (L * L // 2, 2 * size) if strategy.batched else (size * L * L, 1)
+    return (L * L // 2, 2 * size) if batched else (size * L * L, 1)
 
 
 def _structure(kind: Model, L: int, strategy: Strategy
@@ -112,10 +101,10 @@ def _structure(kind: Model, L: int, strategy: Strategy
     """(line, catalysts, ancillas) of the r-step evolution, from one pass
     over ``_STEPS[kind]``; refuses a lattice the model's scheme cannot tile.
 
-    - line: the (Toffoli, T, rz) fields of ``step_cost`` at r = 0 and their
-      slope in r, exact ints: each layer's runs (``_hwp_runs``) cost
-      ``hwp_cost`` per application, and every multiplicity and the direct T
-      count are affine in r.
+    - line: the (Toffoli, T, rz) of the evolution at r = 0 and their slope
+      in r, exact ints: each layer's runs (``_hwp_runs``) cost
+      ``_hwp_counts`` per application, and every multiplicity and the
+      direct T count are affine in r.
     - catalysts: (charged, count), (0, 0) unless catalyzed: the catalyst
       rotations charged with synthesis T gates (budget slice z), and the
       qubits of all catalyst states.  Each angle's catalyst is sized by its
@@ -131,41 +120,52 @@ def _structure(kind: Model, L: int, strategy: Strategy
     if kind is Model.CUPRATE and L % 4:
         raise InvalidLattice(f"L={L}: the cuprate Trotter scheme needs L % 4 == 0")
     (t_a, t_b), layers, extra = _STEPS[kind]
-    hwp, count = strategy.hwp, extra[strategy.batched]
+    catalyzed, batched = strategy.catalyzed, strategy.batched
+    count = extra[batched]
     toffoli_a = toffoli_b = rz_a = rz_b = m_hw = 0
     for size, a, b, angles in layers:
-        m, runs = _hwp_runs(L, size, strategy)
-        run = hwp_cost(m, hwp)
-        toffoli_a += a * runs * int(run.toffoli)
-        toffoli_b += b * runs * int(run.toffoli)
-        rz_a += a * runs * run.rz
-        rz_b += b * runs * run.rz
-        count += angles * (floor_log2(m) + 1)
+        m, runs = _hwp_runs(L, size, batched)
+        toffoli, rz = _hwp_counts(m, catalyzed)
+        toffoli_a += a * runs * toffoli
+        toffoli_b += b * runs * toffoli
+        rz_a += a * runs * rz
+        rz_b += b * runs * rz
+        count += angles * m.bit_length()   # floor(log2 m) + 1
         m_hw = max(m_hw, m)
     line = (toffoli_a, t_a * L * L, rz_a), (toffoli_b, t_b * L * L, rz_b)
     ancillas = hamming_adders(m_hw) + 2   # +1 phase qubit, +1 synthesis ancilla
-    if not strategy.catalyzed:
+    if not catalyzed:
         return line, (0, 0), ancillas
     charged = count - 1 if kind is Model.FERMI_HUBBARD else count
-    return line, (charged, count), ancillas + count + floor_log2(m_hw) + 1
+    return line, (charged, count), ancillas + count + m_hw.bit_length()
 
 
-def _step_at(line: tuple[tuple[int, int, int], tuple[int, int, int]], r: int) -> CostVector:
-    """The r-step evolution's cost from its ``_structure`` line."""
+def _step_at(line: tuple[tuple[int, int, int], tuple[int, int, int]], r: int
+             ) -> tuple[float, float, int]:
+    """(Toffoli, T, rz) of the r-step evolution from its ``_structure``
+    line: the fields of ``step_cost``, as the plain tuple the solver uses."""
     (toffoli, t_gates, rz), (d_toffoli, d_t_gates, d_rz) = line
-    return CostVector(float(toffoli + d_toffoli * r), float(t_gates + d_t_gates * r),
-                      rz + d_rz * r)
+    return float(toffoli + d_toffoli * r), float(t_gates + d_t_gates * r), rz + d_rz * r
 
 
 def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     """Layer Toffoli/rz tally for one r-step evolution, plus direct T gates.
 
     Catalyst-state synthesis is excluded; the cost kernel charges it.
+    L and r must be integers (as ``operator.index`` gives them).
     """
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise InvalidLattice(f"L={L!r} invalid: need an integer") from None
     line = _structure(Model(kind), L, Strategy(strategy))[0]
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(f"need an integer r >= 1, got {r!r}") from None
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    return _step_at(line, r)
+    return CostVector(*_step_at(line, r))
 
 
 def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
@@ -175,25 +175,27 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     return system_qubits(spec) + _structure(spec.kind, spec.L, Strategy(strategy))[2]
 
 
-def _cost(step: CostVector, catalysts: tuple[int, int], p: float, q: float, c: float,
-          tau: float, delta_e: float, amortize: bool) -> tuple[float, float, float, float]:
-    """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution is
-    ``step``, at the shares of dE p (phase estimation), q (rotations) and c
-    (catalysts): N_q = 0.76*pi / (p * tau * dE) queries at N_tof + N_t / 2
-    each.
+def _cost(step: tuple[float, float, int], catalysts: tuple[int, int], p: float, q: float,
+          c: float, tau: float, delta_e: float, amortize: bool
+          ) -> tuple[float, float, float, float]:
+    """(N_t1, N_t2, N_q, total Toffolis) of a run whose r-step evolution
+    costs the ``_step_at`` tuple ``step``, at the shares of dE p (phase
+    estimation), q (rotations) and c (catalysts): N_q = 0.76*pi / (p * tau
+    * dE) queries at N_tof + N_t / 2 each.
 
     Each synthesis group splits its phase budget (share q resp. c of dE,
     times tau) equally across its rotations: N_t2 for the per-layer
     rotations, N_t1 for the catalyst states.  ``amortize`` charges N_t1
     once instead of per query.
     """
-    n_t2 = step.rz * (RUS_T_SLOPE * math.log2(step.rz / (q * delta_e * tau)) + RUS_T_OFFSET)
+    toffoli, t_gates, rz = step
+    n_t2 = rz * (RUS_T_SLOPE * math.log2(rz / (q * delta_e * tau)) + RUS_T_OFFSET)
     n_t1 = 0.0
     charged, count = catalysts
     if count:
         n_t1 = charged * (RUS_T_SLOPE * math.log2(count / (c * delta_e * tau)) + RUS_T_OFFSET)
     n_q = QPE_QUERY_CONSTANT / ((tau * delta_e) * p)   # tau * dE first: p may be subnormal
-    per_query = step.toffoli + (step.t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
+    per_query = toffoli + (t_gates + n_t2 + (0.0 if amortize else n_t1)) / 2.0
     return n_t1, n_t2, n_q, n_q * per_query + (n_t1 / 2.0 if amortize else 0.0)
 
 
@@ -229,15 +231,15 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
 
 
 def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: float, r: int,
-              step: CostVector, catalysts: tuple[int, int], ancillas: int,
+              step: tuple[float, float, int], catalysts: tuple[int, int], ancillas: int,
               amortize: bool) -> TrotterEstimate:
-    """The estimate of ``budget`` at r steps whose evolution costs ``step``,
-    costed at the budget's own shares."""
+    """The estimate of ``budget`` at r steps whose evolution costs the
+    ``_step_at`` tuple ``step``, costed at the budget's own shares."""
     n_t1, n_t2, n_q, total = _cost(step, catalysts, *budget.shares,
                                    budget.tau, budget.delta_e, amortize)
     return TrotterEstimate(
         spec=spec, strategy=strategy, budget=budget, w_bound=w, r=r,
-        n_queries=n_q, n_toffoli_per_u=step.toffoli, n_t_direct=step.t_gates,
+        n_queries=n_q, n_toffoli_per_u=step[0], n_t_direct=step[1],
         n_t1=n_t1, n_t2=n_t2, total_toffoli=total,
         total_qubits=system_qubits(spec) + ancillas,
     )
@@ -247,11 +249,7 @@ _TAU_MARGIN = 1.0 - 1e-12
 # Up to here trotter_steps gives back the r a pinned tau was pinned to: its
 # relative slack of 1e-14 is then at most 0.1 of a step (at 2**53 it is 90).
 _MAX_EXACT_R = 10**13
-
-
-def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> float:
-    """Largest tau still giving r steps under the Trotter share t of dE, at most tau_cap."""
-    return min(r * math.sqrt(t * delta_e / w), tau_cap)
+_TWO_LN2 = 2.0 * math.log(2.0)
 
 
 def _newton_share(a: float, lam_u: float, q_max: float, k: float) -> float | None:
@@ -264,19 +262,29 @@ def _newton_share(a: float, lam_u: float, q_max: float, k: float) -> float | Non
         q, per_query = math.exp(u), a - lam_u * u
         if not (per_query > lam_u and q < q_max):
             return None
-        step = ((u + math.log(per_query / lam_u * (1.0 + k * q) / (q_max - q)))
-                / (1.0 - lam_u / per_query + q / (q_max - q) + k * q / (1.0 + k * q)))
+        kq, room = k * q, q_max - q
+        step = ((u + math.log(per_query / lam_u * (1.0 + kq) / room))
+                / (1.0 - lam_u / per_query + q / room + kq / (1.0 + kq)))
         u -= step
         if abs(step) < 1e-12:
             return math.exp(u)
     return None
 
 
-def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
+def _shares(q: float, t: float, ratio: float, k: float, amortize: bool) -> tuple[float, ...]:
+    """(p, q, c) at rotation share q and Trotter share t (see ``_best_budget``)."""
+    if amortize:
+        p = (1.0 - t - q) / (1.0 + k * q)
+        return p, q, k * q * p
+    return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
+
+
+def _best_budget(step: tuple[float, float, int], catalysts: tuple[int, int], r: int, w: float,
                  tau_cap: float, delta_e: float, amortize: bool
                  ) -> tuple[float, float, float, float]:
     """(p, q, c, tau): the cheapest shares of dE for the r-step evolution
-    ``step``, and the tau that the Trotter share pins.
+    whose ``_step_at`` tuple is ``step``, and the tau that the Trotter share
+    pins: the largest tau still giving r steps, at most tau_cap.
 
     The shares -- phase estimation p, rotations q, catalysts c and Trotter
     t -- sum to 1, and the Lagrange conditions of the total give:
@@ -298,21 +306,14 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     P had fallen to Λ_u, and a bisection of all of (0, q_max) refused it too.
     """
     t = min(1.0 / 3.0, (tau_cap / r) ** 2 * w / delta_e)
-    tau = _pinned_tau(r, t, w, tau_cap, delta_e)
-    ratio = catalysts[0] / step.rz
+    tau = min(r * math.sqrt(t * delta_e / w), tau_cap)
+    ratio = catalysts[0] / step[2]
     k = ratio * tau * delta_e / QPE_QUERY_CONSTANT if amortize else 0.0   # c = k * q * p
-
-    def shares(q: float) -> tuple[float, float, float]:
-        """(p, q, c) at rotation share q."""
-        if amortize:
-            p = (1.0 - t - q) / (1.0 + k * q)
-            return p, q, k * q * p
-        return 1.0 - t - (1.0 + ratio) * q, q, ratio * q
-
     q_max = (1.0 - t) / (1.0 if amortize else 1.0 + ratio)   # p = 0
-    lam_u = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0)) * (1.0 if amortize else 1.0 + ratio)
+    lam_u = RUS_T_SLOPE * step[2] / _TWO_LN2 * (1.0 if amortize else 1.0 + ratio)
     q_in = 0.5 * q_max   # the middle of q's domain: at q = 1, c * dE can overflow
-    n_t1, _, n_q, total = _cost(step, catalysts, *shares(q_in), tau, delta_e, amortize)
+    n_t1, _, n_q, total = _cost(step, catalysts, *_shares(q_in, t, ratio, k, amortize),
+                                tau, delta_e, amortize)
     a = (total - n_t1 / 2.0 if amortize else total) / n_q + lam_u * math.log(q_in)
 
     def slope(q: float) -> float:
@@ -322,7 +323,7 @@ def _best_budget(step: CostVector, catalysts: tuple[int, int], r: int, w: float,
     if found is None:
         raise ValueError(f"error target delta_e={delta_e:g} is too loose: no Newton root certifies "
                          f"a rotation share at r={r} (it needs a per-query cost above {lam_u:.3g})")
-    return (*shares(found.point), tau)
+    return (*_shares(found.point, t, ratio, k, amortize), tau)
 
 
 def _best_step_count(cost, r0: int) -> int:
@@ -344,7 +345,8 @@ def _best_step_count(cost, r0: int) -> int:
     rounding = 4.0 * sys.float_info.epsilon
 
     def beats(other: int, r: int) -> bool:
-        return cost(other) < cost(r) - rounding * abs(cost(r))
+        there, here = cost(other), cost(r)
+        return there < here - rounding * abs(here)
 
     if r0 > 1 and beats(r0 - 1, r0):
         return r0 - 1

@@ -435,7 +435,7 @@ class TestHwpGadgets:
         # the circuit's compute direction is hwp_cost(M), and its wires are
         # the M targets plus the workspace, catalyst and borrow registers
         # that total_qubits counts
-        sizes = {_hwp_runs(L, size, strategy)[0]
+        sizes = {_hwp_runs(L, size, strategy.batched)[0]
                  for kind, (_, layers, _) in _STEPS.items() for size, *_ in layers
                  for L in range(4, 17, 4 if kind is Model.CUPRATE else 2)
                  for strategy in Strategy}

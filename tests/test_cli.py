@@ -480,6 +480,14 @@ class TestTrotterOnlyFlags:
         assert out == ""
         assert "--amortize-catalyst applies only to catalyzed strategies" in err
 
+    @pytest.mark.parametrize("table,strategy,amortize", [
+        (1, cli.Strategy.BASELINE, False), (3, None, True), (5, cli.Strategy.BASELINE, True)])
+    def test_reproduce_table_refuses_what_its_method_cannot_take(self, table, strategy, amortize):
+        # the function the command calls checks its own flags; a qubitization
+        # table used to drop a strategy or amortization silently
+        with pytest.raises(ValueError, match="applies only to"):
+            cli.reproduce_table(table, strategy, amortize)
+
     def test_amortize_allowed_on_a_whole_table(self, capsys):
         code, out, _ = run_cli(
             ["reproduce", "supp-table-6", "--amortize-catalyst", "--format", "csv"], capsys)
@@ -528,13 +536,34 @@ class TestVerifyCommand:
         assert all(entry["seconds"] >= 0.0 for entry in report)
 
     def test_cli_import_leaves_the_lab_out(self):
-        # the estimators start without the circuit lab, numpy or scipy
+        # the estimators start without the circuit lab, numpy or scipy, and
+        # the CLI without the published tables (reproduce loads them) or the
+        # csv and json modules (their formats load them)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        unloaded = "('lattice_qre.circuitlab', 'numpy', 'scipy', 'lattice_qre.reference_tables')"
         for module in ("lattice_qre.cli", "lattice_qre"):
             proc = subprocess.run(
                 [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in "
-                 "sys.modules if m.startswith(('lattice_qre.circuitlab', 'numpy', 'scipy'))))"],
+                 f"sys.modules if m.startswith({unloaded}) or m in ('csv', 'json')))"],
                 env=env, capture_output=True, text=True, timeout=60)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", module
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["reproduce", "supp-table-1", "--format", "csv"], ["csv", "lattice_qre.reference_tables"]),
+        (["estimate", "--model", "fh", "--L", "4", "--format", "json"], ["json"]),
+    ])
+    def test_each_command_loads_what_it_runs(self, argv, loaded):
+        # the lazily imported modules arrive with the command that reads them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        names = ("csv", "json", "lattice_qre.reference_tables")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, io, contextlib, lattice_qre.cli as c\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = c.main({argv!r})\n"
+             f"print(code, sorted(m for m in sys.modules if m in {names!r}))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"0 {sorted(loaded)}"

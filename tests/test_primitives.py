@@ -6,7 +6,6 @@ from lattice_qre.primitives import (
     HwpStrategy,
     hamming_adders,
     hwp_cost,
-    popcount,
 )
 from lattice_qre.trotter_bounds import TrotterBudget
 from lattice_qre.trotter_cost import Strategy, evaluate, step_cost
@@ -32,18 +31,16 @@ class TestRusSynthesis:
 
 class TestHammingCounts:
     def test_examples(self):
-        assert (popcount(64), hamming_adders(64)) == (1, 63)
-        assert (popcount(8), hamming_adders(8)) == (1, 7)
-        assert (popcount(1), hamming_adders(1)) == (1, 0)
+        # M minus its popcount: 64 = 0b1000000, 7 = 0b111
+        assert [hamming_adders(m) for m in (64, 8, 7, 1)] == [63, 7, 4, 0]
 
     def test_powers_of_two(self):
         for k in range(13):
-            assert popcount(1 << k) == 1
             assert hamming_adders(1 << k) == (1 << k) - 1
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            popcount(0)
+        with pytest.raises(ValueError, match="hamming_adders needs M >= 1, got 0"):
+            hamming_adders(0)
 
 
 class TestHwp:

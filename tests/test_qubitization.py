@@ -179,19 +179,19 @@ class TestOptimize:
 
     def test_one_estimate_per_solve(self, monkeypatch):
         # the slope reads the per-walk cost alone; the full estimate is
-        # built once, at the optimum
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return estimate(*args)
-
-        monkeypatch.setattr(qubitization, "estimate", counted)
+        # built once, at the optimum, from the lambda and walk counts the
+        # solve read once; the public estimate at its x gives it back
+        calls = {"_estimate": [], "lcu_lambda": [], "walk_counts": []}
+        for name, log in calls.items():
+            monkeypatch.setattr(qubitization, name, lambda *args, f=getattr(qubitization, name),
+                                log=log: log.append(args) or f(*args))
         for kind in Model:
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             est = optimize_qubitization(ModelSpec(kind, 8))
-            assert len(calls) == 1
-            assert calls[0][1] == est.x
+            assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
+            assert calls["_estimate"][0][1] == est.x
+            assert estimate(est.spec, est.x, est.delta_e) == est
 
     def test_x_opt_range(self):
         est = optimize_qubitization(ModelSpec(Model.FERMI_HUBBARD, 4))

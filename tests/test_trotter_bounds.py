@@ -21,7 +21,7 @@ from lattice_qre.trotter_bounds import (
     trotter_bound,
     trotter_steps,
 )
-from lattice_qre.trotter_cost import _MAX_EXACT_R, _pinned_tau
+from lattice_qre.trotter_cost import _MAX_EXACT_R
 
 
 def round3(x: float) -> float:
@@ -223,7 +223,8 @@ class TestTrotterSteps:
                     delta_e = float(10 ** rng.uniform(-12, 2))
                     y, x = float(rng.uniform(0.2, 0.92)), float(10 ** rng.uniform(-4, -0.5))
                     z = x * float(10 ** rng.uniform(-6, 0)) / 2
-                    tau = _pinned_tau(r, (1.0 - (x + z)) * (1.0 - y), w, math.inf, delta_e)
+                    t = (1.0 - (x + z)) * (1.0 - y)
+                    tau = r * math.sqrt(t * delta_e / w)   # as _best_budget pins it
                     assert trotter_steps(w, tau, TrotterBudget(delta_e, y, x, z, tau)) == r
 
 

@@ -6,6 +6,7 @@ import pytest
 from lattice_qre import trotter_cost
 from lattice_qre.model import InvalidLattice, Model, ModelSpec, extensive_error
 from lattice_qre.optimize import MinimizeResult, minimize
+from lattice_qre.primitives import CostVector
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
@@ -75,6 +76,18 @@ class TestStepCosts:
     def test_invalid_r(self):
         with pytest.raises(ValueError):
             step_cost(Model.FERMI_HUBBARD, 8, 0, Strategy.CATALYZED)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, "2"])
+    def test_non_integer_r(self, r):
+        # a fractional step count used to be costed as if it were whole
+        with pytest.raises(ValueError, match=f"need an integer r >= 1, got {r!r}"):
+            step_cost(Model.FERMI_HUBBARD, 8, r, Strategy.CATALYZED)
+
+    @pytest.mark.parametrize("L", [8.0, 8.5, "8"])
+    def test_non_integer_lattice(self, L):
+        # a float L used to reach int-only code (bit_length) and crash
+        with pytest.raises(InvalidLattice, match=f"L={L!r} invalid: need an integer"):
+            step_cost(Model.FERMI_HUBBARD, L, 1, Strategy.CATALYZED)
 
     def test_cuprate_needs_multiple_of_four(self):
         with pytest.raises(InvalidLattice):
@@ -334,11 +347,11 @@ class TestOptimizeTrotter:
         for (kind, L, strategy), est in trotter_sweep.results.items():
             w, delta_e = est.w_bound, est.budget.delta_e
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._structure(kind, L, strategy)[1]
+            line, catalysts, _ = trotter_cost._structure(kind, L, strategy)
             r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
             assert est.r in (r0, r0 - 1)
             for r in range(max(r0 - 3, 1), r0 + 4):
-                step = step_cost(kind, L, r, strategy)
+                step = trotter_cost._step_at(line, r)
                 budget = trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, False)
                 other = trotter_cost._cost(step, catalysts, *budget, delta_e, False)[3]
                 assert est.total_toffoli <= other * (1.0 + 1e-12)
@@ -372,12 +385,12 @@ class TestRotationShareBracket:
         for spec, strategy in _table_trotter_cells():
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._structure(spec.kind, spec.L, strategy)[1]
+            line, catalysts, _ = trotter_cost._structure(spec.kind, spec.L, strategy)
             for share in (1.0, 1e-2, 1e-4):
                 delta_e = extensive_error(spec.L) * share
                 r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
                 for r in (r0 - 1, r0, r0 + 1):
-                    step = step_cost(spec.kind, spec.L, r, strategy)
+                    step = trotter_cost._step_at(line, r)
                     for amortize in (False, True) if strategy.catalyzed else (False,):
                         solves.append((step, catalysts, r, w, tau_cap, delta_e, amortize))
         assert len(solves) == 2052
@@ -438,14 +451,29 @@ class TestRotationShareBracket:
         for spec, strategy in _table_trotter_cells()[::7]:
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            catalysts = trotter_cost._structure(spec.kind, spec.L, strategy)[1]
+            line, catalysts, _ = trotter_cost._structure(spec.kind, spec.L, strategy)
             delta_e = extensive_error(spec.L)
             r = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
-            step = step_cost(spec.kind, spec.L, r, strategy)
+            step = trotter_cost._step_at(line, r)
             for amortize in (False, True) if strategy.catalyzed else (False,):
                 calls.clear()
                 trotter_cost._best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
                 assert len(calls) == 1
+
+
+def test_table_cells_build_no_cost_vector(monkeypatch):
+    # the solver works on plain (Toffoli, T, rz) tuples; a CostVector is built
+    # only at the public step_cost boundary
+    def refuse(self):
+        raise AssertionError("the solver built a CostVector")
+
+    monkeypatch.setattr(CostVector, "__post_init__", refuse)
+    cells = _table_trotter_cells()
+    assert len(cells) == 152
+    for spec, strategy in cells:
+        assert optimize_trotter(spec, strategy).total_toffoli > 1.0
+    with pytest.raises(AssertionError, match="built a CostVector"):
+        step_cost(Model.FERMI_HUBBARD, 8, 1, Strategy.CATALYZED)
 
 
 class TestAssembledEstimate:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lattice_qre import trotter_cost
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
-from lattice_qre.primitives import RUS_T_SLOPE, CostVector, floor_log2, hwp_cost
+from lattice_qre.primitives import RUS_T_SLOPE, CostVector, HwpStrategy, floor_log2, hwp_cost
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
@@ -25,7 +25,7 @@ from lattice_qre.trotter_cost import (
     _best_budget,
     _best_step_count,
     _cost,
-    _pinned_tau,
+    _step_at,
     _structure,
     optimize_trotter,
     step_cost,
@@ -57,6 +57,17 @@ def _setting(cell):
     return w, tau_max(w) * _TAU_MARGIN, _structure(spec.kind, spec.L, strategy)[1]
 
 
+def _step(spec: ModelSpec, strategy: Strategy, r: int) -> tuple[float, float, int]:
+    """The solver's own (Toffoli, T, rz) tuple of the r-step evolution."""
+    return _step_at(_structure(spec.kind, spec.L, strategy)[0], r)
+
+
+def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> float:
+    """The tau ``_best_budget`` pins: the largest still giving r steps under
+    the Trotter share t of dE, at most tau_cap."""
+    return min(r * math.sqrt(t * delta_e / w), tau_cap)
+
+
 def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     """The step cost summed layer by layer, as written out per model: each
     layer's ``hwp_cost`` times its multiplicity (a batched layer of N
@@ -73,7 +84,8 @@ def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVe
     for size, reps in layers:
         batch = L2 // 2 if strategy.batched else size
         assert size % batch == 0
-        layer = hwp_cost(batch, strategy.hwp)
+        hwp = HwpStrategy.CATALYZED if strategy.catalyzed else HwpStrategy.BASELINE
+        layer = hwp_cost(batch, hwp)
         toffoli += reps * size // batch * layer.toffoli
         rz += reps * size // batch * layer.rz
     return CostVector(toffoli, direct_t, rz)
@@ -124,7 +136,7 @@ def test_no_budget_transfer_lowers_the_total(cell):
     spec, strategy, delta_e, amortize = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
     w, tau_cap, catalysts = _setting(cell)
-    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    step = _step(spec, strategy, est.r)
     b = est.budget
     shares = (*b.shares, (1.0 - b.s) * (1.0 - b.y))
 
@@ -152,11 +164,11 @@ def test_rotation_share_solves_its_condition(cell):
     spec, strategy, delta_e, amortize = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
     _, _, catalysts = _setting(cell)
-    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    step = _step(spec, strategy, est.r)
     p, q, c = est.budget.shares
     n_t1, _, n_q, total = _cost(step, catalysts, p, q, c, est.budget.tau, delta_e, amortize)
     per_query = ((total - n_t1 / 2.0) if amortize else total) / n_q
-    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
+    lam = RUS_T_SLOPE * step[2] / (2.0 * math.log(2.0))
     assert abs(q * per_query - lam * p) <= 1e-12 * lam * p
 
 
@@ -172,11 +184,11 @@ def test_per_query_cost_is_affine_in_log_q(strategy, amortize, cell, fractions):
     spec, _, delta_e, _ = cell
     est = optimize_trotter(spec, strategy, delta_e, amortize)
     _, _, catalysts = _setting((spec, strategy, delta_e, amortize))
-    step = step_cost(spec.kind, spec.L, est.r, strategy)
+    step = _step(spec, strategy, est.r)
     tau = est.budget.tau
     t = 1.0 - sum(est.budget.shares)
-    ratio = catalysts[0] / step.rz
-    lam = RUS_T_SLOPE * step.rz / (2.0 * math.log(2.0))
+    ratio = catalysts[0] / step[2]
+    lam = RUS_T_SLOPE * step[2] / (2.0 * math.log(2.0))
     k = ratio * tau * delta_e / QPE_QUERY_CONSTANT
 
     def per_query(q):
@@ -208,7 +220,7 @@ def test_step_count_beats_its_neighbours(cell):
     for r in (est.r - 2, est.r - 1, est.r + 1, est.r + 2):
         if r < 1:
             continue
-        step = step_cost(spec.kind, spec.L, r, strategy)
+        step = _step(spec, strategy, r)
         p, q, c, tau = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
         other = _cost(step, catalysts, p, q, c, tau, delta_e, amortize)[3]
         assert est.total_toffoli <= other * (1.0 + 1e-9)
@@ -228,7 +240,7 @@ def _total_at(cell, r):
     """The total at r steps, solved for its own cheapest budget."""
     spec, strategy, delta_e, amortize = cell
     w, tau_cap, catalysts = _setting(cell)
-    step = step_cost(spec.kind, spec.L, r, strategy)
+    step = _step(spec, strategy, r)
     budget = _best_budget(step, catalysts, r, w, tau_cap, delta_e, amortize)
     return _cost(step, catalysts, *budget, delta_e, amortize)[3]
 
