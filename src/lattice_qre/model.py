@@ -30,6 +30,11 @@ class Model(str, Enum):
     PNICTIDE = "pnictide"
 
 
+# The members as module names for the per-solve model checks: on Python 3.11
+# every class lookup of an enum member runs EnumType.__getattr__'s slow hook.
+FERMI_HUBBARD, CUPRATE, PNICTIDE = Model.FERMI_HUBBARD, Model.CUPRATE, Model.PNICTIDE
+
+
 class InvalidLattice(ValueError):
     """Lattice dimension incompatible with the requested model or scheme."""
 
@@ -129,7 +134,7 @@ class ModelSpec:
 def system_qubits(spec: ModelSpec) -> int:
     """Jordan-Wigner register size: one qubit per spin (and orbital) mode."""
     n = 2 * spec.L * spec.L
-    return 2 * n if spec.kind is Model.PNICTIDE else n
+    return 2 * n if spec.kind is PNICTIDE else n
 
 
 # The extensive error target grows with the lattice area: 0.51% of L^2.
@@ -169,9 +174,9 @@ def lcu_lambda(spec: ModelSpec) -> float:
     """
     c = spec.couplings
     L2 = spec.L * spec.L
-    if spec.kind is Model.FERMI_HUBBARD:
+    if spec.kind is FERMI_HUBBARD:
         return 4.0 * L2 * abs(c.t) + abs(c.u) * L2 / 4.0
-    if spec.kind is Model.CUPRATE:
+    if spec.kind is CUPRATE:
         return 4.0 * L2 * (abs(c.t) + abs(c.t_prime) + abs(c.t_dprime)) + abs(c.u) * L2 / 4.0
     return L2 * (
         4.0 * (abs(c.t1) + abs(c.t2))

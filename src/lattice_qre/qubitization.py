@@ -25,7 +25,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import Model, ModelSpec, error_target, lcu_lambda, require_one_query, system_qubits
+from .model import (CUPRATE, FERMI_HUBBARD, Model, ModelSpec, error_target, lcu_lambda,
+                    require_one_query, system_qubits)
 from .optimize import minimize
 from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, ceil_log2
 
@@ -51,10 +52,10 @@ def walk_counts(kind: Model, L: int) -> WalkCounts:
     # resource tables: the non-binary branch counts one rotation fewer than
     # a naive 2-per-USP tally would suggest (the tables are only consistent
     # with this count; see README, "Known deviations").
-    if kind is Model.FERMI_HUBBARD:
+    if kind is FERMI_HUBBARD:
         return WalkCounts(5 * L * L + 10 * lg - 4 + usp_toffoli,
                           2 if binary else 5, 4, 3)
-    if kind is Model.CUPRATE:
+    if kind is CUPRATE:
         return WalkCounts(5 * L * L + 12 * lg + 2 + usp_toffoli,
                           10 if binary else 13, 4, 3)
     return WalkCounts(14 * L * L + 12 * lg + 27 + usp_toffoli,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import InvalidLattice, Model, ModelSpec
+from .model import CUPRATE, FERMI_HUBBARD, InvalidLattice, ModelSpec
 
 # ---------------------------------------------------------------------------
 # Fermi-Hubbard norm table
@@ -143,9 +143,9 @@ def trotter_bound(spec: ModelSpec) -> float:
     """W for a model spec; ``ValueError`` when it overflows or is 0."""
     c = spec.couplings
     try:
-        if spec.kind is Model.FERMI_HUBBARD:
+        if spec.kind is FERMI_HUBBARD:
             w = fh_w(spec.L, c.t, c.u)
-        elif spec.kind is Model.CUPRATE:
+        elif spec.kind is CUPRATE:
             w = cuprate_w(spec.L, c.t, c.t_prime, c.t_dprime, c.u)
         else:
             w = pnictide_w(spec.L, c.t1, c.t2, c.t3, c.t4, c.u, c.v)

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
+    CUPRATE,
+    FERMI_HUBBARD,
     InvalidLattice,
     Model,
     ModelSpec,
@@ -62,11 +64,16 @@ class Strategy(str, Enum):
 
     @property
     def batched(self) -> bool:
-        return self.startswith("batched-")   # each name states both choices
+        return self in _BATCHED
 
     @property
     def catalyzed(self) -> bool:
-        return self.endswith("catalyzed")
+        return self in _CATALYZED
+
+
+# looked up once, as in model.py: a class lookup of an enum member is slow
+_BATCHED = (Strategy.BATCHED_CATALYZED, Strategy.BATCHED_BASELINE)
+_CATALYZED = (Strategy.CATALYZED, Strategy.BATCHED_CATALYZED)
 
 
 # The step structure of each model: the only source of layer sizes,
@@ -117,7 +124,7 @@ def _structure(kind: Model, L: int, strategy: Strategy
     """
     if L < 2 or L % 2:
         raise InvalidLattice(f"L={L}: need even L >= 2")
-    if kind is Model.CUPRATE and L % 4:
+    if kind is CUPRATE and L % 4:
         raise InvalidLattice(f"L={L}: the cuprate Trotter scheme needs L % 4 == 0")
     (t_a, t_b), layers, extra = _STEPS[kind]
     catalyzed, batched = strategy.catalyzed, strategy.batched
@@ -136,7 +143,7 @@ def _structure(kind: Model, L: int, strategy: Strategy
     ancillas = hamming_adders(m_hw) + 2   # +1 phase qubit, +1 synthesis ancilla
     if not catalyzed:
         return line, (0, 0), ancillas
-    charged = count - 1 if kind is Model.FERMI_HUBBARD else count
+    charged = count - 1 if kind is FERMI_HUBBARD else count
     return line, (charged, count), ancillas + count + m_hw.bit_length()
 
 
@@ -376,7 +383,8 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     fewer than one phase-estimation query, or Newton steps certify no
     rotation share at some r.
     """
-    strategy = Strategy(strategy)
+    if not isinstance(strategy, Strategy):   # a member skips enum.py's slow call path
+        strategy = Strategy(strategy)
     line, catalysts, ancillas = _structure(spec.kind, spec.L, strategy)
     delta_e = error_target(spec.L, delta_e)
     w = trotter_bound(spec)
