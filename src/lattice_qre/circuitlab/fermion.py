@@ -6,7 +6,11 @@ the most significant index bit, consistent with the statevector kernel.
 The canonical anticommutation relations are verified at construction, so
 downstream checks can treat these matrices as ground truth.  The gadget
 checks build oracles of 2, 4 and 5 modes, so the relations are formed as
-dense products of matrices at most 32 x 32.
+dense products of matrices at most 32 x 32.  The operators' entries are
+0 and +-1, so for them the relations are formed in real arithmetic, where
+every product is exact.  The matrices themselves stay complex: ``eigh``
+of a real plaquette generator picks another eigenbasis, which moves the
+plaquette check's deviation.
 """
 
 from __future__ import annotations
@@ -19,15 +23,20 @@ CAR_TOLERANCE = 1e-12
 
 def _car_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
     """Worst entry of {a_i, a_j} and of {a_i, a_j^dag} - delta_ij * I for
-    every ordered pair (i, j): two (n, n) arrays."""
+    every ordered pair (i, j): two (n, n) arrays.  Operators without an
+    imaginary part (the Jordan-Wigner ones) are multiplied in real
+    arithmetic."""
     a = np.stack(ops)
-    dag = a.conj().transpose(0, 2, 1)
+    if not a.imag.any():
+        a = np.ascontiguousarray(a.real)
     n, dim = a.shape[:2]
+    dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
     product = a[:, None] @ a[None, :]
     anti = product + product.transpose(1, 0, 2, 3)
     mixed = a[:, None] @ dag[None, :] + dag[None, :] @ a[:, None]
-    mixed -= np.eye(n)[:, :, None, None] * np.eye(dim)
-    return np.abs(anti).max(axis=(2, 3)), np.abs(mixed).max(axis=(2, 3))
+    diagonal = np.arange(n)
+    mixed[diagonal, diagonal] -= np.eye(dim)
+    return tuple(np.abs(x).reshape(n, n, -1).max(axis=2) for x in (anti, mixed))
 
 
 class FermionOracle:

@@ -1,11 +1,27 @@
 """Sparse simulation of small Clifford+T+rotation circuits.
 
-``simulate`` carries a batch of states as three aligned arrays: ``index``
+``simulate`` takes a batch of states as three aligned arrays: ``index``
 (basis index), ``amp`` (amplitude) and ``column`` (the batch member an
-entry belongs to).  The gadgets the cost model counts are X, CNOT, Toffoli
-and phase gates, which map each entry to one entry, so a basis input stays
-a single entry however many qubits the gadget has; H, which appears only
-in basis changes and the catalyst preparation, pairs entries by one sort.
+entry belongs to).  Inside, the basis indices live in one of two forms:
+
+* **wire rows**: one 0/1 byte row per wire, entry i's bit of that wire in
+  column i of the row.  X flips a row, CNOT XORs one row into another,
+  Toffoli XORs in the AND of two, SWAP exchanges two rows, and a diagonal
+  gate's hit mask is its row (or the AND of two).  The gadgets the cost
+  model counts are mostly these gates, which map each entry to one entry,
+  so a basis input stays a single entry however many qubits the gadget
+  has.
+* **keys**: one int64 ``column << n | index`` per entry.  H needs them to
+  find each entry's partner (index ^ bit): one sort puts partners side by
+  side, a pair's h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros
+  drop.  When no entry has the H's bit set nothing can merge, and every
+  entry just splits in two, in whichever form the state is in.
+
+The rows are packed into keys at the first H that merges, and the keys are
+unpacked into rows again only before a run of classical gates long enough
+to pay for it (``_RUN``): the H gates of a basis change, and the few
+CNOTs between them, stay on the keys.  The output is packed once, at the
+end.  Entry order is not part of the result.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -27,8 +43,10 @@ of a (column, index) key.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from numbers import Real
 
 import numpy as np
@@ -52,52 +70,78 @@ class GateKind(str, Enum):
     TOFFOLI = "toffoli"
 
 
+# the members by plain name: ``GateKind.H`` goes through the enum class's
+# attribute lookup, and the kernel and the builders name a kind per gate
+X, H, S, SDG, T, TDG, RZ, CNOT, CZ, SWAP, TOFFOLI = GateKind
+
 _ARITY = {
-    GateKind.X: 1, GateKind.H: 1, GateKind.S: 1, GateKind.SDG: 1,
-    GateKind.T: 1, GateKind.TDG: 1, GateKind.RZ: 1,
-    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.SWAP: 2,
-    GateKind.TOFFOLI: 3,
+    X: 1, H: 1, S: 1, SDG: 1, T: 1, TDG: 1, RZ: 1,
+    CNOT: 2, CZ: 2, SWAP: 2,
+    TOFFOLI: 3,
 }
 
-_INVERSE = {
-    GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S,
-    GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T,
-}
+_INVERSE = {S: SDG, SDG: S, T: TDG, TDG: T}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-_PHASE = {   # the diagonal gates without an angle
-    GateKind.S: 1j, GateKind.SDG: -1j,
-    GateKind.T: np.exp(0.25j * np.pi), GateKind.TDG: np.exp(-0.25j * np.pi),
-    GateKind.CZ: -1.0,
-}
+# the diagonal gates without an angle, as [1, phase]: an entry's hit (0 or 1)
+# picks its factor, so the entries a gate misses are multiplied by exactly 1
+_PHASE = {kind: np.array([1.0, phase], dtype=complex) for kind, phase in (
+    (S, 1j), (SDG, -1j), (T, np.exp(0.25j * np.pi)), (TDG, np.exp(-0.25j * np.pi)), (CZ, -1.0))}
+
+_RUN = 3   # CNOT/Toffoli/SWAP gates before the next H that pay for unpacking keys
 
 
-@dataclass(frozen=True, eq=False)   # equal only to itself: array angles have no truth value
+def _qubit(q) -> int:
+    """``q`` through ``operator.index``; a bool (an int to Python, but no
+    wire number) or anything without ``__index__`` is refused, naming it."""
+    if not isinstance(q, bool):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise ValueError(f"qubit {q!r} is not an integer")
+
+
+@dataclass(frozen=True, eq=False, init=False)   # equal only to itself: array angles have no truth value
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
     angle: float | np.ndarray | None = None   # RZ: one, or one per family member
 
-    def __post_init__(self):
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind.value} expects {_ARITY[self.kind]} qubits")
-        if len(set(self.qubits)) != len(self.qubits):
+    def __init__(self, kind: GateKind, qubits, angle=None):
+        # the builders make a gate per call: plain ints and floats take the
+        # short way through the checks, and the fields are written straight
+        # into the instance dict rather than by one frozen setattr each
+        if type(qubits) is not tuple:
+            qubits = tuple(map(_qubit, qubits))
+        else:
+            for q in qubits:
+                if type(q) is not int:
+                    qubits = tuple(map(_qubit, qubits))
+                    break
+        arity = _ARITY[kind]
+        if len(qubits) != arity:
+            raise ValueError(f"{kind.value} expects {arity} qubits")
+        if arity > 1 and (qubits[0] == qubits[1] or qubits[-1] in qubits[:-1]):
             raise ValueError("gate qubits must be distinct")
-        if (self.kind is GateKind.RZ) != (self.angle is not None):
-            raise ValueError(f"angle mismatch for {self.kind.value}")
-        if self.angle is not None and not isinstance(self.angle, Real):
-            angle = np.asarray(self.angle)
+        if (kind is RZ) != (angle is not None):
+            raise ValueError(f"angle mismatch for {kind.value}")
+        if angle is not None and not isinstance(angle, (float, int)) \
+                and not isinstance(angle, Real):   # the ABC check only for the rest
+            given, angle = angle, np.asarray(angle)
             if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
-                raise ValueError(f"{self.kind.value} needs a real angle or a non-empty "
-                                 f"1-D array of them, got {self.angle!r}")
-            object.__setattr__(self, "angle", angle)
+                raise ValueError(f"{kind.value} needs a real angle or a non-empty "
+                                 f"1-D array of them, got {given!r}")
+        fields = self.__dict__
+        fields["kind"], fields["qubits"], fields["angle"] = kind, qubits, angle
 
     def inverse(self) -> "Gate":
-        if self.kind in _INVERSE:
-            return Gate(_INVERSE[self.kind], self.qubits)
+        kind = self.kind
+        if kind in _INVERSE:
+            return Gate(_INVERSE[kind], self.qubits)
         if self.angle is not None:
-            return Gate(self.kind, self.qubits, -self.angle)
+            return Gate(kind, self.qubits, -self.angle)
         return self  # self-inverse
 
 
@@ -111,32 +155,36 @@ class Circuit:
             raise ValueError("n_qubits must be at least 1")
 
     def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
+        gate = Gate(kind, qubits, angle)
+        n = self.n_qubits
+        for q in gate.qubits:
+            if not 0 <= q < n:
                 raise ValueError(f"qubit {q} out of range")
-        self.gates.append(Gate(kind, tuple(qubits), angle))
+        self.gates.append(gate)
 
     def extend(self, gates) -> None:
         """Append ``gates`` as they are: a ``Gate`` validated its own kind,
-        arity and angle when it was made, so only the qubit range is left."""
+        arity, qubits and angle when it was made, so only the qubit range
+        is left."""
         gates = list(gates)
+        n = self.n_qubits
         for g in gates:
             for q in g.qubits:
-                if not 0 <= q < self.n_qubits:
+                if not 0 <= q < n:
                     raise ValueError(f"qubit {q} out of range")
         self.gates.extend(gates)
 
-    def x(self, q): self.append(GateKind.X, q)
-    def h(self, q): self.append(GateKind.H, q)
-    def s(self, q): self.append(GateKind.S, q)
-    def sdg(self, q): self.append(GateKind.SDG, q)
-    def t(self, q): self.append(GateKind.T, q)
-    def tdg(self, q): self.append(GateKind.TDG, q)
-    def rz(self, q, angle): self.append(GateKind.RZ, q, angle=angle)
-    def cnot(self, c, t): self.append(GateKind.CNOT, c, t)
-    def cz(self, a, b): self.append(GateKind.CZ, a, b)
-    def swap(self, a, b): self.append(GateKind.SWAP, a, b)
-    def toffoli(self, c1, c2, t): self.append(GateKind.TOFFOLI, c1, c2, t)
+    def x(self, q): self.append(X, q)
+    def h(self, q): self.append(H, q)
+    def s(self, q): self.append(S, q)
+    def sdg(self, q): self.append(SDG, q)
+    def t(self, q): self.append(T, q)
+    def tdg(self, q): self.append(TDG, q)
+    def rz(self, q, angle): self.append(RZ, q, angle=angle)
+    def cnot(self, c, t): self.append(CNOT, c, t)
+    def cz(self, a, b): self.append(CZ, a, b)
+    def swap(self, a, b): self.append(SWAP, a, b)
+    def toffoli(self, c1, c2, t): self.append(TOFFOLI, c1, c2, t)
 
     def inverted(self) -> "Circuit":
         inv = Circuit(self.n_qubits)
@@ -144,17 +192,9 @@ class Circuit:
         return inv
 
     def counts(self) -> dict[str, int]:
-        out = {"toffoli": 0, "t": 0, "rz": 0, "swap": 0}
-        for g in self.gates:
-            if g.kind is GateKind.TOFFOLI:
-                out["toffoli"] += 1
-            elif g.kind in (GateKind.T, GateKind.TDG):
-                out["t"] += 1
-            elif g.kind is GateKind.RZ:
-                out["rz"] += 1
-            elif g.kind is GateKind.SWAP:
-                out["swap"] += 1
-        return out
+        kinds = [g.kind for g in self.gates]
+        return {"toffoli": kinds.count(TOFFOLI), "t": kinds.count(T) + kinds.count(TDG),
+                "rz": kinds.count(RZ), "swap": kinds.count(SWAP)}
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the circuit; a family whose array angles have length
@@ -182,23 +222,65 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _hadamard(index, amp, column, n: int, shift: int):
-    """H on the qubit at bit ``shift``: a stable sort of the keys with that
-    bit cleared puts each entry next to its partner (index ^ bit), if any; a
-    pair's h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop."""
-    bit = 1 << shift
-    key = (column << n) | (index & ~bit)
-    order = np.argsort(key, kind="stable")
-    key, half = key[order], _SQRT_HALF * amp[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+def _hadamard(key, amp, bit: int):
+    """H on the key bit ``bit``: a sort of the keys with that bit cleared
+    puts each entry next to its partner (key ^ bit), if any; a pair's
+    h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop.  Each
+    sum has at most two terms, which add alike in either order, so the sort
+    need not be stable."""
+    low = key & ~bit
+    order = np.argsort(low)
+    low, half = low[order], _SQRT_HALF * amp[order]
+    first = np.empty(low.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(low[1:], low[:-1], out=first[1:])
     start = np.flatnonzero(first)
-    key = np.concatenate((key[start], key[start] | bit))
-    amp = np.concatenate((np.add.reduceat(half, start),
-                          np.add.reduceat(np.where(index[order] & bit, -half, half), start)))
+    signed = np.where(key[order] & bit, -half, half)
+    low = low[start]
+    key = np.concatenate((low, low | bit))
+    amp = np.concatenate((np.add.reduceat(half, start), np.add.reduceat(signed, start)))
     keep = amp != 0
-    key = key[keep]
-    return key & ((1 << n) - 1), amp[keep], key >> n
+    if not keep.all():
+        key, amp = key[keep], amp[keep]
+    return key, amp
+
+
+def _pack(rows, n: int) -> np.ndarray:
+    """The basis index of each entry from its wire rows (row q holds bit
+    n - 1 - q).  Below 2**53 a float64 holds every sum of distinct powers
+    of two exactly, so one matrix-vector product does it."""
+    shifts = np.arange(n - 1, -1, -1)
+    if n <= 53:
+        return (np.ldexp(1.0, shifts) @ np.array(rows)).astype(np.int64)
+    return np.left_shift(1, shifts) @ np.array(rows, dtype=np.int64)
+
+
+def _unpack(key, n: int) -> list[np.ndarray]:
+    """The wire rows (0/1 bytes) of the basis indices in the low n bits of
+    ``key``: row q is bit n - 1 - q."""
+    size = (n + 7) // 8
+    low_bytes = key.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :size]
+    bits = np.unpackbits(np.ascontiguousarray(low_bytes.T), axis=0, bitorder="little")
+    return list(bits[n - 1::-1])
+
+
+def _long_run(gates, start: int, skip_leading_h: bool = False) -> bool:
+    """Whether ``_RUN`` CNOT, Toffoli or SWAP gates follow gate ``start``
+    before the next H, so that unpacking the keys into wire rows pays; H
+    gates ahead of the first such gate are passed over if
+    ``skip_leading_h`` (at the start, where an H on an unset bit splits the
+    rows without packing)."""
+    count = 0
+    for gate in islice(gates, start, None):
+        kind = gate.kind
+        if kind is H:
+            if count or not skip_leading_h:
+                return False
+        elif kind is CNOT or kind is TOFFOLI or kind is SWAP:
+            count += 1
+            if count == _RUN:
+                return True
+    return False
 
 
 def simulate(circuit, index, amp, column):
@@ -218,7 +300,7 @@ def simulate(circuit, index, amp, column):
     raise ``ValueError`` (see ``Circuit.members``).
     """
     n = circuit.n_qubits
-    circuit.members()
+    gates = circuit.gates
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()
@@ -226,31 +308,88 @@ def simulate(circuit, index, amp, column):
         raise ValueError("index, amp and column must have the same length")
     if n + int(column.max(initial=0)).bit_length() > _KEY_BITS:
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
-    if np.any(index < 0) or np.any(index >= 1 << n) or np.any(column < 0):
+    if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    for gate in circuit.gates:
-        kind = gate.kind
-        shift = [n - 1 - q for q in gate.qubits]   # qubit 0 is the top index bit
-        if kind is GateKind.H:
-            index, amp, column = _hadamard(index, amp, column, n, shift[0])
-        elif kind is GateKind.X:
-            index ^= 1 << shift[0]
-        elif kind is GateKind.CNOT:
-            index ^= ((index >> shift[0]) & 1) << shift[1]
-        elif kind is GateKind.TOFFOLI:
-            index ^= ((index >> shift[0]) & (index >> shift[1]) & 1) << shift[2]
-        elif kind is GateKind.SWAP:
-            differ = ((index >> shift[0]) ^ (index >> shift[1])) & 1
-            index ^= (differ << shift[0]) | (differ << shift[1])
-        else:
-            mask = sum(1 << s for s in shift)
-            hit = (index & mask) == mask
-            if gate.angle is None:
-                amp[hit] *= _PHASE[kind]
+    # wire rows (row q is wire q) and ``column``, or None and ``key``
+    if _long_run(gates, 0, skip_leading_h=True):
+        rows, key = _unpack(index, n), None
+    else:
+        rows, key = None, (column << n) | index
+    k = member = None   # family size, and each entry's member (column % k)
+    for i, gate in enumerate(gates):
+        kind, qubits = gate.kind, gate.qubits
+        if kind is H:
+            q = qubits[0]
+            bit = 1 << (n - 1 - q)
+            member = None
+            if rows[q].any() if rows is not None else (key & bit).any():
+                if rows is not None:
+                    key, rows = (column << n) | _pack(rows, n), None
+                key, amp = _hadamard(key, amp, bit)
+                continue
+            # nothing has the bit, so nothing merges: each entry splits in two
+            half = _SQRT_HALF * amp
+            if not half.all():
+                keep = half != 0
+                half = half[keep]
+                if rows is None:
+                    key = key[keep]
+                else:
+                    rows, column = [row[keep] for row in rows], column[keep]
+            amp = np.concatenate((half, half))
+            if rows is None:
+                key = np.concatenate((key, key | bit))
             else:
-                phase = np.exp(1j * np.atleast_1d(gate.angle))
-                amp[hit] *= phase[column[hit] % phase.size]
-    return index, amp, column
+                rows = list(np.concatenate((rows, rows), axis=1))
+                rows[q][half.size:] = 1
+                column = np.concatenate((column, column))
+            continue
+        if kind is RZ or kind in _PHASE:   # diagonal: a factor per entry, picked by its hit
+            if rows is not None:
+                hit = rows[qubits[0]] if len(qubits) == 1 else rows[qubits[0]] & rows[qubits[1]]
+            else:
+                mask = sum(1 << (n - 1 - q) for q in qubits)
+                hit = ((key & mask) == mask).view(np.uint8)
+            if kind is not RZ:
+                amp *= _PHASE[kind].take(hit)
+                continue
+            phase = np.exp(1j * np.atleast_1d(gate.angle))
+            if phase.size == 1:
+                amp *= np.concatenate(((1.0,), phase)).take(hit)
+                continue
+            if k is None:
+                k = circuit.members()   # raises if array angles differ in length
+            if member is None:
+                member = (column if rows is not None else key >> n) % k
+            amp *= np.stack((np.ones(k), phase))[hit, member]
+            continue
+        # X, CNOT, Toffoli and SWAP move each entry to one new index
+        if rows is None and kind is not X and _long_run(gates, i):
+            column, rows, key = key >> n, _unpack(key, n), None
+        if rows is not None:
+            if kind is CNOT:
+                rows[qubits[1]] ^= rows[qubits[0]]
+            elif kind is TOFFOLI:
+                rows[qubits[2]] ^= rows[qubits[0]] & rows[qubits[1]]
+            elif kind is X:
+                rows[qubits[0]] ^= 1
+            else:
+                a, b = qubits
+                rows[a], rows[b] = rows[b], rows[a]
+            continue
+        shift = [n - 1 - q for q in qubits]   # qubit 0 is the top index bit
+        if kind is CNOT:
+            key ^= ((key >> shift[0]) & 1) << shift[1]
+        elif kind is TOFFOLI:
+            key ^= ((key >> shift[0]) & (key >> shift[1]) & 1) << shift[2]
+        elif kind is X:
+            key ^= 1 << shift[0]
+        else:
+            differ = ((key >> shift[0]) ^ (key >> shift[1])) & 1
+            key ^= (differ << shift[0]) | (differ << shift[1])
+    if rows is not None:
+        return _pack(rows, n), amp, column
+    return key & ((1 << n) - 1), amp, key >> n
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:

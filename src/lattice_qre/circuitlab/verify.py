@@ -26,8 +26,8 @@ from .gadgets import (
     two_site_fourier,
 )
 from .statevector import (
+    H,
     Circuit,
-    GateKind,
     apply_circuit,
     max_unitary_deviation,
     simulate,
@@ -155,13 +155,9 @@ def check_hwp_tallies(sizes=(1, 2, 3, 4, 5)) -> float:
     worst = 0.0
     for m in sizes:
         for strategy in HwpStrategy:
-            gadget = build_hwp(m, 0.731, strategy)
-            predicted = hwp_cost(m, strategy)
-            worst = max(
-                worst,
-                abs(gadget.counted.toffoli - predicted.toffoli),
-                abs(gadget.counted.rz - predicted.rz),
-            )
+            counted, predicted = build_hwp(m, 0.731, strategy).counted, hwp_cost(m, strategy)
+            worst = max(worst, abs(counted.toffoli - predicted.toffoli),
+                        abs(counted.rz - predicted.rz))
     return worst
 
 
@@ -260,7 +256,7 @@ def check_unitarity() -> float:
         build_fswap(5, 0, 4),
     ):
         dim = 1 << circ.n_qubits
-        if any(g.kind is GateKind.H for g in circ.gates):
+        if any(g.kind is H for g in circ.gates):
             u = circ.unitary()
             worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
         else:
