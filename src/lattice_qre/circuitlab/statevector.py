@@ -17,11 +17,11 @@ entry belongs to).  Inside, the basis indices live in one of two forms:
   drop.  When no entry has the H's bit set nothing can merge, and every
   entry just splits in two, in whichever form the state is in.
 
-The rows are packed into keys at the first H that merges, and the keys are
-unpacked into rows again only before a run of classical gates long enough
-to pay for it (``_RUN``): the H gates of a basis change, and the few
-CNOTs between them, stay on the keys.  The output is packed once, at the
-end.  Entry order is not part of the result.
+The rows are packed into keys at an H that can merge, and the keys are
+unpacked into rows again only at the next X, CNOT, Toffoli or SWAP: a run
+of H gates, and the phase gates between them, stays on the keys.  The
+output is packed once, at the end.  Entry order is not part of the
+result.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -46,7 +46,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from numbers import Real
 
 import numpy as np
@@ -88,8 +87,6 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # picks its factor, so the entries a gate misses are multiplied by exactly 1
 _PHASE = {kind: np.array([1.0, phase], dtype=complex) for kind, phase in (
     (S, 1j), (SDG, -1j), (T, np.exp(0.25j * np.pi)), (TDG, np.exp(-0.25j * np.pi)), (CZ, -1.0))}
-
-_RUN = 3   # CNOT/Toffoli/SWAP gates before the next H that pay for unpacking keys
 
 
 def _qubit(q) -> int:
@@ -264,25 +261,6 @@ def _unpack(key, n: int) -> list[np.ndarray]:
     return list(bits[n - 1::-1])
 
 
-def _long_run(gates, start: int, skip_leading_h: bool = False) -> bool:
-    """Whether ``_RUN`` CNOT, Toffoli or SWAP gates follow gate ``start``
-    before the next H, so that unpacking the keys into wire rows pays; H
-    gates ahead of the first such gate are passed over if
-    ``skip_leading_h`` (at the start, where an H on an unset bit splits the
-    rows without packing)."""
-    count = 0
-    for gate in islice(gates, start, None):
-        kind = gate.kind
-        if kind is H:
-            if count or not skip_leading_h:
-                return False
-        elif kind is CNOT or kind is TOFFOLI or kind is SWAP:
-            count += 1
-            if count == _RUN:
-                return True
-    return False
-
-
 def simulate(circuit, index, amp, column):
     """Apply ``circuit`` to a sparse batch of states.
 
@@ -300,7 +278,6 @@ def simulate(circuit, index, amp, column):
     raise ``ValueError`` (see ``Circuit.members``).
     """
     n = circuit.n_qubits
-    gates = circuit.gates
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()
@@ -310,13 +287,9 @@ def simulate(circuit, index, amp, column):
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    # wire rows (row q is wire q) and ``column``, or None and ``key``
-    if _long_run(gates, 0, skip_leading_h=True):
-        rows, key = _unpack(index, n), None
-    else:
-        rows, key = None, (column << n) | index
+    rows, key = _unpack(index, n), None   # wire rows (row q is wire q), or None and keys
     k = member = None   # family size, and each entry's member (column % k)
-    for i, gate in enumerate(gates):
+    for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
         if kind is H:
             q = qubits[0]
@@ -364,29 +337,17 @@ def simulate(circuit, index, amp, column):
             amp *= np.stack((np.ones(k), phase))[hit, member]
             continue
         # X, CNOT, Toffoli and SWAP move each entry to one new index
-        if rows is None and kind is not X and _long_run(gates, i):
+        if rows is None:
             column, rows, key = key >> n, _unpack(key, n), None
-        if rows is not None:
-            if kind is CNOT:
-                rows[qubits[1]] ^= rows[qubits[0]]
-            elif kind is TOFFOLI:
-                rows[qubits[2]] ^= rows[qubits[0]] & rows[qubits[1]]
-            elif kind is X:
-                rows[qubits[0]] ^= 1
-            else:
-                a, b = qubits
-                rows[a], rows[b] = rows[b], rows[a]
-            continue
-        shift = [n - 1 - q for q in qubits]   # qubit 0 is the top index bit
         if kind is CNOT:
-            key ^= ((key >> shift[0]) & 1) << shift[1]
+            rows[qubits[1]] ^= rows[qubits[0]]
         elif kind is TOFFOLI:
-            key ^= ((key >> shift[0]) & (key >> shift[1]) & 1) << shift[2]
+            rows[qubits[2]] ^= rows[qubits[0]] & rows[qubits[1]]
         elif kind is X:
-            key ^= 1 << shift[0]
+            rows[qubits[0]] ^= 1
         else:
-            differ = ((key >> shift[0]) ^ (key >> shift[1])) & 1
-            key ^= (differ << shift[0]) | (differ << shift[1])
+            a, b = qubits
+            rows[a], rows[b] = rows[b], rows[a]
     if rows is not None:
         return _pack(rows, n), amp, column
     return key & ((1 << n) - 1), amp, key >> n

@@ -414,9 +414,10 @@ class TestKernelAgainstReference:
         assert all(abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15
                    for key in got.keys() | want.keys())
 
-    def test_long_classical_runs_between_merging_hadamards(self):
-        # runs of CNOT/Toffoli/SWAP long enough to unpack the keys into wire
-        # rows, between H gates whose partners are present, on a family
+    def test_classical_runs_between_merging_hadamards(self):
+        # runs of CNOT/Toffoli/SWAP/X between H gates whose partners are
+        # present, so that the state goes from keys to wire rows and back
+        # at every H, on a family
         rng = np.random.default_rng(31)
         n, k = 6, 3
         circ = Circuit(n)
