@@ -82,6 +82,7 @@ _ARITY = {
 _INVERSE = {S: SDG, SDG: S, T: TDG, TDG: T}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_PACK_BLOCK = 1 << 16   # entries per product in _pack: 8 bytes a wire each
 
 # the diagonal gates without an angle, as [1, phase]: an entry's hit (0 or 1)
 # picks its factor, so the entries a gate misses are multiplied by exactly 1
@@ -244,12 +245,15 @@ def _hadamard(key, amp, bit: int):
 
 def _pack(rows, n: int) -> np.ndarray:
     """The basis index of each entry from its wire rows (row q holds bit
-    n - 1 - q).  Below 2**53 a float64 holds every sum of distinct powers
-    of two exactly, so one matrix-vector product does it."""
+    n - 1 - q): a matrix-vector product with the powers of two, in float64
+    below 2**53, which holds every sum of distinct powers of two exactly.
+    The product converts its block of rows to 8-byte numbers, so it runs
+    over ``_PACK_BLOCK`` entries at a time."""
+    rows = np.array(rows)
     shifts = np.arange(n - 1, -1, -1)
-    if n <= 53:
-        return (np.ldexp(1.0, shifts) @ np.array(rows)).astype(np.int64)
-    return np.left_shift(1, shifts) @ np.array(rows, dtype=np.int64)
+    weights = np.ldexp(1.0, shifts) if n <= 53 else np.left_shift(1, shifts)
+    return np.concatenate([weights @ rows[:, i:i + _PACK_BLOCK] for i in
+                           range(0, max(rows.shape[1], 1), _PACK_BLOCK)]).astype(np.int64)
 
 
 def _unpack(key, n: int) -> list[np.ndarray]:
