@@ -176,7 +176,7 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
         for i, wire in enumerate(hw.outputs):
             circ.rz(wire, (1 << i) * theta)
         uncompute_from = len(circ.gates)
-    circ.gates += uncompute.gates   # gates of this circuit, range-checked when made
+    circ.extend(uncompute.gates)
     return HwpGadget(circ, prep, hw.inputs, catalyst, uncompute_from)
 
 
@@ -265,7 +265,7 @@ def build_plaquette_evolution(theta) -> Circuit:
     two_site_fourier(basis_change, 2, 3)
     adjacent_fswap(basis_change, 0)          # modes 1,2
 
-    circ.gates += basis_change.gates   # the same four wires: range-checked when made
+    circ.extend(basis_change.gates)
     xx_plus_yy_rotation(circ, 1, 2, theta)
-    circ.gates += basis_change.inverted().gates
+    circ.extend(basis_change.inverted().gates)
     return circ

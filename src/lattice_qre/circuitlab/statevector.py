@@ -14,8 +14,8 @@ entry belongs to).  Inside, the basis indices live in one of two forms:
 * **keys**: one int64 ``column << n | index`` per entry.  H needs them to
   find each entry's partner (index ^ bit): one sort puts partners side by
   side, a pair's h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros
-  drop.  When no entry has the H's bit set nothing can merge, and every
-  entry just splits in two, in whichever form the state is in.
+  drop.  On the wire rows, an H whose row has no bit set cannot merge:
+  every entry just splits in two, without a sort and without packing.
 
 The rows are packed into keys at an H that can merge, and the keys are
 unpacked into rows again only at the next X, CNOT, Toffoli or SWAP: a run
@@ -108,16 +108,10 @@ class Gate:
     angle: float | np.ndarray | None = None   # RZ: one, or one per family member
 
     def __init__(self, kind: GateKind, qubits, angle=None):
-        # the builders make a gate per call: plain ints and floats take the
-        # short way through the checks, and the fields are written straight
-        # into the instance dict rather than by one frozen setattr each
-        if type(qubits) is not tuple:
-            qubits = tuple(map(_qubit, qubits))
-        else:
-            for q in qubits:
-                if type(q) is not int:
-                    qubits = tuple(map(_qubit, qubits))
-                    break
+        # the builders make a gate per call: plain floats take the short way
+        # through the angle check, and the fields are written straight into
+        # the instance dict rather than by one frozen setattr each
+        qubits = tuple(map(_qubit, qubits))
         arity = _ARITY[kind]
         if len(qubits) != arity:
             raise ValueError(f"{kind.value} expects {arity} qubits")
@@ -299,27 +293,21 @@ def simulate(circuit, index, amp, column):
             q = qubits[0]
             bit = 1 << (n - 1 - q)
             member = None
-            if rows[q].any() if rows is not None else (key & bit).any():
+            if rows is None or rows[q].any():
                 if rows is not None:
                     key, rows = (column << n) | _pack(rows, n), None
                 key, amp = _hadamard(key, amp, bit)
                 continue
-            # nothing has the bit, so nothing merges: each entry splits in two
+            # no row has the bit, so nothing merges: each entry splits in two
             half = _SQRT_HALF * amp
             if not half.all():
                 keep = half != 0
                 half = half[keep]
-                if rows is None:
-                    key = key[keep]
-                else:
-                    rows, column = [row[keep] for row in rows], column[keep]
+                rows, column = [row[keep] for row in rows], column[keep]
             amp = np.concatenate((half, half))
-            if rows is None:
-                key = np.concatenate((key, key | bit))
-            else:
-                rows = list(np.concatenate((rows, rows), axis=1))
-                rows[q][half.size:] = 1
-                column = np.concatenate((column, column))
+            rows = list(np.concatenate((rows, rows), axis=1))
+            rows[q][half.size:] = 1
+            column = np.concatenate((column, column))
             continue
         if kind is RZ or kind in _PHASE:   # diagonal: a factor per entry, picked by its hit
             if rows is not None:
