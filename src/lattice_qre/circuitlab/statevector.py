@@ -2,26 +2,16 @@
 
 ``simulate`` takes a batch of states as three aligned arrays: ``index``
 (basis index), ``amp`` (amplitude) and ``column`` (the batch member an
-entry belongs to).  Inside, the basis indices live in one of two forms:
-
-* **wire rows**: one 0/1 byte row per wire, entry i's bit of that wire in
-  column i of the row.  X flips a row, CNOT XORs one row into another,
-  Toffoli XORs in the AND of two, SWAP exchanges two rows, and a diagonal
-  gate's hit mask is its row (or the AND of two).  The gadgets the cost
-  model counts are mostly these gates, which map each entry to one entry,
-  so a basis input stays a single entry however many qubits the gadget
-  has.
-* **keys**: one int64 ``column << n | index`` per entry.  H needs them to
-  find each entry's partner (index ^ bit): one sort puts partners side by
-  side, a pair's h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros
-  drop.  On the wire rows, an H whose row has no bit set cannot merge:
-  every entry just splits in two, without a sort and without packing.
-
-The rows are packed into keys at an H that can merge, and the keys are
-unpacked into rows again only at the next X, CNOT, Toffoli or SWAP: a run
-of H gates, and the phase gates between them, stays on the keys.  The
-output is packed once, at the end.  Entry order is not part of the
-result.
+entry belongs to), and works on one int64 key ``column << n | index`` per
+entry from input to output.  X, CNOT, Toffoli and SWAP are XORs of the
+keys; a diagonal gate multiplies each entry by a factor picked by its hit,
+``(key & mask) == mask``.  The gadgets the cost model counts are mostly
+these gates, which map each entry to one entry, so a basis input stays a
+single entry however many qubits the gadget has.  H finds each entry's
+partner (key ^ bit): one sort puts partners side by side, a pair's
+h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop.  An H whose
+bit no key has cannot merge: each entry just splits in two, without a
+sort.  Entry order is not part of the result.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -82,23 +72,23 @@ _ARITY = {
 _INVERSE = {S: SDG, SDG: S, T: TDG, TDG: T}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-_PACK_BLOCK = 1 << 16   # entries per product in _pack: 8 bytes a wire each
 
-# the diagonal gates without an angle, as [1, phase]: an entry's hit (0 or 1)
-# picks its factor, so the entries a gate misses are multiplied by exactly 1
-_PHASE = {kind: np.array([1.0, phase], dtype=complex) for kind, phase in (
-    (S, 1j), (SDG, -1j), (T, np.exp(0.25j * np.pi)), (TDG, np.exp(-0.25j * np.pi)), (CZ, -1.0))}
+# the phases of the diagonal gates without an angle, CZ's complex too: every
+# factor is then complex, 1 + 0j where a gate misses, and an entry's product
+# is the same complex multiply, signed zeros included, whichever gate it is
+_PHASE = {S: 1j, SDG: -1j, T: np.exp(0.25j * np.pi), TDG: np.exp(-0.25j * np.pi), CZ: -1 + 0j}
 
 
-def _qubit(q) -> int:
+def _qubit(q, name: str = "qubit") -> int:
     """``q`` through ``operator.index``; a bool (an int to Python, but no
-    wire number) or anything without ``__index__`` is refused, naming it."""
+    wire number or count) or anything without ``__index__`` is refused,
+    naming it."""
     if not isinstance(q, bool):
         try:
             return operator.index(q)
         except TypeError:
             pass
-    raise ValueError(f"qubit {q!r} is not an integer")
+    raise ValueError(f"{name} {q!r} is not an integer")
 
 
 @dataclass(frozen=True, eq=False, init=False)   # equal only to itself: array angles have no truth value
@@ -143,16 +133,12 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
+        self.n_qubits = _qubit(self.n_qubits, "n_qubits")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
 
     def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
-        gate = Gate(kind, qubits, angle)
-        n = self.n_qubits
-        for q in gate.qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range")
-        self.gates.append(gate)
+        self.extend((Gate(kind, qubits, angle),))
 
     def extend(self, gates) -> None:
         """Append ``gates`` as they are: a ``Gate`` validated its own kind,
@@ -179,9 +165,7 @@ class Circuit:
     def toffoli(self, c1, c2, t): self.append(TOFFOLI, c1, c2, t)
 
     def inverted(self) -> "Circuit":
-        inv = Circuit(self.n_qubits)
-        inv.gates = [g.inverse() for g in reversed(self.gates)]
-        return inv
+        return Circuit(self.n_qubits, [g.inverse() for g in reversed(self.gates)])
 
     def counts(self) -> dict[str, int]:
         kinds = [g.kind for g in self.gates]
@@ -215,48 +199,41 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def _hadamard(key, amp, bit: int):
-    """H on the key bit ``bit``: a sort of the keys with that bit cleared
-    puts each entry next to its partner (key ^ bit), if any; a pair's
-    h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop.  Each
-    sum has at most two terms, which add alike in either order, so the sort
-    need not be stable."""
-    low = key & ~bit
-    order = np.argsort(low)
-    low, half = low[order], _SQRT_HALF * amp[order]
-    first = np.empty(low.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(low[1:], low[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    signed = np.where(key[order] & bit, -half, half)
-    low = low[start]
-    key = np.concatenate((low, low | bit))
-    amp = np.concatenate((np.add.reduceat(half, start), np.add.reduceat(signed, start)))
+    """H on the key bit ``bit``, with h = amp/sqrt2 per entry.  When no key
+    has the bit, nothing merges: each entry splits in two, into (h, h),
+    without a sort.  Otherwise a sort of the keys with that bit cleared puts
+    each entry next to its partner (key ^ bit), if any, and a pair's h give
+    h0 + h1 and h0 - h1.  Each sum has at most two terms, which add alike
+    in either order, so any sort pairs them alike; the stable one is the
+    fastest on the sorted runs that earlier gates leave in the keys.  Exact
+    zeros drop."""
+    half = _SQRT_HALF * amp
+    if not (key & bit).any():
+        key, amp = np.concatenate((key, key | bit)), np.concatenate((half, half))
+    else:
+        low = key & ~bit
+        order = np.argsort(low, kind="stable")
+        low, half = low[order], half[order]
+        # each group's first entry, where the sorted keys with the bit cleared change
+        start = np.flatnonzero(np.concatenate(((True,), low[1:] != low[:-1])))
+        signed = np.where(key[order] & bit, -half, half)
+        low = low[start]
+        key = np.concatenate((low, low | bit))
+        amp = np.concatenate((np.add.reduceat(half, start), np.add.reduceat(signed, start)))
     keep = amp != 0
     if not keep.all():
         key, amp = key[keep], amp[keep]
     return key, amp
 
 
-def _pack(rows, n: int) -> np.ndarray:
-    """The basis index of each entry from its wire rows (row q holds bit
-    n - 1 - q): a matrix-vector product with the powers of two, in float64
-    below 2**53, which holds every sum of distinct powers of two exactly.
-    The product converts its block of rows to 8-byte numbers, so it runs
-    over ``_PACK_BLOCK`` entries at a time."""
-    rows = np.array(rows)
-    shifts = np.arange(n - 1, -1, -1)
-    weights = np.ldexp(1.0, shifts) if n <= 53 else np.left_shift(1, shifts)
-    return np.concatenate([weights @ rows[:, i:i + _PACK_BLOCK] for i in
-                           range(0, max(rows.shape[1], 1), _PACK_BLOCK)]).astype(np.int64)
-
-
-def _unpack(key, n: int) -> list[np.ndarray]:
-    """The wire rows (0/1 bytes) of the basis indices in the low n bits of
-    ``key``: row q is bit n - 1 - q."""
-    size = (n + 7) // 8
-    low_bytes = key.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :size]
-    bits = np.unpackbits(np.ascontiguousarray(low_bytes.T), axis=0, bitorder="little")
-    return list(bits[n - 1::-1])
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as a flat int64 array; an array of any other kind (a float,
+    bool or object one) is refused, naming it, rather than truncated.  An
+    empty input is empty whatever its kind."""
+    values = np.asarray(values).ravel()
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64)
 
 
 def simulate(circuit, index, amp, column):
@@ -268,6 +245,8 @@ def simulate(circuit, index, amp, column):
     entry to one new index, and the diagonal gates multiply ``amp`` where
     their qubits are all set; only H changes the number of entries.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
+    ``index`` and ``column`` must be integer arrays: any other kind raises
+    ``ValueError``.
 
     An RZ gate multiplies the entries it hits in column c by
     e^{i*angle[c % len(angle)]}: a circuit whose angles are arrays of length
@@ -276,72 +255,46 @@ def simulate(circuit, index, amp, column):
     raise ``ValueError`` (see ``Circuit.members``).
     """
     n = circuit.n_qubits
-    index = np.array(index, dtype=np.int64).ravel()
+    index, column = _integers(index, "index"), _integers(column, "column")
     amp = np.array(amp, dtype=complex).ravel()
-    column = np.array(column, dtype=np.int64).ravel()
     if not index.size == amp.size == column.size:
         raise ValueError("index, amp and column must have the same length")
     if n + int(column.max(initial=0)).bit_length() > _KEY_BITS:
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    rows, key = _unpack(index, n), None   # wire rows (row q is wire q), or None and keys
-    k = member = None   # family size, and each entry's member (column % k)
+    key = (column << n) | index
+    bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
+    member = None   # each entry's family member, column % k, until an H reorders the entries
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
-        if kind is H:
-            q = qubits[0]
-            bit = 1 << (n - 1 - q)
-            member = None
-            if rows is None or rows[q].any():
-                if rows is not None:
-                    key, rows = (column << n) | _pack(rows, n), None
-                key, amp = _hadamard(key, amp, bit)
-                continue
-            # no row has the bit, so nothing merges: each entry splits in two
-            half = _SQRT_HALF * amp
-            if not half.all():
-                keep = half != 0
-                half = half[keep]
-                rows, column = [row[keep] for row in rows], column[keep]
-            amp = np.concatenate((half, half))
-            rows = list(np.concatenate((rows, rows), axis=1))
-            rows[q][half.size:] = 1
-            column = np.concatenate((column, column))
-            continue
-        if kind is RZ or kind in _PHASE:   # diagonal: a factor per entry, picked by its hit
-            if rows is not None:
-                hit = rows[qubits[0]] if len(qubits) == 1 else rows[qubits[0]] & rows[qubits[1]]
-            else:
-                mask = sum(1 << (n - 1 - q) for q in qubits)
-                hit = ((key & mask) == mask).view(np.uint8)
-            if kind is not RZ:
-                amp *= _PHASE[kind].take(hit)
-                continue
-            phase = np.exp(1j * np.atleast_1d(gate.angle))
-            if phase.size == 1:
-                amp *= np.concatenate(((1.0,), phase)).take(hit)
-                continue
-            if k is None:
-                k = circuit.members()   # raises if array angles differ in length
-            if member is None:
-                member = (column if rows is not None else key >> n) % k
-            amp *= np.stack((np.ones(k), phase))[hit, member]
-            continue
-        # X, CNOT, Toffoli and SWAP move each entry to one new index
-        if rows is None:
-            column, rows, key = key >> n, _unpack(key, n), None
-        if kind is CNOT:
-            rows[qubits[1]] ^= rows[qubits[0]]
+        if kind is CNOT:   # the control's bit moved onto the target's
+            c, t = qubits
+            moved = key >> (t - c) if t > c else key << (c - t)
+            moved &= bits[t]
+            key ^= moved
         elif kind is TOFFOLI:
-            rows[qubits[2]] ^= rows[qubits[0]] & rows[qubits[1]]
+            mask = bits[qubits[0]] | bits[qubits[1]]
+            key ^= ((key & mask) == mask) * bits[qubits[2]]
         elif kind is X:
-            rows[qubits[0]] ^= 1
-        else:
-            a, b = qubits
-            rows[a], rows[b] = rows[b], rows[a]
-    if rows is not None:
-        return _pack(rows, n), amp, column
+            key ^= bits[qubits[0]]
+        elif kind is SWAP:   # where the two bits differ, flip both
+            a, b = sorted(qubits)
+            differ = (key ^ (key >> (b - a))) & bits[b]
+            key ^= differ | (differ << (b - a))
+        elif kind is H:
+            key, amp = _hadamard(key, amp, bits[qubits[0]])
+            member = None
+        else:   # diagonal: each entry's phase where it hits, else 1
+            mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
+            phase = _PHASE.get(kind)
+            if phase is None:   # RZ: one angle, or one per family member
+                phase = np.exp(1j * np.atleast_1d(gate.angle))
+                if phase.size > 1:
+                    if member is None:   # members() raises if array angles differ in length
+                        member = (key >> n) % circuit.members()
+                    phase = phase.take(member)
+            amp *= np.where((key & mask) == mask, phase, 1.0)
     return key & ((1 << n) - 1), amp, key >> n
 
 

@@ -37,7 +37,7 @@ FH_NORMS = {
 _HOP_COMM_COEFF = (math.sqrt(5.0) + 8.0) / 6.0
 
 
-def fh_w(L: int, t: float = 1.0, u: float = 8.0) -> float:
+def fh_w(L: int, t: float, u: float) -> float:
     """Fermi-Hubbard Trotter bound.
 
     First term is the closed-form hopping/on-site commutator bound; the two
@@ -131,11 +131,11 @@ _CUPRATE_POLY = _factors(_CUPRATE_TERMS)
 _PNICTIDE_POLY = _factors(_PNICTIDE_TERMS)
 
 
-def cuprate_w(L: int, t=1.0, t_prime=0.3, t_dprime=0.2, u=8.0) -> float:
+def cuprate_w(L: int, t, t_prime, t_dprime, u) -> float:
     return L * L * _poly(_CUPRATE_POLY, (t, t_prime, t_dprime, u))
 
 
-def pnictide_w(L: int, t1=1.0, t2=1.3, t3=0.85, t4=0.85, u=8.0, v=8.0) -> float:
+def pnictide_w(L: int, t1, t2, t3, t4, u, v) -> float:
     return L * L * _poly(_PNICTIDE_POLY, (t1, t2, t3, t4, u, v))
 
 

@@ -17,7 +17,7 @@ from lattice_qre import cli
 from lattice_qre.model import Model, ModelSpec
 from lattice_qre.primitives import HwpStrategy, hwp_cost
 from lattice_qre.reference_tables import QUBITIZATION_TABLES, TROTTER_TABLES
-from lattice_qre.trotter_bounds import cuprate_w, fh_w, pnictide_w
+from lattice_qre.trotter_bounds import pnictide_w, trotter_bound
 from lattice_qre.trotter_cost import Strategy
 
 
@@ -65,8 +65,8 @@ def test_criterion_2_qubitization_qubits_exact(qubitization_sweep):
 
 def test_criterion_3_fh_w_small_L():
     rows = [L for L in TROTTER_TABLES[Model.FERMI_HUBBARD] if L <= 16]
-    bad = [L for L in rows
-           if round3(fh_w(L)) != TROTTER_TABLES[Model.FERMI_HUBBARD][L][0]]
+    bad = [L for L in rows if round3(trotter_bound(ModelSpec(Model.FERMI_HUBBARD, L)))
+           != TROTTER_TABLES[Model.FERMI_HUBBARD][L][0]]
     report("3 (FH W exact at 3 sig figs, L <= 16)", not bad, f"bad rows {bad}")
     assert bad == []
 
@@ -79,15 +79,15 @@ def test_criterion_3_fh_w_small_L():
 )
 def test_criterion_3_fh_w_large_L():
     rows = [L for L in TROTTER_TABLES[Model.FERMI_HUBBARD] if L >= 18]
-    bad = [L for L in rows
-           if round3(fh_w(L)) != TROTTER_TABLES[Model.FERMI_HUBBARD][L][0]]
+    bad = [L for L in rows if round3(trotter_bound(ModelSpec(Model.FERMI_HUBBARD, L)))
+           != TROTTER_TABLES[Model.FERMI_HUBBARD][L][0]]
     report("3 (FH W exact at 3 sig figs, L >= 18)", not bad, f"bad rows {bad}")
     assert bad == []
 
 
 def test_criterion_3_cuprate_w():
     worst = max(
-        abs(cuprate_w(L) - TROTTER_TABLES[Model.CUPRATE][L][0])
+        abs(trotter_bound(ModelSpec(Model.CUPRATE, L)) - TROTTER_TABLES[Model.CUPRATE][L][0])
         / TROTTER_TABLES[Model.CUPRATE][L][0]
         for L in TROTTER_TABLES[Model.CUPRATE]
     )
@@ -103,7 +103,7 @@ def test_criterion_3_cuprate_w():
 )
 def test_criterion_3_pnictide_w_at_half_percent():
     worst = max(
-        abs(pnictide_w(L) - TROTTER_TABLES[Model.PNICTIDE][L][0])
+        abs(trotter_bound(ModelSpec(Model.PNICTIDE, L)) - TROTTER_TABLES[Model.PNICTIDE][L][0])
         / TROTTER_TABLES[Model.PNICTIDE][L][0]
         for L in TROTTER_TABLES[Model.PNICTIDE]
     )
@@ -114,12 +114,12 @@ def test_criterion_3_pnictide_w_at_half_percent():
 def test_criterion_3_pnictide_w_envelope():
     """The achievable pnictide facts: v=8 within 2%, fitted v within 0.5%."""
     worst_default = max(
-        abs(pnictide_w(L) - TROTTER_TABLES[Model.PNICTIDE][L][0])
+        abs(trotter_bound(ModelSpec(Model.PNICTIDE, L)) - TROTTER_TABLES[Model.PNICTIDE][L][0])
         / TROTTER_TABLES[Model.PNICTIDE][L][0]
         for L in TROTTER_TABLES[Model.PNICTIDE]
     )
     worst_fit = max(
-        abs(pnictide_w(L, v=7.91) - TROTTER_TABLES[Model.PNICTIDE][L][0])
+        abs(trotter_bound(ModelSpec(Model.PNICTIDE, L).with_couplings(v=7.91)) - TROTTER_TABLES[Model.PNICTIDE][L][0])
         / TROTTER_TABLES[Model.PNICTIDE][L][0]
         for L in TROTTER_TABLES[Model.PNICTIDE]
     )
@@ -128,7 +128,7 @@ def test_criterion_3_pnictide_w_envelope():
     assert worst_default <= 0.02
     assert worst_fit <= 0.005
     # the alternative reading of the benchmark couplings is far worse
-    assert abs(pnictide_w(4, t2=0.85) - 1.14e4) / 1.14e4 > 0.05
+    assert abs(trotter_bound(ModelSpec(Model.PNICTIDE, 4).with_couplings(t2=0.85)) - 1.14e4) / 1.14e4 > 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_criterion_6_circuit_suite(circuit_checks):
 
 def test_criterion_7_properties(circuit_checks):
     rng = np.random.default_rng(42)
-    w_base = pnictide_w(4)
+    w_base = trotter_bound(ModelSpec(Model.PNICTIDE, 4))
     lam_base = 556.8
     for s in rng.uniform(1e-3, 10.0, size=100):
         scaled = pnictide_w(4, s, 1.3 * s, 0.85 * s, 0.85 * s, 8 * s, 8 * s)

@@ -305,6 +305,24 @@ class TestStateVector:
             circ.extend([Gate(GateKind.X, [qubit])])
         assert circ.gates == []
 
+    @pytest.mark.parametrize("n", [3.0, True, "3", np.float64(3)],
+                             ids=["float", "bool", "str", "float64"])
+    def test_non_integer_qubit_counts_rejected(self, n):
+        # refused when the circuit is made, not at the first shift by it
+        with pytest.raises(ValueError, match=re.escape(f"n_qubits {n!r} is not an integer")):
+            Circuit(n)
+        assert Circuit(np.int64(3)).n_qubits == 3 and type(Circuit(np.int64(3)).n_qubits) is int
+
+    @pytest.mark.parametrize("index, column, named", [
+        ([1.5], [0], "index"), ([1], [0.7], "column"), ([1.0], [0], "index"),
+        ([True], [0], "index")], ids=["float-index", "float-column", "whole-float", "bool"])
+    def test_non_integer_index_or_column_rejected(self, index, column, named):
+        # refused, naming the array, rather than truncated to index 1 or column 0
+        with pytest.raises(ValueError, match=f"^{named} must be integers"):
+            simulate(Circuit(2), index, [1.0], column)
+        out = simulate(Circuit(2), [], [], [])   # empty input of any kind stays accepted
+        assert all(a.size == 0 for a in out)
+
     def test_integer_like_qubits_become_ints(self):
         gate = Gate(GateKind.CNOT, [np.int64(2), np.uint8(0)])
         assert gate.qubits == (2, 0) and all(type(q) is int for q in gate.qubits)
@@ -316,9 +334,9 @@ class TestStateVector:
 
 
 def _reference_simulate(circuit, index, amp, column):
-    """The integer-index kernel the wire-row kernel replaced: every gate on
-    the int64 basis indices, H pairing partners by one stable sort of the
-    (column, index) keys.  Kept as an independent reference."""
+    """An independent reference kernel: every gate on the int64 basis
+    indices through per-wire shifts, H pairing partners by one stable sort
+    of the (column, index) keys and no split without a sort."""
     n = circuit.n_qubits
     circuit.members()
     index = np.array(index, dtype=np.int64).ravel()
@@ -398,7 +416,7 @@ def _circuits_and_inputs(draw):
 
 
 class TestKernelAgainstReference:
-    """The wire-row kernel against the integer-index one it replaced."""
+    """The kernel against the reference kernel above."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(case=_circuits_and_inputs())
@@ -416,8 +434,8 @@ class TestKernelAgainstReference:
 
     def test_classical_runs_between_merging_hadamards(self):
         # runs of CNOT/Toffoli/SWAP/X between H gates whose partners are
-        # present, so that the state goes from keys to wire rows and back
-        # at every H, on a family
+        # present, so that every H merges entries the classical gates
+        # moved, on a family
         rng = np.random.default_rng(31)
         n, k = 6, 3
         circ = Circuit(n)
@@ -449,8 +467,9 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("n", [53, 54, 62])
     def test_wide_circuits_pack_exactly(self, n):
-        # wire rows packed back into indices of up to 62 bits, on either side
-        # of the 53 bits a float64 holds exactly
+        # keys of 53, 54 and 62 bits: the classical gates' shifts and masks
+        # and the H split reach the top index bit, and the output index is
+        # cut from the key exactly, past the 53 bits a float64 holds
         circ = Circuit(n)
         circ.x(0); circ.cnot(0, n - 1); circ.toffoli(0, n - 1, 1); circ.swap(1, n - 2)
         circ.h(0); circ.cnot(n - 2, 2); circ.x(3); circ.toffoli(2, 3, n - 3); circ.h(n - 1)

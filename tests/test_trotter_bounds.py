@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,17 +31,17 @@ def round3(x: float) -> float:
 
 class TestFhBound:
     def test_reference_values(self):
-        assert round3(fh_w(4)) == 2.82e2
-        assert round3(fh_w(6)) == 6.54e2
+        assert round3(trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 4))) == 2.82e2
+        assert round3(trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 6))) == 6.54e2
 
     def test_zero_hopping(self):
         assert fh_w(4, t=0.0, u=8.0) == 0.0
 
     def test_untabulated_L_rejected(self):
         with pytest.raises(InvalidLattice):
-            fh_w(34)
+            fh_w(34, 1.0, 8.0)
         with pytest.raises(InvalidLattice):
-            fh_w(5)
+            fh_w(5, 1.0, 8.0)
 
     def test_homogeneity_degree_three(self):
         rng = np.random.default_rng(3)
@@ -58,7 +59,7 @@ class TestFhBound:
         # L = 4 has a zero hopping-commutator norm, so u = 0 leaves no
         # Trotter error to budget there, and only there
         free = FermiHubbardCouplings(t=1.0, u=0.0)
-        assert fh_w(4, u=0.0) == 0.0
+        assert fh_w(4, t=1.0, u=0.0) == 0.0
         assert trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 6, free)) > 0.0
         with pytest.raises(ValueError, match="W is 0"):
             trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 4, free))
@@ -68,8 +69,8 @@ class TestPolynomialBounds:
     def test_cuprate_reference(self):
         # reference values carry 3 significant figures; the polynomial lands
         # within half a percent of them (its own acceptance tolerance)
-        assert cuprate_w(4) == pytest.approx(7.91e2, rel=5e-3)
-        assert cuprate_w(32) == pytest.approx(5.06e4, rel=5e-3)
+        assert trotter_bound(ModelSpec(Model.CUPRATE, 4)) == pytest.approx(7.91e2, rel=5e-3)
+        assert trotter_bound(ModelSpec(Model.CUPRATE, 32)) == pytest.approx(5.06e4, rel=5e-3)
 
     def test_cuprate_zero(self):
         assert cuprate_w(4, 0, 0, 0, 0) == 0.0
@@ -79,8 +80,8 @@ class TestPolynomialBounds:
 
     def test_homogeneity_degree_three(self):
         rng = np.random.default_rng(5)
-        cu = cuprate_w(4)
-        pn = pnictide_w(4)
+        cu = trotter_bound(ModelSpec(Model.CUPRATE, 4))
+        pn = trotter_bound(ModelSpec(Model.PNICTIDE, 4))
         for s in rng.uniform(1e-2, 10.0, size=100):
             assert cuprate_w(4, s, 0.3 * s, 0.2 * s, 8 * s) == pytest.approx(
                 s**3 * cu, rel=1e-12)
@@ -95,10 +96,11 @@ class TestPolynomialBounds:
             assert cuprate_w(4, *c[:4]) >= 0.0
 
     def test_dispatch(self):
-        # each bound's default couplings equal the model's defaults
-        assert trotter_bound(ModelSpec(Model.FERMI_HUBBARD, 8)) == fh_w(8)
-        assert trotter_bound(ModelSpec(Model.CUPRATE, 8)) == cuprate_w(8)
-        assert trotter_bound(ModelSpec(Model.PNICTIDE, 6)) == pnictide_w(6)
+        # each coupling goes to the bound's parameter of the same name
+        for kind, L, w in ((Model.FERMI_HUBBARD, 8, fh_w), (Model.CUPRATE, 8, cuprate_w),
+                           (Model.PNICTIDE, 6, pnictide_w)):
+            spec = ModelSpec(kind, L)
+            assert trotter_bound(spec) == w(L, **asdict(spec.couplings))
 
 
 def _generator_poly(terms, values) -> float:
