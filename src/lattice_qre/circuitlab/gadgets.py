@@ -11,9 +11,10 @@ tally.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
-from ..primitives import CostVector, HwpStrategy, floor_log2, hamming_adders
+from ..primitives import CostVector, HwpStrategy, hamming_adders
 from .statevector import Circuit
 
 # ---------------------------------------------------------------------------
@@ -38,36 +39,33 @@ def full_adder(circ: Circuit, a: int, b: int, c: int, carry: int) -> None:
     circ.cnot(a, b)
 
 
-@dataclass
-class HammingWeightGadget:
-    circuit: Circuit          # compute direction only
-    inputs: list[int]
-    outputs: list[int]        # weight bits, least significant first
-    ancillas: list[int]
+# The compute direction of the adder chain and its weight bits, least
+# significant first.
+HammingWeightGadget = namedtuple("HammingWeightGadget", "circuit outputs")
 
 
 def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget:
-    """Chain of half/full adders summing M one-bit inputs into their weight.
+    """Chain of half/full adders summing M one-bit inputs, on wires 0..M-1,
+    into their weight.
 
-    Uses exactly ``M - popcount(M)`` adders (one Toffoli each), writing each
-    carry into a fresh ancilla.  ``n_extra_qubits`` reserves trailing wires
-    for callers that extend the circuit.
+    Uses exactly ``hamming_adders(M) = M - popcount(M)`` adders (one Toffoli
+    each), writing each carry into a fresh ancilla, the wires from M on.
+    ``n_extra_qubits`` reserves trailing wires for callers that extend the
+    circuit.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
     n_anc = hamming_adders(M)
     circ = Circuit(M + n_anc + n_extra_qubits)
-    inputs = list(range(M))
     next_free = M
-    outputs, ancillas = [], []
+    outputs = []
 
-    bits = list(inputs)  # wires holding weight-1 bits
+    bits = list(range(M))  # wires holding weight-1 bits
     while bits:
         carries = []
         while len(bits) > 1:
             carry = next_free
             next_free += 1
-            ancillas.append(carry)
             if len(bits) >= 3:
                 full_adder(circ, bits[0], bits[1], bits[2], carry)
                 bits = [bits[2]] + bits[3:]
@@ -78,8 +76,8 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
         outputs.append(bits[0])
         bits = carries
 
-    assert len(ancillas) == n_anc
-    return HammingWeightGadget(circ, inputs, outputs, ancillas)
+    assert next_free == M + n_anc
+    return HammingWeightGadget(circ, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +154,13 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     array ``theta`` builds the family of these gadgets, one per angle.
     """
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
-    k = floor_log2(M) + 1
+    k = M.bit_length()
     hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
     circ = hw.circuit
     uncompute = circ.inverted()
     catalyst, prep = [], None
     if catalyzed:
-        base = M + len(hw.ancillas)
+        base = M + hamming_adders(M)
         catalyst = list(range(base, base + k))
         borrows = list(range(base + k, base + 2 * k))
         prep = Circuit(circ.n_qubits)
@@ -177,7 +175,7 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
             circ.rz(wire, (1 << i) * theta)
         uncompute_from = len(circ.gates)
     circ.extend(uncompute.gates)
-    return HwpGadget(circ, prep, hw.inputs, catalyst, uncompute_from)
+    return HwpGadget(circ, prep, list(range(M)), catalyst, uncompute_from)
 
 
 # ---------------------------------------------------------------------------

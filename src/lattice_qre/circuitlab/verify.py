@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..primitives import HwpStrategy, hamming_adders, hwp_cost
+from ..primitives import HwpStrategy, hamming_adders, hwp_counts
 from .fermion import CAR_TOLERANCE, FermionOracle
 from .gadgets import (
     build_fswap,
@@ -151,13 +151,13 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
 
 @_check("hwp_tallies", 0.0)
 def check_hwp_tallies(sizes=(1, 2, 3, 4, 5)) -> float:
-    """Toffoli/rotation tallies read from the built circuits match hwp_cost."""
+    """Toffoli/rotation tallies read from the built circuits match hwp_counts."""
     worst = 0.0
     for m in sizes:
         for strategy in HwpStrategy:
-            counted, predicted = build_hwp(m, 0.731, strategy).counted, hwp_cost(m, strategy)
-            worst = max(worst, abs(counted.toffoli - predicted.toffoli),
-                        abs(counted.rz - predicted.rz))
+            counted = build_hwp(m, 0.731, strategy).counted
+            toffoli, rz = hwp_counts(m, strategy is HwpStrategy.CATALYZED)
+            worst = max(worst, abs(counted.toffoli - toffoli), abs(counted.rz - rz))
     return worst
 
 
@@ -182,15 +182,20 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     return worst
 
 
+def _conjugation_deviation(u: np.ndarray, oracle: FermionOracle, targets) -> float:
+    """max over the modes i of max |U a_i U† - targets[i]|."""
+    u_dagger = u.conj().T
+    return max(float(np.max(np.abs(u @ oracle.a(i) @ u_dagger - target)))
+               for i, target in enumerate(targets))
+
+
 @_check("fswap", 1e-12)
 def check_fswap() -> float:
     """Fermionic swaps exchange their two modes, and the long-range one is
     built from 2(j - i) - 1 adjacent swaps."""
-    worst = 0.0
     oracle = FermionOracle(2)
     u = build_fswap(2, 0, 1).unitary()
-    worst = max(worst, float(np.max(np.abs(u @ oracle.a(1) @ u.conj().T - oracle.a(0)))))
-    worst = max(worst, float(np.max(np.abs(u @ oracle.a(0) @ u.conj().T - oracle.a(1)))))
+    worst = _conjugation_deviation(u, oracle, [oracle.a(1), oracle.a(0)])
     worst = max(worst, float(np.max(np.abs(u @ u - np.eye(4)))))  # involution
     # |01> -> |10>, |11> -> -|11>
     worst = max(worst, float(abs(u[2, 1] - 1.0)), float(abs(u[3, 3] + 1.0)))
@@ -198,12 +203,8 @@ def check_fswap() -> float:
     oracle5 = FermionOracle(5)
     circ = build_fswap(5, 0, 3)
     worst = max(worst, float(abs(circ.counts()["swap"] - 5)))
-    u = circ.unitary()
-    exchanged = {0: 3, 3: 0, 1: 1, 2: 2, 4: 4}
-    for src, dst in exchanged.items():
-        dev = np.max(np.abs(u @ oracle5.a(src) @ u.conj().T - oracle5.a(dst)))
-        worst = max(worst, float(dev))
-    return worst
+    return max(worst, _conjugation_deviation(circ.unitary(), oracle5,
+                                             [oracle5.a(j) for j in (3, 1, 2, 0, 4)]))
 
 
 @_check("two_site_fourier", 1e-12)
@@ -216,11 +217,8 @@ def check_two_site_fourier() -> float:
     worst = float(abs(circ.counts()["t"] - 2))
     worst = max(worst, float(np.max(np.abs(f @ f.conj().T - np.eye(4)))))
     worst = max(worst, float(abs(f[0, 0] - 1.0)))  # fixes the vacuum
-    target_a = sqrt_half * (oracle.a(0) + oracle.a(1))
-    target_b = sqrt_half * (oracle.a(0) - oracle.a(1))
-    worst = max(worst, float(np.max(np.abs(f @ oracle.a(0) @ f.conj().T - target_a))))
-    worst = max(worst, float(np.max(np.abs(f @ oracle.a(1) @ f.conj().T - target_b))))
-    return worst
+    return max(worst, _conjugation_deviation(f, oracle, [
+        sqrt_half * (oracle.a(0) + oracle.a(1)), sqrt_half * (oracle.a(0) - oracle.a(1))]))
 
 
 def plaquette_generator(oracle: FermionOracle) -> np.ndarray:

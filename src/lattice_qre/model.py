@@ -41,12 +41,19 @@ class InvalidLattice(ValueError):
 
 @dataclass(frozen=True)
 class FermiHubbardCouplings:
+    """Fermi-Hubbard couplings, in the energy unit of the error target
+    ``delta_e``: nearest-neighbour hopping ``t`` and on-site repulsion ``u``."""
+
     t: float = 1.0
     u: float = 8.0
 
 
 @dataclass(frozen=True)
 class CuprateCouplings:
+    """Single-orbital cuprate couplings, in the energy unit of the error
+    target ``delta_e``: first-, second- and third-neighbour hoppings ``t``,
+    ``t_prime`` and ``t_dprime``, and on-site repulsion ``u``."""
+
     t: float = 1.0
     t_prime: float = 0.3
     t_dprime: float = 0.2
@@ -55,6 +62,11 @@ class CuprateCouplings:
 
 @dataclass(frozen=True)
 class PnictideCouplings:
+    """Two-orbital pnictide couplings, in the energy unit of the error
+    target ``delta_e``: anisotropic nearest-neighbour hoppings ``t1`` and
+    ``t2``, diagonal hoppings ``t3`` and ``t4``, and intra- and
+    inter-orbital repulsions ``u`` and ``v``."""
+
     t1: float = 1.0
     t2: float = 1.3
     t3: float = 0.85
@@ -83,7 +95,8 @@ def default_couplings(kind: Model):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model kind plus lattice size and couplings.
+    """A model ``kind`` plus lattice size ``L`` and ``couplings`` (an
+    instance of the model's coupling class; None takes its defaults).
 
     ``L`` must be an integer (stored as ``operator.index`` gives it), even
     and at least 2 (Fermi-Hubbard) or 4 (cuprate, pnictide), and L^2 must
@@ -170,20 +183,21 @@ def lcu_lambda(spec: ModelSpec) -> float:
     """1-norm of the LCU coefficients of the Jordan-Wigner-transformed,
     chemical-potential-shifted Hamiltonian.
 
-    Scales exactly as L^2 and is degree-1 homogeneous in the couplings.
+    Scales exactly as L^2 and is degree-1 homogeneous in the couplings;
+    ``ValueError`` when it overflows.
     """
     c = spec.couplings
     L2 = spec.L * spec.L
     if spec.kind is FERMI_HUBBARD:
-        return 4.0 * L2 * abs(c.t) + abs(c.u) * L2 / 4.0
-    if spec.kind is CUPRATE:
-        return 4.0 * L2 * (abs(c.t) + abs(c.t_prime) + abs(c.t_dprime)) + abs(c.u) * L2 / 4.0
-    return L2 * (
-        4.0 * (abs(c.t1) + abs(c.t2))
-        + 8.0 * (abs(c.t3) + abs(c.t4))
-        + abs(c.u) / 2.0
-        + abs(c.v)
-    )
+        lam = 4.0 * L2 * abs(c.t) + abs(c.u) * L2 / 4.0
+    elif spec.kind is CUPRATE:
+        lam = 4.0 * L2 * (abs(c.t) + abs(c.t_prime) + abs(c.t_dprime)) + abs(c.u) * L2 / 4.0
+    else:
+        lam = L2 * (4.0 * (abs(c.t1) + abs(c.t2)) + 8.0 * (abs(c.t3) + abs(c.t4))
+                    + abs(c.u) / 2.0 + abs(c.v))
+    if not math.isfinite(lam):
+        raise ValueError(f"the LCU 1-norm lambda overflows at L={spec.L} for the couplings {c}")
+    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,10 @@ such solves checked.  Deterministic: the same inputs give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    point: float
-    evaluations: int
+# The certified minimum and the evaluations of ``slope`` it took.
+MinimizeResult = namedtuple("MinimizeResult", "point evaluations")
 
 
 def minimize(slope, root: float | None, upper: float = math.inf) -> MinimizeResult | None:

@@ -12,8 +12,7 @@ expectations, not worst cases.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 RUS_T_SLOPE = 0.53
@@ -25,17 +24,9 @@ class HwpStrategy(str, Enum):
     CATALYZED = "catalyzed"
 
 
-@dataclass(frozen=True)
-class CostVector:
-    """Tally of non-Clifford gates."""
-
-    toffoli: float = 0.0
-    t_gates: float = 0.0
-    rz: int = 0
-
-    def __post_init__(self):
-        if min(self.toffoli, self.t_gates, self.rz) < 0:
-            raise ValueError("cost components must be non-negative")
+# Tally of non-Clifford gates: Toffolis, T gates and rotations.  Built only
+# from counts that cannot be negative (``step_cost``, ``HwpGadget.counted``).
+CostVector = namedtuple("CostVector", "toffoli t_gates rz")
 
 
 def hamming_adders(M: int) -> int:
@@ -45,34 +36,18 @@ def hamming_adders(M: int) -> int:
     return M - M.bit_count()
 
 
-def floor_log2(M: int) -> int:
-    if M < 1:
-        raise ValueError(f"floor_log2 needs M >= 1, got {M}")
-    return M.bit_length() - 1
-
-
 def ceil_log2(M: int) -> int:
     if M < 1:
         raise ValueError(f"ceil_log2 needs M >= 1, got {M}")
     return (M - 1).bit_length()
 
 
-def _hwp_counts(M: int, catalyzed: bool) -> tuple[int, int]:
-    """(Toffolis, rotations) of Hamming-weight phasing on M >= 1 rotations: the weight's
-    adders and a rotation per weight bit, floor(log2 M) + 1 of them, or, catalyzed, the adders,
-    a phase-gradient addition over the weight bits (a Toffoli each) and one rotation."""
+def hwp_counts(M: int, catalyzed: bool) -> tuple[int, int]:
+    """(Toffolis, rotations) of one layer of M >= 1 same-angle Z-rotations by
+    Hamming-weight phasing: the weight's adders and a rotation per weight bit,
+    M.bit_length() of them, or, catalyzed, the adders, a phase-gradient
+    addition over the weight bits against a catalyst state (a Toffoli each)
+    and one rotation.  The catalyst's one-time synthesis is charged by the
+    callers."""
     adders, bits = hamming_adders(M), M.bit_length()
     return (adders + bits, 1) if catalyzed else (adders, bits)
-
-
-def hwp_cost(M: int, strategy: HwpStrategy) -> CostVector:
-    """Cost of one layer of M same-angle Z-rotations via Hamming-weight phasing.
-
-    Baseline rotates the weight register directly; catalyzed replaces those
-    rotations with a phase-gradient addition against a catalyst state, whose
-    one-time synthesis is charged separately by the callers.
-    """
-    if M < 1:
-        raise ValueError(f"hwp_cost needs M >= 1, got {M}")
-    toffoli, rz = _hwp_counts(M, HwpStrategy(strategy) is HwpStrategy.CATALYZED)
-    return CostVector(toffoli=toffoli + 0.0, rz=rz)

@@ -71,12 +71,22 @@ def query_count(lam: float, delta_e: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class QubitizationEstimate:
+    """A qubitization run: the ``spec`` it costs, its energy error target
+    ``delta_e``, the fraction ``x`` of the squared phase-error budget given
+    to phase estimation, the LCU 1-norm ``lam`` (an energy, in the unit of
+    ``delta_e``) and ``n_queries``, the number of walk-operator queries (a
+    float: the continuous bound).  Over all queries, ``n_t`` T gates (the synthesized
+    rotations and the direct T gates) and ``n_toffoli`` Toffolis;
+    ``total_toffoli`` counts two T gates as one Toffoli.  ``total_qubits``
+    is the number of logical qubits: phase register, system register and
+    the walk's ancillas."""
+
     spec: ModelSpec
     delta_e: float
     x: float
     lam: float
     n_queries: float
-    n_t: float           # T count after rotation synthesis, incl. direct T
+    n_t: float
     n_toffoli: float
     total_qubits: int
 

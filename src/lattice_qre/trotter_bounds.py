@@ -170,7 +170,10 @@ class TrotterBudget:
     Phase estimation gets y*ΔE, the Trotter error gets (1-s)(1-y)*ΔE and
     rotation synthesis gets s(1-y)*ΔE, further split s = x + z between the
     per-step rotations (x) and the catalyst-state synthesis (z).  Baseline
-    strategies carry no catalysts and run with z = 0.
+    strategies carry no catalysts and run with z = 0.  ``delta_e`` is ΔE,
+    an energy; ``y``, ``x`` and ``z`` are shares; ``tau`` is the evolution
+    time of one phase-estimation query (an inverse energy), which its r
+    steps slice into tau/r.
     """
 
     delta_e: float

@@ -50,7 +50,7 @@ from .model import (
     system_qubits,
 )
 from .optimize import minimize
-from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, CostVector, _hwp_counts, hamming_adders
+from .primitives import RUS_T_OFFSET, RUS_T_SLOPE, CostVector, hamming_adders, hwp_counts
 from .trotter_bounds import TrotterBudget, tau_max, trotter_bound, trotter_steps
 
 QPE_QUERY_CONSTANT = 0.76 * math.pi
@@ -110,7 +110,7 @@ def _structure(kind: Model, L: int, strategy: Strategy
 
     - line: the (Toffoli, T, rz) of the evolution at r = 0 and their slope
       in r, exact ints: each layer's runs (``_hwp_runs``) cost
-      ``_hwp_counts`` per application, and every multiplicity and the
+      ``hwp_counts`` per application, and every multiplicity and the
       direct T count are affine in r.
     - catalysts: (charged, count), (0, 0) unless catalyzed: the catalyst
       rotations charged with synthesis T gates (budget slice z), and the
@@ -132,7 +132,7 @@ def _structure(kind: Model, L: int, strategy: Strategy
     toffoli_a = toffoli_b = rz_a = rz_b = m_hw = 0
     for size, a, b, angles in layers:
         m, runs = _hwp_runs(L, size, batched)
-        toffoli, rz = _hwp_counts(m, catalyzed)
+        toffoli, rz = hwp_counts(m, catalyzed)
         toffoli_a += a * runs * toffoli
         toffoli_b += b * runs * toffoli
         rz_a += a * runs * rz
@@ -208,6 +208,18 @@ def _cost(step: tuple[float, float, int], catalysts: tuple[int, int], p: float, 
 
 @dataclass(frozen=True)
 class TrotterEstimate:
+    """A Trotter run: the ``spec`` and ``strategy`` it costs, the error
+    ``budget`` it spends, the Trotter bound ``w_bound`` (W, an energy
+    cubed, in the unit of the error target) and ``r``, the steps of one
+    evolution.  ``n_queries`` is the number of phase-estimation queries (a
+    float: the continuous bound), each one evolution.  Per query,
+    ``n_toffoli_per_u`` Toffolis, ``n_t_direct`` bare T gates (two-site
+    Fourier transforms) and ``n_t2`` synthesized T gates of the per-layer
+    rotations; ``n_t1`` counts the synthesized T gates of the catalyst
+    states per query, or once for the run when they are amortized.
+    ``total_toffoli`` is the run's Toffolis with two T gates counted as
+    one, and ``total_qubits`` its number of logical qubits."""
+
     spec: ModelSpec
     strategy: Strategy
     budget: TrotterBudget

@@ -15,7 +15,7 @@ import pytest
 
 from lattice_qre import cli
 from lattice_qre.model import Model, ModelSpec
-from lattice_qre.primitives import HwpStrategy, hwp_cost
+from lattice_qre.primitives import hwp_counts
 from lattice_qre.reference_tables import QUBITIZATION_TABLES, TROTTER_TABLES
 from lattice_qre.trotter_bounds import pnictide_w, trotter_bound
 from lattice_qre.trotter_cost import Strategy
@@ -266,8 +266,7 @@ def test_criterion_7_properties(circuit_checks):
         assert lcu_lambda(spec) == pytest.approx(s * lam_base, rel=1e-12)
 
     for m in range(1, 4097):
-        gap = (hwp_cost(m, HwpStrategy.CATALYZED).toffoli
-               - hwp_cost(m, HwpStrategy.BASELINE).toffoli)
+        gap = hwp_counts(m, True)[0] - hwp_counts(m, False)[0]
         assert gap == math.floor(math.log2(m)) + 1
 
     # cost model vs built circuits

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_qre.model import Model
-from lattice_qre.primitives import HwpStrategy, floor_log2, hamming_adders, hwp_cost
+from lattice_qre.primitives import HwpStrategy, hamming_adders, hwp_counts
 from lattice_qre.trotter_cost import _STEPS, Strategy, _hwp_runs
 from lattice_qre.circuitlab import Circuit, FermionOracle, apply_circuit, zero_state
 from lattice_qre.circuitlab import gadgets
@@ -628,9 +628,9 @@ class TestHwpGadgets:
         for m in (1, 2, 3, 4, 5):
             for strategy in HwpStrategy:
                 gadget = build_hwp(m, 0.37, strategy)
-                predicted = hwp_cost(m, strategy)
-                assert gadget.counted.toffoli == predicted.toffoli
-                assert gadget.counted.rz == predicted.rz
+                toffoli, rz = hwp_counts(m, strategy is HwpStrategy.CATALYZED)
+                assert gadget.counted.toffoli == toffoli
+                assert gadget.counted.rz == rz
 
     def test_size_limit(self):
         for strategy in HwpStrategy:
@@ -639,7 +639,7 @@ class TestHwpGadgets:
 
     def test_tallies_at_the_charged_sizes(self):
         # every run size M the step table charges for L = 4..16: the tally of
-        # the circuit's compute direction is hwp_cost(M), and its wires are
+        # the circuit's compute direction is hwp_counts(M), and its wires are
         # the M targets plus the workspace, catalyst and borrow registers
         # that total_qubits counts
         sizes = {_hwp_runs(L, size, strategy.batched)[0]
@@ -650,8 +650,10 @@ class TestHwpGadgets:
         for m in sorted(sizes):
             for strategy in HwpStrategy:
                 gadget = build_hwp(m, 0.731, strategy)
-                assert gadget.counted == hwp_cost(m, strategy)
-                registers = 2 * (floor_log2(m) + 1) if strategy is HwpStrategy.CATALYZED else 0
+                catalyzed = strategy is HwpStrategy.CATALYZED
+                toffoli, rz = hwp_counts(m, catalyzed)
+                assert gadget.counted == (toffoli, 0, rz)
+                registers = 2 * m.bit_length() if catalyzed else 0
                 assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
 
     @pytest.mark.parametrize("m", range(6, 15))
@@ -763,8 +765,7 @@ class TestMutantsFail:
     def test_adder_chain_missing_last_gate(self, monkeypatch):
         def broken(m):
             gadget = build_hamming_weight(m)
-            gadget.circuit = _without_last(gadget.circuit)
-            return gadget
+            return gadget._replace(circuit=_without_last(gadget.circuit))
         monkeypatch.setattr(verify, "build_hamming_weight", broken)
         assert not verify.check_hamming_weight().passed
 

@@ -155,6 +155,16 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert "overflows" in err
 
+    @pytest.mark.parametrize("model,L,flag", [("fh", "8", "--u"), ("pnictide", "4", "--v")])
+    def test_overflowing_lambda_exits_2(self, capsys, model, L, flag):
+        code, out, err = run_cli(["estimate", "--model", model, "--method", "qubitization",
+                                  "--L", L, flag, "1e308"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: the LCU 1-norm lambda overflows at L={L} for the couplings ")
+        assert f"{flag[2:]}=1e+308" in err
+        assert err.count("\n") == 1
+
     def test_zero_trotter_bound_exits_2(self, capsys):
         args = ["estimate", "--model", "fh", "--L", "4", "--u", "0", "--method"]
         code, out, err = run_cli(args + ["trotter"], capsys)

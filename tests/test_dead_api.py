@@ -3,9 +3,11 @@ referenced by package code outside its own definition; a name only tests
 reach is dead API.  A reference is a name, an attribute or an import.  The
 names the package exports (``lattice_qre.__all__``) and the CLI entry point
 count as used.  The benchmark's tracer, which wraps package attributes by
-name, must still find every one of them."""
+name, must still find every one of them.  Every exported dataclass
+documents each of its fields by name."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -62,6 +64,18 @@ def unreferenced_public_names() -> list[str]:
 
 def test_no_public_name_without_a_package_caller():
     assert unreferenced_public_names() == []
+
+
+def test_exported_dataclasses_document_every_field():
+    classes = [getattr(lattice_qre, name) for name in lattice_qre.__all__]
+    documented = [cls for cls in classes if dataclasses.is_dataclass(cls)]
+    assert len(documented) == 7
+    for cls in documented:
+        # dataclasses writes the signature, "Name(field, ...)", into a
+        # missing docstring
+        assert not cls.__doc__.startswith(cls.__name__ + "("), cls.__name__
+        missing = [f.name for f in dataclasses.fields(cls) if f"``{f.name}``" not in cls.__doc__]
+        assert missing == [], cls.__name__
 
 
 def test_benchmark_tracer_finds_and_restores_its_wraps():

@@ -1,12 +1,7 @@
 import pytest
 
 from lattice_qre.model import Model, ModelSpec
-from lattice_qre.primitives import (
-    CostVector,
-    HwpStrategy,
-    hamming_adders,
-    hwp_cost,
-)
+from lattice_qre.primitives import hamming_adders, hwp_counts
 from lattice_qre.trotter_bounds import TrotterBudget
 from lattice_qre.trotter_cost import Strategy, evaluate, step_cost
 
@@ -45,22 +40,18 @@ class TestHammingCounts:
 
 class TestHwp:
     def test_baseline_64(self):
-        c = hwp_cost(64, HwpStrategy.BASELINE)
-        assert (c.toffoli, c.rz) == (63, 7)
+        assert hwp_counts(64, False) == (63, 7)
 
     def test_catalyzed_64(self):
-        c = hwp_cost(64, HwpStrategy.CATALYZED)
-        assert (c.toffoli, c.rz) == (70, 1)
+        assert hwp_counts(64, True) == (70, 1)
 
     def test_single_rotation(self):
-        c = hwp_cost(1, HwpStrategy.BASELINE)
-        assert (c.toffoli, c.rz) == (0, 1)
+        assert hwp_counts(1, False) == (0, 1)
 
     def test_toffoli_gap_is_register_size(self):
         # the space-time trade-off: catalysis costs exactly the register size
         for m in range(1, 4097):
-            gap = (hwp_cost(m, HwpStrategy.CATALYZED).toffoli
-                   - hwp_cost(m, HwpStrategy.BASELINE).toffoli)
+            gap = hwp_counts(m, True)[0] - hwp_counts(m, False)[0]
             assert gap == m.bit_length()
 
 
@@ -70,9 +61,3 @@ class TestHwpBatched:
         # batches of 32 at 31 adders and 6 rotations a batch
         c = step_cost(Model.FERMI_HUBBARD, 8, 1, Strategy.BATCHED_BASELINE)
         assert (c.toffoli, c.rz) == (5 * 62, 5 * 12)
-
-
-class TestCostVector:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CostVector(toffoli=-1)

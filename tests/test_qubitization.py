@@ -124,6 +124,19 @@ class TestOptimize:
                 assert abs(slope) <= 1e-9 * abs(query)
                 assert abs(numeric - slope) <= 1e-7 * abs(query)
 
+    @pytest.mark.parametrize("kind,L,coupling", [
+        (Model.FERMI_HUBBARD, 8, "u"), (Model.CUPRATE, 8, "t_prime"), (Model.PNICTIDE, 4, "v")])
+    def test_overflowing_lambda_names_the_couplings(self, kind, L, coupling):
+        # finite couplings whose LCU 1-norm is not finite: refused for lambda,
+        # naming the couplings, not as an error split or a cost at lambda = inf
+        spec = ModelSpec(kind, L).with_couplings(**{coupling: 1e308})
+        for solve in (lcu_lambda, lambda s: estimate(s, 0.9), optimize_qubitization):
+            with pytest.raises(ValueError) as info:
+                solve(spec)
+            assert str(info.value) == (f"the LCU 1-norm lambda overflows at L={L} "
+                                       f"for the couplings {spec.couplings}")
+            assert f"{coupling}=1e+308" in str(info.value)
+
     @pytest.mark.parametrize("L,delta_e", [(10**8, None)])
     def test_slope_negative_up_to_one_raises(self, L, delta_e):
         # at L = 1e8 the optimum lies within float resolution of x = 1: no x

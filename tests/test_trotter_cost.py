@@ -6,7 +6,6 @@ import pytest
 from lattice_qre import trotter_cost
 from lattice_qre.model import InvalidLattice, Model, ModelSpec, extensive_error
 from lattice_qre.optimize import MinimizeResult, minimize
-from lattice_qre.primitives import CostVector
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import TrotterBudget, tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
@@ -464,10 +463,10 @@ class TestRotationShareBracket:
 def test_table_cells_build_no_cost_vector(monkeypatch):
     # the solver works on plain (Toffoli, T, rz) tuples; a CostVector is built
     # only at the public step_cost boundary
-    def refuse(self):
+    def refuse(*fields):
         raise AssertionError("the solver built a CostVector")
 
-    monkeypatch.setattr(CostVector, "__post_init__", refuse)
+    monkeypatch.setattr(trotter_cost, "CostVector", refuse)
     cells = _table_trotter_cells()
     assert len(cells) == 152
     for spec, strategy in cells:

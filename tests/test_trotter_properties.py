@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lattice_qre import trotter_cost
 from lattice_qre.model import Model, ModelSpec, default_couplings, extensive_error
-from lattice_qre.primitives import RUS_T_SLOPE, CostVector, HwpStrategy, floor_log2, hwp_cost
+from lattice_qre.primitives import RUS_T_SLOPE, CostVector, hwp_counts
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_bounds import tau_max, trotter_bound
 from lattice_qre.trotter_cost import (
@@ -70,8 +70,8 @@ def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> f
 
 def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     """The step cost summed layer by layer, as written out per model: each
-    layer's ``hwp_cost`` times its multiplicity (a batched layer of N
-    rotations as N / B copies of ``hwp_cost(B)``, B = L^2 / 2), plus the
+    layer's ``hwp_counts`` times its multiplicity (a batched layer of N
+    rotations as N / B copies of ``hwp_counts(B)``, B = L^2 / 2), plus the
     direct T gates of the two-site Fourier transforms."""
     L2 = L * L
     if kind is Model.FERMI_HUBBARD:
@@ -84,10 +84,9 @@ def _summed_step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVe
     for size, reps in layers:
         batch = L2 // 2 if strategy.batched else size
         assert size % batch == 0
-        hwp = HwpStrategy.CATALYZED if strategy.catalyzed else HwpStrategy.BASELINE
-        layer = hwp_cost(batch, hwp)
-        toffoli += reps * size // batch * layer.toffoli
-        rz += reps * size // batch * layer.rz
+        layer_toffoli, layer_rz = hwp_counts(batch, strategy.catalyzed)
+        toffoli += reps * size // batch * layer_toffoli
+        rz += reps * size // batch * layer_rz
     return CostVector(toffoli, direct_t, rz)
 
 
@@ -114,15 +113,15 @@ def test_catalysts_match_the_register_sums():
         if not strategy.catalyzed:
             count = 0
         elif strategy.batched:
-            b = floor_log2(L2 // 2)
+            b = (L2 // 2).bit_length() - 1
             count = {Model.FERMI_HUBBARD: 2 * b + 4, Model.CUPRATE: 4 * b + 5,
                      Model.PNICTIDE: 6 * b + 6}[kind]
         elif fh:
-            count = 2 * floor_log2(L2) + 4
+            count = 2 * (L2.bit_length() - 1) + 4
         elif kind is Model.CUPRATE:
-            count = 3 * floor_log2(L2) + floor_log2(2 * L2) + 5
+            count = 3 * (L2.bit_length() - 1) + ((2 * L2).bit_length() - 1) + 5
         else:
-            count = 2 * floor_log2(4 * L2) + 4 * floor_log2(2 * L2) + 7
+            count = 2 * ((4 * L2).bit_length() - 1) + 4 * ((2 * L2).bit_length() - 1) + 7
         charged = count - 1 if fh and count else count
         assert _structure(kind, L, strategy)[1] == (charged, count)
 
