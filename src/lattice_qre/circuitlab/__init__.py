@@ -2,11 +2,11 @@
 the cost model counts: adders, Hamming-weight phasing, fermionic swaps,
 two-site fermionic Fourier transforms, and plaquette evolutions."""
 
-from .statevector import Circuit, Gate, GateKind, apply_circuit, zero_state
+from .statevector import Circuit, Gate, GateKind, apply_circuit
 from .fermion import FermionOracle
 from . import gadgets, verify
 
 __all__ = [
-    "Circuit", "Gate", "GateKind", "apply_circuit", "zero_state",
+    "Circuit", "Gate", "GateKind", "apply_circuit",
     "FermionOracle", "gadgets", "verify",
 ]

@@ -53,8 +53,6 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
     ``n_extra_qubits`` reserves trailing wires for callers that extend the
     circuit.
     """
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
     n_anc = hamming_adders(M)
     circ = Circuit(M + n_anc + n_extra_qubits)
     next_free = M
@@ -87,10 +85,13 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 
 @dataclass
 class HwpGadget:
+    """A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp``
+    lays out; ``catalyst_prep`` prepares the catalyst state, or is None for
+    a baseline gadget."""
+
     circuit: Circuit            # full application: compute, phase, uncompute
     catalyst_prep: Circuit | None
-    targets: list[int]
-    catalyst: list[int]
+    M: int
     uncompute_from: int         # index of the first uncompute gate
 
     @property
@@ -148,9 +149,12 @@ def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
 def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     """One layer of M same-angle phase rotations via Hamming-weight phasing.
 
-    The induced action on the M target qubits is diag(e^{i*theta*HW(x)}),
-    i.e. a tensor power of single-qubit phase rotations.  Ancillas return
-    to |0>; the catalyst state (catalyzed mode) returns unchanged.  A 1-D
+    The induced action on the M target qubits, wires 0..M-1, is
+    diag(e^{i*theta*HW(x)}), i.e. a tensor power of single-qubit phase
+    rotations.  The adder workspace follows (``build_hamming_weight``) and,
+    catalyzed, the k = M.bit_length() catalyst wires, then k borrow wires.
+    Every wire but the targets returns to |0>, the catalyst wires in the
+    frame of their preparation: the catalyst state returns unchanged.  A 1-D
     array ``theta`` builds the family of these gadgets, one per angle.
     """
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
@@ -158,7 +162,7 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
     circ = hw.circuit
     uncompute = circ.inverted()
-    catalyst, prep = [], None
+    prep = None
     if catalyzed:
         base = M + hamming_adders(M)
         catalyst = list(range(base, base + k))
@@ -175,7 +179,7 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
             circ.rz(wire, (1 << i) * theta)
         uncompute_from = len(circ.gates)
     circ.extend(uncompute.gates)
-    return HwpGadget(circ, prep, list(range(M)), catalyst, uncompute_from)
+    return HwpGadget(circ, prep, M, uncompute_from)
 
 
 # ---------------------------------------------------------------------------

@@ -192,12 +192,6 @@ class Circuit:
         return sizes.pop() if sizes else None
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
 def _hadamard(key, amp, bit: int):
     """H on the key bit ``bit``, with h = amp/sqrt2 per entry.  When no key
     has the bit, nothing merges: each entry splits in two, into (h, h),

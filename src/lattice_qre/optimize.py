@@ -3,9 +3,9 @@
 Both solvers reduce their split to one scalar equation whose residual, a
 positive multiple of the derivative of the total along the split, rises
 with the variable, and take Newton steps on its log form to a root g.
-``minimize`` returns g itself, with no bisection, when the residual changes
-sign across [g (1 - 1e-13), g (1 + 1e-13)]: the total is flat at its
-minimum, so within 1e-13 of it only its rounding moves.  A root it cannot
+``minimize`` returns g itself when the residual changes sign across
+[g (1 - 1e-13), g (1 + 1e-13)]: the total is flat at its minimum, so
+within 1e-13 of it only its rounding moves.  A root it cannot
 certify is refused; a whole-domain bisection refused each of the 66,107
 such solves checked.  Deterministic: the same inputs give the same bits.
 """

@@ -14,9 +14,9 @@ of L add Toffolis and rotations.
 
 The split x is where d ln(total)/dx changes sign on (1/2, 1), so it is set
 by the model alone.  A few Newton steps on the condition's log form give a
-root, returned as it is, with no bisection, once the slope changes sign
-within 1e-13 of it; a root they cannot certify is refused, as bisecting all
-of (1/2, 1) nearly always refused it too (see ``optimize_qubitization``).
+root, returned as it is once the slope changes sign within 1e-13 of it;
+a root they cannot certify is refused, as bisecting all of (1/2, 1)
+nearly always refused it too (see ``optimize_qubitization``).
 """
 
 from __future__ import annotations
@@ -121,7 +121,10 @@ def _estimate(spec: ModelSpec, x: float, delta_e: float, lam: float,
     queries = query_count(lam, delta_e, x)
     n_t = queries * _walk_t(counts, lam, delta_e, x)
     n_toffoli = queries * counts.toffoli
-    phase_bits = math.log2(math.pi * lam * spec.L**6 / (2.0 * math.sqrt(x) * delta_e))
+    # log2 of pi lam L^6 / (2 sqrt(x) dE), summed: the product overflows
+    # where its logarithm does not
+    phase_bits = (math.log2(0.5 * math.pi) + math.log2(lam) + 6.0 * math.log2(spec.L)
+                  - 0.5 * math.log2(x) - math.log2(delta_e))
     if not math.isfinite(n_t + n_toffoli + phase_bits):
         raise ValueError(f"the qubitization cost overflows at lambda={lam:g}, "
                          f"delta_e={delta_e:g}")
@@ -172,8 +175,8 @@ def optimize_qubitization(spec: ModelSpec, delta_e: float | None = None) -> Qubi
     once on (1/2, 1), where Λ (2x - 1) = (1 - x) P.  P is affine in
     ln x + ln(1 - x), so one ``_walk_t`` at x = 3/4 fixes it, and Newton
     steps on the condition's log form (``_newton_split``) give a root g.
-    x is g itself, with no bisection, once ``minimize`` certifies it: the
-    slope changes sign across [g (1 - 1e-13), g (1 + 1e-13)], cut below 1.
+    x is g itself once ``minimize`` certifies it: the slope changes sign
+    across [g (1 - 1e-13), g (1 + 1e-13)], cut below 1.
     The estimate is built once, at the optimum, from the lambda and walk
     counts read here.  Raises ``ValueError`` when the
     optimum needs fewer than one phase-estimation query, or when Newton finds

@@ -22,8 +22,8 @@ this count.
 The solver needs no general-purpose search.  At each step count r the
 budget split solves its first-order conditions: the Trotter share of dE in
 closed form, the catalyst share in proportion to the rotation share, and the
-rotation share as the certified Newton root, with no bisection, of a
-closed-form residual that one ``_cost`` fixes (``_best_budget``).  One pass
+rotation share as the certified Newton root of a closed-form residual
+that one ``_cost`` fixes (``_best_budget``).  One pass
 over ``_STEPS`` gives a solve its step line, catalysts and qubit count
 (``_structure``).  r starts at the step count at which
 the tau-cap kink reaches the Trotter share 1/3, takes at most one step
@@ -103,10 +103,11 @@ def _hwp_runs(L: int, size: int, batched: bool) -> tuple[int, int]:
     return (L * L // 2, 2 * size) if batched else (size * L * L, 1)
 
 
-def _structure(kind: Model, L: int, strategy: Strategy
+def _structure(spec: ModelSpec, strategy: Strategy
                ) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], tuple[int, int], int]:
-    """(line, catalysts, ancillas) of the r-step evolution, from one pass
-    over ``_STEPS[kind]``; refuses a lattice the model's scheme cannot tile.
+    """(line, catalysts, qubits) of the r-step evolution, from one pass
+    over ``_STEPS[spec.kind]``; refuses a cuprate lattice the Trotter
+    scheme cannot tile (L % 4), beyond what ``ModelSpec`` refuses.
 
     - line: the (Toffoli, T, rz) of the evolution at r = 0 and their slope
       in r, exact ints: each layer's runs (``_hwp_runs``) cost
@@ -118,12 +119,11 @@ def _structure(kind: Model, L: int, strategy: Strategy
       layer's weight register, floor(log2 M) + 1 for runs of M; the
       Fermi-Hubbard ones are charged one rotation fewer, matching the
       published accounting.
-    - ancillas: the qubits beyond the system register: the weight workspace
-      of the largest run, a phase qubit, a synthesis ancilla and, catalyzed,
-      the catalyst and phase-gradient registers.
+    - qubits: the logical qubits, the system register plus the weight
+      workspace of the largest run, a phase qubit, a synthesis ancilla and,
+      catalyzed, the catalyst and phase-gradient registers.
     """
-    if L < 2 or L % 2:
-        raise InvalidLattice(f"L={L}: need even L >= 2")
+    kind, L = spec.kind, spec.L
     if kind is CUPRATE and L % 4:
         raise InvalidLattice(f"L={L}: the cuprate Trotter scheme needs L % 4 == 0")
     (t_a, t_b), layers, extra = _STEPS[kind]
@@ -140,11 +140,12 @@ def _structure(kind: Model, L: int, strategy: Strategy
         count += angles * m.bit_length()   # floor(log2 m) + 1
         m_hw = max(m_hw, m)
     line = (toffoli_a, t_a * L * L, rz_a), (toffoli_b, t_b * L * L, rz_b)
-    ancillas = hamming_adders(m_hw) + 2   # +1 phase qubit, +1 synthesis ancilla
+    # +1 phase qubit, +1 synthesis ancilla
+    qubits = system_qubits(spec) + hamming_adders(m_hw) + 2
     if not catalyzed:
-        return line, (0, 0), ancillas
+        return line, (0, 0), qubits
     charged = count - 1 if kind is FERMI_HUBBARD else count
-    return line, (charged, count), ancillas + count + m_hw.bit_length()
+    return line, (charged, count), qubits + count + m_hw.bit_length()
 
 
 def _step_at(line: tuple[tuple[int, int, int], tuple[int, int, int]], r: int
@@ -159,13 +160,11 @@ def step_cost(kind: Model, L: int, r: int, strategy: Strategy) -> CostVector:
     """Layer Toffoli/rz tally for one r-step evolution, plus direct T gates.
 
     Catalyst-state synthesis is excluded; the cost kernel charges it.
-    L and r must be integers (as ``operator.index`` gives them).
+    Refuses the lattices ``ModelSpec(kind, L)`` refuses, and a cuprate L
+    that is not a multiple of 4; r must be an integer (as
+    ``operator.index`` gives it).
     """
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise InvalidLattice(f"L={L!r} invalid: need an integer") from None
-    line = _structure(Model(kind), L, Strategy(strategy))[0]
+    line = _structure(ModelSpec(kind, L), Strategy(strategy))[0]
     try:
         r = operator.index(r)
     except TypeError:
@@ -179,7 +178,7 @@ def total_qubits(spec: ModelSpec, strategy: Strategy) -> int:
     """Logical qubits: system register, weight workspace, phase-estimation
     and rotation-synthesis ancillas, plus catalyst and phase-gradient
     registers for catalyzed strategies."""
-    return system_qubits(spec) + _structure(spec.kind, spec.L, Strategy(strategy))[2]
+    return _structure(spec, Strategy(strategy))[2]
 
 
 def _cost(step: tuple[float, float, int], catalysts: tuple[int, int], p: float, q: float,
@@ -244,13 +243,13 @@ def evaluate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget,
     if strategy.catalyzed and budget.z <= 0:
         raise ValueError("catalyzed strategy needs a positive z budget")
     r = trotter_steps(w, budget.tau, budget)
-    line, catalysts, ancillas = _structure(spec.kind, spec.L, strategy)
-    return _estimate(spec, strategy, budget, w, r, _step_at(line, r), catalysts, ancillas,
+    line, catalysts, qubits = _structure(spec, strategy)
+    return _estimate(spec, strategy, budget, w, r, _step_at(line, r), catalysts, qubits,
                      amortize_catalyst)
 
 
 def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: float, r: int,
-              step: tuple[float, float, int], catalysts: tuple[int, int], ancillas: int,
+              step: tuple[float, float, int], catalysts: tuple[int, int], total_qubits: int,
               amortize: bool) -> TrotterEstimate:
     """The estimate of ``budget`` at r steps whose evolution costs the
     ``_step_at`` tuple ``step``, costed at the budget's own shares."""
@@ -260,7 +259,7 @@ def _estimate(spec: ModelSpec, strategy: Strategy, budget: TrotterBudget, w: flo
         spec=spec, strategy=strategy, budget=budget, w_bound=w, r=r,
         n_queries=n_q, n_toffoli_per_u=step[0], n_t_direct=step[1],
         n_t1=n_t1, n_t2=n_t2, total_toffoli=total,
-        total_qubits=system_qubits(spec) + ancillas,
+        total_qubits=total_qubits,
     )
 
 
@@ -319,7 +318,7 @@ def _best_budget(step: tuple[float, float, int], catalysts: tuple[int, int], r: 
       q is the Newton root g of its log form (``_newton_share``), which keeps
       P > Λ_u and so q < q_max / 2, returned as it is once ``minimize``
       certifies it: the residual changes sign across [g (1 - 1e-13),
-      g (1 + 1e-13)].  There is no bisection.
+      g (1 + 1e-13)].
     Raises ``ValueError`` (too loose) when Newton finds no root or the residual
     does not change sign across that bracket: on every solve checked that did,
     P had fallen to Λ_u, and a bisection of all of (0, q_max) refused it too.
@@ -397,7 +396,7 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     """
     if not isinstance(strategy, Strategy):   # a member skips enum.py's slow call path
         strategy = Strategy(strategy)
-    line, catalysts, ancillas = _structure(spec.kind, spec.L, strategy)
+    line, catalysts, qubits = _structure(spec, strategy)
     delta_e = error_target(spec.L, delta_e)
     w = trotter_bound(spec)
     tau_cap = tau_max(w) * _TAU_MARGIN
@@ -419,4 +418,4 @@ def optimize_trotter(spec: ModelSpec, strategy: Strategy,
     step, n_q, _, (p, q, c, tau) = solved[r]
     require_one_query(n_q, delta_e)
     budget = TrotterBudget(delta_e, p, q / (1.0 - p), c / (1.0 - p), tau)
-    return _estimate(spec, strategy, budget, w, r, step, catalysts, ancillas, amortize_catalyst)
+    return _estimate(spec, strategy, budget, w, r, step, catalysts, qubits, amortize_catalyst)

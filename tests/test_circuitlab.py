@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lattice_qre.model import Model
 from lattice_qre.primitives import HwpStrategy, hamming_adders, hwp_counts
 from lattice_qre.trotter_cost import _STEPS, Strategy, _hwp_runs
-from lattice_qre.circuitlab import Circuit, FermionOracle, apply_circuit, zero_state
+from lattice_qre.circuitlab import Circuit, FermionOracle, apply_circuit
 from lattice_qre.circuitlab import gadgets
 from lattice_qre.circuitlab.gadgets import (
     build_fswap,
@@ -264,7 +264,7 @@ class TestStateVector:
         circ = Circuit(3)
         circ.h(0); circ.s(1); circ.t(2); circ.cnot(0, 1)
         circ.rz(2, 0.41); circ.toffoli(0, 1, 2); circ.cz(1, 2)
-        state = zero_state(3)
+        state = np.eye(8, dtype=complex)[0]
         state[3] = 0.6
         state[0] = 0.8
         round_trip = apply_circuit(apply_circuit(state, circ), circ.inverted())
@@ -673,13 +673,15 @@ def _projected_family(gadget, thetas):
     """<x', phi|U|x, phi> for each member of a gadget family, (k, 2**M, 2**M),
     from its dense unitary and the closed-form catalyst state
     (x)_i (|0> + e^{i 2^i theta}|1>)/sqrt2, every other environment wire at 0."""
-    m, n = len(gadget.targets), gadget.circuit.n_qubits
+    m, n = gadget.M, gadget.circuit.n_qubits
+    base = m + hamming_adders(m)
+    catalyst = range(base, base + m.bit_length())   # a baseline gadget ends at base
     out = []
     for theta, u in zip(thetas, gadget.circuit.unitary()):
         env = np.ones(1, dtype=complex)
         for wire in range(m, n):
-            if wire in gadget.catalyst:
-                i = gadget.catalyst.index(wire)
+            if wire in catalyst:
+                i = wire - base
                 factor = np.array([1.0, np.exp(1j * (1 << i) * theta)]) / np.sqrt(2.0)
             else:
                 factor = np.array([1.0, 0.0])
@@ -701,6 +703,18 @@ def _without_last(circuit, kind=None):
 
 class TestMutantsFail:
     """Broken gadgets, swapped in where the checks look them up, must fail."""
+
+    @pytest.mark.parametrize("kind", [GateKind.TOFFOLI, GateKind.CNOT])
+    def test_catalyst_invariance_sees_uncompute_garbage(self, monkeypatch, kind):
+        # an uncompute without its last Toffoli or CNOT leaves the catalyst
+        # wires intact and garbage in the adder workspace
+        def broken(m, theta, strategy):
+            gadget = build_hwp(m, theta, strategy)
+            gadget.circuit = _without_last(gadget.circuit, kind)
+            return gadget
+        monkeypatch.setattr(verify, "build_hwp", broken)
+        result = verify.check_catalyst_invariance()
+        assert not result.passed and result.max_deviation > 0.1
 
     def test_hwp_missing_uncompute_toffoli(self, monkeypatch):
         def broken(m, theta, strategy):
@@ -1024,7 +1038,8 @@ class TestVerifySuite:
 
     def test_a_pass_leaves_numpy_random_unloaded(self):
         # the seeded angles and target states come from the standard library,
-        # so a cold verify does not pay for importing numpy.random
+        # so a cold verify does not pay for importing numpy.random; nor does
+        # the package ever import mpmath or sympy
         import os
         import subprocess
         import sys
@@ -1034,10 +1049,11 @@ class TestVerifySuite:
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from lattice_qre.circuitlab import verify; "
-             "assert all(r.passed for r in verify.run_all()); print('numpy.random' in sys.modules)"],
+             "assert all(r.passed for r in verify.run_all()); print('numpy.random' in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith(('mpmath', 'sympy'))))"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False []"
 
     def test_oracle_sizes_match_the_checks(self, monkeypatch):
         # the suite builds oracles of exactly the sizes its gadget checks

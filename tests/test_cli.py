@@ -165,6 +165,17 @@ class TestEstimate:
         assert f"{flag[2:]}=1e+308" in err
         assert err.count("\n") == 1
 
+    def test_phase_register_past_the_float_range(self, capsys):
+        # pi lam L^6 / (2 sqrt(x) dE) overflows a float here while its log2,
+        # the phase-register size, does not: this used to exit 2
+        code, out, err = run_cli(["estimate", "--model", "fh", "--method", "qubitization",
+                                  "--L", "8", "--u", "1e303", "--delta-e", "1e299",
+                                  "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        row, = json.loads(out)["rows"]
+        assert row["qubits"] == 167
+        assert row["toffoli"] == pytest.approx(1.887e8, rel=1e-3)
+
     def test_zero_trotter_bound_exits_2(self, capsys):
         args = ["estimate", "--model", "fh", "--L", "4", "--u", "0", "--method"]
         code, out, err = run_cli(args + ["trotter"], capsys)
@@ -546,12 +557,14 @@ class TestVerifyCommand:
         assert all(entry["seconds"] >= 0.0 for entry in report)
 
     def test_cli_import_leaves_the_lab_out(self):
-        # the estimators start without the circuit lab, numpy or scipy, and
-        # the CLI without the published tables (reproduce loads them) or the
-        # csv and json modules (their formats load them)
+        # the estimators start without the circuit lab, numpy or scipy (and
+        # never import mpmath or sympy), and the CLI without the published
+        # tables (reproduce loads them) or the csv and json modules (their
+        # formats load them)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        unloaded = "('lattice_qre.circuitlab', 'numpy', 'scipy', 'lattice_qre.reference_tables')"
+        unloaded = ("('lattice_qre.circuitlab', 'numpy', 'scipy', 'lattice_qre.reference_tables', "
+                    "'mpmath', 'sympy')")
         for module in ("lattice_qre.cli", "lattice_qre"):
             proc = subprocess.run(
                 [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in "

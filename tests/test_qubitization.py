@@ -137,6 +137,17 @@ class TestOptimize:
                                        f"for the couplings {spec.couplings}")
             assert f"{coupling}=1e+308" in str(info.value)
 
+    def test_couplings_and_target_scaled_by_1e300(self):
+        # the estimate depends on the couplings and the target only through
+        # their ratio; scaled by 1e300 the phase register's pi lam L^6 /
+        # (2 sqrt(x) dE) overflows a float, which used to refuse the estimate
+        spec = ModelSpec(Model.FERMI_HUBBARD, 8)
+        base = optimize_qubitization(spec, 0.1)
+        scaled = optimize_qubitization(spec.with_couplings(t=1e300, u=8e300), 1e299)
+        assert scaled.total_qubits == base.total_qubits
+        assert scaled.x == pytest.approx(base.x, rel=1e-12)
+        assert scaled.total_toffoli == pytest.approx(base.total_toffoli, rel=1e-12)
+
     @pytest.mark.parametrize("L,delta_e", [(10**8, None)])
     def test_slope_negative_up_to_one_raises(self, L, delta_e):
         # at L = 1e8 the optimum lies within float resolution of x = 1: no x

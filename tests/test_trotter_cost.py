@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -91,6 +92,18 @@ class TestStepCosts:
     def test_cuprate_needs_multiple_of_four(self):
         with pytest.raises(InvalidLattice):
             step_cost(Model.CUPRATE, 6, 1, Strategy.CATALYZED)
+
+    @pytest.mark.parametrize("kind,L,message", [
+        (Model.PNICTIDE, 2, "L=2 invalid for pnictide: need even L >= 4"),
+        (Model.FERMI_HUBBARD, 10**200, "L^2 overflows a float"),
+    ], ids=["pnictide-L2", "fh-L1e200"])
+    def test_refuses_what_model_spec_refuses(self, kind, L, message):
+        # step_cost used to cost pnictide L = 2, and to fail converting a huge
+        # L^2 to a float; both are lattices ModelSpec refuses
+        with pytest.raises(InvalidLattice, match=re.escape(message)):
+            ModelSpec(kind, L)
+        with pytest.raises(InvalidLattice, match=re.escape(message)):
+            step_cost(kind, L, 1, Strategy.CATALYZED)
 
     def test_integer_toffoli(self):
         for kind in Model:
@@ -346,7 +359,7 @@ class TestOptimizeTrotter:
         for (kind, L, strategy), est in trotter_sweep.results.items():
             w, delta_e = est.w_bound, est.budget.delta_e
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            line, catalysts, _ = trotter_cost._structure(kind, L, strategy)
+            line, catalysts, _ = trotter_cost._structure(ModelSpec(kind, L), strategy)
             r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
             assert est.r in (r0, r0 - 1)
             for r in range(max(r0 - 3, 1), r0 + 4):
@@ -384,7 +397,7 @@ class TestRotationShareBracket:
         for spec, strategy in _table_trotter_cells():
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            line, catalysts, _ = trotter_cost._structure(spec.kind, spec.L, strategy)
+            line, catalysts, _ = trotter_cost._structure(spec, strategy)
             for share in (1.0, 1e-2, 1e-4):
                 delta_e = extensive_error(spec.L) * share
                 r0 = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
@@ -450,7 +463,7 @@ class TestRotationShareBracket:
         for spec, strategy in _table_trotter_cells()[::7]:
             w = trotter_bound(spec)
             tau_cap = tau_max(w) * trotter_cost._TAU_MARGIN
-            line, catalysts, _ = trotter_cost._structure(spec.kind, spec.L, strategy)
+            line, catalysts, _ = trotter_cost._structure(spec, strategy)
             delta_e = extensive_error(spec.L)
             r = math.ceil(tau_cap * math.sqrt(3.0 * w / delta_e))
             step = trotter_cost._step_at(line, r)

@@ -33,7 +33,7 @@ def grid_minimum(spec: ModelSpec, strategy: Strategy, delta_e: float, r_max: int
     tau_cap = (np.sqrt(2.0) / w) ** (1.0 / 3.0) * (1.0 - 1e-12)
     x = np.geomspace(1e-4, 0.35, POINTS)[:, None, None]
     y = np.linspace(0.2, 0.92, POINTS)[None, :, None]
-    count = _structure(kind, L, strategy)[1][1]
+    count = _structure(spec, strategy)[1][1]
     # the published accounting charges one Fermi-Hubbard catalyst rotation less
     charged = count - 1 if count and kind is Model.FERMI_HUBBARD else count
     z = np.geomspace(1e-5, 0.25, POINTS)[None, None, :] if count else np.zeros((1, 1, 1))

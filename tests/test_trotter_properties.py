@@ -54,12 +54,12 @@ def _setting(cell):
     """(W, tau_cap, catalysts) of a drawn cell."""
     spec, strategy, _, _ = cell
     w = trotter_bound(spec)
-    return w, tau_max(w) * _TAU_MARGIN, _structure(spec.kind, spec.L, strategy)[1]
+    return w, tau_max(w) * _TAU_MARGIN, _structure(spec, strategy)[1]
 
 
 def _step(spec: ModelSpec, strategy: Strategy, r: int) -> tuple[float, float, int]:
     """The solver's own (Toffoli, T, rz) tuple of the r-step evolution."""
-    return _step_at(_structure(spec.kind, spec.L, strategy)[0], r)
+    return _step_at(_structure(spec, strategy)[0], r)
 
 
 def _pinned_tau(r: int, t: float, w: float, tau_cap: float, delta_e: float) -> float:
@@ -123,7 +123,7 @@ def test_catalysts_match_the_register_sums():
         else:
             count = 2 * ((4 * L2).bit_length() - 1) + 4 * ((2 * L2).bit_length() - 1) + 7
         charged = count - 1 if fh and count else count
-        assert _structure(kind, L, strategy)[1] == (charged, count)
+        assert _structure(ModelSpec(kind, L), strategy)[1] == (charged, count)
 
 
 @DETERMINISTIC
