@@ -24,11 +24,11 @@ member of a family: the same gadget at k angles is then one circuit, built
 once, whose batch column c runs member ``c % k``, and whose ``unitary()``
 is a stack of k matrices.  The per-gate work is paid once for all members.
 
-Dense arrays appear only at the boundary: ``apply_circuit`` takes
-statevectors of at most 15 qubits (the catalyzed HWP gadget at M = 5,
-14 qubits, in ``check_catalyst_invariance``) and ``Circuit.unitary``
-matrices of at most 10.  A circuit itself may be larger, up to the 62 bits
-of a (column, index) key.
+Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
+matrices of at most 10 qubits, and ``apply_circuit``, public API that no
+check of ``verify`` calls on a state (each runs ``simulate`` on sparse
+inputs), takes statevectors of at most 15.  A circuit itself may be
+larger, up to the 62 bits of a (column, index) key.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PHASE = {S: 1j, SDG: -1j, T: np.exp(0.25j * np.pi), TDG: np.exp(-0.25j * np.pi), CZ: -1 + 0j}
 
 
+_PLAIN_INT = {int}
+
+
 def _qubit(q, name: str = "qubit") -> int:
     """``q`` through ``operator.index``; a bool (an int to Python, but no
     wire number or count) or anything without ``__index__`` is refused,
@@ -98,10 +101,13 @@ class Gate:
     angle: float | np.ndarray | None = None   # RZ: one, or one per family member
 
     def __init__(self, kind: GateKind, qubits, angle=None):
-        # the builders make a gate per call: plain floats take the short way
-        # through the angle check, and the fields are written straight into
-        # the instance dict rather than by one frozen setattr each
-        qubits = tuple(map(_qubit, qubits))
+        # the builders make a gate per call: plain ints and floats take the
+        # short way through the checks (``_qubit`` runs only on qubits that
+        # are not all ints), and the fields are written straight into the
+        # instance dict rather than by one frozen setattr each
+        qubits = tuple(qubits)
+        if set(map(type, qubits)) != _PLAIN_INT:
+            qubits = tuple(map(_qubit, qubits))
         arity = _ARITY[kind]
         if len(qubits) != arity:
             raise ValueError(f"{kind.value} expects {arity} qubits")
@@ -138,19 +144,24 @@ class Circuit:
             raise ValueError("n_qubits must be at least 1")
 
     def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
-        self.extend((Gate(kind, qubits, angle),))
+        gate = Gate(kind, qubits, angle)
+        self._check_range(gate)
+        self.gates.append(gate)
 
     def extend(self, gates) -> None:
         """Append ``gates`` as they are: a ``Gate`` validated its own kind,
         arity, qubits and angle when it was made, so only the qubit range
         is left."""
         gates = list(gates)
-        n = self.n_qubits
         for g in gates:
-            for q in g.qubits:
-                if not 0 <= q < n:
-                    raise ValueError(f"qubit {q} out of range")
+            self._check_range(g)
         self.gates.extend(gates)
+
+    def _check_range(self, gate: Gate) -> None:
+        n = self.n_qubits
+        for q in gate.qubits:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range")
 
     def x(self, q): self.append(X, q)
     def h(self, q): self.append(H, q)
@@ -259,6 +270,7 @@ def simulate(circuit, index, amp, column):
         raise ValueError(f"basis index or column out of range for {n} qubits")
     key = (column << n) | index
     bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
+    k = None        # the family size, found at the first RZ of more than one angle
     member = None   # each entry's family member, column % k, until an H reorders the entries
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
@@ -285,8 +297,10 @@ def simulate(circuit, index, amp, column):
             if phase is None:   # RZ: one angle, or one per family member
                 phase = np.exp(1j * np.atleast_1d(gate.angle))
                 if phase.size > 1:
-                    if member is None:   # members() raises if array angles differ in length
-                        member = (key >> n) % circuit.members()
+                    if member is None:
+                        if k is None:   # members() raises if array angles differ in length
+                            k = circuit.members()
+                        member = (key >> n) % k
                     phase = phase.take(member)
             amp *= np.where((key & mask) == mask, phase, 1.0)
     return key & ((1 << n) - 1), amp, key >> n

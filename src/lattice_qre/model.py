@@ -93,6 +93,23 @@ def default_couplings(kind: Model):
     return COUPLING_TYPES[Model(kind)]()
 
 
+def _lattice_size(L, kind: Model | None = None) -> int:
+    """``L`` as ``operator.index`` gives it, if even and at least 2 (4 for
+    cuprate and pnictide) with L^2 inside a float; otherwise
+    ``InvalidLattice`` naming L, and ``kind`` when given."""
+    try:   # an integer-valued float or str would reach int-only code (bit_length)
+        L = operator.index(L)
+    except TypeError:
+        raise InvalidLattice(f"L={L!r} invalid: need an integer") from None
+    min_L = 2 if kind in (None, FERMI_HUBBARD) else 4
+    if L < min_L or L % 2:
+        model = "" if kind is None else f" for {kind.value}"
+        raise InvalidLattice(f"L={L} invalid{model}: need even L >= {min_L}")
+    if L * L > sys.float_info.max:   # every cost formula takes L^2 as a float
+        raise InvalidLattice(f"L={L} is too large: L^2 overflows a float")
+    return L
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model ``kind`` plus lattice size ``L`` and ``couplings`` (an
@@ -119,15 +136,7 @@ class ModelSpec:
                 f"{kind.value} expects {COUPLING_TYPES[kind].__name__}, "
                 f"got {type(self.couplings).__name__}"
             )
-        try:   # an integer-valued float or str would reach int-only code (bit_length)
-            object.__setattr__(self, "L", operator.index(self.L))
-        except TypeError:
-            raise InvalidLattice(f"L={self.L!r} invalid: need an integer") from None
-        min_L = 2 if kind is Model.FERMI_HUBBARD else 4
-        if self.L < min_L or self.L % 2:
-            raise InvalidLattice(f"L={self.L} invalid for {kind.value}: need even L >= {min_L}")
-        if self.L * self.L > sys.float_info.max:   # every cost formula takes L^2 as a float
-            raise InvalidLattice(f"L={self.L} is too large: L^2 overflows a float")
+        object.__setattr__(self, "L", _lattice_size(self.L, kind))
         vals = {f.name: getattr(self.couplings, f.name) for f in fields(self.couplings)}
         if not all(math.isfinite(v) for v in vals.values()):
             raise ValueError("couplings must be finite")
@@ -155,9 +164,9 @@ EXTENSIVE_ERROR_PER_SITE = 0.0051
 
 
 def extensive_error(L: int) -> float:
-    """Total energy error budget for an L x L lattice."""
-    if L < 2:
-        raise ValueError(f"L={L}: need L >= 2")
+    """Total energy error budget for an L x L lattice; an L that no model
+    takes is refused as ``ModelSpec`` refuses it (``InvalidLattice``)."""
+    L = _lattice_size(L)
     return EXTENSIVE_ERROR_PER_SITE * (L * L)
 
 

@@ -1,5 +1,7 @@
 import itertools
+import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -289,7 +291,15 @@ class TestStateVector:
         with pytest.raises(ValueError):
             circ.cnot(1, 1)
 
-    @pytest.mark.parametrize("qubit", [1.5, True, np.float64(1.0), "1", None])
+    def test_append_checks_the_qubit_range(self):
+        circ = Circuit(3)
+        with pytest.raises(ValueError, match="qubit 3 out of range"):
+            circ.cnot(0, 3)
+        with pytest.raises(ValueError, match="qubit -1 out of range"):
+            circ.x(-1)
+        assert circ.gates == []
+
+    @pytest.mark.parametrize("qubit", [1.5, True, np.True_, np.float64(1.0), "1", None])
     def test_non_integer_qubits_rejected(self, qubit):
         # refused when the gate is made, naming the qubit, not taken as an
         # index (True as 1) or left to fail inside the simulation
@@ -326,6 +336,7 @@ class TestStateVector:
     def test_integer_like_qubits_become_ints(self):
         gate = Gate(GateKind.CNOT, [np.int64(2), np.uint8(0)])
         assert gate.qubits == (2, 0) and all(type(q) is int for q in gate.qubits)
+        assert Gate(GateKind.CNOT, iter([np.int64(2), 0])).qubits == (2, 0)
         circ = Circuit(3)
         circ.toffoli(np.int32(0), 1, np.int64(2))
         assert circ.gates[0].qubits == (0, 1, 2)
@@ -701,6 +712,39 @@ def _without_last(circuit, kind=None):
     return out
 
 
+def _dense_catalyst_invariance(sizes):
+    """``check_catalyst_invariance``'s deviation from dense states: the same
+    seeded gadgets and targets, P†UP applied by ``apply_circuit`` to the
+    2**n-entry state, and the targets read at every 2**(n - M)-th entry."""
+    rng = random.Random(verify.HWP_ANGLE_SEED + 1)
+    worst = 0.0
+    for m in sizes:
+        gadget = build_hwp(m, rng.uniform(0.1, 2.0), HwpStrategy.CATALYZED)
+        stride = 1 << (gadget.circuit.n_qubits - m)
+        target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
+        state = np.zeros(stride << m, dtype=complex)
+        state[::stride] = target / np.linalg.norm(target)
+        state = apply_circuit(state, verify._in_catalyst_frame(gadget))
+        worst = max(worst, 1.0 - float(np.sum(np.abs(state[::stride]) ** 2)))
+    return worst
+
+
+class TestCatalystInvariance:
+    def test_runs_on_the_sparse_targets(self, monkeypatch):
+        # no dense state is formed, and the deviation is the dense
+        # projection's to the last bit, at each size and over the pass's sizes
+        from lattice_qre.circuitlab import statevector
+
+        def refused(state, circuit):
+            raise RuntimeError("dense state formed")
+        monkeypatch.setattr(verify, "apply_circuit", refused)
+        monkeypatch.setattr(statevector, "apply_circuit", refused)
+        assert verify.check_catalyst_invariance().passed
+        for sizes in ((2,), (3,), (5,), (2, 3, 5)):
+            result = verify.check_catalyst_invariance(sizes)
+            assert float.hex(result.max_deviation) == float.hex(_dense_catalyst_invariance(sizes))
+
+
 class TestMutantsFail:
     """Broken gadgets, swapped in where the checks look them up, must fail."""
 
@@ -1069,6 +1113,35 @@ class TestVerifySuite:
         assert all(r.passed for r in verify.run_all())
         assert sizes == {2, 4, 5}
         assert max(sizes) == fermion.MAX_MODES
+
+    def test_a_pass_builds_each_oracle_size_once(self, monkeypatch):
+        # the checks of one pass share its oracles; the next pass builds and
+        # verifies its own
+        built = Counter()
+        init = FermionOracle.__init__
+
+        def counted(self, n_modes):
+            built[n_modes] += 1
+            init(self, n_modes)
+
+        monkeypatch.setattr(FermionOracle, "__init__", counted)
+        assert all(r.passed for r in verify.run_all())
+        assert built == {2: 1, 4: 1, 5: 1}
+        assert all(r.passed for r in verify.run_all())
+        assert built == {2: 2, 4: 2, 5: 2}
+
+    def test_no_oracle_outlives_its_pass(self, monkeypatch):
+        # after a pass, finished or ended by a raising check, a check called
+        # on its own builds the (here broken) oracle afresh
+        def raising():
+            raise RuntimeError("check crashed")
+
+        assert all(r.passed for r in verify.run_all())
+        monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_fswap, raising))
+        with pytest.raises(RuntimeError, match="check crashed"):
+            verify.run_all()
+        _mutate_annihilation(monkeypatch, 1, _flip_first_sign)
+        assert verify.check_fswap().max_deviation == np.inf
 
     def test_broken_oracle_gives_a_failing_report(self, monkeypatch, tmp_path):
         # a sign-flipped a_1: the four checks that build oracles fail with an

@@ -98,6 +98,21 @@ class TestExtensiveError:
         with pytest.raises(ValueError):
             extensive_error(1)
 
+    @pytest.mark.parametrize("L, message", [
+        (3, "L=3 invalid: need even L >= 2"),
+        (2.5, "L=2.5 invalid: need an integer"),
+        (1, "L=1 invalid: need even L >= 2"),
+        (True, "L=1 invalid: need even L >= 2"),
+        (10**200, "L^2 overflows a float"),
+    ], ids=["odd", "float", "one", "bool", "huge"])
+    def test_refuses_what_model_spec_refuses(self, L, message):
+        # one lattice rule: the lattices ModelSpec refuses for every model,
+        # with its messages
+        with pytest.raises(InvalidLattice, match=re.escape(message)):
+            extensive_error(L)
+        with pytest.raises(InvalidLattice):
+            ModelSpec(Model.FERMI_HUBBARD, L)
+
     def test_ratio_exact(self):
         # bitwise equality with the defining product, not a rounded ratio
         for L in range(2, 40, 2):
