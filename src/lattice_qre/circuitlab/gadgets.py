@@ -12,7 +12,6 @@ tally.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from ..primitives import CostVector, HwpStrategy, hamming_adders
 from .statevector import Circuit
@@ -83,33 +82,22 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HwpGadget:
-    """A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp``
-    lays out; ``catalyst_prep`` prepares the catalyst state, or is None for
-    a baseline gadget."""
-
-    circuit: Circuit            # full application: compute, phase, uncompute
-    catalyst_prep: Circuit | None
-    M: int
-    uncompute_from: int         # index of the first uncompute gate
-
-    @property
-    def counted(self) -> CostVector:
-        """Toffoli, T and rotation tally of the gates before the uncompute."""
-        counts = Circuit(self.circuit.n_qubits, self.circuit.gates[:self.uncompute_from]).counts()
-        return CostVector(float(counts["toffoli"]), float(counts["t"]), counts["rz"])
+# A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp`` lays
+# out: the full application (compute, phase, uncompute), the catalyst
+# preparation (None for a baseline gadget), and the ``CostVector`` tally of
+# the gates before the uncompute.
+HwpGadget = namedtuple("HwpGadget", "circuit catalyst_prep M counted")
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
-                    borrows: list[int], theta) -> int:
+                    borrows: list[int], theta) -> dict[str, int]:
     """Kick the phase e^{i*theta*w} back from the catalyst register.
 
     Subtracts the weight register from the catalyst modulo 2^k via a borrow
     ripple (k Toffolis), fixes the modular wrap with one rotation on the
     final borrow, then uncomputes the borrows through the carry chain of
     the complementary addition (the uncompute direction is free in the
-    cost model).  Returns the index of the first uncompute gate.
+    cost model).  Returns ``circ.counts()`` where the uncompute starts.
     """
     k = len(weight)
 
@@ -139,11 +127,11 @@ def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
     # wrap correction: the final borrow flags catalyst + weight >= 2^k
     circ.rz(borrows[k - 1], (1 << k) * theta)
     # borrows equal the carries of (difference + weight); uncompute top-down
-    uncompute_from = len(circ.gates)
+    counts = circ.counts()
     for i in range(k - 1, -1, -1):
         prev = borrows[i - 1] if i else None
         majority_into(catalyst[i], weight[i], prev, borrows[i])
-    return uncompute_from
+    return counts
 
 
 def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
@@ -173,13 +161,14 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
             prep.rz(wire, (1 << i) * theta)
         # the adder chain always yields exactly k weight bits
         assert len(hw.outputs) == k
-        uncompute_from = _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
+        counts = _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
     else:
         for i, wire in enumerate(hw.outputs):
             circ.rz(wire, (1 << i) * theta)
-        uncompute_from = len(circ.gates)
-    circ.extend(uncompute.gates)
-    return HwpGadget(circ, prep, M, uncompute_from)
+        counts = circ.counts()
+    circ.extend(uncompute)
+    return HwpGadget(circ, prep, M, CostVector(float(counts["toffoli"]), float(counts["t"]),
+                                               counts["rz"]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +256,7 @@ def build_plaquette_evolution(theta) -> Circuit:
     two_site_fourier(basis_change, 2, 3)
     adjacent_fswap(basis_change, 0)          # modes 1,2
 
-    circ.extend(basis_change.gates)
+    circ.extend(basis_change)
     xx_plus_yy_rotation(circ, 1, 2, theta)
-    circ.extend(basis_change.inverted().gates)
+    circ.extend(basis_change.inverted())
     return circ

@@ -24,6 +24,14 @@ member of a family: the same gadget at k angles is then one circuit, built
 once, whose batch column c runs member ``c % k``, and whose ``unitary()``
 is a stack of k matrices.  The per-gate work is paid once for all members.
 
+A gate is a plain ``(kind, qubits, angle)`` record, checked once, where it
+enters a ``Circuit`` through ``append``: its kind (a ``GateKind`` or its
+value, such as ``"cnot"``), the number of its qubits, which must be
+distinct integers on the circuit's wires, and an angle, finite, for RZ
+alone.  ``extend`` appends a circuit on at most as many wires, and
+``inverted`` reverses one; both reuse gates already checked, so composing
+circuits does no per-gate work.
+
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
 check of ``verify`` calls on a state (each runs ``simulate`` on sparse
@@ -33,8 +41,9 @@ larger, up to the 62 bits of a (column, index) key.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from numbers import Real
 
@@ -79,9 +88,6 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PHASE = {S: 1j, SDG: -1j, T: np.exp(0.25j * np.pi), TDG: np.exp(-0.25j * np.pi), CZ: -1 + 0j}
 
 
-_PLAIN_INT = {int}
-
-
 def _qubit(q, name: str = "qubit") -> int:
     """``q`` through ``operator.index``; a bool (an int to Python, but no
     wire number or count) or anything without ``__index__`` is refused,
@@ -94,20 +100,32 @@ def _qubit(q, name: str = "qubit") -> int:
     raise ValueError(f"{name} {q!r} is not an integer")
 
 
-@dataclass(frozen=True, eq=False, init=False)   # equal only to itself: array angles have no truth value
-class Gate:
-    kind: GateKind
-    qubits: tuple[int, ...]
-    angle: float | np.ndarray | None = None   # RZ: one, or one per family member
+# RZ's angle is one real number, or a 1-D array of them, one per family member
+Gate = namedtuple("Gate", "kind qubits angle")
 
-    def __init__(self, kind: GateKind, qubits, angle=None):
-        # the builders make a gate per call: plain ints and floats take the
-        # short way through the checks (``_qubit`` runs only on qubits that
-        # are not all ints), and the fields are written straight into the
-        # instance dict rather than by one frozen setattr each
-        qubits = tuple(qubits)
-        if set(map(type, qubits)) != _PLAIN_INT:
-            qubits = tuple(map(_qubit, qubits))
+
+class Circuit:
+    """Gates on ``n_qubits`` wires.  A gate enters through ``append``, which
+    checks it; ``extend`` and ``inverted`` reuse gates already checked."""
+
+    def __init__(self, n_qubits: int):
+        self.n_qubits = _qubit(n_qubits, "n_qubits")
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be at least 1")
+        self.gates: list[Gate] = []
+
+    def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
+        if type(kind) is not GateKind:
+            try:
+                kind = GateKind(kind)
+            except ValueError:
+                raise ValueError(f"unknown gate kind {kind!r}") from None
+        n = self.n_qubits
+        for q in qubits:   # plain ints pass as they are; the rest convert, then pass again
+            if type(q) is not int:
+                return self.append(kind, *map(_qubit, qubits), angle=angle)
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range")
         arity = _ARITY[kind]
         if len(qubits) != arity:
             raise ValueError(f"{kind.value} expects {arity} qubits")
@@ -115,53 +133,26 @@ class Gate:
             raise ValueError("gate qubits must be distinct")
         if (kind is RZ) != (angle is not None):
             raise ValueError(f"angle mismatch for {kind.value}")
-        if angle is not None and not isinstance(angle, (float, int)) \
-                and not isinstance(angle, Real):   # the ABC check only for the rest
-            given, angle = angle, np.asarray(angle)
-            if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
-                raise ValueError(f"{kind.value} needs a real angle or a non-empty "
-                                 f"1-D array of them, got {given!r}")
-        fields = self.__dict__
-        fields["kind"], fields["qubits"], fields["angle"] = kind, qubits, angle
+        if angle is not None:
+            if not isinstance(angle, (float, int)) and not isinstance(angle, Real):   # ABC last
+                given, angle = angle, np.asarray(angle)
+                if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
+                    raise ValueError(f"{kind.value} needs a real angle or a non-empty "
+                                     f"1-D array of them, got {given!r}")
+            if not (np.isfinite(angle).all() if isinstance(angle, np.ndarray)
+                    else math.isfinite(angle)):
+                raise ValueError(f"{kind.value} angle {angle!r} is not finite")
+        self.gates.append(Gate(kind, qubits, angle))
 
-    def inverse(self) -> "Gate":
-        kind = self.kind
-        if kind in _INVERSE:
-            return Gate(_INVERSE[kind], self.qubits)
-        if self.angle is not None:
-            return Gate(kind, self.qubits, -self.angle)
-        return self  # self-inverse
-
-
-@dataclass
-class Circuit:
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.n_qubits = _qubit(self.n_qubits, "n_qubits")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
-
-    def append(self, kind: GateKind, *qubits: int, angle=None) -> None:
-        gate = Gate(kind, qubits, angle)
-        self._check_range(gate)
-        self.gates.append(gate)
-
-    def extend(self, gates) -> None:
-        """Append ``gates`` as they are: a ``Gate`` validated its own kind,
-        arity, qubits and angle when it was made, so only the qubit range
-        is left."""
-        gates = list(gates)
-        for g in gates:
-            self._check_range(g)
-        self.gates.extend(gates)
-
-    def _check_range(self, gate: Gate) -> None:
-        n = self.n_qubits
-        for q in gate.qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range")
+    def extend(self, other: "Circuit") -> None:
+        """Append the gates of ``other``, a circuit on at most as many wires,
+        as they are: its ``append`` checked them."""
+        if not isinstance(other, Circuit):
+            raise TypeError(f"extend takes a Circuit, got {type(other).__name__}")
+        if other.n_qubits > self.n_qubits:
+            raise ValueError(f"a {other.n_qubits}-qubit circuit does not fit "
+                             f"on {self.n_qubits} qubits")
+        self.gates += other.gates
 
     def x(self, q): self.append(X, q)
     def h(self, q): self.append(H, q)
@@ -176,7 +167,10 @@ class Circuit:
     def toffoli(self, c1, c2, t): self.append(TOFFOLI, c1, c2, t)
 
     def inverted(self) -> "Circuit":
-        return Circuit(self.n_qubits, [g.inverse() for g in reversed(self.gates)])
+        out = Circuit(self.n_qubits)
+        out.gates = [Gate(_INVERSE.get(kind, kind), qubits, None if angle is None else -angle)
+                     for kind, qubits, angle in reversed(self.gates)]
+        return out
 
     def counts(self) -> dict[str, int]:
         kinds = [g.kind for g in self.gates]
@@ -272,8 +266,7 @@ def simulate(circuit, index, amp, column):
     bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
     k = None        # the family size, found at the first RZ of more than one angle
     member = None   # each entry's family member, column % k, until an H reorders the entries
-    for gate in circuit.gates:
-        kind, qubits = gate.kind, gate.qubits
+    for kind, qubits, angle in circuit.gates:
         if kind is CNOT:   # the control's bit moved onto the target's
             c, t = qubits
             moved = key >> (t - c) if t > c else key << (c - t)
@@ -295,7 +288,7 @@ def simulate(circuit, index, amp, column):
             mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
             phase = _PHASE.get(kind)
             if phase is None:   # RZ: one angle, or one per family member
-                phase = np.exp(1j * np.atleast_1d(gate.angle))
+                phase = np.exp(1j * np.atleast_1d(angle))
                 if phase.size > 1:
                     if member is None:
                         if k is None:   # members() raises if array angles differ in length

@@ -17,7 +17,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,21 +41,16 @@ from .statevector import (
 HWP_ANGLE_SEED = 20240811
 
 
-@dataclass
-class CheckResult:
-    name: str
-    max_deviation: float
-    threshold: float
-    seconds: float = 0.0      # wall time of the check, set by ``_check``
+class CheckResult(namedtuple("CheckResult", "name max_deviation threshold seconds",
+                             defaults=(0.0,))):
+    """A check's worst deviation against its threshold; ``seconds`` is the
+    wall time of the check, set by ``_check``."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.threshold
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["passed"] = self.passed
-        return d
 
 
 def _check(name: str, threshold: float):
@@ -109,7 +104,10 @@ def _in_catalyst_frame(gadget) -> Circuit:
     prep = gadget.catalyst_prep
     if prep is None:
         return gadget.circuit
-    return Circuit(prep.n_qubits, prep.gates + gadget.circuit.gates + prep.inverted().gates)
+    framed = Circuit(prep.n_qubits)
+    for part in (prep, gadget.circuit, prep.inverted()):
+        framed.extend(part)
+    return framed
 
 
 def _hwp_family(gadget, k: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -317,4 +315,4 @@ def run_all() -> list[CheckResult]:
 
 
 def report_json(results) -> str:
-    return json.dumps([r.as_dict() for r in results], indent=2)
+    return json.dumps([r._asdict() | {"passed": r.passed} for r in results], indent=2)

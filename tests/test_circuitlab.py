@@ -85,6 +85,15 @@ def _random_gate(rng, kind, n):
     return Gate(kind, qubits, angle)
 
 
+def _circuit(n, gates):
+    """A circuit on n wires of the ``(kind, qubits, angle)`` records
+    ``gates``, each entered through ``append``."""
+    circ = Circuit(n)
+    for kind, qubits, angle in gates:
+        circ.append(kind, *qubits, angle=angle)
+    return circ
+
+
 def _random_states(rng, n, batch):
     states = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
     return states / np.linalg.norm(states, axis=0)
@@ -92,11 +101,11 @@ def _random_states(rng, n, batch):
 
 class TestStateVector:
     CASES = [
-        Gate(GateKind.X, (2,)), Gate(GateKind.H, (0,)), Gate(GateKind.S, (3,)),
-        Gate(GateKind.SDG, (1,)), Gate(GateKind.T, (2,)), Gate(GateKind.TDG, (0,)),
-        Gate(GateKind.RZ, (1,), 0.913), Gate(GateKind.CNOT, (3, 1)),
-        Gate(GateKind.CZ, (0, 2)), Gate(GateKind.SWAP, (1, 3)),
-        Gate(GateKind.TOFFOLI, (3, 0, 2)),
+        Gate(GateKind.X, (2,), None), Gate(GateKind.H, (0,), None), Gate(GateKind.S, (3,), None),
+        Gate(GateKind.SDG, (1,), None), Gate(GateKind.T, (2,), None),
+        Gate(GateKind.TDG, (0,), None), Gate(GateKind.RZ, (1,), 0.913),
+        Gate(GateKind.CNOT, (3, 1), None), Gate(GateKind.CZ, (0, 2), None),
+        Gate(GateKind.SWAP, (1, 3), None), Gate(GateKind.TOFFOLI, (3, 0, 2), None),
     ]
 
     def test_every_gate_against_kron_embedding(self):
@@ -104,8 +113,7 @@ class TestStateVector:
         n = 4
         assert {gate.kind for gate in self.CASES} == set(GateKind)
         for gate in self.CASES:
-            circ = Circuit(n)
-            circ.extend([gate])
+            circ = _circuit(n, [gate])
             dense = _kron_unitary(gate, n)
             state = _random_states(rng, n, 1)[:, 0]
             assert np.max(np.abs(apply_circuit(state, circ) - dense @ state)) < 1e-14, gate.kind
@@ -121,7 +129,7 @@ class TestStateVector:
         reference = np.eye(1 << n, dtype=complex)
         for i in rng.permutation(len(kinds)):
             gate = _random_gate(rng, kinds[i], n)
-            circ.extend([gate])
+            circ.append(gate.kind, *gate.qubits, angle=gate.angle)
             reference = _kron_unitary(gate, n) @ reference
         states = _random_states(rng, n, 4)
         assert np.max(np.abs(apply_circuit(states, circ) - reference @ states)) < 1e-12
@@ -145,15 +153,10 @@ class TestStateVector:
         n, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
         kinds = list(GateKind) * 3 + [GateKind.H] * 4
         layout = [_random_gate(rng, kinds[i], n) for i in rng.permutation(len(kinds))]
-        family = Circuit(n)
-        family.extend(Gate(g.kind, g.qubits, None if g.angle is None
-                           else rng.uniform(-np.pi, np.pi, size=k)) for g in layout)
-        members = []
-        for a in range(k):
-            circ = Circuit(n)
-            circ.extend(Gate(g.kind, g.qubits, None if g.angle is None else float(g.angle[a]))
-                        for g in family.gates)
-            members.append(circ)
+        family = _circuit(n, [g._replace(angle=rng.uniform(-np.pi, np.pi, size=k))
+                              if g.angle is not None else g for g in layout])
+        members = [_circuit(n, [g if g.angle is None else g._replace(angle=float(g.angle[a]))
+                                for g in family.gates]) for a in range(k)]
         n_columns = 3 * k
         index = rng.integers(0, 1 << n, size=4 * n_columns)
         column = np.repeat(np.arange(n_columns), 4)
@@ -194,7 +197,7 @@ class TestStateVector:
         dense_in[index, column] = amp
         dense_out = np.zeros_like(dense_in)
         dense_out[out_index, out_column] = out_amp
-        dense_h = _kron_unitary(Gate(GateKind.H, (qubit,)), n)
+        dense_h = _kron_unitary(Gate(GateKind.H, (qubit,), None), n)
         assert np.max(np.abs(dense_out - dense_h @ dense_in)) < 1e-14
         # the earlier kernel: both images of every entry, equal keys merged by
         # np.unique and summed by np.bincount
@@ -209,11 +212,14 @@ class TestStateVector:
 
     @pytest.mark.parametrize("angle", [np.zeros((2, 2)), np.array([]), 1j, None, [0.1, "x"]])
     def test_angle_is_a_real_number_or_a_1d_array(self, angle):
+        circ = Circuit(1)
         with pytest.raises(ValueError):
-            Gate(GateKind.RZ, (0,), angle)
-        assert Gate(GateKind.RZ, (0,), [0.1, -2]).angle.tolist() == [0.1, -2.0]
+            circ.append(GateKind.RZ, 0, angle=angle)
         with pytest.raises(ValueError):
-            Gate(GateKind.T, (0,), 0.1)
+            circ.append(GateKind.T, 0, angle=0.1)
+        assert circ.gates == []
+        circ.rz(0, [0.1, -2])
+        assert circ.gates[0].angle.tolist() == [0.1, -2.0]
 
     def test_family_unitary_is_one_matrix_per_member(self):
         angles = [0.1, 0.7]
@@ -241,15 +247,64 @@ class TestStateVector:
         with pytest.raises(ValueError, match="no member count"):
             apply_circuit(np.eye(4, dtype=complex)[:, [3, 3, 3]], circ)
 
-    def test_gates_compare_by_identity(self):
-        a, b = (Gate(GateKind.RZ, (0,), np.array([1.0, 2.0])) for _ in range(2))
-        assert a != b and a == a
-        assert len({a, b}) == 2
-
     def test_extend_checks_the_qubit_range(self):
+        # extend takes a circuit on at most as many wires: a wider one is
+        # refused, even where its gates would fit, and leaves the gates as
+        # they were; a narrower one's gates are appended as they are
         circ = Circuit(2)
-        with pytest.raises(ValueError):
-            circ.extend([Gate(GateKind.CNOT, (0, 2))])
+        circ.h(0)
+        gates = list(circ.gates)
+        for wide in ([Gate(GateKind.CNOT, (0, 2), None)], [Gate(GateKind.X, (0,), None)]):
+            with pytest.raises(ValueError, match="3-qubit circuit does not fit on 2 qubits"):
+                circ.extend(_circuit(3, wide))
+            assert circ.gates == gates
+        narrow = _circuit(1, [Gate(GateKind.RZ, (0,), 0.5)])
+        circ.extend(narrow)
+        circ.extend(Circuit(2))
+        assert circ.gates == gates + narrow.gates and circ.gates[-1] is narrow.gates[0]
+
+    def test_no_unchecked_gate_enters_a_circuit(self):
+        # a gate enters only through append: neither the constructor nor
+        # extend takes gate records, so a qubit out of range cannot get in
+        # and fail later inside the simulation
+        bad = Gate(GateKind.X, (5,), None)
+        with pytest.raises(TypeError):
+            Circuit(2, [bad])
+        circ = Circuit(2)
+        with pytest.raises(TypeError, match="extend takes a Circuit, got list"):
+            circ.extend([bad])
+        with pytest.raises(ValueError, match="qubit 5 out of range"):
+            circ.append(bad.kind, *bad.qubits)
+        assert circ.gates == []
+
+    @pytest.mark.parametrize("kind, qubits, angle", [
+        ("x", (0,), None), ("cnot", (0, 1), None), ("rz", (1,), 0.1), ("toffoli", (0, 1, 2), None)])
+    def test_gate_kinds_given_as_strings(self, kind, qubits, angle):
+        # a kind's value stands for the kind, and simulates as the member
+        circ = Circuit(3)
+        circ.append(kind, *qubits, angle=angle)
+        gate = circ.gates[0]
+        assert gate.kind is GateKind(kind)
+        member = _circuit(3, [Gate(GateKind(kind), qubits, angle)])
+        state = _random_states(np.random.default_rng(3), 3, 2)
+        assert np.array_equal(apply_circuit(state, circ), apply_circuit(state, member))
+
+    @pytest.mark.parametrize("kind", ["bogus", "X", 7, None])
+    def test_unknown_gate_kind_rejected(self, kind):
+        circ = Circuit(2)
+        with pytest.raises(ValueError, match=re.escape(f"unknown gate kind {kind!r}")):
+            circ.append(kind, 0)
+        assert circ.gates == []
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf, np.float32("nan"),
+                                       [0.1, np.nan], np.array([np.inf, 0.2])],
+                             ids=["nan", "inf", "-inf", "float32-nan", "list-nan", "array-inf"])
+    def test_non_finite_angles_rejected(self, angle):
+        # refused where the gate enters, naming it, rather than simulated to
+        # NaN amplitudes, or passed where only finite members are simulated
+        circ = Circuit(2)
+        with pytest.raises(ValueError, match="^rz angle .*(nan|inf).* is not finite$"):
+            circ.rz(0, angle)
         assert circ.gates == []
 
     def test_norm_preserved(self):
@@ -304,15 +359,15 @@ class TestStateVector:
         # refused when the gate is made, naming the qubit, not taken as an
         # index (True as 1) or left to fail inside the simulation
         named = re.escape(f"qubit {qubit!r} is not an integer")
-        with pytest.raises(ValueError, match=named):
-            Circuit(3).x(qubit)
-        with pytest.raises(ValueError, match=named):
-            Circuit(3).cnot(qubit, 2)
-        with pytest.raises(ValueError, match=named):
-            Gate(GateKind.TOFFOLI, (0, 2, qubit))
         circ = Circuit(3)
-        with pytest.raises(ValueError, match="is not an integer"):
-            circ.extend([Gate(GateKind.X, [qubit])])
+        with pytest.raises(ValueError, match=named):
+            circ.x(qubit)
+        with pytest.raises(ValueError, match=named):
+            circ.cnot(qubit, 2)
+        with pytest.raises(ValueError, match=named):
+            circ.append(GateKind.TOFFOLI, 0, 2, qubit)
+        with pytest.raises(ValueError, match=named):
+            circ.append("x", qubit)
         assert circ.gates == []
 
     @pytest.mark.parametrize("n", [3.0, True, "3", np.float64(3)],
@@ -334,12 +389,12 @@ class TestStateVector:
         assert all(a.size == 0 for a in out)
 
     def test_integer_like_qubits_become_ints(self):
-        gate = Gate(GateKind.CNOT, [np.int64(2), np.uint8(0)])
-        assert gate.qubits == (2, 0) and all(type(q) is int for q in gate.qubits)
-        assert Gate(GateKind.CNOT, iter([np.int64(2), 0])).qubits == (2, 0)
         circ = Circuit(3)
+        circ.append(GateKind.CNOT, np.int64(2), np.uint8(0))
+        circ.cnot(np.int64(2), 0)
         circ.toffoli(np.int32(0), 1, np.int64(2))
-        assert circ.gates[0].qubits == (0, 1, 2)
+        assert [g.qubits for g in circ.gates] == [(2, 0), (2, 0), (0, 1, 2)]
+        assert all(type(q) is int for g in circ.gates for q in g.qubits)
         with pytest.raises(ValueError, match="out of range"):
             circ.x(np.int64(3))
 
@@ -415,7 +470,7 @@ def _circuits_and_inputs(draw):
         if kind is GateKind.RZ:
             angle = (draw(st.floats(-4.0, 4.0)) if k is None else
                      np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))))
-        circ.extend([Gate(kind, qubits, angle)])
+        circ.append(kind, *qubits, angle=angle)
     columns = draw(st.integers(1, 3)) * (k or 1)
     quiet = draw(st.integers(0, (1 << n) - 1))   # wires set on no input entry
     keys = sorted(draw(st.sets(st.integers(0, (columns << n) - 1), min_size=1, max_size=12)))
@@ -455,7 +510,8 @@ class TestKernelAgainstReference:
             circ.rz(int(rng.integers(n)), rng.uniform(-3, 3, size=k))
             for _ in range(5):
                 kind = [GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP, GateKind.X][rng.integers(4)]
-                circ.extend([_random_gate(rng, kind, n)])
+                gate = _random_gate(rng, kind, n)
+                circ.append(gate.kind, *gate.qubits, angle=gate.angle)
             circ.t(int(rng.integers(n)))
             circ.cz(0, 5)
         index = np.arange(1 << n).repeat(2 * k)
@@ -582,9 +638,9 @@ class TestHwpGadgets:
         for strategy in HwpStrategy:
             gadget = build_hwp(m, built, strategy)
             if mutant == "no_toffoli":
-                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+                gadget = gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
             elif mutant == "no_gate":
-                gadget.circuit = _without_last(gadget.circuit)
+                gadget = gadget._replace(circuit=_without_last(gadget.circuit))
             dense = 0.0
             for u, target in zip(_projected_family(gadget, built), targets):
                 if mutant == "phase":
@@ -625,7 +681,7 @@ class TestHwpGadgets:
         for strategy, broken in itertools.product(HwpStrategy, (False, True)):
             gadget = build_hwp(m, thetas, strategy)
             if broken:
-                gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
+                gadget = gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
             projected = _projected_family(gadget, thetas)
             diagonal, leakage, off = verify._hwp_family(gadget, thetas.size)
             assert np.max(np.abs(diagonal - np.diagonal(projected, axis1=1, axis2=2))) < 1e-13
@@ -705,11 +761,9 @@ def _projected_family(gadget, thetas):
 def _without_last(circuit, kind=None):
     """Copy of ``circuit`` missing its last gate of ``kind`` (of any kind:
     None); an empty circuit stays empty."""
-    gates = list(circuit.gates)
+    gates = circuit.gates
     found = [i for i, g in enumerate(gates) if kind is None or g.kind is kind]
-    out = Circuit(circuit.n_qubits)
-    out.gates = gates[:found[-1]] + gates[found[-1] + 1:] if found else gates
-    return out
+    return _circuit(circuit.n_qubits, gates[:found[-1]] + gates[found[-1] + 1:] if found else gates)
 
 
 def _dense_catalyst_invariance(sizes):
@@ -754,8 +808,7 @@ class TestMutantsFail:
         # wires intact and garbage in the adder workspace
         def broken(m, theta, strategy):
             gadget = build_hwp(m, theta, strategy)
-            gadget.circuit = _without_last(gadget.circuit, kind)
-            return gadget
+            return gadget._replace(circuit=_without_last(gadget.circuit, kind))
         monkeypatch.setattr(verify, "build_hwp", broken)
         result = verify.check_catalyst_invariance()
         assert not result.passed and result.max_deviation > 0.1
@@ -763,8 +816,7 @@ class TestMutantsFail:
     def test_hwp_missing_uncompute_toffoli(self, monkeypatch):
         def broken(m, theta, strategy):
             gadget = build_hwp(m, theta, strategy)
-            gadget.circuit = _without_last(gadget.circuit, GateKind.TOFFOLI)
-            return gadget
+            return gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
         monkeypatch.setattr(verify, "build_hwp", broken)
         assert not verify.check_hwp_unitary().passed
 
@@ -785,9 +837,8 @@ class TestMutantsFail:
                     prep = build_hwp(m, 1.0001 * theta, strategy).catalyst_prep
                 else:
                     assert prep.gates[0].kind is GateKind.H
-                    prep = Circuit(prep.n_qubits, prep.gates[1:])
-            gadget.catalyst_prep = prep
-            return gadget
+                    prep = _circuit(prep.n_qubits, prep.gates[1:])
+            return gadget._replace(catalyst_prep=prep)
         monkeypatch.setattr(verify, "build_hwp", broken)
         assert not verify.check_hwp_unitary().passed
         assert not verify.check_catalyst_invariance().passed

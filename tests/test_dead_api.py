@@ -78,6 +78,22 @@ def test_exported_dataclasses_document_every_field():
         assert missing == [], cls.__name__
 
 
+def test_no_circuitlab_module_imports_dataclasses():
+    # the lab's records are named tuples and plain classes
+    importers = []
+    for path in sorted((PACKAGE / "circuitlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(path.name)
+    assert importers == []
+
+
 def test_benchmark_tracer_finds_and_restores_its_wraps():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
