@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+import numpy as np
+
 from ..primitives import CostVector, HwpStrategy, hamming_adders
 from .statevector import Circuit
 
@@ -59,18 +61,20 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 
     bits = list(range(M))  # wires holding weight-1 bits
     while bits:
-        carries = []
-        while len(bits) > 1:
+        # the running sum moves onto the last wire each adder reads; bits[i:]
+        # are still unread
+        carries, total, i = [], bits[0], 1
+        while i < len(bits):
             carry = next_free
             next_free += 1
-            if len(bits) >= 3:
-                full_adder(circ, bits[0], bits[1], bits[2], carry)
-                bits = [bits[2]] + bits[3:]
+            if i + 1 < len(bits):
+                full_adder(circ, total, bits[i], bits[i + 1], carry)
+                total, i = bits[i + 1], i + 2
             else:
-                half_adder(circ, bits[0], bits[1], carry)
-                bits = [bits[1]]
+                half_adder(circ, total, bits[i], carry)
+                total, i = bits[i], i + 1
             carries.append(carry)
-        outputs.append(bits[0])
+        outputs.append(total)
         bits = carries
 
     assert next_free == M + n_anc
@@ -80,6 +84,15 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 # ---------------------------------------------------------------------------
 # Hamming-weight phasing
 # ---------------------------------------------------------------------------
+
+
+def _angles(theta):
+    """``theta`` as ``build_hwp`` and ``build_plaquette_evolution`` scale
+    it: a list or tuple as the array of one angle per family member (not a
+    list to repeat), a number as the Python number it is, which needs no
+    numpy call per rotation."""
+    theta = np.asarray(theta)
+    return theta.item() if theta.ndim == 0 else theta
 
 
 # A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp`` lays
@@ -143,8 +156,10 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     catalyzed, the k = M.bit_length() catalyst wires, then k borrow wires.
     Every wire but the targets returns to |0>, the catalyst wires in the
     frame of their preparation: the catalyst state returns unchanged.  A 1-D
-    array ``theta`` builds the family of these gadgets, one per angle.
+    ``theta`` (an array, list or tuple) builds the family of these gadgets,
+    one per angle.
     """
+    theta = _angles(theta)
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
     k = M.bit_length()
     hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
@@ -246,9 +261,11 @@ def build_plaquette_evolution(theta) -> Circuit:
 
     The basis change (fermionic swaps and two two-site Fourier pairs)
     diagonalizes the generator into two same-angle rotations on the middle
-    mode pair.  Counted cost: eight T gates and two rotations.  A 1-D array
-    ``theta`` builds the family of these evolutions, one per angle.
+    mode pair.  Counted cost: eight T gates and two rotations.  A 1-D
+    ``theta`` (an array, list or tuple) builds the family of these
+    evolutions, one per angle.
     """
+    theta = _angles(theta)
     circ = Circuit(4)
     basis_change = Circuit(4)
     adjacent_fswap(basis_change, 1)          # modes 2,3

@@ -2,16 +2,29 @@
 
 ``simulate`` takes a batch of states as three aligned arrays: ``index``
 (basis index), ``amp`` (amplitude) and ``column`` (the batch member an
-entry belongs to), and works on one int64 key ``column << n | index`` per
+entry belongs to).  A circuit without H sends each basis state to one basis
+state with a phase, so it runs on wire masks (``_permute``): each entry is a
+lane, each wire one Python int whose bit l is the wire's value in lane l,
+X, CNOT, Toffoli and SWAP are one int operation each, and each diagonal gate
+records its hit mask.  The masks are formed from the indices one wire at a
+time, and only the wires the circuit changed are read back; each diagonal
+gate multiplies the whole batch by its phase where it hits, in gate order,
+so the outputs are those of the key kernel below to the bit.  The gadgets
+the cost model counts are mostly of this kind: X, CNOT, Toffoli and RZ.
+``verify`` runs the Hamming-weight phasing (HWP) gadgets on the masks in
+their catalyst's frame: for the catalyst state |phi> = P|0>,
+<x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
+only the preparation P is simulated, and U runs once on x (x) supp(phi),
+since its permutation does not depend on the angle.
+
+A circuit with an H works on one int64 key ``column << n | index`` per
 entry from input to output.  X, CNOT, Toffoli and SWAP are XORs of the
 keys; a diagonal gate multiplies each entry by a factor picked by its hit,
-``(key & mask) == mask``.  The gadgets the cost model counts are mostly
-these gates, which map each entry to one entry, so a basis input stays a
-single entry however many qubits the gadget has.  H finds each entry's
-partner (key ^ bit): one sort puts partners side by side, a pair's
-h = amp/sqrt2 give h0 + h1 and h0 - h1, and exact zeros drop.  An H whose
-bit no key has cannot merge: each entry just splits in two, without a
-sort.  Entry order is not part of the result.
+``(key & mask) == mask``.  H finds each entry's partner (key ^ bit): one
+sort puts partners side by side, a pair's h = amp/sqrt2 give h0 + h1 and
+h0 - h1, and exact zeros drop.  An H whose bit no key has cannot merge:
+each entry just splits in two, without a sort.  Entry order is not part of
+the result.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -28,15 +41,18 @@ A gate is a plain ``(kind, qubits, angle)`` record, checked once, where it
 enters a ``Circuit`` through ``append``: its kind (a ``GateKind`` or its
 value, such as ``"cnot"``), the number of its qubits, which must be
 distinct integers on the circuit's wires, and an angle, finite, for RZ
-alone.  ``extend`` appends a circuit on at most as many wires, and
+alone, a real number (stored as a float; a bool is refused) or a 1-D
+array.  ``extend`` appends a circuit on at most as many wires, and
 ``inverted`` reverses one; both reuse gates already checked, so composing
 circuits does no per-gate work.
 
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
 check of ``verify`` calls on a state (each runs ``simulate`` on sparse
-inputs), takes statevectors of at most 15.  A circuit itself may be
-larger, up to the 62 bits of a (column, index) key.
+inputs), takes statevectors of at most 15.  A circuit given to ``simulate``
+may be larger, up to the 62 bits of a (column, index) key.  ``_permute``
+itself has no such limit: the tests run the HWP gadget of every size the
+estimator charges on it, up to M = 4,096 (8,217 wires catalyzed).
 """
 
 from __future__ import annotations
@@ -88,6 +104,13 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PHASE = {S: 1j, SDG: -1j, T: np.exp(0.25j * np.pi), TDG: np.exp(-0.25j * np.pi), CZ: -1 + 0j}
 
 
+def _phase(kind: GateKind, angle):
+    """The factor a diagonal gate multiplies where it hits: a number, or
+    for RZ a 1-D array, one factor per family member (one for a float)."""
+    phase = _PHASE.get(kind)
+    return np.exp(1j * np.atleast_1d(angle)) if phase is None else phase
+
+
 def _qubit(q, name: str = "qubit") -> int:
     """``q`` through ``operator.index``; a bool (an int to Python, but no
     wire number or count) or anything without ``__index__`` is refused,
@@ -134,7 +157,14 @@ class Circuit:
         if (kind is RZ) != (angle is not None):
             raise ValueError(f"angle mismatch for {kind.value}")
         if angle is not None:
-            if not isinstance(angle, (float, int)) and not isinstance(angle, Real):   # ABC last
+            if type(angle) is float:
+                pass
+            elif isinstance(angle, Real) and not isinstance(angle, bool):   # ABC after float
+                try:   # an int, a Fraction or a numpy scalar, simulated as the float it is
+                    angle = float(angle)
+                except OverflowError:
+                    raise ValueError(f"{kind.value} angle {angle!r} is not finite") from None
+            else:
                 given, angle = angle, np.asarray(angle)
                 if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
                     raise ValueError(f"{kind.value} needs a real angle or a non-empty "
@@ -167,9 +197,13 @@ class Circuit:
     def toffoli(self, c1, c2, t): self.append(TOFFOLI, c1, c2, t)
 
     def inverted(self) -> "Circuit":
+        """The gates in reverse, each inverted; a gate that is its own
+        inverse is reused as it is."""
         out = Circuit(self.n_qubits)
-        out.gates = [Gate(_INVERSE.get(kind, kind), qubits, None if angle is None else -angle)
-                     for kind, qubits, angle in reversed(self.gates)]
+        out.gates = [gate if gate.angle is None and gate.kind not in _INVERSE else
+                     Gate(_INVERSE.get(gate.kind, gate.kind), gate.qubits,
+                          None if gate.angle is None else -gate.angle)
+                     for gate in reversed(self.gates)]
         return out
 
     def counts(self) -> dict[str, int]:
@@ -235,6 +269,69 @@ def _integers(values, name: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def _mask(values: np.ndarray) -> int:
+    """The lanes where ``values`` is nonzero, as an int: bit l for lane l."""
+    return int.from_bytes(np.packbits(values, bitorder="little"), "little")
+
+
+def _wires(index: np.ndarray, n: int) -> list[int]:
+    """The wire masks of the basis states ``index``, lane l holding
+    ``index[l]``: bit l of wire q is qubit q of ``index[l]``.  Formed one
+    wire at a time; a wire set in no lane is 0 without a pass."""
+    present = int(np.bitwise_or.reduce(index))
+    return [_mask(index & bit) if present & bit else 0
+            for bit in (1 << (n - 1 - q) for q in range(n))]
+
+
+def _lanes(mask: int, lanes: int) -> np.ndarray:
+    """The wire mask ``mask`` as a uint8 array of 0s and 1s over its
+    ``lanes`` lanes."""
+    packed = np.frombuffer(mask.to_bytes((lanes + 7) >> 3, "little"), np.uint8)
+    return np.unpackbits(packed, count=lanes, bitorder="little")
+
+
+def _moved(index: np.ndarray, before: list[int], after: list[int]) -> np.ndarray:
+    """``index`` with each wire that differs between the masks ``before``
+    and ``after`` flipped in the lanes where it differs: the basis index of
+    each lane after ``_permute``, read back only from the wires it changed,
+    one wire at a time."""
+    n, lanes = len(before), index.size
+    index = index.copy()
+    for q, (a, b) in enumerate(zip(before, after)):
+        if a != b:
+            index ^= np.left_shift(_lanes(a ^ b, lanes), n - 1 - q, dtype=np.int64)
+    return index
+
+
+def _permute(circuit, wires: list[int], lanes: int):
+    """Run the H-free ``circuit`` on wire masks: ``wires[q]`` is an int
+    whose bit l is wire q's value in lane l, for ``lanes`` lanes.  X, CNOT,
+    Toffoli and SWAP are one int operation each.  Returns the output wires
+    and, in gate order, each diagonal gate (S, T, their inverses, CZ and RZ)
+    with its hit mask, the lanes where all its qubits are set.  An H has no
+    basis state to send a lane to: it raises ``ValueError``, naming it."""
+    wires = list(wires)
+    every = (1 << lanes) - 1
+    hits = []
+    for gate in circuit.gates:
+        kind, qubits, _ = gate
+        if kind is CNOT:
+            wires[qubits[1]] ^= wires[qubits[0]]
+        elif kind is TOFFOLI:
+            a, b, t = qubits
+            wires[t] ^= wires[a] & wires[b]
+        elif kind is X:
+            wires[qubits[0]] ^= every
+        elif kind is SWAP:
+            a, b = qubits
+            wires[a], wires[b] = wires[b], wires[a]
+        elif kind is H:
+            raise ValueError(f"h on qubit {qubits[0]} is not a permutation of basis states")
+        else:
+            hits.append((gate, wires[qubits[0]] & wires[qubits[-1]]))
+    return wires, hits
+
+
 def simulate(circuit, index, amp, column):
     """Apply ``circuit`` to a sparse batch of states.
 
@@ -242,7 +339,9 @@ def simulate(circuit, index, amp, column):
     column ``column[i]``; absent entries are zero.  Returns new
     ``(index, amp, column)`` arrays.  X, CNOT, Toffoli and SWAP move each
     entry to one new index, and the diagonal gates multiply ``amp`` where
-    their qubits are all set; only H changes the number of entries.  Keys
+    their qubits are all set; only H changes the number of entries.  A
+    circuit without H runs on wire masks (``_permute``), entry i in lane i,
+    and keeps the entry order.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
     ``index`` and ``column`` must be integer arrays: any other kind raises
     ``ValueError``.
@@ -262,6 +361,8 @@ def simulate(circuit, index, amp, column):
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
         raise ValueError(f"basis index or column out of range for {n} qubits")
+    if not any(kind is H for kind, _, _ in circuit.gates):
+        return _simulate_permutation(circuit, index, amp, column)
     key = (column << n) | index
     bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
     k = None        # the family size, found at the first RZ of more than one angle
@@ -297,6 +398,25 @@ def simulate(circuit, index, amp, column):
                     phase = phase.take(member)
             amp *= np.where((key & mask) == mask, phase, 1.0)
     return key & ((1 << n) - 1), amp, key >> n
+
+
+def _simulate_permutation(circuit, index, amp, column):
+    """``simulate`` of a circuit without H, on wire masks.  Each diagonal
+    gate multiplies the whole batch by ``np.where(hit, phase, 1.0)`` in gate
+    order, as the key kernel does, so the amplitudes are the key kernel's to
+    the bit (numpy rounds a one-entry complex multiply differently)."""
+    lanes = index.size
+    before = _wires(index, circuit.n_qubits)
+    wires, hits = _permute(circuit, before, lanes)
+    member = None   # each entry's family member, column % k, found at the first family RZ
+    for (kind, _, angle), hit in hits:
+        phase = _phase(kind, angle)
+        if kind is RZ and phase.size > 1:   # one angle per family member
+            if member is None:   # members() raises if array angles differ in length
+                member = column % circuit.members()
+            phase = phase.take(member)
+        amp *= np.where(_lanes(hit, lanes), phase, 1.0)
+    return _moved(index, before, wires), amp, column
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:

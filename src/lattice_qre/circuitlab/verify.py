@@ -33,6 +33,12 @@ from .gadgets import (
 from .statevector import (
     H,
     Circuit,
+    _lanes,
+    _mask,
+    _moved,
+    _permute,
+    _phase,
+    _wires,
     apply_circuit,  # noqa: F401  no check calls it; perfbench's tracer wraps verify.apply_circuit
     max_unitary_deviation,
     simulate,
@@ -79,21 +85,23 @@ def _hamming_weights(m: int) -> np.ndarray:
 
 @_check("hamming_weight", 1e-12)
 def check_hamming_weight(max_bits: int = 8) -> float:
-    """Exhaustive basis check of the adder chain for every input width."""
+    """Exhaustive basis check of the adder chain for every input width, on
+    wire masks: lane x holds input x, bit i of x on wire i, and output
+    weight bit j must be set in exactly the lanes whose weight has bit j.
+    The chain applies no phase: a diagonal gate that hits a lane is a
+    deviation too."""
     worst = 0.0
     for m in range(1, max_bits + 1):
         gadget = build_hamming_weight(m)
         if gadget.circuit.counts()["toffoli"] != hamming_adders(m):
             return math.inf
-        n = gadget.circuit.n_qubits
-        x, wire = np.arange(1 << m), np.arange(m)
-        # input bit i of x goes to wire i; wire w is bit (n-1-w) of the index
-        index = (((x[:, None] >> wire) & 1) << (n - 1 - wire)).sum(axis=1)
-        index, amp, column = simulate(gadget.circuit, index, np.ones(x.size), x)
-        out_bit = n - 1 - np.array(gadget.outputs)   # the index bit of each output wire
-        weight = (((index[:, None] >> out_bit) & 1) << np.arange(out_bit.size)).sum(axis=1)
-        dev = np.where(weight == _hamming_weights(m)[column], np.abs(amp - 1.0), 1.0)
-        worst = max(worst, float(dev.max()))
+        x, weight = np.arange(1 << m), _hamming_weights(m)
+        inputs = [_mask(x & (1 << i)) for i in range(m)]
+        wires, hits = _permute(gadget.circuit, inputs + [0] * (gadget.circuit.n_qubits - m),
+                               1 << m)
+        if any(hit for _, hit in hits) or any(
+                wires[wire] != _mask(weight & (1 << j)) for j, wire in enumerate(gadget.outputs)):
+            worst = 1.0
     return worst
 
 
@@ -110,27 +118,77 @@ def _in_catalyst_frame(gadget) -> Circuit:
     return framed
 
 
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """The lane mask ``pattern``, ``period`` lanes long, repeated ``count``
+    times (a power of two) by doubling."""
+    for _ in range(count.bit_length() - 1):
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
+def _frame_lanes(gadget, k: int):
+    """The terms of <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e
+    <x', e'|U|x, e> for the k members of a gadget family (``build_hwp`` at k
+    angles), where |phi> is the catalyst state P|0> (all zeros for a
+    baseline gadget) and <x', e'| has every other wire at zero.  phi comes
+    from simulating the preparation P alone, for all members.  U, free of H,
+    runs once on wire masks (``_permute``), one lane per target x and
+    catalyst basis state e in the support of phi, lane x*|supp| + e: its
+    permutation does not depend on the angle, and the members' phases are
+    broadcast over the lanes.  Returns each lane's row x' and column x, and
+    the members' (k, lanes) terms, zero where the environment does not end
+    in the support."""
+    m, circuit, prep = gadget.M, gadget.circuit, gadget.catalyst_prep
+    if prep is None:
+        support, phi = np.zeros(1, dtype=np.int64), np.ones((k, 1), dtype=complex)
+    else:
+        index, amp, member = simulate(prep, np.zeros(k, dtype=np.int64), np.ones(k), np.arange(k))
+        support, at = np.unique(index, return_inverse=True)
+        phi = np.zeros((k, support.size), dtype=complex)
+        phi[member, at] = amp
+    size = support.size
+    lanes = size << m
+    lane = np.arange(lanes)
+    column, start = lane // size, support[lane % size]
+    # lane x*size + e holds x on the targets and support[e] on the other
+    # wires: target wire q (bit m-1-q of x) is set in the upper half of
+    # each run of size << (m - q) lanes
+    targets = [_repeat(((1 << (run >> 1)) - 1) << (run >> 1), run, lanes // run)
+               for run in (size << (m - q) for q in range(m))]
+    env = [_repeat(wire, size, 1 << m) for wire in _wires(support, circuit.n_qubits - m)]
+    wires, hits = _permute(circuit, targets + env, lanes)
+    row, end = _moved(column, targets, wires[:m]), _moved(start, env, wires[m:])
+    landed = np.searchsorted(support, end).clip(max=size - 1)
+    term = np.where(support[landed] == end, phi.conj()[:, landed], 0.0)
+    term = (term.reshape(k, -1, size) * phi[:, None]).reshape(k, lanes)
+    for (kind, _, angle), hit in hits:
+        term *= np.where(_lanes(hit, lanes), np.reshape(_phase(kind, angle), (-1, 1)), 1.0)
+    return row, column, term
+
+
 def _hwp_family(gadget, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Induced action on the targets of each of the k members of a gadget
     family (``build_hwp`` at k angles) when the other wires start and end in
     the gadget's reference state (the catalyst state, or all zeros): the
     members' diagonals and leakages |1 - column norm|, both (k, 2**M), and
-    the largest |entry| off any diagonal.  One simulation of P†UP on the
-    inputs x (x) 0 runs the family, batch column x*k + a holding target x of
-    member a; the induced matrix is the outputs whose environment is zero."""
-    m = gadget.M
-    env_bits = gadget.circuit.n_qubits - m
-    column = np.arange(k << m)
-    index, amp, column = simulate(_in_catalyst_frame(gadget), (column // k) << env_bits,
-                                  np.ones(column.size), column)
-    kept = (index & ((1 << env_bits) - 1)) == 0
-    row, amp, column = index[kept] >> env_bits, amp[kept], column[kept]
-    on = row == column // k
-    diagonal = np.zeros(k << m, dtype=complex)
-    diagonal[column[on]] = amp[on]
-    norm = np.sqrt(np.bincount(column, np.abs(amp) ** 2, minlength=k << m))
-    return (diagonal.reshape(1 << m, k).T, np.abs(1.0 - norm).reshape(1 << m, k).T,
-            float(np.abs(amp[~on]).max(initial=0.0)))
+    the largest |entry| off any diagonal.  Each entry <x', phi|U|x, phi> sums
+    the terms of its lanes (``_frame_lanes``), which come ordered by column:
+    the diagonal in one pass over each column's lanes, and only lanes that
+    leave the diagonal grouped by (row, column)."""
+    row, column, term = _frame_lanes(gadget, k)
+    on = row == column
+    starts = np.searchsorted(column, np.arange(1 << gadget.M))   # each column's first lane
+    diagonal = np.add.reduceat(np.where(on, term, 0.0), starts, axis=1)
+    norm = np.abs(diagonal) ** 2
+    off = 0.0
+    if not on.all():   # lanes that leave the diagonal: sum each (row, column) entry
+        pairs, pair = np.unique(row[~on] << gadget.M | column[~on], return_inverse=True)
+        entry = np.zeros((k, pairs.size), dtype=complex)
+        np.add.at(entry, (slice(None), pair), term[:, ~on])
+        np.add.at(norm, (slice(None), pairs & ((1 << gadget.M) - 1)), np.abs(entry) ** 2)
+        off = float(np.abs(entry).max())
+    return diagonal, np.abs(1.0 - np.sqrt(norm)), off
 
 
 @_check("hwp_unitary", 1e-9)
@@ -138,7 +196,8 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     """Both phasing strategies act as a tensor power of phase rotations:
     exhaustively over the 2**M target states, against the diagonal
     e^{i*theta*HW(x)}.  Each (M, strategy) is built once, as the family of
-    its gadgets at all the angles, simulated once and compared at once."""
+    its gadgets at all the angles, run once on wire masks in its catalyst's
+    frame (``_hwp_family``) and compared at once."""
     rng = random.Random(HWP_ANGLE_SEED)
     angles = np.array([rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(n_angles)])
     worst = 0.0
@@ -252,7 +311,7 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
     oracle = _oracle(4)
     # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
     energies, modes = np.linalg.eigh(plaquette_generator(oracle))
-    circ = build_plaquette_evolution(np.array(angles))
+    circ = build_plaquette_evolution(angles)
     counts = circ.counts()
     worst = 0.0 if (counts["t"], counts["rz"], counts["toffoli"]) == (8, 2, 0) else 1.0
     targets = (modes * np.exp(1j * np.array(angles)[:, None, None] * energies)) @ modes.conj().T

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from lattice_qre.model import Model
 from lattice_qre.primitives import HwpStrategy, hamming_adders, hwp_counts
+from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_cost import _STEPS, Strategy, _hwp_runs
 from lattice_qre.circuitlab import Circuit, FermionOracle, apply_circuit
 from lattice_qre.circuitlab import gadgets
@@ -23,9 +25,11 @@ from lattice_qre.circuitlab.gadgets import (
 )
 from lattice_qre.circuitlab.statevector import (
     _ARITY,
-    _KEY_BITS,
     _SQRT_HALF,
     _hadamard,
+    _lanes,
+    _mask,
+    _permute,
     Gate,
     GateKind,
     max_unitary_deviation,
@@ -221,6 +225,23 @@ class TestStateVector:
         circ.rz(0, [0.1, -2])
         assert circ.gates[0].angle.tolist() == [0.1, -2.0]
 
+    def test_real_angles_are_floats_and_bools_are_refused(self):
+        # a Fraction or an int is simulated as the float it is (a Fraction
+        # used to be stored as given and fail inside np.exp); a bool is no
+        # angle, Python's as much as numpy's
+        circ = Circuit(1)
+        circ.rz(0, Fraction(1, 3))
+        circ.rz(0, 2)
+        assert [(type(g.angle), g.angle) for g in circ.gates] == [(float, 1 / 3), (float, 2.0)]
+        _, amp, _ = simulate(circ, [1], [1.0], [0])
+        assert abs(amp[0] - np.exp(1j * (1 / 3 + 2.0))) < 1e-15
+        for angle in (True, False, np.True_):
+            with pytest.raises(ValueError, match="^rz needs a real angle"):
+                circ.rz(0, angle)
+        with pytest.raises(ValueError, match="is not finite$"):
+            circ.rz(0, Fraction(10 ** 400))
+        assert len(circ.gates) == 2
+
     def test_family_unitary_is_one_matrix_per_member(self):
         angles = [0.1, 0.7]
         stack = build_plaquette_evolution(np.array(angles)).unitary()
@@ -402,14 +423,18 @@ class TestStateVector:
 def _reference_simulate(circuit, index, amp, column):
     """An independent reference kernel: every gate on the int64 basis
     indices through per-wire shifts, H pairing partners by one stable sort
-    of the (column, index) keys and no split without a sort."""
+    of the (column, index) keys and no split without a sort.  A phase gate
+    multiplies the whole batch by its complex factor where it hits and
+    1 + 0j elsewhere, as the kernel does: numpy rounds a one-entry multiply
+    without the fused multiply-add of its vector loops, so a multiply of
+    the hit entries alone differs in the last bit when one entry is hit."""
     n = circuit.n_qubits
     circuit.members()
     index = np.array(index, dtype=np.int64).ravel()
     amp = np.array(amp, dtype=complex).ravel()
     column = np.array(column, dtype=np.int64).ravel()
     phases = {GateKind.S: 1j, GateKind.SDG: -1j, GateKind.T: np.exp(0.25j * np.pi),
-              GateKind.TDG: np.exp(-0.25j * np.pi), GateKind.CZ: -1.0}
+              GateKind.TDG: np.exp(-0.25j * np.pi), GateKind.CZ: -1 + 0j}
     for gate in circuit.gates:
         kind = gate.kind
         shift = [n - 1 - q for q in gate.qubits]
@@ -440,10 +465,11 @@ def _reference_simulate(circuit, index, amp, column):
             mask = sum(1 << s for s in shift)
             hit = (index & mask) == mask
             if gate.angle is None:
-                amp[hit] *= phases[kind]
+                phase = phases[kind]
             else:
                 phase = np.exp(1j * np.atleast_1d(gate.angle))
-                amp[hit] *= phase[column[hit] % phase.size]
+                phase = phase[column % phase.size]
+            amp *= np.where(hit, phase, 1.0)
     return index, amp, column
 
 
@@ -454,14 +480,16 @@ def _as_dict(index, amp, column):
 
 
 @st.composite
-def _circuits_and_inputs(draw):
-    """A circuit of every gate kind on 1-5 wires, with scalar or family
-    angles, and a sparse batch over 1-3 columns (times the family size) on
-    which some wires are never set, so that an H on them finds no partner;
-    the amplitudes include exact zeros and pairs that cancel."""
+def _circuits_and_inputs(draw, hadamard=True):
+    """A circuit of every gate kind (every one but H unless ``hadamard``)
+    on 1-5 wires, with scalar or family angles, and a sparse batch over 1-3
+    columns (times the family size) on which some wires are never set, so
+    that an H on them finds no partner; the amplitudes include exact zeros
+    and pairs that cancel."""
     n = draw(st.integers(1, 5))
     k = draw(st.sampled_from([None, 1, 2, 3]))
-    kinds = [kind for kind in GateKind if _ARITY[kind] <= n]
+    kinds = [kind for kind in GateKind
+             if _ARITY[kind] <= n and (hadamard or kind is not GateKind.H)]
     circ = Circuit(n)
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(kinds))
@@ -497,6 +525,25 @@ class TestKernelAgainstReference:
         want = _as_dict(*_reference_simulate(circ, index, amp, column))
         assert all(abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15
                    for key in got.keys() | want.keys())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=_circuits_and_inputs(hadamard=False))
+    def test_circuits_without_h_match_to_the_bit(self, case):
+        # a circuit without H runs on wire masks; its outputs are the
+        # reference's entry for entry, in the input order, and bit for bit
+        circ, index, amp, column = case
+        got = simulate(circ, index, amp, column)
+        want = _reference_simulate(circ, index, amp, column)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        assert list(map(float.hex, got[1].view(float))) == list(map(float.hex, want[1].view(float)))
+
+    def test_the_evaluator_refuses_h_by_name(self):
+        # an H sends a basis state to two: no lane can follow it
+        circ = Circuit(3)
+        circ.x(0)
+        circ.h(2)
+        with pytest.raises(ValueError, match="^h on qubit 2 is not a permutation of basis states$"):
+            _permute(circ, [0, 0, 0], 1)
 
     def test_classical_runs_between_merging_hadamards(self):
         # runs of CNOT/Toffoli/SWAP/X between H gates whose partners are
@@ -546,19 +593,32 @@ class TestKernelAgainstReference:
         assert got[0].max() >= 1 << (n - 2)
 
     def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
+        # and every circuit without H ran on wire masks, every one with H on
+        # the key kernel; the adder chains and the HWP circuits proper run on
+        # the evaluator without a simulation, only the catalyst preparations
+        # of the HWP families are simulated
         from lattice_qre.circuitlab import statevector
 
-        seen = []
+        seen, permuted = [], []
 
         def recorded(circuit, index, amp, column):
             out = simulate(circuit, index, amp, column)
             seen.append(((circuit, index, amp, column), out))
             return out
 
+        def on_masks(circuit, *args):
+            permuted.append(circuit)
+            return simulate_permutation(circuit, *args)
+
+        simulate_permutation = statevector._simulate_permutation
         monkeypatch.setattr(verify, "simulate", recorded)
         monkeypatch.setattr(statevector, "simulate", recorded)
+        monkeypatch.setattr(statevector, "_simulate_permutation", on_masks)
         assert all(r.passed for r in verify.run_all())
-        assert len(seen) == 27
+        assert len(seen) == 15
+        with_h = [any(g.kind is GateKind.H for g in args[0].gates) for args, _ in seen]
+        assert with_h.count(False) == len(permuted) == 5
+        assert [args[0] for (args, _), h in zip(seen, with_h) if not h] == permuted
         for args, out in seen:
             assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
 
@@ -613,25 +673,21 @@ class TestHwpGadgets:
         # the family comparison against diag(e^{i theta HW}) restated densely:
         # max_unitary_deviation of each member's induced block, from its dense
         # unitary and the closed-form catalyst state, and the column norms;
-        # the phase and off-diagonal mutants act on the simulated outputs
+        # the phase and off-diagonal mutants act on the terms of the lanes
+        # the evaluator ran, before they are summed into entries
         m, thetas = 3, np.array((0.913, -2.2, 1.4))
+        frame_lanes = verify._frame_lanes
 
-        def mutated(circuit, index, amp, column):
-            index, amp, column = simulate(circuit, index, amp, column)
+        def mutated(gadget, k):
+            row, column, term = frame_lanes(gadget, k)
             if mutant == "phase":
-                amp = amp * np.exp(0.3j)
+                term = term * np.exp(0.3j)
             elif mutant == "off_diagonal":   # 1e-3 at row 1 of column 0, each member
-                row_1 = 1 << (circuit.n_qubits - m)
-                for a in range(thetas.size):
-                    at = np.flatnonzero((index == row_1) & (column == a))
-                    if at.size:
-                        amp[at] += 1e-3
-                    else:
-                        index, column = np.append(index, row_1), np.append(column, a)
-                        amp = np.append(amp, 1e-3)
-            return index, amp, column
+                row, column = np.insert(row, 0, 1), np.insert(column, 0, 0)
+                term = np.insert(term, 0, 1e-3, axis=1)
+            return row, column, term
 
-        monkeypatch.setattr(verify, "simulate", mutated)
+        monkeypatch.setattr(verify, "_frame_lanes", mutated)
         weights = np.array([bin(x).count("1") for x in range(1 << m)])
         targets = np.exp(1j * thetas[:, None] * weights)
         built = (1.0001 if mutant == "angle" else 1.0) * thetas
@@ -691,6 +747,19 @@ class TestHwpGadgets:
             off_diagonal = projected * (1 - np.eye(1 << m))
             assert abs(off - np.max(np.abs(off_diagonal))) < 1e-13
 
+    @pytest.mark.parametrize("thetas", [[0.3, -1.9], (0.3, -1.9)], ids=["list", "tuple"])
+    def test_a_sequence_of_angles_builds_the_family(self, thetas):
+        # one member per angle, as the array of them builds: a list used to
+        # be repeated by each rotation's 1 << i, not scaled, and the
+        # plaquette's -2.0 * theta raised TypeError
+        array = np.array(thetas)
+        for strategy in HwpStrategy:
+            built, want = build_hwp(2, thetas, strategy), build_hwp(2, array, strategy)
+            for got, expected in zip(verify._hwp_family(built, 2), verify._hwp_family(want, 2)):
+                assert np.array_equal(got, expected)
+        assert np.array_equal(build_plaquette_evolution(thetas).unitary(),
+                              build_plaquette_evolution(array).unitary())
+
     def test_counted_tallies_match_cost_model(self):
         for m in (1, 2, 3, 4, 5):
             for strategy in HwpStrategy:
@@ -705,35 +774,98 @@ class TestHwpGadgets:
                 build_hwp(0, 0.1, strategy)
 
     def test_tallies_at_the_charged_sizes(self):
-        # every run size M the step table charges for L = 4..16: the tally of
-        # the circuit's compute direction is hwp_counts(M), and its wires are
-        # the M targets plus the workspace, catalyst and borrow registers
-        # that total_qubits counts
+        # every run size M the Trotter tables charge (L <= 32, up to
+        # M = 4,096), both strategies: the tally of the circuit's compute
+        # direction is hwp_counts(M), its wires are the M targets plus the
+        # workspace, catalyst and borrow registers that total_qubits counts,
+        # and on wire masks it computes the phase it is charged for
         sizes = {_hwp_runs(L, size, strategy.batched)[0]
-                 for kind, (_, layers, _) in _STEPS.items() for size, *_ in layers
-                 for L in range(4, 17, 4 if kind is Model.CUPRATE else 2)
-                 for strategy in Strategy}
-        assert len(sizes) == 22
+                 for kind, table in TROTTER_TABLES.items() for L in table
+                 for size, *_ in _STEPS[kind][1] for strategy in Strategy}
+        assert len(sizes) == 46 and max(sizes) == 4096
         for m in sorted(sizes):
             for strategy in HwpStrategy:
-                gadget = build_hwp(m, 0.731, strategy)
+                gadget = build_hwp(m, 1.0, strategy)
                 catalyzed = strategy is HwpStrategy.CATALYZED
                 toffoli, rz = hwp_counts(m, catalyzed)
                 assert gadget.counted == (toffoli, 0, rz)
                 registers = 2 * m.bit_length() if catalyzed else 0
                 assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
+                assert _phasing_identity(gadget) == [], (m, strategy)
+
+    @pytest.mark.parametrize("strategy", list(HwpStrategy))
+    @pytest.mark.parametrize("mutant", ["no_last_toffoli", "doubled_rotation"])
+    def test_phasing_identity_sees_a_broken_charged_gadget(self, strategy, mutant):
+        # at a charged size: the uncompute without its last Toffoli leaves
+        # the workspace dirty, and a repeated last rotation adds a phase
+        gadget = build_hwp(1024, 1.0, strategy)
+        if mutant == "no_last_toffoli":
+            broken = _without_last(gadget.circuit, GateKind.TOFFOLI)
+        else:
+            gates = gadget.circuit.gates
+            last = max(i for i, g in enumerate(gates) if g.kind is GateKind.RZ)
+            broken = _circuit(gadget.circuit.n_qubits, gates[:last + 1] + gates[last:])
+        failures = _phasing_identity(gadget._replace(circuit=broken))
+        assert failures and all(f.startswith("workspace" if mutant == "no_last_toffoli"
+                                             else "phase") for f in failures), failures
 
     @pytest.mark.parametrize("m", range(6, 15))
     def test_induced_matrix_beyond_dense_sizes(self, m):
         # exhaustive over the 2**m target states, both strategies, two angles
-        # as one family; the catalyzed gadget at m = 14 has 33 qubits, and
-        # its batch columns x*2 + a stay inside the (column, index) keys
+        # as one family; the catalyzed gadget at m = 14 has 33 qubits and
+        # runs on 2**18 lanes of wire masks
         n = build_hwp(m, 1.0, HwpStrategy.CATALYZED).circuit.n_qubits
-        assert n + (2 * (1 << m) - 1).bit_length() <= _KEY_BITS
         if m == 14:
             assert n == 33
         result = verify.check_hwp_unitary(sizes=(m,), n_angles=2)
         assert result.passed, result.max_deviation
+
+
+def _phasing_identity(gadget, draws=6):
+    """What breaks the permutation-and-phase identity of a gadget built at
+    theta = 1.0, run on wire masks: the targets hold x, each input in
+    8 * 2**k lanes, x in {0, all ones, ``draws`` seeded draws}, and,
+    catalyzed, the catalyst wires hold each of the 2**k basis states j (bit
+    i on catalyst wire i), every other wire at zero.  Every RZ angle is then
+    an integer, so the phase c of a lane is the exact sum of the angles that
+    hit it.  Baseline: c = w = HW(x).  Catalyzed: the catalyst ends at
+    j' = (j - w) mod 2**k and j + c - j' = w.  The targets must be
+    unchanged and every other wire back at zero.  Returns the broken parts,
+    one string each; [] when none is."""
+    m, circuit = gadget.M, gadget.circuit
+    k = m.bit_length()
+    rng = random.Random(verify.HWP_ANGLE_SEED + m)
+    inputs = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(draws)]
+    size = 1 if gadget.catalyst_prep is None else 1 << k
+    lanes = len(inputs) * size
+    wires = [0] * circuit.n_qubits
+    for t, x in enumerate(inputs):   # target wire q holds bit q of x in lanes t*size ...
+        block = ((1 << size) - 1) << (t * size)
+        for q, bit in enumerate(reversed(f"{x:b}")):
+            if bit == "1":
+                wires[q] |= block
+    lane = np.arange(lanes)
+    j, w = lane % size, np.array([x.bit_count() for x in inputs])[lane // size]
+    base = m + hamming_adders(m)
+    catalyst = range(base, base + k) if size > 1 else range(0)
+    for i, wire in enumerate(catalyst):
+        wires[wire] = _mask(j & (1 << i))
+    out, hits = _permute(circuit, wires, lanes)
+    c = np.zeros(lanes, dtype=np.int64)
+    for (kind, _, angle), hit in hits:
+        assert kind is GateKind.RZ and float(angle).is_integer()
+        c += np.where(_lanes(hit, lanes), int(angle), 0)
+    failures = [f"target {q}" for q in range(m) if out[q] != wires[q]]
+    failures += [f"workspace {q}" for q in range(m, circuit.n_qubits)
+                 if q not in catalyst and out[q]]
+    if size > 1:
+        shifted = (j - w) % size
+        failures += [f"catalyst {i}" for i, wire in enumerate(catalyst)
+                     if out[wire] != _mask(shifted & (1 << i))]
+        c += j - shifted
+    if not np.array_equal(c, w):
+        failures.append("phase")
+    return failures
 
 
 def _projected_family(gadget, thetas):
