@@ -526,7 +526,7 @@ class TestKernelAgainstReference:
         assert all(abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15
                    for key in got.keys() | want.keys())
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(case=_circuits_and_inputs(hadamard=False))
     def test_circuits_without_h_match_to_the_bit(self, case):
         # a circuit without H runs on wire masks; its outputs are the
@@ -793,21 +793,44 @@ class TestHwpGadgets:
                 assert gadget.circuit.n_qubits == m + hamming_adders(m) + registers
                 assert _phasing_identity(gadget) == [], (m, strategy)
 
-    @pytest.mark.parametrize("strategy", list(HwpStrategy))
-    @pytest.mark.parametrize("mutant", ["no_last_toffoli", "doubled_rotation"])
-    def test_phasing_identity_sees_a_broken_charged_gadget(self, strategy, mutant):
+    @pytest.mark.parametrize("strategy, mutant, broken", [
+        pytest.param(strategy, mutant, broken, id=f"{strategy.value}-{mutant}")
+        for strategy, mutant, broken in [
+            (HwpStrategy.BASELINE, "no_last_toffoli", {"workspace"}),
+            (HwpStrategy.CATALYZED, "no_last_toffoli", {"workspace"}),
+            (HwpStrategy.BASELINE, "doubled_rotation", {"phase"}),
+            (HwpStrategy.CATALYZED, "doubled_rotation", {"phase"}),
+            (HwpStrategy.BASELINE, "swapped_weight_bits", {"phase"}),
+            (HwpStrategy.CATALYZED, "swapped_weight_bits", {"catalyst", "phase"}),
+            (HwpStrategy.CATALYZED, "catalyst_off_by_one", {"catalyst"}),
+        ]])
+    def test_phasing_identity_sees_a_broken_charged_gadget(self, monkeypatch, strategy, mutant,
+                                                           broken):
         # at a charged size: the uncompute without its last Toffoli leaves
-        # the workspace dirty, and a repeated last rotation adds a phase
-        gadget = build_hwp(1024, 1.0, strategy)
+        # the workspace dirty, a repeated last rotation adds a phase, weight
+        # bits 0 and 1 swapped phase (or subtract) the wrong weight, and an X
+        # on the lowest catalyst wire at the end shifts the catalyst by one
+        if mutant == "swapped_weight_bits":
+            def swapped(m, n_extra_qubits=0):
+                gadget = build_hamming_weight(m, n_extra_qubits)
+                outputs = gadget.outputs
+                return gadget._replace(outputs=[outputs[1], outputs[0]] + outputs[2:])
+            monkeypatch.setattr(gadgets, "build_hamming_weight", swapped)
+        m = 1024
+        gadget = build_hwp(m, 1.0, strategy)
+        gates = gadget.circuit.gates
         if mutant == "no_last_toffoli":
-            broken = _without_last(gadget.circuit, GateKind.TOFFOLI)
-        else:
-            gates = gadget.circuit.gates
+            gadget = gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
+        elif mutant == "doubled_rotation":
             last = max(i for i, g in enumerate(gates) if g.kind is GateKind.RZ)
-            broken = _circuit(gadget.circuit.n_qubits, gates[:last + 1] + gates[last:])
-        failures = _phasing_identity(gadget._replace(circuit=broken))
-        assert failures and all(f.startswith("workspace" if mutant == "no_last_toffoli"
-                                             else "phase") for f in failures), failures
+            gadget = gadget._replace(circuit=_circuit(gadget.circuit.n_qubits,
+                                                      gates[:last + 1] + gates[last:]))
+        elif mutant == "catalyst_off_by_one":
+            shifted = _circuit(gadget.circuit.n_qubits, gates)
+            shifted.x(m + hamming_adders(m))
+            gadget = gadget._replace(circuit=shifted)
+        failures = _phasing_identity(gadget)
+        assert {f.split()[0] for f in failures} == broken, failures
 
     @pytest.mark.parametrize("m", range(6, 15))
     def test_induced_matrix_beyond_dense_sizes(self, m):
