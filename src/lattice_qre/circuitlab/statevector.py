@@ -2,22 +2,7 @@
 
 ``simulate`` takes a batch of states as three aligned arrays: ``index``
 (basis index), ``amp`` (amplitude) and ``column`` (the batch member an
-entry belongs to).  A circuit without H sends each basis state to one basis
-state with a phase, so it runs on wire masks (``_permute``): each entry is a
-lane, each wire one Python int whose bit l is the wire's value in lane l,
-X, CNOT, Toffoli and SWAP are one int operation each, and each diagonal gate
-records its hit mask.  The masks are formed from the indices one wire at a
-time, and only the wires the circuit changed are read back; each diagonal
-gate multiplies the whole batch by its phase where it hits, in gate order,
-so the outputs are those of the key kernel below to the bit.  The gadgets
-the cost model counts are mostly of this kind: X, CNOT, Toffoli and RZ.
-``verify`` runs the Hamming-weight phasing (HWP) gadgets on the masks in
-their catalyst's frame: for the catalyst state |phi> = P|0>,
-<x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
-only the preparation P is simulated, and U runs once on x (x) supp(phi),
-since its permutation does not depend on the angle.
-
-A circuit with an H works on one int64 key ``column << n | index`` per
+entry belongs to).  It works on one int64 key ``column << n | index`` per
 entry from input to output.  X, CNOT, Toffoli and SWAP are XORs of the
 keys; a diagonal gate multiplies each entry by a factor picked by its hit,
 ``(key & mask) == mask``.  H finds each entry's partner (key ^ bit): one
@@ -25,6 +10,20 @@ sort puts partners side by side, a pair's h = amp/sqrt2 give h0 + h1 and
 h0 - h1, and exact zeros drop.  An H whose bit no key has cannot merge:
 each entry just splits in two, without a sort.  Entry order is not part of
 the result.
+
+A circuit without H sends each basis state to one basis state with a
+phase.  ``_evaluate`` runs one on wire masks (``_permute``): each basis
+state is a lane, each wire one Python int whose bit l is the wire's value
+in lane l, X, CNOT, Toffoli and SWAP are one int operation each, and each
+diagonal gate records its hit mask.  The masks are formed from the indices
+one wire at a time, and only the wires the circuit changed are read back.
+The gadgets the cost model counts are mostly of this kind: X, CNOT,
+Toffoli and RZ.  ``verify`` runs the adder chains on it, and the
+Hamming-weight phasing (HWP) gadgets in their catalyst's frame: for the
+catalyst state |phi> = P|0>,
+<x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
+only the preparation P is simulated, and U runs once on x (x) supp(phi),
+since its permutation does not depend on the angle.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -48,11 +47,12 @@ circuits does no per-gate work.
 
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
-check of ``verify`` calls on a state (each runs ``simulate`` on sparse
-inputs), takes statevectors of at most 15.  A circuit given to ``simulate``
-may be larger, up to the 62 bits of a (column, index) key.  ``_permute``
-itself has no such limit: the tests run the HWP gadget of every size the
-estimator charges on it, up to M = 4,096 (8,217 wires catalyzed).
+check of ``verify`` calls on a state (each runs ``simulate`` or
+``_evaluate`` on sparse inputs), takes statevectors of at most 15.  A
+circuit given to ``simulate`` or ``_evaluate`` may be larger, up to the 62
+bits of a (column, index) key.  ``_permute`` itself has no such limit:
+the tests run the HWP gadget of every size the estimator charges on it,
+up to M = 4,096 (8,217 wires catalyzed).
 """
 
 from __future__ import annotations
@@ -332,6 +332,21 @@ def _permute(circuit, wires: list[int], lanes: int):
     return wires, hits
 
 
+def _evaluate(circuit, index: np.ndarray):
+    """Run the H-free ``circuit`` on the basis states ``index``, an int64
+    array, one lane each, on wire masks (``_permute``).  Returns each lane's
+    output basis index and, in gate order, each diagonal gate's factor
+    (``_phase``) with its hit lanes, an array of 0s and 1s.  Like
+    ``simulate``, it takes at most 62 qubits."""
+    n, lanes = circuit.n_qubits, index.size
+    if n > _KEY_BITS:
+        raise ValueError(f"{n} qubits exceed {_KEY_BITS}-bit indices")
+    before = _wires(index, n)
+    wires, hits = _permute(circuit, before, lanes)
+    return _moved(index, before, wires), [(_phase(kind, angle), _lanes(hit, lanes))
+                                         for (kind, _, angle), hit in hits]
+
+
 def simulate(circuit, index, amp, column):
     """Apply ``circuit`` to a sparse batch of states.
 
@@ -339,9 +354,7 @@ def simulate(circuit, index, amp, column):
     column ``column[i]``; absent entries are zero.  Returns new
     ``(index, amp, column)`` arrays.  X, CNOT, Toffoli and SWAP move each
     entry to one new index, and the diagonal gates multiply ``amp`` where
-    their qubits are all set; only H changes the number of entries.  A
-    circuit without H runs on wire masks (``_permute``), entry i in lane i,
-    and keeps the entry order.  Keys
+    their qubits are all set; only H changes the number of entries.  Keys
     that are distinct on input stay distinct, and H drops exact zeros.
     ``index`` and ``column`` must be integer arrays: any other kind raises
     ``ValueError``.
@@ -361,8 +374,6 @@ def simulate(circuit, index, amp, column):
         raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
         raise ValueError(f"basis index or column out of range for {n} qubits")
-    if not any(kind is H for kind, _, _ in circuit.gates):
-        return _simulate_permutation(circuit, index, amp, column)
     key = (column << n) | index
     bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
     k = None        # the family size, found at the first RZ of more than one angle
@@ -387,36 +398,15 @@ def simulate(circuit, index, amp, column):
             member = None
         else:   # diagonal: each entry's phase where it hits, else 1
             mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
-            phase = _PHASE.get(kind)
-            if phase is None:   # RZ: one angle, or one per family member
-                phase = np.exp(1j * np.atleast_1d(angle))
-                if phase.size > 1:
-                    if member is None:
-                        if k is None:   # members() raises if array angles differ in length
-                            k = circuit.members()
-                        member = (key >> n) % k
-                    phase = phase.take(member)
+            phase = _phase(kind, angle)
+            if kind is RZ and phase.size > 1:   # one angle per family member
+                if member is None:
+                    if k is None:   # members() raises if array angles differ in length
+                        k = circuit.members()
+                    member = (key >> n) % k
+                phase = phase.take(member)
             amp *= np.where((key & mask) == mask, phase, 1.0)
     return key & ((1 << n) - 1), amp, key >> n
-
-
-def _simulate_permutation(circuit, index, amp, column):
-    """``simulate`` of a circuit without H, on wire masks.  Each diagonal
-    gate multiplies the whole batch by ``np.where(hit, phase, 1.0)`` in gate
-    order, as the key kernel does, so the amplitudes are the key kernel's to
-    the bit (numpy rounds a one-entry complex multiply differently)."""
-    lanes = index.size
-    before = _wires(index, circuit.n_qubits)
-    wires, hits = _permute(circuit, before, lanes)
-    member = None   # each entry's family member, column % k, found at the first family RZ
-    for (kind, _, angle), hit in hits:
-        phase = _phase(kind, angle)
-        if kind is RZ and phase.size > 1:   # one angle per family member
-            if member is None:   # members() raises if array angles differ in length
-                member = column % circuit.members()
-            phase = phase.take(member)
-        amp *= np.where(_lanes(hit, lanes), phase, 1.0)
-    return _moved(index, before, wires), amp, column
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:

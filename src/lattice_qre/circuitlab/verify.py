@@ -33,12 +33,7 @@ from .gadgets import (
 from .statevector import (
     H,
     Circuit,
-    _lanes,
-    _mask,
-    _moved,
-    _permute,
-    _phase,
-    _wires,
+    _evaluate,
     apply_circuit,  # noqa: F401  no check calls it; perfbench's tracer wraps verify.apply_circuit
     max_unitary_deviation,
     simulate,
@@ -86,21 +81,22 @@ def _hamming_weights(m: int) -> np.ndarray:
 @_check("hamming_weight", 1e-12)
 def check_hamming_weight(max_bits: int = 8) -> float:
     """Exhaustive basis check of the adder chain for every input width, on
-    wire masks: lane x holds input x, bit i of x on wire i, and output
-    weight bit j must be set in exactly the lanes whose weight has bit j.
-    The chain applies no phase: a diagonal gate that hits a lane is a
-    deviation too."""
+    wire masks (``_evaluate``): the weight read from the output wires must
+    be each input's, and the chain applies no phase, so a diagonal gate
+    that hits a lane is a deviation too."""
     worst = 0.0
     for m in range(1, max_bits + 1):
         gadget = build_hamming_weight(m)
         if gadget.circuit.counts()["toffoli"] != hamming_adders(m):
             return math.inf
-        x, weight = np.arange(1 << m), _hamming_weights(m)
-        inputs = [_mask(x & (1 << i)) for i in range(m)]
-        wires, hits = _permute(gadget.circuit, inputs + [0] * (gadget.circuit.n_qubits - m),
-                               1 << m)
-        if any(hit for _, hit in hits) or any(
-                wires[wire] != _mask(weight & (1 << j)) for j, wire in enumerate(gadget.outputs)):
+        n = gadget.circuit.n_qubits
+        x, wire = np.arange(1 << m), np.arange(m)
+        # input bit i of x goes to wire i; wire w is bit (n-1-w) of the index
+        index = (((x[:, None] >> wire) & 1) << (n - 1 - wire)).sum(axis=1)
+        index, hits = _evaluate(gadget.circuit, index)
+        out_bit = n - 1 - np.array(gadget.outputs, dtype=np.int64)   # each output wire's index bit
+        weight = (((index[:, None] >> out_bit) & 1) << np.arange(out_bit.size)).sum(axis=1)
+        if any(hit.any() for _, hit in hits) or not np.array_equal(weight, _hamming_weights(m)):
             worst = 1.0
     return worst
 
@@ -118,22 +114,13 @@ def _in_catalyst_frame(gadget) -> Circuit:
     return framed
 
 
-def _repeat(pattern: int, period: int, count: int) -> int:
-    """The lane mask ``pattern``, ``period`` lanes long, repeated ``count``
-    times (a power of two) by doubling."""
-    for _ in range(count.bit_length() - 1):
-        pattern |= pattern << period
-        period *= 2
-    return pattern
-
-
 def _frame_lanes(gadget, k: int):
     """The terms of <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e
     <x', e'|U|x, e> for the k members of a gadget family (``build_hwp`` at k
     angles), where |phi> is the catalyst state P|0> (all zeros for a
     baseline gadget) and <x', e'| has every other wire at zero.  phi comes
     from simulating the preparation P alone, for all members.  U, free of H,
-    runs once on wire masks (``_permute``), one lane per target x and
+    runs once on wire masks (``_evaluate``), one lane per target x and
     catalyst basis state e in the support of phi, lane x*|supp| + e: its
     permutation does not depend on the angle, and the members' phases are
     broadcast over the lanes.  Returns each lane's row x' and column x, and
@@ -147,23 +134,17 @@ def _frame_lanes(gadget, k: int):
         support, at = np.unique(index, return_inverse=True)
         phi = np.zeros((k, support.size), dtype=complex)
         phi[member, at] = amp
-    size = support.size
+    size, env_bits = support.size, circuit.n_qubits - m
     lanes = size << m
-    lane = np.arange(lanes)
-    column, start = lane // size, support[lane % size]
-    # lane x*size + e holds x on the targets and support[e] on the other
-    # wires: target wire q (bit m-1-q of x) is set in the upper half of
-    # each run of size << (m - q) lanes
-    targets = [_repeat(((1 << (run >> 1)) - 1) << (run >> 1), run, lanes // run)
-               for run in (size << (m - q) for q in range(m))]
-    env = [_repeat(wire, size, 1 << m) for wire in _wires(support, circuit.n_qubits - m)]
-    wires, hits = _permute(circuit, targets + env, lanes)
-    row, end = _moved(column, targets, wires[:m]), _moved(start, env, wires[m:])
+    # lane x*size + e holds x on the targets and support[e] on the other wires
+    column = np.arange(lanes) // size
+    index, hits = _evaluate(circuit, column << env_bits | np.tile(support, 1 << m))
+    row, end = index >> env_bits, index & ((1 << env_bits) - 1)
     landed = np.searchsorted(support, end).clip(max=size - 1)
     term = np.where(support[landed] == end, phi.conj()[:, landed], 0.0)
     term = (term.reshape(k, -1, size) * phi[:, None]).reshape(k, lanes)
-    for (kind, _, angle), hit in hits:
-        term *= np.where(_lanes(hit, lanes), np.reshape(_phase(kind, angle), (-1, 1)), 1.0)
+    for phase, hit in hits:
+        term *= np.where(hit, np.reshape(phase, (-1, 1)), 1.0)
     return row, column, term
 
 

@@ -26,6 +26,7 @@ from lattice_qre.circuitlab.gadgets import (
 from lattice_qre.circuitlab.statevector import (
     _ARITY,
     _SQRT_HALF,
+    _evaluate,
     _hadamard,
     _lanes,
     _mask,
@@ -529,13 +530,29 @@ class TestKernelAgainstReference:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(case=_circuits_and_inputs(hadamard=False))
     def test_circuits_without_h_match_to_the_bit(self, case):
-        # a circuit without H runs on wire masks; its outputs are the
+        # without H no entry merges or splits: the outputs are the
         # reference's entry for entry, in the input order, and bit for bit
         circ, index, amp, column = case
         got = simulate(circ, index, amp, column)
         want = _reference_simulate(circ, index, amp, column)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
         assert list(map(float.hex, got[1].view(float))) == list(map(float.hex, want[1].view(float)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=_circuits_and_inputs(hadamard=False))
+    def test_the_evaluator_moves_and_phases_as_the_reference(self, case):
+        # each lane's output index is the reference's, and its amplitude
+        # times the factors of the diagonal gates that hit it, member
+        # c % k's in column c, is the reference's to the bit
+        circ, index, amp, column = case
+        moved, hits = _evaluate(circ, index)
+        phased = amp.copy()
+        for phase, hit in hits:
+            phase = np.atleast_1d(phase)
+            phased *= np.where(hit, phase[column % phase.size], 1.0)
+        want = _reference_simulate(circ, index, amp, column)
+        assert np.array_equal(moved, want[0]) and np.array_equal(column, want[2])
+        assert list(map(float.hex, phased.view(float))) == list(map(float.hex, want[1].view(float)))
 
     def test_the_evaluator_refuses_h_by_name(self):
         # an H sends a basis state to two: no lane can follow it
@@ -593,34 +610,35 @@ class TestKernelAgainstReference:
         assert got[0].max() >= 1 << (n - 2)
 
     def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
-        # and every circuit without H ran on wire masks, every one with H on
-        # the key kernel; the adder chains and the HWP circuits proper run on
-        # the evaluator without a simulation, only the catalyst preparations
-        # of the HWP families are simulated
+        # the adder chains and the HWP circuits proper run on the evaluator
+        # without a simulation; of the HWP families only the catalyst
+        # preparations are simulated
         from lattice_qre.circuitlab import statevector
 
-        seen, permuted = [], []
+        seen = []
 
         def recorded(circuit, index, amp, column):
             out = simulate(circuit, index, amp, column)
             seen.append(((circuit, index, amp, column), out))
             return out
 
-        def on_masks(circuit, *args):
-            permuted.append(circuit)
-            return simulate_permutation(circuit, *args)
-
-        simulate_permutation = statevector._simulate_permutation
         monkeypatch.setattr(verify, "simulate", recorded)
         monkeypatch.setattr(statevector, "simulate", recorded)
-        monkeypatch.setattr(statevector, "_simulate_permutation", on_masks)
         assert all(r.passed for r in verify.run_all())
         assert len(seen) == 15
-        with_h = [any(g.kind is GateKind.H for g in args[0].gates) for args, _ in seen]
-        assert with_h.count(False) == len(permuted) == 5
-        assert [args[0] for (args, _), h in zip(seen, with_h) if not h] == permuted
         for args, out in seen:
             assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
+
+    def test_the_evaluator_takes_62_qubits(self):
+        # the lanes' indices are int64, as simulate's keys
+        circ = Circuit(63)
+        circ.x(0)
+        with pytest.raises(ValueError, match="^63 qubits exceed 62-bit indices$"):
+            _evaluate(circ, np.zeros(1, dtype=np.int64))
+        circ = Circuit(62)
+        circ.x(0); circ.cnot(0, 61); circ.t(61)
+        moved, hits = _evaluate(circ, np.array([0, 1]))
+        assert moved.tolist() == [(1 << 61) | 1, 1 << 61] and hits[0][1].tolist() == [1, 0]
 
 
 class TestHammingWeight:
@@ -1032,6 +1050,21 @@ class TestMutantsFail:
             return gadget._replace(circuit=_without_last(gadget.circuit))
         monkeypatch.setattr(verify, "build_hamming_weight", broken)
         assert not verify.check_hamming_weight().passed
+
+    @pytest.mark.parametrize("max_bits", [1, 8])
+    @pytest.mark.parametrize("mutant", ["dropped_output", "phase"])
+    def test_adder_chain_wrong_outputs(self, monkeypatch, mutant, max_bits):
+        # the chain is intact but its outputs list lost its top weight wire
+        # (at m = 1 none is left), or a T on the lowest weight wire phases
+        # every odd weight
+        def broken(m):
+            gadget = build_hamming_weight(m)
+            if mutant == "dropped_output":
+                return gadget._replace(outputs=gadget.outputs[:-1])
+            gadget.circuit.t(gadget.outputs[0])
+            return gadget
+        monkeypatch.setattr(verify, "build_hamming_weight", broken)
+        assert not verify.check_hamming_weight(max_bits).passed
 
 
 class TestFswap:
