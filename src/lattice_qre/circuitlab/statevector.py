@@ -274,33 +274,11 @@ def _mask(values: np.ndarray) -> int:
     return int.from_bytes(np.packbits(values, bitorder="little"), "little")
 
 
-def _wires(index: np.ndarray, n: int) -> list[int]:
-    """The wire masks of the basis states ``index``, lane l holding
-    ``index[l]``: bit l of wire q is qubit q of ``index[l]``.  Formed one
-    wire at a time; a wire set in no lane is 0 without a pass."""
-    present = int(np.bitwise_or.reduce(index))
-    return [_mask(index & bit) if present & bit else 0
-            for bit in (1 << (n - 1 - q) for q in range(n))]
-
-
 def _lanes(mask: int, lanes: int) -> np.ndarray:
     """The wire mask ``mask`` as a uint8 array of 0s and 1s over its
     ``lanes`` lanes."""
     packed = np.frombuffer(mask.to_bytes((lanes + 7) >> 3, "little"), np.uint8)
     return np.unpackbits(packed, count=lanes, bitorder="little")
-
-
-def _moved(index: np.ndarray, before: list[int], after: list[int]) -> np.ndarray:
-    """``index`` with each wire that differs between the masks ``before``
-    and ``after`` flipped in the lanes where it differs: the basis index of
-    each lane after ``_permute``, read back only from the wires it changed,
-    one wire at a time."""
-    n, lanes = len(before), index.size
-    index = index.copy()
-    for q, (a, b) in enumerate(zip(before, after)):
-        if a != b:
-            index ^= np.left_shift(_lanes(a ^ b, lanes), n - 1 - q, dtype=np.int64)
-    return index
 
 
 def _permute(circuit, wires: list[int], lanes: int):
@@ -336,15 +314,22 @@ def _evaluate(circuit, index: np.ndarray):
     """Run the H-free ``circuit`` on the basis states ``index``, an int64
     array, one lane each, on wire masks (``_permute``).  Returns each lane's
     output basis index and, in gate order, each diagonal gate's factor
-    (``_phase``) with its hit lanes, an array of 0s and 1s.  Like
-    ``simulate``, it takes at most 62 qubits."""
+    (``_phase``) with its hit lanes, an array of 0s and 1s.  The masks are
+    formed one wire at a time, a wire set in no lane without a pass, and
+    only the wires the circuit changed are read back.  Like ``simulate``,
+    it takes at most 62 qubits."""
     n, lanes = circuit.n_qubits, index.size
     if n > _KEY_BITS:
         raise ValueError(f"{n} qubits exceed {_KEY_BITS}-bit indices")
-    before = _wires(index, n)
-    wires, hits = _permute(circuit, before, lanes)
-    return _moved(index, before, wires), [(_phase(kind, angle), _lanes(hit, lanes))
-                                         for (kind, _, angle), hit in hits]
+    present = int(np.bitwise_or.reduce(index))
+    before = [_mask(index & bit) if present & bit else 0
+              for bit in (1 << (n - 1 - q) for q in range(n))]   # qubit 0 is the top index bit
+    after, hits = _permute(circuit, before, lanes)
+    index = index.copy()
+    for q, (a, b) in enumerate(zip(before, after)):
+        if a != b:   # flip wire q in the lanes where it changed
+            index ^= np.left_shift(_lanes(a ^ b, lanes), n - 1 - q, dtype=np.int64)
+    return index, [(_phase(kind, angle), _lanes(hit, lanes)) for (kind, _, angle), hit in hits]
 
 
 def simulate(circuit, index, amp, column):
