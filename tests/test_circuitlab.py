@@ -531,28 +531,21 @@ class TestKernelAgainstReference:
     @given(case=_circuits_and_inputs(hadamard=False))
     def test_circuits_without_h_match_to_the_bit(self, case):
         # without H no entry merges or splits: the outputs are the
-        # reference's entry for entry, in the input order, and bit for bit
+        # reference's entry for entry, in the input order, and bit for bit;
+        # so are the evaluator's indices, and the amplitudes times the
+        # factors of the diagonal gates that hit each lane, member c % k's
+        # in column c
         circ, index, amp, column = case
-        got = simulate(circ, index, amp, column)
         want = _reference_simulate(circ, index, amp, column)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-        assert list(map(float.hex, got[1].view(float))) == list(map(float.hex, want[1].view(float)))
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(case=_circuits_and_inputs(hadamard=False))
-    def test_the_evaluator_moves_and_phases_as_the_reference(self, case):
-        # each lane's output index is the reference's, and its amplitude
-        # times the factors of the diagonal gates that hit it, member
-        # c % k's in column c, is the reference's to the bit
-        circ, index, amp, column = case
         moved, hits = _evaluate(circ, index)
         phased = amp.copy()
         for phase, hit in hits:
             phase = np.atleast_1d(phase)
             phased *= np.where(hit, phase[column % phase.size], 1.0)
-        want = _reference_simulate(circ, index, amp, column)
-        assert np.array_equal(moved, want[0]) and np.array_equal(column, want[2])
-        assert list(map(float.hex, phased.view(float))) == list(map(float.hex, want[1].view(float)))
+        for got in (simulate(circ, index, amp, column), (moved, phased, column)):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+            assert (list(map(float.hex, got[1].view(float)))
+                    == list(map(float.hex, want[1].view(float))))
 
     def test_the_evaluator_refuses_h_by_name(self):
         # an H sends a basis state to two: no lane can follow it
