@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-import numpy as np
-
 from ..primitives import CostVector, HwpStrategy, hamming_adders
-from .statevector import Circuit
+from .statevector import Circuit, _angles
 
 # ---------------------------------------------------------------------------
 # Adders and Hamming-weight computation
@@ -84,15 +82,6 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 # ---------------------------------------------------------------------------
 # Hamming-weight phasing
 # ---------------------------------------------------------------------------
-
-
-def _angles(theta):
-    """``theta`` as ``build_hwp`` and ``build_plaquette_evolution`` scale
-    it: a list or tuple as the array of one angle per family member (not a
-    list to repeat), a number as the Python number it is, which needs no
-    numpy call per rotation."""
-    theta = np.asarray(theta)
-    return theta.item() if theta.ndim == 0 else theta
 
 
 # A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp`` lays

@@ -15,15 +15,17 @@ A circuit without H sends each basis state to one basis state with a
 phase.  ``_evaluate`` runs one on wire masks (``_permute``): each basis
 state is a lane, each wire one Python int whose bit l is the wire's value
 in lane l, X, CNOT, Toffoli and SWAP are one int operation each, and each
-diagonal gate records its hit mask.  The masks are formed from the indices
-one wire at a time, and only the wires the circuit changed are read back.
-The gadgets the cost model counts are mostly of this kind: X, CNOT,
-Toffoli and RZ.  ``verify`` runs the adder chains on it, and the
-Hamming-weight phasing (HWP) gadgets in their catalyst's frame: for the
-catalyst state |phi> = P|0>,
+diagonal gate records its hit mask.  It converts in bulk: one ``packbits``
+of the (wires, lanes) bit matrix forms the masks, one ``unpackbits`` reads
+back the wires the circuit changed, and one more the hit masks.  The
+gadgets the cost model counts are mostly of this kind: X, CNOT, Toffoli
+and RZ.  ``verify`` runs on it the adder chains, the H-free circuits of
+its unitarity check, and the Hamming-weight phasing (HWP) gadgets in
+their catalyst's frame: for the catalyst state |phi> = P|0>,
 <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
 only the preparation P is simulated, and U runs once on x (x) supp(phi),
-since its permutation does not depend on the angle.
+since its permutation does not depend on the angle.  Catalyst invariance
+runs P, then U on wire masks, then P†.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -43,7 +45,9 @@ distinct integers on the circuit's wires, and an angle, finite, for RZ
 alone, a real number (stored as a float; a bool is refused) or a 1-D
 array.  ``extend`` appends a circuit on at most as many wires, and
 ``inverted`` reverses one; both reuse gates already checked, so composing
-circuits does no per-gate work.
+circuits does no per-gate work.  ``scaled`` multiplies every RZ angle by
+theta and checks each product as ``append`` does: a gadget built once at
+theta = 1 serves every angle.
 
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
@@ -127,6 +131,36 @@ def _qubit(q, name: str = "qubit") -> int:
 Gate = namedtuple("Gate", "kind qubits angle")
 
 
+def _angles(theta):
+    """``theta`` as the builders and ``Circuit.scaled`` take it: a list or
+    tuple as the array of one angle per family member (not a list to
+    repeat), a number as the Python number it is, which needs no numpy call
+    per rotation."""
+    theta = np.asarray(theta)
+    return theta.item() if theta.ndim == 0 else theta
+
+
+def _rz_angle(angle):
+    """An RZ angle as a gate stores it: a float (an int, a ``Fraction`` or a
+    numpy scalar converted; a bool refused), or a non-empty 1-D real array;
+    a non-finite one is refused, naming it."""
+    if type(angle) is float:
+        pass
+    elif isinstance(angle, Real) and not isinstance(angle, bool):   # ABC after float
+        try:   # an int, a Fraction or a numpy scalar, simulated as the float it is
+            angle = float(angle)
+        except OverflowError:
+            raise ValueError(f"rz angle {angle!r} is not finite") from None
+    else:
+        given, angle = angle, np.asarray(angle)
+        if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
+            raise ValueError(f"rz needs a real angle or a non-empty 1-D array of them, "
+                             f"got {given!r}")
+    if not (np.isfinite(angle).all() if isinstance(angle, np.ndarray) else math.isfinite(angle)):
+        raise ValueError(f"rz angle {angle!r} is not finite")
+    return angle
+
+
 class Circuit:
     """Gates on ``n_qubits`` wires.  A gate enters through ``append``, which
     checks it; ``extend`` and ``inverted`` reuse gates already checked."""
@@ -156,23 +190,7 @@ class Circuit:
             raise ValueError("gate qubits must be distinct")
         if (kind is RZ) != (angle is not None):
             raise ValueError(f"angle mismatch for {kind.value}")
-        if angle is not None:
-            if type(angle) is float:
-                pass
-            elif isinstance(angle, Real) and not isinstance(angle, bool):   # ABC after float
-                try:   # an int, a Fraction or a numpy scalar, simulated as the float it is
-                    angle = float(angle)
-                except OverflowError:
-                    raise ValueError(f"{kind.value} angle {angle!r} is not finite") from None
-            else:
-                given, angle = angle, np.asarray(angle)
-                if angle.ndim != 1 or angle.size == 0 or angle.dtype.kind not in "iuf":
-                    raise ValueError(f"{kind.value} needs a real angle or a non-empty "
-                                     f"1-D array of them, got {given!r}")
-            if not (np.isfinite(angle).all() if isinstance(angle, np.ndarray)
-                    else math.isfinite(angle)):
-                raise ValueError(f"{kind.value} angle {angle!r} is not finite")
-        self.gates.append(Gate(kind, qubits, angle))
+        self.gates.append(Gate(kind, qubits, None if angle is None else _rz_angle(angle)))
 
     def extend(self, other: "Circuit") -> None:
         """Append the gates of ``other``, a circuit on at most as many wires,
@@ -204,6 +222,19 @@ class Circuit:
                      Gate(_INVERSE.get(gate.kind, gate.kind), gate.qubits,
                           None if gate.angle is None else -gate.angle)
                      for gate in reversed(self.gates)]
+        return out
+
+    def scaled(self, theta) -> "Circuit":
+        """A copy in which each RZ angle is multiplied by ``theta``, a real
+        number or a 1-D sequence of them (a family), each product checked
+        as ``append`` checks an angle; the other gates are reused.  A
+        builder whose rotations are all +-2**i * theta gives, built at
+        theta = 1 and scaled, its build at ``theta`` to the bit."""
+        theta = _angles(theta)
+        out = Circuit(self.n_qubits)
+        out.gates = [gate if gate.angle is None else
+                     Gate(RZ, gate.qubits, _rz_angle(gate.angle * theta))
+                     for gate in self.gates]
         return out
 
     def counts(self) -> dict[str, int]:
@@ -269,16 +300,22 @@ def _integers(values, name: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _mask(values: np.ndarray) -> int:
-    """The lanes where ``values`` is nonzero, as an int: bit l for lane l."""
-    return int.from_bytes(np.packbits(values, bitorder="little"), "little")
+def _masks(bits: np.ndarray) -> list[int]:
+    """The rows of ``bits``, a (wires, lanes) array of 0s and 1s, as wire
+    masks, one int each whose bit l is lane l's value; one ``packbits``."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    step = 8 * packed.shape[1]   # the bits of one row, lane 0 lowest
+    whole, row = int.from_bytes(packed.tobytes(), "little"), (1 << step) - 1
+    return [(whole >> (r * step)) & row for r in range(len(packed))]
 
 
-def _lanes(mask: int, lanes: int) -> np.ndarray:
-    """The wire mask ``mask`` as a uint8 array of 0s and 1s over its
-    ``lanes`` lanes."""
-    packed = np.frombuffer(mask.to_bytes((lanes + 7) >> 3, "little"), np.uint8)
-    return np.unpackbits(packed, count=lanes, bitorder="little")
+def _lanes(masks: list[int], lanes: int) -> np.ndarray:
+    """The wire masks ``masks`` over ``lanes`` lanes as a (len(masks), lanes)
+    uint8 array of 0s and 1s; one ``unpackbits``."""
+    width = (lanes + 7) >> 3
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=lanes,
+                         bitorder="little")
 
 
 def _permute(circuit, wires: list[int], lanes: int):
@@ -310,26 +347,31 @@ def _permute(circuit, wires: list[int], lanes: int):
     return wires, hits
 
 
-def _evaluate(circuit, index: np.ndarray):
-    """Run the H-free ``circuit`` on the basis states ``index``, an int64
-    array, one lane each, on wire masks (``_permute``).  Returns each lane's
-    output basis index and, in gate order, each diagonal gate's factor
-    (``_phase``) with its hit lanes, an array of 0s and 1s.  The masks are
-    formed one wire at a time, a wire set in no lane without a pass, and
-    only the wires the circuit changed are read back.  Like ``simulate``,
-    it takes at most 62 qubits."""
-    n, lanes = circuit.n_qubits, index.size
+def _evaluate(circuit, index):
+    """Run the H-free ``circuit`` on the basis states ``index``, integers in
+    [0, 2**n), one lane each, on wire masks (``_permute``).  Returns each
+    lane's output basis index, an int64 array, and, in gate order, each
+    diagonal gate's factor (``_phase``) with its hit lanes, an array of 0s
+    and 1s.  The conversions are in bulk: one ``packbits`` of the (wires,
+    lanes) bit matrix forms the masks, one ``unpackbits`` reads back the
+    wires the circuit changed, and one more the hit masks.  Like
+    ``simulate``, it takes at most 62 qubits, and refuses non-integer or
+    out-of-range indices."""
+    n = circuit.n_qubits
     if n > _KEY_BITS:
         raise ValueError(f"{n} qubits exceed {_KEY_BITS}-bit indices")
-    present = int(np.bitwise_or.reduce(index))
-    before = [_mask(index & bit) if present & bit else 0
-              for bit in (1 << (n - 1 - q) for q in range(n))]   # qubit 0 is the top index bit
+    index = _integers(index, "index")
+    if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n:
+        raise ValueError(f"basis index or column out of range for {n} qubits")
+    lanes = index.size
+    bit = 1 << np.arange(n - 1, -1, -1)   # qubit 0 is the top index bit
+    before = _masks((index & bit[:, None]) != 0)
     after, hits = _permute(circuit, before, lanes)
-    index = index.copy()
-    for q, (a, b) in enumerate(zip(before, after)):
-        if a != b:   # flip wire q in the lanes where it changed
-            index ^= np.left_shift(_lanes(a ^ b, lanes), n - 1 - q, dtype=np.int64)
-    return index, [(_phase(kind, angle), _lanes(hit, lanes)) for (kind, _, angle), hit in hits]
+    changed = [q for q in range(n) if before[q] != after[q]]
+    if changed:   # flip each changed wire's bit in the lanes where it changed
+        index = index ^ bit[changed] @ _lanes([before[q] ^ after[q] for q in changed], lanes)
+    return index, [(_phase(kind, angle), hit) for ((kind, _, angle), _), hit
+                   in zip(hits, _lanes([mask for _, mask in hits], lanes))]
 
 
 def simulate(circuit, index, amp, column):

@@ -4,10 +4,15 @@ Each check reports its worst observed deviation against a threshold (inf
 when the fermion oracle refuses its operators); the CLI serializes the
 results as JSON and fails on any check that misses its threshold.
 
-A pass, ``run_all``, builds the fermion oracle of each size once (2, 4
-and 5 modes) and every check of the pass reads that one; the oracles go
-with the pass, so each pass verifies the anticommutation relations anew.
-A check called on its own builds its oracles afresh.
+A pass, ``run_all``, builds what its checks share once (``_once``), and
+every check of the pass reads that one: the fermion oracle of each size
+(2, 4 and 5 modes), each HWP shape (``build_hwp`` at theta = 1 for ten
+(M, strategy) pairs) and the plaquette (``build_plaquette_evolution`` at
+1).  A check takes its angles through ``Circuit.scaled``: every rotation
+these builders place is +-2**i * theta, so the scaled circuit is the one
+built at theta, to the bit.  What a pass built goes with it, so each pass
+builds its gadgets and verifies the anticommutation relations anew, and a
+check called on its own builds afresh.
 """
 
 from __future__ import annotations
@@ -101,17 +106,18 @@ def check_hamming_weight(max_bits: int = 8) -> float:
     return worst
 
 
-def _in_catalyst_frame(gadget) -> Circuit:
-    """P†UP for the gadget's circuit U and catalyst preparation P, so that
-    <x', phi|U|x, phi> = <x', 0|P†UP|x, 0> with every other wire at zero;
-    the bare circuit for a baseline gadget, whose reference is all zeros."""
-    prep = gadget.catalyst_prep
-    if prep is None:
-        return gadget.circuit
-    framed = Circuit(prep.n_qubits)
-    for part in (prep, gadget.circuit, prep.inverted()):
-        framed.extend(part)
-    return framed
+def _in_catalyst_frame(gadget, index, amp, column):
+    """P†UP applied to a sparse batch (``simulate``'s arrays), for a
+    catalyzed gadget's circuit U at one angle and its catalyst preparation
+    P: P and P† are simulated, and U, free of H, runs on wire masks
+    (``_evaluate``), its diagonal factors multiplied over the whole batch in
+    gate order, as ``simulate`` multiplies them, each into a new array, so
+    that what ``simulate`` returned stays as it was."""
+    index, amp, column = simulate(gadget.catalyst_prep, index, amp, column)
+    index, hits = _evaluate(gadget.circuit, index)
+    for phase, hit in hits:
+        amp = amp * np.where(hit, phase, 1.0)
+    return simulate(gadget.catalyst_prep.inverted(), index, amp, column)
 
 
 def _frame_lanes(gadget, k: int):
@@ -185,7 +191,7 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
     for m in sizes:
         targets = np.exp(1j * angles[:, None] * _hamming_weights(m))
         for strategy in HwpStrategy:
-            diagonal, leakage, off = _hwp_family(build_hwp(m, angles, strategy), n_angles)
+            diagonal, leakage, off = _hwp_family(_hwp(m, angles, strategy), n_angles)
             worst = max(worst, float(leakage.max()), off,
                         max_unitary_deviation(diagonal[:, None], targets[:, None]))
     return worst
@@ -193,11 +199,12 @@ def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
 
 @_check("hwp_tallies", 0.0)
 def check_hwp_tallies(sizes=(1, 2, 3, 4, 5)) -> float:
-    """Toffoli/rotation tallies read from the built circuits match hwp_counts."""
+    """Toffoli/rotation tallies read from the built circuits match
+    hwp_counts; a tally depends on the shape alone, not on the angle."""
     worst = 0.0
     for m in sizes:
         for strategy in HwpStrategy:
-            counted = build_hwp(m, 0.731, strategy).counted
+            counted = _hwp_shape(m, strategy).counted
             toffoli, rz = hwp_counts(m, strategy is HwpStrategy.CATALYZED)
             worst = max(worst, abs(counted.toffoli - toffoli), abs(counted.rz - rz))
     return worst
@@ -208,19 +215,22 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     """Every wire outside the targets comes back unentangled and unchanged,
     the catalyst register in its state |phi> and the workspace at zero: with
     rho_in pure, tr(rho_in rho_out) is the probability that P†UP, run on
-    (target) (x) |0>, leaves all those wires at zero.  The targets are the
-    top wires, so the sparse state holds only the target's 2**M entries,
-    and the probability is summed in target order, as over a dense state."""
+    (target) (x) |0>, leaves all those wires at zero: P simulated, U on
+    wire masks, then P† simulated (``_in_catalyst_frame``).  The targets are
+    the top wires, so the sparse state holds only the target's 2**M
+    entries, and the probability is summed in target order, as over a
+    dense state."""
     rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
         theta = rng.uniform(0.1, 2.0)
-        gadget = build_hwp(m, theta, HwpStrategy.CATALYZED)
+        gadget = _hwp(m, theta, HwpStrategy.CATALYZED)
         env_bits = gadget.circuit.n_qubits - m
         # arbitrary fixed target state entangling all weight sectors
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
-        index, amp, _ = simulate(_in_catalyst_frame(gadget), np.arange(1 << m) << env_bits,
-                                 target / np.linalg.norm(target), np.zeros(1 << m, dtype=np.int64))
+        index, amp, _ = _in_catalyst_frame(gadget, np.arange(1 << m) << env_bits,
+                                           target / np.linalg.norm(target),
+                                           np.zeros(1 << m, dtype=np.int64))
         kept = (index & ((1 << env_bits) - 1)) == 0
         landed = np.bincount(index[kept] >> env_bits, np.abs(amp[kept]) ** 2, minlength=1 << m)
         worst = max(worst, 1.0 - float(landed.sum()))
@@ -234,17 +244,45 @@ def _conjugation_deviation(u: np.ndarray, oracle: FermionOracle, targets) -> flo
                for i, target in enumerate(targets))
 
 
-_oracles = None   # n -> FermionOracle(n) while ``run_all`` runs a pass
+_pass = None   # key -> what ``_once`` made, while ``run_all`` runs a pass
+
+
+def _once(key, make):
+    """``make()``, made once per pass: while ``run_all`` runs, the pass's one
+    result under ``key``; otherwise a new one on every call."""
+    if _pass is None:
+        return make()
+    if key not in _pass:
+        _pass[key] = make()
+    return _pass[key]
 
 
 def _oracle(n: int) -> FermionOracle:
-    """The pass's one oracle of n modes while ``run_all`` runs; otherwise a
-    new one on every call."""
-    if _oracles is None:
-        return FermionOracle(n)
-    if n not in _oracles:
-        _oracles[n] = FermionOracle(n)
-    return _oracles[n]
+    return _once(("oracle", n), lambda: FermionOracle(n))
+
+
+def _hwp_shape(m: int, strategy: HwpStrategy):
+    """``build_hwp(m, 1.0, strategy)``, the shape at unit angle, once per
+    pass; ``build_hwp`` is looked up at each build, so a builder swapped in
+    is the one a pass uses."""
+    return _once(("hwp", m, strategy), lambda: build_hwp(m, 1.0, strategy))
+
+
+def _hwp(m: int, theta, strategy: HwpStrategy):
+    """``build_hwp(m, theta, strategy)``, gate for gate and to the bit: the
+    pass's shape with its circuit and catalyst preparation scaled by theta.
+    Every rotation the builder places is a power-of-two multiple of theta,
+    so the products are exact."""
+    gadget = _hwp_shape(m, strategy)
+    prep = gadget.catalyst_prep
+    return gadget._replace(circuit=gadget.circuit.scaled(theta),
+                           catalyst_prep=None if prep is None else prep.scaled(theta))
+
+
+def _plaquette(theta) -> Circuit:
+    """``build_plaquette_evolution(theta)``, to the bit: the pass's one build
+    at unit angle, scaled; its two rotations are at -2 theta."""
+    return _once("plaquette", lambda: build_plaquette_evolution(1.0)).scaled(theta)
 
 
 @_check("fswap", 1e-12)
@@ -292,7 +330,7 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
     oracle = _oracle(4)
     # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
     energies, modes = np.linalg.eigh(plaquette_generator(oracle))
-    circ = build_plaquette_evolution(angles)
+    circ = _plaquette(angles)
     counts = circ.counts()
     worst = 0.0 if (counts["t"], counts["rz"], counts["toffoli"]) == (8, 2, 0) else 1.0
     targets = (modes * np.exp(1j * np.array(angles)[:, None, None] * energies)) @ modes.conj().T
@@ -302,13 +340,15 @@ def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
 @_check("unitarity", 1e-10)
 def check_unitarity() -> float:
     """U†U = I for representative small gadgets.  Without H a circuit sends
-    each basis state to one: U†U is then diagonal, the column norms, unless
-    two land on one index (inf).  Only a circuit with H forms U densely."""
+    each basis state to one, run on wire masks (``_evaluate``): U†U is then
+    diagonal, the column norms, each the product of the diagonal factors
+    that hit its lane, unless two land on one index (inf).  Only a circuit
+    with H forms U densely."""
     worst = 0.0
     for circ in (
-        build_hwp(3, 0.913, HwpStrategy.CATALYZED).circuit,
-        build_hwp(4, -1.21, HwpStrategy.BASELINE).circuit,
-        build_plaquette_evolution(0.61),
+        _hwp_shape(3, HwpStrategy.CATALYZED).circuit.scaled(0.913),
+        _hwp_shape(4, HwpStrategy.BASELINE).circuit.scaled(-1.21),
+        _plaquette(0.61),
         build_fswap(5, 0, 4),
     ):
         dim = 1 << circ.n_qubits
@@ -316,11 +356,13 @@ def check_unitarity() -> float:
             u = circ.unitary()
             worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
         else:
-            index, amp, column = simulate(circ, np.arange(dim), np.ones(dim), np.arange(dim))
+            index, hits = _evaluate(circ, np.arange(dim))
             if np.bincount(index, minlength=dim).max() > 1:
                 return math.inf
-            norm = np.bincount(column, np.abs(amp) ** 2, minlength=dim)
-            worst = max(worst, float(np.max(np.abs(norm - 1.0))))
+            amp = np.ones(dim, dtype=complex)
+            for phase, hit in hits:
+                amp = amp * np.where(hit, phase, 1.0)
+            worst = max(worst, float(np.max(np.abs(np.abs(amp) ** 2 - 1.0))))
     return worst
 
 
@@ -345,13 +387,14 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """One pass of ``ALL_CHECKS``, sharing one oracle per size."""
-    global _oracles
-    _oracles = {}
+    """One pass of ``ALL_CHECKS``, sharing what ``_once`` makes: one oracle
+    per size, one HWP shape per (M, strategy) and one plaquette."""
+    global _pass
+    _pass = {}
     try:
         return [check() for check in ALL_CHECKS]
     finally:
-        _oracles = None
+        _pass = None
 
 
 def report_json(results) -> str:

@@ -29,7 +29,7 @@ from lattice_qre.circuitlab.statevector import (
     _evaluate,
     _hadamard,
     _lanes,
-    _mask,
+    _masks,
     _permute,
     Gate,
     GateKind,
@@ -486,7 +486,9 @@ def _circuits_and_inputs(draw, hadamard=True):
     on 1-5 wires, with scalar or family angles, and a sparse batch over 1-3
     columns (times the family size) on which some wires are never set, so
     that an H on them finds no partner; the amplitudes include exact zeros
-    and pairs that cancel."""
+    and pairs that cancel.  Without H the batch has exactly 0, 1, 13 or
+    2-12 entries, over as many columns as that takes: 13 lanes fill more
+    than a byte of a wire mask."""
     n = draw(st.integers(1, 5))
     k = draw(st.sampled_from([None, 1, 2, 3]))
     kinds = [kind for kind in GateKind
@@ -500,10 +502,16 @@ def _circuits_and_inputs(draw, hadamard=True):
             angle = (draw(st.floats(-4.0, 4.0)) if k is None else
                      np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))))
         circ.append(kind, *qubits, angle=angle)
-    columns = draw(st.integers(1, 3)) * (k or 1)
-    quiet = draw(st.integers(0, (1 << n) - 1))   # wires set on no input entry
-    keys = sorted(draw(st.sets(st.integers(0, (columns << n) - 1), min_size=1, max_size=12)))
-    keys = np.unique(np.array(keys) & ~quiet)
+    if hadamard:
+        columns = draw(st.integers(1, 3)) * (k or 1)
+        quiet = draw(st.integers(0, (1 << n) - 1))   # wires set on no input entry
+        keys = sorted(draw(st.sets(st.integers(0, (columns << n) - 1), min_size=1, max_size=12)))
+        keys = np.unique(np.array(keys) & ~quiet)
+    else:   # no H to find partners: only the number of entries matters
+        size = draw(st.sampled_from([0, 1, 13]) | st.integers(2, 12))
+        columns = max(draw(st.integers(1, 3)), -(-size >> n)) * (k or 1)
+        keys = np.array(sorted(draw(st.sets(st.integers(0, (columns << n) - 1),
+                                            min_size=size, max_size=size))), dtype=np.int64)
     values = st.sampled_from([1.0, -1.0, 0.5, 1j, 0.0]) | st.complex_numbers(
         max_magnitude=2.0, allow_nan=False, allow_infinity=False)
     amp = np.array(draw(st.lists(values, min_size=keys.size, max_size=keys.size)), dtype=complex)
@@ -603,9 +611,10 @@ class TestKernelAgainstReference:
         assert got[0].max() >= 1 << (n - 2)
 
     def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
-        # the adder chains and the HWP circuits proper run on the evaluator
-        # without a simulation; of the HWP families only the catalyst
-        # preparations are simulated
+        # the adder chains, the HWP circuits proper and the H-free circuits
+        # of the unitarity check run on the evaluator without a simulation;
+        # of the HWP families only the catalyst preparations are simulated,
+        # and catalyst invariance simulates P and P† around the evaluated U
         from lattice_qre.circuitlab import statevector
 
         seen = []
@@ -621,6 +630,24 @@ class TestKernelAgainstReference:
         assert len(seen) == 15
         for args, out in seen:
             assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
+
+    @pytest.mark.parametrize("index", [[6], [-2], [0, 6], [3, -1]])
+    def test_the_evaluator_refuses_indices_out_of_range(self, index):
+        # on 2 qubits the basis indices are 0..3: a CNOT must not map 6 to 7
+        # or -2 to -1
+        circ = Circuit(2)
+        circ.cnot(0, 1)
+        with pytest.raises(ValueError, match="^basis index or column out of range for 2 qubits$"):
+            _evaluate(circ, np.array(index))
+
+    def test_the_evaluator_takes_integers_and_returns_int64(self):
+        circ = Circuit(2)
+        circ.cnot(0, 1)
+        for index in (np.array([2, 3], dtype=np.int32), np.array([2, 3], dtype=np.uint8), [2, 3]):
+            moved, hits = _evaluate(circ, index)
+            assert moved.dtype == np.int64 and moved.tolist() == [3, 2] and hits == []
+        with pytest.raises(ValueError, match="^index must be integers, got dtype float64$"):
+            _evaluate(circ, np.array([2.0, 3.0]))
 
     def test_the_evaluator_takes_62_qubits(self):
         # the lanes' indices are int64, as simulate's keys
@@ -784,6 +811,49 @@ class TestHwpGadgets:
             with pytest.raises(ValueError):
                 build_hwp(0, 0.1, strategy)
 
+    @pytest.mark.parametrize("theta", [0.731, -1e-300, [0.3, -1.7], (2.5, 0.1, -0.4),
+                                       np.array([-2.2, 0.6, 7e5])],
+                             ids=["float", "tiny", "list", "tuple", "array"])
+    def test_the_unit_build_scaled_is_the_build(self, theta):
+        # what a verify pass relies on when it builds each shape once, at
+        # theta = 1: every rotation is a power-of-two multiple of theta (or
+        # -2 theta), so scaling the unit build gives the build, gate for
+        # gate and bit for bit, circuit and catalyst preparation
+        for m in range(1, 9):
+            for strategy in HwpStrategy:
+                built, unit = build_hwp(m, theta, strategy), build_hwp(m, 1.0, strategy)
+                assert _gate_records(unit.circuit.scaled(theta)) == _gate_records(built.circuit)
+                if strategy is HwpStrategy.CATALYZED:
+                    assert (_gate_records(unit.catalyst_prep.scaled(theta))
+                            == _gate_records(built.catalyst_prep))
+                else:
+                    assert unit.catalyst_prep is built.catalyst_prep is None
+                assert unit.counted == built.counted
+        assert (_gate_records(build_plaquette_evolution(1.0).scaled(theta))
+                == _gate_records(build_plaquette_evolution(theta)))
+
+    @pytest.mark.parametrize("theta", [1e308, [0.5, 1e308]], ids=["float", "family"])
+    def test_scaling_refuses_an_angle_that_overflows(self, theta):
+        # as append refuses it when the gadget is built at that angle; an
+        # array product that overflows also warns, as numpy does
+        message = r"^rz angle .*inf.* is not finite$"
+        with np.errstate(over="ignore"):
+            for strategy in HwpStrategy:
+                unit = build_hwp(4, 1.0, strategy)
+                for build in (lambda: build_hwp(4, theta, strategy),
+                              lambda: unit.circuit.scaled(theta)):
+                    with pytest.raises(ValueError, match=message):
+                        build()
+            with pytest.raises(ValueError, match=message):
+                build_plaquette_evolution(1.0).scaled(theta)
+
+    def test_scaling_reuses_the_other_gates(self):
+        circ = build_hwp(3, 1.0, HwpStrategy.BASELINE).circuit
+        scaled = circ.scaled(0.25)
+        assert scaled is not circ and scaled.n_qubits == circ.n_qubits
+        assert all((a is b) == (a.kind is not GateKind.RZ) for a, b in zip(circ.gates, scaled.gates))
+        assert [g.angle for g in circ.gates if g.angle is not None] == [1.0, 2.0]
+
     def test_tallies_at_the_charged_sizes(self):
         # every run size M the Trotter tables charge (L <= 32, up to
         # M = 4,096), both strategies: the tally of the circuit's compute
@@ -882,20 +952,20 @@ def _phasing_identity(gadget, draws=6):
     j, w = lane % size, np.array([x.bit_count() for x in inputs])[lane // size]
     base = m + hamming_adders(m)
     catalyst = range(base, base + k) if size > 1 else range(0)
-    for i, wire in enumerate(catalyst):
-        wires[wire] = _mask(j & (1 << i))
+    for wire, mask in zip(catalyst, _masks([j & (1 << i) for i in range(k)])):
+        wires[wire] = mask
     out, hits = _permute(circuit, wires, lanes)
     c = np.zeros(lanes, dtype=np.int64)
-    for (kind, _, angle), hit in hits:
+    for ((kind, _, angle), _), hit in zip(hits, _lanes([mask for _, mask in hits], lanes)):
         assert kind is GateKind.RZ and float(angle).is_integer()
-        c += np.where(_lanes(hit, lanes), int(angle), 0)
+        c += np.where(hit, int(angle), 0)
     failures = [f"target {q}" for q in range(m) if out[q] != wires[q]]
     failures += [f"workspace {q}" for q in range(m, circuit.n_qubits)
                  if q not in catalyst and out[q]]
     if size > 1:
         shifted = (j - w) % size
-        failures += [f"catalyst {i}" for i, wire in enumerate(catalyst)
-                     if out[wire] != _mask(shifted & (1 << i))]
+        failures += [f"catalyst {i}" for i, (wire, mask) in enumerate(
+            zip(catalyst, _masks([shifted & (1 << i) for i in range(k)]))) if out[wire] != mask]
         c += j - shifted
     if not np.array_equal(c, w):
         failures.append("phase")
@@ -924,6 +994,16 @@ def _projected_family(gadget, thetas):
     return np.array(out)
 
 
+def _gate_records(circuit):
+    """The circuit's width and its gates, each angle as its type and the
+    ``float.hex`` of each of its values, so that equal records mean equal
+    gates to the bit."""
+    def angle(value):
+        return None if value is None else (
+            type(value), [float.hex(float(a)) for a in np.atleast_1d(value)])
+    return circuit.n_qubits, [(g.kind, g.qubits, angle(g.angle)) for g in circuit.gates]
+
+
 def _without_last(circuit, kind=None):
     """Copy of ``circuit`` missing its last gate of ``kind`` (of any kind:
     None); an empty circuit stays empty."""
@@ -934,17 +1014,21 @@ def _without_last(circuit, kind=None):
 
 def _dense_catalyst_invariance(sizes):
     """``check_catalyst_invariance``'s deviation from dense states: the same
-    seeded gadgets and targets, P†UP applied by ``apply_circuit`` to the
-    2**n-entry state, and the targets read at every 2**(n - M)-th entry."""
+    seeded gadgets and targets, P†UP composed as one circuit and applied by
+    ``apply_circuit`` to the 2**n-entry state, and the targets read at every
+    2**(n - M)-th entry."""
     rng = random.Random(verify.HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
         gadget = build_hwp(m, rng.uniform(0.1, 2.0), HwpStrategy.CATALYZED)
+        framed = Circuit(gadget.circuit.n_qubits)
+        for part in (gadget.catalyst_prep, gadget.circuit, gadget.catalyst_prep.inverted()):
+            framed.extend(part)
         stride = 1 << (gadget.circuit.n_qubits - m)
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         state = np.zeros(stride << m, dtype=complex)
         state[::stride] = target / np.linalg.norm(target)
-        state = apply_circuit(state, verify._in_catalyst_frame(gadget))
+        state = apply_circuit(state, framed)
         worst = max(worst, 1.0 - float(np.sum(np.abs(state[::stride]) ** 2)))
     return worst
 
@@ -1023,16 +1107,17 @@ class TestMutantsFail:
 
     @pytest.mark.parametrize("mutant", ["amplitude_scaled", "two_columns_on_one_index"])
     def test_sparse_unitarity_mutant(self, monkeypatch, mutant):
-        # the H-free circuits' basis outputs, one amplitude scaled by 1 + 1e-6
-        # or basis column 1 sent where column 0 goes
-        def broken(circuit, index, amp, column):
-            index, amp, column = simulate(circuit, index, amp, column)
+        # the H-free circuits' basis outputs on wire masks, one amplitude
+        # scaled by 1 + 1e-6 (a factor on lane 3 alone) or basis column 1
+        # sent where column 0 goes
+        def broken(circuit, index):
+            index, hits = _evaluate(circuit, index)
             if mutant == "amplitude_scaled":
-                amp[3] *= 1 + 1e-6
+                hits.append((1 + 1e-6, (np.arange(index.size) == 3).astype(np.uint8)))
             else:
-                index[column == 1] = index[column == 0]
-            return index, amp, column
-        monkeypatch.setattr(verify, "simulate", broken)
+                index[1] = index[0]
+            return index, hits
+        monkeypatch.setattr(verify, "_evaluate", broken)
         result = verify.check_unitarity()
         assert not result.passed
         assert (result.max_deviation == np.inf) == (mutant == "two_columns_on_one_index")
@@ -1253,6 +1338,24 @@ class TestFermionOracle:
         assert verdicts == {True, False}
 
 
+def _counted_builds(monkeypatch):
+    """Count the calls of the two builders ``verify`` shares within a pass,
+    by name, with the builders themselves behind the count."""
+    builds = {"build_hwp": 0, "build_plaquette_evolution": 0}
+    for name in builds:
+        def counted(*args, name=name, build=getattr(verify, name)):
+            builds[name] += 1
+            return build(*args)
+        monkeypatch.setattr(verify, name, counted)
+    return builds
+
+
+def _without_last_toffoli(m, theta, strategy):
+    """``build_hwp`` with an uncompute missing its last Toffoli."""
+    gadget = build_hwp(m, theta, strategy)
+    return gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
+
+
 class TestVerifySuite:
     def test_all_checks_pass(self, circuit_checks):
         failures = [r.name for r in circuit_checks.results.values() if not r.passed]
@@ -1280,37 +1383,71 @@ class TestVerifySuite:
                    for entry in parsed)
 
     def test_sparse_unitarity_reads_the_dense_unitary(self, monkeypatch):
-        # the three H-free circuits are simulated on their basis states, and
-        # the (row, column, amp) triples are exactly the nonzeros of their
-        # dense unitaries; only the plaquette, which has H, forms U densely
+        # the three H-free circuits run on wire masks from their basis
+        # states, and the (row, column, amp) triples, each amp the product of
+        # the factors that hit its lane in gate order, are exactly the
+        # nonzeros of their dense unitaries; only the plaquette, which has H,
+        # forms U densely
         seen = []
 
-        def recorded(circuit, index, amp, column):
-            seen.append((circuit, simulate(circuit, index, amp, column)))
-            return seen[-1][1]
-        monkeypatch.setattr(verify, "simulate", recorded)
+        def recorded(circuit, index):
+            seen.append((circuit, index, _evaluate(circuit, index)))
+            return seen[-1][2]
+        monkeypatch.setattr(verify, "_evaluate", recorded)
         assert verify.check_unitarity().passed
         assert len(seen) == 3
-        for circ, (index, amp, column) in seen:
+        for circ, column, (index, hits) in seen:
             assert all(g.kind is not GateKind.H for g in circ.gates)
+            amp = np.ones(index.size, dtype=complex)
+            for phase, hit in hits:
+                amp = amp * np.where(hit, phase, 1.0)
             u = circ.unitary()
             rows, columns = np.nonzero(u)
             assert dict(zip(zip(rows.tolist(), columns.tolist()), u[rows, columns].tolist())) \
                 == dict(zip(zip(index.tolist(), column.tolist()), amp.tolist()))
 
     def test_one_build_per_gadget_family(self, monkeypatch):
-        # the HWP check builds each (M, strategy) once at all ten angles, and
-        # the plaquette check its circuit once at all five
-        builds = {"build_hwp": 0, "build_plaquette_evolution": 0}
-        for name in builds:
-            def counted(*args, name=name, build=getattr(verify, name)):
-                builds[name] += 1
-                return build(*args)
-            monkeypatch.setattr(verify, name, counted)
+        # called on its own, the HWP check builds each (M, strategy) once
+        # and scales it to all ten angles, and the plaquette check builds its
+        # circuit once for all five
+        builds = _counted_builds(monkeypatch)
         assert verify.check_hwp_unitary().passed
         assert builds == {"build_hwp": 8, "build_plaquette_evolution": 0}
         assert verify.check_plaquette().passed
         assert builds == {"build_hwp": 8, "build_plaquette_evolution": 1}
+
+    def test_a_pass_builds_each_gadget_shape_once(self, monkeypatch):
+        # the checks of one pass share one build of each HWP shape, ten
+        # (M, strategy) pairs, and one plaquette, all at unit angle; the next
+        # pass builds its own
+        builds = _counted_builds(monkeypatch)
+        assert all(r.passed for r in verify.run_all())
+        assert builds == {"build_hwp": 10, "build_plaquette_evolution": 1}
+        assert all(r.passed for r in verify.run_all())
+        assert builds == {"build_hwp": 20, "build_plaquette_evolution": 2}
+
+    def test_no_gadget_outlives_its_pass(self, monkeypatch):
+        # after a pass, finished or ended by a raising check, a check called
+        # on its own builds its (here broken) gadgets afresh
+        def raising():
+            raise RuntimeError("check crashed")
+
+        assert all(r.passed for r in verify.run_all())
+        monkeypatch.setattr(verify, "ALL_CHECKS",
+                            (verify.check_hwp_unitary, verify.check_plaquette, raising))
+        with pytest.raises(RuntimeError, match="check crashed"):
+            verify.run_all()
+        monkeypatch.setattr(verify, "build_hwp", _without_last_toffoli)
+        monkeypatch.setattr(verify, "build_plaquette_evolution",
+                            lambda theta: build_plaquette_evolution(1.0001 * theta))
+        assert not verify.check_hwp_unitary().passed
+        assert not verify.check_plaquette().passed
+
+    def test_a_broken_builder_fails_a_pass(self, monkeypatch):
+        # the shapes a pass shares come from the builder swapped in
+        monkeypatch.setattr(verify, "build_hwp", _without_last_toffoli)
+        failed = {r.name for r in verify.run_all() if not r.passed}
+        assert failed == {"hwp_unitary", "catalyst_invariance"}
 
     def test_a_pass_leaves_numpy_random_unloaded(self):
         # the seeded angles and target states come from the standard library,
