@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ..primitives import CostVector, HwpStrategy, hamming_adders
-from .statevector import Circuit, _angles
+from .statevector import Circuit
 
 # ---------------------------------------------------------------------------
 # Adders and Hamming-weight computation
@@ -84,16 +84,26 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
 # ---------------------------------------------------------------------------
 
 
-# A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp`` lays
-# out: the full application (compute, phase, uncompute), the catalyst
-# preparation (None for a baseline gadget), and the ``CostVector`` tally of
-# the gates before the uncompute.
-HwpGadget = namedtuple("HwpGadget", "circuit catalyst_prep M counted")
+class HwpGadget(namedtuple("HwpGadget", "circuit catalyst_prep M counted")):
+    """A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp``
+    lays out: the full application (compute, phase, uncompute), the catalyst
+    preparation (None for a baseline gadget), and the ``CostVector`` tally
+    of the gates before the uncompute."""
+
+    __slots__ = ()
+
+    def scaled(self, theta) -> "HwpGadget":
+        """The gadget with the RZ angles of its circuit and preparation
+        multiplied by ``theta`` (``Circuit.scaled``); the tally is the
+        shape's, whatever the angle."""
+        prep = self.catalyst_prep
+        return self._replace(circuit=self.circuit.scaled(theta),
+                             catalyst_prep=None if prep is None else prep.scaled(theta))
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
-                    borrows: list[int], theta) -> dict[str, int]:
-    """Kick the phase e^{i*theta*w} back from the catalyst register.
+                    borrows: list[int]) -> dict[str, int]:
+    """Kick the phase e^{i*w} back from the catalyst register (unit angle).
 
     Subtracts the weight register from the catalyst modulo 2^k via a borrow
     ripple (k Toffolis), fixes the modular wrap with one rotation on the
@@ -127,7 +137,7 @@ def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],
         if i:
             circ.cnot(borrows[i - 1], catalyst[i])
     # wrap correction: the final borrow flags catalyst + weight >= 2^k
-    circ.rz(borrows[k - 1], (1 << k) * theta)
+    circ.rz(borrows[k - 1], 1 << k)
     # borrows equal the carries of (difference + weight); uncompute top-down
     counts = circ.counts()
     for i in range(k - 1, -1, -1):
@@ -146,9 +156,10 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     Every wire but the targets returns to |0>, the catalyst wires in the
     frame of their preparation: the catalyst state returns unchanged.  A 1-D
     ``theta`` (an array, list or tuple) builds the family of these gadgets,
-    one per angle.
+    one per angle.  The gadget is laid out at unit angle, each rotation at
+    2**i, and scaled by ``theta`` (``HwpGadget.scaled``), so
+    ``build_hwp(M, 1.0, strategy).scaled(theta)`` is this build to the bit.
     """
-    theta = _angles(theta)
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
     k = M.bit_length()
     hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
@@ -162,17 +173,17 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
         prep = Circuit(circ.n_qubits)
         for i, wire in enumerate(catalyst):
             prep.h(wire)
-            prep.rz(wire, (1 << i) * theta)
+            prep.rz(wire, 1 << i)
         # the adder chain always yields exactly k weight bits
         assert len(hw.outputs) == k
-        counts = _phase_gradient(circ, hw.outputs, catalyst, borrows, theta)
+        counts = _phase_gradient(circ, hw.outputs, catalyst, borrows)
     else:
         for i, wire in enumerate(hw.outputs):
-            circ.rz(wire, (1 << i) * theta)
+            circ.rz(wire, 1 << i)
         counts = circ.counts()
     circ.extend(uncompute)
-    return HwpGadget(circ, prep, M, CostVector(float(counts["toffoli"]), float(counts["t"]),
-                                               counts["rz"]))
+    counted = CostVector(float(counts["toffoli"]), float(counts["t"]), counts["rz"])
+    return HwpGadget(circ, prep, M, counted).scaled(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +263,9 @@ def build_plaquette_evolution(theta) -> Circuit:
     diagonalizes the generator into two same-angle rotations on the middle
     mode pair.  Counted cost: eight T gates and two rotations.  A 1-D
     ``theta`` (an array, list or tuple) builds the family of these
-    evolutions, one per angle.
+    evolutions, one per angle.  It is laid out at unit angle and scaled
+    (``Circuit.scaled``), as ``build_hwp`` is.
     """
-    theta = _angles(theta)
     circ = Circuit(4)
     basis_change = Circuit(4)
     adjacent_fswap(basis_change, 1)          # modes 2,3
@@ -263,6 +274,6 @@ def build_plaquette_evolution(theta) -> Circuit:
     adjacent_fswap(basis_change, 0)          # modes 1,2
 
     circ.extend(basis_change)
-    xx_plus_yy_rotation(circ, 1, 2, theta)
+    xx_plus_yy_rotation(circ, 1, 2, 1.0)
     circ.extend(basis_change.inverted())
-    return circ
+    return circ.scaled(theta)

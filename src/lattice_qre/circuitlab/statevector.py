@@ -15,9 +15,11 @@ A circuit without H sends each basis state to one basis state with a
 phase.  ``_evaluate`` runs one on wire masks (``_permute``): each basis
 state is a lane, each wire one Python int whose bit l is the wire's value
 in lane l, X, CNOT, Toffoli and SWAP are one int operation each, and each
-diagonal gate records its hit mask.  It converts in bulk: one ``packbits``
-of the (wires, lanes) bit matrix forms the masks, one ``unpackbits`` reads
-back the wires the circuit changed, and one more the hit masks.  The
+diagonal gate records its hit mask.  It converts in bulk: one
+``unpackbits`` of the indices' bytes and one ``packbits`` of the (wires,
+lanes) bit matrix, a byte per bit, form the masks, one ``unpackbits`` reads
+back the wires the circuit changed, and one more the hit masks, which
+``_phased`` multiplies into amplitudes as ``simulate`` would.  The
 gadgets the cost model counts are mostly of this kind: X, CNOT, Toffoli
 and RZ.  ``verify`` runs on it the adder chains, the H-free circuits of
 its unitarity check, and the Hamming-weight phasing (HWP) gadgets in
@@ -46,8 +48,9 @@ alone, a real number (stored as a float; a bool is refused) or a 1-D
 array.  ``extend`` appends a circuit on at most as many wires, and
 ``inverted`` reverses one; both reuse gates already checked, so composing
 circuits does no per-gate work.  ``scaled`` multiplies every RZ angle by
-theta and checks each product as ``append`` does: a gadget built once at
-theta = 1 serves every angle.
+theta and checks each product as ``append`` does; the gadget builders lay
+out their rotations at unit angle and return them scaled, so a gadget
+built once at theta = 1 serves every angle.
 
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
@@ -129,15 +132,6 @@ def _qubit(q, name: str = "qubit") -> int:
 
 # RZ's angle is one real number, or a 1-D array of them, one per family member
 Gate = namedtuple("Gate", "kind qubits angle")
-
-
-def _angles(theta):
-    """``theta`` as the builders and ``Circuit.scaled`` take it: a list or
-    tuple as the array of one angle per family member (not a list to
-    repeat), a number as the Python number it is, which needs no numpy call
-    per rotation."""
-    theta = np.asarray(theta)
-    return theta.item() if theta.ndim == 0 else theta
 
 
 def _rz_angle(angle):
@@ -227,10 +221,14 @@ class Circuit:
     def scaled(self, theta) -> "Circuit":
         """A copy in which each RZ angle is multiplied by ``theta``, a real
         number or a 1-D sequence of them (a family), each product checked
-        as ``append`` checks an angle; the other gates are reused.  A
-        builder whose rotations are all +-2**i * theta gives, built at
-        theta = 1 and scaled, its build at ``theta`` to the bit."""
-        theta = _angles(theta)
+        as ``append`` checks an angle; the other gates are reused.  The
+        gadget builders lay out their rotations at unit angle and return
+        them scaled, so a build at unit angle scaled by theta is the build
+        at theta.  A list or tuple is the array of one angle per member
+        (not a list to repeat); a number stays the Python number it is,
+        which needs no numpy call per rotation."""
+        theta = np.asarray(theta)
+        theta = theta.item() if theta.ndim == 0 else theta
         out = Circuit(self.n_qubits)
         out.gates = [gate if gate.angle is None else
                      Gate(RZ, gate.qubits, _rz_angle(gate.angle * theta))
@@ -352,9 +350,10 @@ def _evaluate(circuit, index):
     [0, 2**n), one lane each, on wire masks (``_permute``).  Returns each
     lane's output basis index, an int64 array, and, in gate order, each
     diagonal gate's factor (``_phase``) with its hit lanes, an array of 0s
-    and 1s.  The conversions are in bulk: one ``packbits`` of the (wires,
-    lanes) bit matrix forms the masks, one ``unpackbits`` reads back the
-    wires the circuit changed, and one more the hit masks.  Like
+    and 1s.  The conversions are in bulk: one ``unpackbits`` of the
+    indices' bytes and one ``packbits`` of the (wires, lanes) bit matrix, a
+    byte per bit, form the masks, one ``unpackbits`` reads back the wires
+    the circuit changed, and one more the hit masks.  Like
     ``simulate``, it takes at most 62 qubits, and refuses non-integer or
     out-of-range indices."""
     n = circuit.n_qubits
@@ -364,14 +363,32 @@ def _evaluate(circuit, index):
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n:
         raise ValueError(f"basis index or column out of range for {n} qubits")
     lanes = index.size
-    bit = 1 << np.arange(n - 1, -1, -1)   # qubit 0 is the top index bit
-    before = _masks((index & bit[:, None]) != 0)
+    # each lane's index bits, one byte each, from its little-endian bytes:
+    # (lanes, n), column j for index bit j, so qubit q's row is n - 1 - q
+    bits = np.unpackbits(index.astype("<i8", copy=False).view(np.uint8).reshape(lanes, 8),
+                         axis=1, count=n, bitorder="little")
+    before = _masks(np.ascontiguousarray(bits.T[::-1]))
     after, hits = _permute(circuit, before, lanes)
     changed = [q for q in range(n) if before[q] != after[q]]
     if changed:   # flip each changed wire's bit in the lanes where it changed
-        index = index ^ bit[changed] @ _lanes([before[q] ^ after[q] for q in changed], lanes)
+        bit = 1 << (n - 1 - np.array(changed))   # qubit 0 is the top index bit
+        index = index ^ bit @ _lanes([before[q] ^ after[q] for q in changed], lanes)
     return index, [(_phase(kind, angle), hit) for ((kind, _, angle), _), hit
                    in zip(hits, _lanes([mask for _, mask in hits], lanes))]
+
+
+def _phased(amp, hits, column=0):
+    """A copy of ``amp`` times ``_evaluate``'s diagonal factors ``hits``
+    where they hit, in gate order, lane i taking member ``column[i] % k`` of
+    an RZ of k angles: in place, as ``simulate`` multiplies, since numpy's
+    in-place complex product can round otherwise than one into a new array.
+    ``amp`` stays as it was."""
+    amp = np.array(amp, dtype=complex)
+    for phase, hit in hits:
+        if np.size(phase) > 1:   # one factor per family member
+            phase = phase[column % phase.size]
+        amp *= np.where(hit, phase, 1.0)
+    return amp
 
 
 def simulate(circuit, index, amp, column):

@@ -8,11 +8,12 @@ A pass, ``run_all``, builds what its checks share once (``_once``), and
 every check of the pass reads that one: the fermion oracle of each size
 (2, 4 and 5 modes), each HWP shape (``build_hwp`` at theta = 1 for ten
 (M, strategy) pairs) and the plaquette (``build_plaquette_evolution`` at
-1).  A check takes its angles through ``Circuit.scaled``: every rotation
-these builders place is +-2**i * theta, so the scaled circuit is the one
-built at theta, to the bit.  What a pass built goes with it, so each pass
-builds its gadgets and verifies the anticommutation relations anew, and a
-check called on its own builds afresh.
+1).  A check takes its angles by scaling the shape (``HwpGadget.scaled``,
+``Circuit.scaled``), the step by which the builders themselves turn their
+unit-angle layout into a build at theta, so it checks what a build at its
+angles returns.  What a pass built goes with it, so each pass builds its
+gadgets and verifies the anticommutation relations anew, and a check
+called on its own builds afresh.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .statevector import (
     H,
     Circuit,
     _evaluate,
+    _phased,
     apply_circuit,  # noqa: F401  no check calls it; perfbench's tracer wraps verify.apply_circuit
     max_unitary_deviation,
     simulate,
@@ -110,14 +112,11 @@ def _in_catalyst_frame(gadget, index, amp, column):
     """P†UP applied to a sparse batch (``simulate``'s arrays), for a
     catalyzed gadget's circuit U at one angle and its catalyst preparation
     P: P and P† are simulated, and U, free of H, runs on wire masks
-    (``_evaluate``), its diagonal factors multiplied over the whole batch in
-    gate order, as ``simulate`` multiplies them, each into a new array, so
-    that what ``simulate`` returned stays as it was."""
+    (``_evaluate``), its diagonal factors multiplied over the whole batch
+    (``_phased``), so that what ``simulate`` returned stays as it was."""
     index, amp, column = simulate(gadget.catalyst_prep, index, amp, column)
     index, hits = _evaluate(gadget.circuit, index)
-    for phase, hit in hits:
-        amp = amp * np.where(hit, phase, 1.0)
-    return simulate(gadget.catalyst_prep.inverted(), index, amp, column)
+    return simulate(gadget.catalyst_prep.inverted(), index, _phased(amp, hits), column)
 
 
 def _frame_lanes(gadget, k: int):
@@ -269,19 +268,14 @@ def _hwp_shape(m: int, strategy: HwpStrategy):
 
 
 def _hwp(m: int, theta, strategy: HwpStrategy):
-    """``build_hwp(m, theta, strategy)``, gate for gate and to the bit: the
-    pass's shape with its circuit and catalyst preparation scaled by theta.
-    Every rotation the builder places is a power-of-two multiple of theta,
-    so the products are exact."""
-    gadget = _hwp_shape(m, strategy)
-    prep = gadget.catalyst_prep
-    return gadget._replace(circuit=gadget.circuit.scaled(theta),
-                           catalyst_prep=None if prep is None else prep.scaled(theta))
+    """``build_hwp(m, theta, strategy)``: the pass's shape scaled by theta,
+    as ``build_hwp`` scales its unit-angle layout."""
+    return _hwp_shape(m, strategy).scaled(theta)
 
 
 def _plaquette(theta) -> Circuit:
-    """``build_plaquette_evolution(theta)``, to the bit: the pass's one build
-    at unit angle, scaled; its two rotations are at -2 theta."""
+    """``build_plaquette_evolution(theta)``: the pass's one build at unit
+    angle, scaled, as the builder scales its layout."""
     return _once("plaquette", lambda: build_plaquette_evolution(1.0)).scaled(theta)
 
 
@@ -359,9 +353,7 @@ def check_unitarity() -> float:
             index, hits = _evaluate(circ, np.arange(dim))
             if np.bincount(index, minlength=dim).max() > 1:
                 return math.inf
-            amp = np.ones(dim, dtype=complex)
-            for phase, hit in hits:
-                amp = amp * np.where(hit, phase, 1.0)
+            amp = _phased(np.ones(dim, dtype=complex), hits)
             worst = max(worst, float(np.max(np.abs(np.abs(amp) ** 2 - 1.0))))
     return worst
 

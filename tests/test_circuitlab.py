@@ -31,6 +31,7 @@ from lattice_qre.circuitlab.statevector import (
     _lanes,
     _masks,
     _permute,
+    _phased,
     Gate,
     GateKind,
     max_unitary_deviation,
@@ -546,10 +547,7 @@ class TestKernelAgainstReference:
         circ, index, amp, column = case
         want = _reference_simulate(circ, index, amp, column)
         moved, hits = _evaluate(circ, index)
-        phased = amp.copy()
-        for phase, hit in hits:
-            phase = np.atleast_1d(phase)
-            phased *= np.where(hit, phase[column % phase.size], 1.0)
+        phased = _phased(amp, hits, column)
         for got in (simulate(circ, index, amp, column), (moved, phased, column)):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
             assert (list(map(float.hex, got[1].view(float)))
@@ -816,19 +814,20 @@ class TestHwpGadgets:
                              ids=["float", "tiny", "list", "tuple", "array"])
     def test_the_unit_build_scaled_is_the_build(self, theta):
         # what a verify pass relies on when it builds each shape once, at
-        # theta = 1: every rotation is a power-of-two multiple of theta (or
-        # -2 theta), so scaling the unit build gives the build, gate for
-        # gate and bit for bit, circuit and catalyst preparation
+        # theta = 1: the builders lay out their rotations at unit angle and
+        # scale them, so the unit build scaled is the build, gate for gate
+        # and bit for bit, circuit and catalyst preparation
         for m in range(1, 9):
             for strategy in HwpStrategy:
                 built, unit = build_hwp(m, theta, strategy), build_hwp(m, 1.0, strategy)
-                assert _gate_records(unit.circuit.scaled(theta)) == _gate_records(built.circuit)
+                scaled = unit.scaled(theta)
+                assert _gate_records(scaled.circuit) == _gate_records(built.circuit)
                 if strategy is HwpStrategy.CATALYZED:
-                    assert (_gate_records(unit.catalyst_prep.scaled(theta))
+                    assert (_gate_records(scaled.catalyst_prep)
                             == _gate_records(built.catalyst_prep))
                 else:
-                    assert unit.catalyst_prep is built.catalyst_prep is None
-                assert unit.counted == built.counted
+                    assert scaled.catalyst_prep is built.catalyst_prep is None
+                assert scaled.counted == unit.counted == built.counted
         assert (_gate_records(build_plaquette_evolution(1.0).scaled(theta))
                 == _gate_records(build_plaquette_evolution(theta)))
 
@@ -1398,9 +1397,7 @@ class TestVerifySuite:
         assert len(seen) == 3
         for circ, column, (index, hits) in seen:
             assert all(g.kind is not GateKind.H for g in circ.gates)
-            amp = np.ones(index.size, dtype=complex)
-            for phase, hit in hits:
-                amp = amp * np.where(hit, phase, 1.0)
+            amp = _phased(np.ones(index.size, dtype=complex), hits)
             u = circ.unitary()
             rows, columns = np.nonzero(u)
             assert dict(zip(zip(rows.tolist(), columns.tolist()), u[rows, columns].tolist())) \
