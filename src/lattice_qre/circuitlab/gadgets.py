@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ..primitives import CostVector, HwpStrategy, hamming_adders
-from .statevector import Circuit
+from .statevector import Circuit, _qubit
 
 # ---------------------------------------------------------------------------
 # Adders and Hamming-weight computation
@@ -52,6 +52,7 @@ def build_hamming_weight(M: int, n_extra_qubits: int = 0) -> HammingWeightGadget
     ``n_extra_qubits`` reserves trailing wires for callers that extend the
     circuit.
     """
+    M = _qubit(M, "M")
     n_anc = hamming_adders(M)
     circ = Circuit(M + n_anc + n_extra_qubits)
     next_free = M
@@ -160,6 +161,7 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
     2**i, and scaled by ``theta`` (``HwpGadget.scaled``), so
     ``build_hwp(M, 1.0, strategy).scaled(theta)`` is this build to the bit.
     """
+    M = _qubit(M, "M")
     catalyzed = HwpStrategy(strategy) is HwpStrategy.CATALYZED
     k = M.bit_length()
     hw = build_hamming_weight(M, n_extra_qubits=2 * k if catalyzed else 0)
@@ -238,19 +240,21 @@ def two_site_fourier(circ: Circuit, a: int, b: int) -> None:
     circ.cz(a, b)
 
 
-def xx_plus_yy_rotation(circ: Circuit, a: int, b: int, theta) -> None:
-    """exp(i*theta*(XX + YY)) on wires a, b: Cliffords plus two rotations."""
-    # exp(i theta XX)
+def xx_plus_yy_rotation(circ: Circuit, a: int, b: int) -> None:
+    """exp(i*(XX + YY)) on wires a, b: Cliffords plus two rotations, laid
+    out at unit angle; scaled by theta (``Circuit.scaled``) it is
+    exp(i*theta*(XX + YY))."""
+    # exp(i XX)
     circ.h(a); circ.h(b)
     circ.cnot(a, b)
-    circ.rz(b, -2.0 * theta)
+    circ.rz(b, -2.0)
     circ.cnot(a, b)
     circ.h(a); circ.h(b)
-    # exp(i theta YY) = (S ⊗ S) exp(i theta XX) (S ⊗ S)^dag
+    # exp(i YY) = (S ⊗ S) exp(i XX) (S ⊗ S)^dag
     circ.sdg(a); circ.sdg(b)
     circ.h(a); circ.h(b)
     circ.cnot(a, b)
-    circ.rz(b, -2.0 * theta)
+    circ.rz(b, -2.0)
     circ.cnot(a, b)
     circ.h(a); circ.h(b)
     circ.s(a); circ.s(b)
@@ -274,6 +278,6 @@ def build_plaquette_evolution(theta) -> Circuit:
     adjacent_fswap(basis_change, 0)          # modes 1,2
 
     circ.extend(basis_change)
-    xx_plus_yy_rotation(circ, 1, 2, 1.0)
+    xx_plus_yy_rotation(circ, 1, 2)
     circ.extend(basis_change.inverted())
     return circ.scaled(theta)

@@ -18,16 +18,17 @@ in lane l, X, CNOT, Toffoli and SWAP are one int operation each, and each
 diagonal gate records its hit mask.  It converts in bulk: one
 ``unpackbits`` of the indices' bytes and one ``packbits`` of the (wires,
 lanes) bit matrix, a byte per bit, form the masks, one ``unpackbits`` reads
-back the wires the circuit changed, and one more the hit masks, which
-``_phased`` multiplies into amplitudes as ``simulate`` would.  The
+back the wires the circuit changed, and one more the hit masks.
+``_phased`` is the one place those factors enter amplitudes: it
+multiplies them in gate order and in place, as ``simulate`` does.  The
 gadgets the cost model counts are mostly of this kind: X, CNOT, Toffoli
 and RZ.  ``verify`` runs on it the adder chains, the H-free circuits of
 its unitarity check, and the Hamming-weight phasing (HWP) gadgets in
 their catalyst's frame: for the catalyst state |phi> = P|0>,
 <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
 only the preparation P is simulated, and U runs once on x (x) supp(phi),
-since its permutation does not depend on the angle.  Catalyst invariance
-runs P, then U on wire masks, then P†.
+since its permutation does not depend on the angle.  Both HWP checks
+read that frame, so no check simulates P†.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -48,9 +49,10 @@ alone, a real number (stored as a float; a bool is refused) or a 1-D
 array.  ``extend`` appends a circuit on at most as many wires, and
 ``inverted`` reverses one; both reuse gates already checked, so composing
 circuits does no per-gate work.  ``scaled`` multiplies every RZ angle by
-theta and checks each product as ``append`` does; the gadget builders lay
-out their rotations at unit angle and return them scaled, so a gadget
-built once at theta = 1 serves every angle.
+theta, which it checks once as ``append`` checks an angle, and checks
+each product; the gadget builders lay out their rotations at unit angle
+and return them scaled, so a gadget built once at theta = 1 serves every
+angle.
 
 Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
 matrices of at most 10 qubits, and ``apply_circuit``, public API that no
@@ -219,20 +221,20 @@ class Circuit:
         return out
 
     def scaled(self, theta) -> "Circuit":
-        """A copy in which each RZ angle is multiplied by ``theta``, a real
-        number or a 1-D sequence of them (a family), each product checked
-        as ``append`` checks an angle; the other gates are reused.  The
-        gadget builders lay out their rotations at unit angle and return
-        them scaled, so a build at unit angle scaled by theta is the build
-        at theta.  A list or tuple is the array of one angle per member
-        (not a list to repeat); a number stays the Python number it is,
-        which needs no numpy call per rotation."""
-        theta = np.asarray(theta)
-        theta = theta.item() if theta.ndim == 0 else theta
+        """A copy in which each RZ angle is multiplied by ``theta``, the
+        other gates reused.  ``theta`` is checked once as ``append`` checks
+        an angle, so it is a real number (a bool refused) or a non-empty
+        1-D sequence of them, one per family member (a list or tuple too,
+        not a list to repeat); each product is checked again, so one that
+        overflows is refused, not warned about.  The gadget builders lay
+        out their rotations at unit angle and return them scaled, so a
+        build at unit angle scaled by theta is the build at theta."""
+        theta = _rz_angle(theta)
         out = Circuit(self.n_qubits)
-        out.gates = [gate if gate.angle is None else
-                     Gate(RZ, gate.qubits, _rz_angle(gate.angle * theta))
-                     for gate in self.gates]
+        with np.errstate(over="ignore"):   # _rz_angle refuses an inf product; no warning first
+            out.gates = [gate if gate.angle is None else
+                         Gate(RZ, gate.qubits, _rz_angle(gate.angle * theta))
+                         for gate in self.gates]
         return out
 
     def counts(self) -> dict[str, int]:
@@ -380,9 +382,10 @@ def _evaluate(circuit, index):
 def _phased(amp, hits, column=0):
     """A copy of ``amp`` times ``_evaluate``'s diagonal factors ``hits``
     where they hit, in gate order, lane i taking member ``column[i] % k`` of
-    an RZ of k angles: in place, as ``simulate`` multiplies, since numpy's
-    in-place complex product can round otherwise than one into a new array.
-    ``amp`` stays as it was."""
+    an RZ of k angles (``column`` broadcasts against ``amp``: a (k, 1)
+    column for a (k, lanes) ``amp`` gives row a member a): in place, as
+    ``simulate`` multiplies, since numpy's in-place complex product can
+    round otherwise than one into a new array.  ``amp`` stays as it was."""
     amp = np.array(amp, dtype=complex)
     for phase, hit in hits:
         if np.size(phase) > 1:   # one factor per family member

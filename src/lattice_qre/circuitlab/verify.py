@@ -14,6 +14,13 @@ unit-angle layout into a build at theta, so it checks what a build at its
 angles returns.  What a pass built goes with it, so each pass builds its
 gadgets and verifies the anticommutation relations anew, and a check
 called on its own builds afresh.
+
+Both HWP checks read a gadget in its catalyst's frame one way: the terms
+of <x', phi|U|x, phi> (``_frame_lanes``), where |phi> = P|0> is the
+catalyst state.  The unitary check compares the induced action with
+diag(e^{i*theta*HW(x)}); catalyst invariance applies it to a seeded target
+and reads the norm that stays in the frame.  Only the preparation P is
+simulated, never its inverse, and U runs on wire masks (``_evaluate``).
 """
 
 from __future__ import annotations
@@ -108,17 +115,6 @@ def check_hamming_weight(max_bits: int = 8) -> float:
     return worst
 
 
-def _in_catalyst_frame(gadget, index, amp, column):
-    """P†UP applied to a sparse batch (``simulate``'s arrays), for a
-    catalyzed gadget's circuit U at one angle and its catalyst preparation
-    P: P and P† are simulated, and U, free of H, runs on wire masks
-    (``_evaluate``), its diagonal factors multiplied over the whole batch
-    (``_phased``), so that what ``simulate`` returned stays as it was."""
-    index, amp, column = simulate(gadget.catalyst_prep, index, amp, column)
-    index, hits = _evaluate(gadget.circuit, index)
-    return simulate(gadget.catalyst_prep.inverted(), index, _phased(amp, hits), column)
-
-
 def _frame_lanes(gadget, k: int):
     """The terms of <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e
     <x', e'|U|x, e> for the k members of a gadget family (``build_hwp`` at k
@@ -127,10 +123,11 @@ def _frame_lanes(gadget, k: int):
     from simulating the preparation P alone, for all members.  U, free of H,
     runs once on wire masks (``_evaluate``), one lane per target x and
     catalyst basis state e in the support of phi, lane x*|supp| + e: its
-    permutation does not depend on the angle, and the members' phases are
-    broadcast over the lanes.  Returns each lane's row x' and column x, and
-    the members' (k, lanes) terms, zero where the environment does not end
-    in the support."""
+    permutation does not depend on the angle, and ``_phased`` multiplies
+    its factors into the terms, member a's into row a.  Returns each lane's
+    row x' and column x, and the members' (k, lanes) terms, zero where the
+    environment does not end in the support.  Both HWP checks read a
+    gadget in its catalyst's frame from here, and from nowhere else."""
     m, circuit, prep = gadget.M, gadget.circuit, gadget.catalyst_prep
     if prep is None:
         support, phi = np.zeros(1, dtype=np.int64), np.ones((k, 1), dtype=complex)
@@ -148,9 +145,7 @@ def _frame_lanes(gadget, k: int):
     landed = np.searchsorted(support, end).clip(max=size - 1)
     term = np.where(support[landed] == end, phi.conj()[:, landed], 0.0)
     term = (term.reshape(k, -1, size) * phi[:, None]).reshape(k, lanes)
-    for phase, hit in hits:
-        term *= np.where(hit, np.reshape(phase, (-1, 1)), 1.0)
-    return row, column, term
+    return row, column, _phased(term, hits, np.arange(k)[:, None])
 
 
 def _hwp_family(gadget, k: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -212,27 +207,23 @@ def check_hwp_tallies(sizes=(1, 2, 3, 4, 5)) -> float:
 @_check("catalyst_invariance", 1e-12)
 def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     """Every wire outside the targets comes back unentangled and unchanged,
-    the catalyst register in its state |phi> and the workspace at zero: with
-    rho_in pure, tr(rho_in rho_out) is the probability that P†UP, run on
-    (target) (x) |0>, leaves all those wires at zero: P simulated, U on
-    wire masks, then P† simulated (``_in_catalyst_frame``).  The targets are
-    the top wires, so the sparse state holds only the target's 2**M
-    entries, and the probability is summed in target order, as over a
-    dense state."""
+    the catalyst register in its state |phi> and the workspace at zero.
+    With rho_in pure, tr(rho_in rho_out) is ||A t||**2 for the seeded
+    target state t, where A is the gadget's induced action
+    <x', phi|U|x, phi> on the targets, summed from the terms of its lanes
+    (``_frame_lanes``).  Since P|x, 0> = |x, phi>, this is the probability
+    that P†UP leaves every wire outside the targets at zero, read without
+    inverting the preparation."""
     rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
         theta = rng.uniform(0.1, 2.0)
-        gadget = _hwp(m, theta, HwpStrategy.CATALYZED)
-        env_bits = gadget.circuit.n_qubits - m
         # arbitrary fixed target state entangling all weight sectors
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
-        index, amp, _ = _in_catalyst_frame(gadget, np.arange(1 << m) << env_bits,
-                                           target / np.linalg.norm(target),
-                                           np.zeros(1 << m, dtype=np.int64))
-        kept = (index & ((1 << env_bits) - 1)) == 0
-        landed = np.bincount(index[kept] >> env_bits, np.abs(amp[kept]) ** 2, minlength=1 << m)
-        worst = max(worst, 1.0 - float(landed.sum()))
+        row, column, term = _frame_lanes(_hwp(m, theta, HwpStrategy.CATALYZED), 1)
+        image = np.zeros(1 << m, dtype=complex)   # A t
+        np.add.at(image, row, term[0] * (target / np.linalg.norm(target))[column])
+        worst = max(worst, 1.0 - float(np.sum(np.abs(image) ** 2)))
     return worst
 
 

@@ -611,8 +611,8 @@ class TestKernelAgainstReference:
     def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
         # the adder chains, the HWP circuits proper and the H-free circuits
         # of the unitarity check run on the evaluator without a simulation;
-        # of the HWP families only the catalyst preparations are simulated,
-        # and catalyst invariance simulates P and P† around the evaluated U
+        # of the HWP gadgets, both checks' alike, only the catalyst
+        # preparations are simulated, and no inverted one
         from lattice_qre.circuitlab import statevector
 
         seen = []
@@ -625,7 +625,7 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(verify, "simulate", recorded)
         monkeypatch.setattr(statevector, "simulate", recorded)
         assert all(r.passed for r in verify.run_all())
-        assert len(seen) == 15
+        assert len(seen) == 12
         for args, out in seen:
             assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
 
@@ -833,18 +833,48 @@ class TestHwpGadgets:
 
     @pytest.mark.parametrize("theta", [1e308, [0.5, 1e308]], ids=["float", "family"])
     def test_scaling_refuses_an_angle_that_overflows(self, theta):
-        # as append refuses it when the gadget is built at that angle; an
-        # array product that overflows also warns, as numpy does
+        # as append refuses it when the gadget is built at that angle, and
+        # with no warning first (the suite makes a RuntimeWarning an error)
         message = r"^rz angle .*inf.* is not finite$"
-        with np.errstate(over="ignore"):
-            for strategy in HwpStrategy:
-                unit = build_hwp(4, 1.0, strategy)
-                for build in (lambda: build_hwp(4, theta, strategy),
-                              lambda: unit.circuit.scaled(theta)):
-                    with pytest.raises(ValueError, match=message):
-                        build()
+        for strategy in HwpStrategy:
+            unit = build_hwp(4, 1.0, strategy)
+            for build in (lambda: build_hwp(4, theta, strategy),
+                          lambda: unit.circuit.scaled(theta)):
+                with pytest.raises(ValueError, match=message):
+                    build()
+        with pytest.raises(ValueError, match=message):
+            build_plaquette_evolution(1.0).scaled(theta)
+
+    @pytest.mark.parametrize("theta, message", [
+        (True, r"^rz needs a real angle .*got True$"),
+        ([True, False], r"^rz needs a real angle .*got \[True, False\]$"),
+        ("0.5", r"^rz needs a real angle .*got '0.5'$"),
+        (None, r"^rz needs a real angle .*got None$"),
+        (2 ** 1100, r"^rz angle \d+ is not finite$"),
+    ], ids=["bool", "bools", "str", "none", "huge_int"])
+    def test_scaling_refuses_what_append_refuses(self, theta, message):
+        # theta is checked once, as append checks an angle, before any
+        # product: Circuit.rz(0, True) is refused, so is a build at True
+        # (a bool used to build at 1.0 or 0.0, a str or None to raise
+        # TypeError, and 2**1100 OverflowError)
+        with pytest.raises(ValueError):
+            Circuit(1).rz(0, theta)
+        for build in (lambda: build_hwp(3, theta, HwpStrategy.CATALYZED),
+                      lambda: build_hwp(3, 1.0, HwpStrategy.BASELINE).scaled(theta),
+                      lambda: build_plaquette_evolution(theta)):
             with pytest.raises(ValueError, match=message):
-                build_plaquette_evolution(1.0).scaled(theta)
+                build()
+
+    @pytest.mark.parametrize("m", [True, 2.0, "3", None])
+    def test_the_builders_refuse_an_m_that_is_not_an_integer(self, m):
+        # as the lab takes every integer: a bool is no size, and a float
+        # used to reach M.bit_length()
+        message = rf"^M {re.escape(repr(m))} is not an integer$"
+        for build in (lambda: build_hamming_weight(m),
+                      lambda: build_hwp(m, 1.0, HwpStrategy.BASELINE),
+                      lambda: build_hwp(m, 1.0, HwpStrategy.CATALYZED)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_scaling_reuses_the_other_gates(self):
         circ = build_hwp(3, 1.0, HwpStrategy.BASELINE).circuit
@@ -1011,15 +1041,15 @@ def _without_last(circuit, kind=None):
     return _circuit(circuit.n_qubits, gates[:found[-1]] + gates[found[-1] + 1:] if found else gates)
 
 
-def _dense_catalyst_invariance(sizes):
+def _dense_catalyst_invariance(sizes, build=build_hwp):
     """``check_catalyst_invariance``'s deviation from dense states: the same
-    seeded gadgets and targets, P†UP composed as one circuit and applied by
-    ``apply_circuit`` to the 2**n-entry state, and the targets read at every
-    2**(n - M)-th entry."""
+    seeded gadgets (made by ``build``) and targets, P†UP composed as one
+    circuit and applied by ``apply_circuit`` to the 2**n-entry state, and
+    the targets read at every 2**(n - M)-th entry."""
     rng = random.Random(verify.HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
-        gadget = build_hwp(m, rng.uniform(0.1, 2.0), HwpStrategy.CATALYZED)
+        gadget = build(m, rng.uniform(0.1, 2.0), HwpStrategy.CATALYZED)
         framed = Circuit(gadget.circuit.n_qubits)
         for part in (gadget.catalyst_prep, gadget.circuit, gadget.catalyst_prep.inverted()):
             framed.extend(part)
@@ -1034,8 +1064,10 @@ def _dense_catalyst_invariance(sizes):
 
 class TestCatalystInvariance:
     def test_runs_on_the_sparse_targets(self, monkeypatch):
-        # no dense state is formed, and the deviation is the dense
-        # projection's to the last bit, at each size and over the pass's sizes
+        # no dense state is formed, and the deviation read from the
+        # catalyst's frame is the dense P†UP reference's within 1e-15, at
+        # each size and over the pass's sizes; also for an uncompute without
+        # its last Toffoli or CNOT, which leaves garbage in the workspace
         from lattice_qre.circuitlab import statevector
 
         def refused(state, circuit):
@@ -1043,9 +1075,17 @@ class TestCatalystInvariance:
         monkeypatch.setattr(verify, "apply_circuit", refused)
         monkeypatch.setattr(statevector, "apply_circuit", refused)
         assert verify.check_catalyst_invariance().passed
-        for sizes in ((2,), (3,), (5,), (2, 3, 5)):
-            result = verify.check_catalyst_invariance(sizes)
-            assert float.hex(result.max_deviation) == float.hex(_dense_catalyst_invariance(sizes))
+        for garbage in (None, GateKind.TOFFOLI, GateKind.CNOT):
+            def build(m, theta, strategy):
+                gadget = build_hwp(m, theta, strategy)
+                return gadget if garbage is None else gadget._replace(
+                    circuit=_without_last(gadget.circuit, garbage))
+            monkeypatch.setattr(verify, "build_hwp", build)
+            for sizes in ((2,), (3,), (5,), (2, 3, 5)):
+                result = verify.check_catalyst_invariance(sizes)
+                assert result.max_deviation == pytest.approx(
+                    _dense_catalyst_invariance(sizes, build), rel=0, abs=1e-15)
+            assert result.passed == (garbage is None)   # over the pass's sizes
 
 
 class TestMutantsFail:
