@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ..primitives import CostVector, HwpStrategy, hamming_adders
-from .statevector import Circuit, _qubit
+from .statevector import Circuit, _qubit, _rz_angle
 
 # ---------------------------------------------------------------------------
 # Adders and Hamming-weight computation
@@ -95,11 +95,11 @@ class HwpGadget(namedtuple("HwpGadget", "circuit catalyst_prep M counted")):
 
     def scaled(self, theta) -> "HwpGadget":
         """The gadget with the RZ angles of its circuit and preparation
-        multiplied by ``theta`` (``Circuit.scaled``); the tally is the
-        shape's, whatever the angle."""
-        prep = self.catalyst_prep
-        return self._replace(circuit=self.circuit.scaled(theta),
-                             catalyst_prep=None if prep is None else prep.scaled(theta))
+        multiplied by ``theta`` (``Circuit.scaled``), which is checked once
+        for both; the tally is the shape's, whatever the angle."""
+        theta, prep = _rz_angle(theta), self.catalyst_prep
+        return self._replace(circuit=self.circuit._scaled(theta),
+                             catalyst_prep=None if prep is None else prep._scaled(theta))
 
 
 def _phase_gradient(circ: Circuit, weight: list[int], catalyst: list[int],

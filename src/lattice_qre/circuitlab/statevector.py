@@ -1,4 +1,5 @@
-"""Sparse simulation of small Clifford+T+rotation circuits.
+"""Simulation of small Clifford+T+rotation circuits, on sparse or dense
+states.
 
 ``simulate`` takes a batch of states as three aligned arrays: ``index``
 (basis index), ``amp`` (amplitude) and ``column`` (the batch member an
@@ -54,14 +55,20 @@ each product; the gadget builders lay out their rotations at unit angle
 and return them scaled, so a gadget built once at theta = 1 serves every
 angle.
 
-Dense arrays appear only at the boundary: ``Circuit.unitary`` forms
-matrices of at most 10 qubits, and ``apply_circuit``, public API that no
-check of ``verify`` calls on a state (each runs ``simulate`` or
-``_evaluate`` on sparse inputs), takes statevectors of at most 15.  A
-circuit given to ``simulate`` or ``_evaluate`` may be larger, up to the 62
-bits of a (column, index) key.  ``_permute`` itself has no such limit:
-the tests run the HWP gadget of every size the estimator charges on it,
-up to M = 4,096 (8,217 wires catalyzed).
+``apply_circuit`` runs a circuit on dense states, a (2**n, batch) array of
+at most 15 qubits, and ``Circuit.unitary`` on the identity's columns, for
+matrices of at most 10.  Every entry is present there, so nothing merges:
+X, CNOT, Toffoli and SWAP move each row's basis index as ``simulate``
+moves its keys, a diagonal gate multiplies the rows it hits, and H is a
+butterfly on the rows in index order, forming the sums ``simulate`` forms,
+so the unitaries of a ``verify`` pass are the sparse route's bit for bit.
+The form of the input picks the kernel: the dense unitaries go through
+``apply_circuit``, the catalyst preparations, sparse, through
+``simulate``.  A circuit given to
+``simulate`` or ``_evaluate`` may be larger, up to the 62 bits of a
+(column, index) key.  ``_permute`` itself has no such limit: the tests run
+the HWP gadget of every size the estimator charges on it, up to M = 4,096
+(8,217 wires catalyzed).
 """
 
 from __future__ import annotations
@@ -229,7 +236,11 @@ class Circuit:
         overflows is refused, not warned about.  The gadget builders lay
         out their rotations at unit angle and return them scaled, so a
         build at unit angle scaled by theta is the build at theta."""
-        theta = _rz_angle(theta)
+        return self._scaled(_rz_angle(theta))
+
+    def _scaled(self, theta) -> "Circuit":
+        """``scaled`` by a ``theta`` that ``_rz_angle`` already checked, so
+        that a gadget of several circuits checks its theta once."""
         out = Circuit(self.n_qubits)
         with np.errstate(over="ignore"):   # _rz_angle refuses an inf product; no warning first
             out.gates = [gate if gate.angle is None else
@@ -394,6 +405,29 @@ def _phased(amp, hits, column=0):
     return amp
 
 
+def _permuted(key, kind, qubits, bits) -> bool:
+    """X, CNOT, Toffoli or SWAP applied in place to the basis indices in the
+    low bits of ``key``, qubit q's bit being ``bits[q]``: True; any other
+    kind leaves ``key`` as it is: False."""
+    if kind is CNOT:   # the control's bit moved onto the target's
+        c, t = qubits
+        moved = key >> (t - c) if t > c else key << (c - t)
+        moved &= bits[t]
+        key ^= moved
+    elif kind is TOFFOLI:
+        mask = bits[qubits[0]] | bits[qubits[1]]
+        key ^= ((key & mask) == mask) * bits[qubits[2]]
+    elif kind is X:
+        key ^= bits[qubits[0]]
+    elif kind is SWAP:   # where the two bits differ, flip both
+        a, b = sorted(qubits)
+        differ = (key ^ (key >> (b - a))) & bits[b]
+        key ^= differ | (differ << (b - a))
+    else:
+        return False
+    return True
+
+
 def simulate(circuit, index, amp, column):
     """Apply ``circuit`` to a sparse batch of states.
 
@@ -426,24 +460,10 @@ def simulate(circuit, index, amp, column):
     k = None        # the family size, found at the first RZ of more than one angle
     member = None   # each entry's family member, column % k, until an H reorders the entries
     for kind, qubits, angle in circuit.gates:
-        if kind is CNOT:   # the control's bit moved onto the target's
-            c, t = qubits
-            moved = key >> (t - c) if t > c else key << (c - t)
-            moved &= bits[t]
-            key ^= moved
-        elif kind is TOFFOLI:
-            mask = bits[qubits[0]] | bits[qubits[1]]
-            key ^= ((key & mask) == mask) * bits[qubits[2]]
-        elif kind is X:
-            key ^= bits[qubits[0]]
-        elif kind is SWAP:   # where the two bits differ, flip both
-            a, b = sorted(qubits)
-            differ = (key ^ (key >> (b - a))) & bits[b]
-            key ^= differ | (differ << (b - a))
-        elif kind is H:
+        if kind is H:
             key, amp = _hadamard(key, amp, bits[qubits[0]])
             member = None
-        else:   # diagonal: each entry's phase where it hits, else 1
+        elif not _permuted(key, kind, qubits, bits):   # diagonal: each entry's phase, else 1
             mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
             phase = _phase(kind, angle)
             if kind is RZ and phase.size > 1:   # one angle per family member
@@ -457,21 +477,47 @@ def simulate(circuit, index, amp, column):
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Dense boundary of ``simulate``: ``state`` has shape (2**n,) or
-    (2**n, batch), with n at most ``MAX_DENSE_QUBITS``; batch column c runs
-    family member ``c % k`` as in ``simulate``."""
+    """Apply ``circuit`` to dense states: ``state`` has shape (2**n,) or
+    (2**n, batch), with n at most ``MAX_DENSE_QUBITS``, and a numeric dtype
+    (any other, such as a string one, raises ``ValueError``); batch column
+    c runs family member ``c % k`` as in ``simulate``.  Row i holds basis
+    state ``key[i]``, which X, CNOT, Toffoli and SWAP move as ``simulate``
+    moves its keys.  A diagonal gate multiplies every row in place, by 1
+    where it misses, as ``simulate`` multiplies.  H puts the rows back in
+    index order and forms h0 + h1 and h0 - h1 of each pair, h = amp/sqrt2,
+    the two-term sums of ``simulate``'s merge."""
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense states limited to {MAX_DENSE_QUBITS} qubits, got {n}")
     state = np.asarray(state)
+    if state.dtype.kind not in "biufc":
+        raise ValueError(f"amplitudes must be numbers, got dtype {state.dtype}")
     if state.ndim not in (1, 2) or state.shape[0] != 1 << n:
         raise ValueError(f"expected shape (2**{n},) or (2**{n}, batch), got {state.shape}")
-    columns = state.reshape(1 << n, -1)
-    index, column = np.nonzero(columns)
-    index, amp, column = simulate(circuit, index, columns[index, column], column)
-    out = np.zeros(columns.shape, dtype=complex)
-    out[index, column] = amp
-    return out.reshape(state.shape)
+    amp = np.array(state.reshape(1 << n, -1), dtype=complex, order="C")
+    key, ordered = np.arange(1 << n), True   # row i holds basis state key[i]
+    bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
+    member = None   # each column's family member, column % k, at the first RZ family
+    for kind, qubits, angle in circuit.gates:
+        if kind is H:   # rows in index order: qubit q pairs (.., 0, ..) with (.., 1, ..)
+            if not ordered:
+                amp[key] = amp.copy()
+                key, ordered = np.arange(1 << n), True
+            half = _SQRT_HALF * amp.reshape(1 << qubits[0], 2, -1)
+            h0, h1 = half[:, 0], half[:, 1]
+            amp = np.concatenate((h0 + h1, h0 - h1), axis=1).reshape(1 << n, -1)
+        elif _permuted(key, kind, qubits, bits):
+            ordered = False
+        else:   # diagonal: each row's phase where it hits, else 1
+            mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
+            phase = _phase(kind, angle)
+            if kind is RZ and phase.size > 1:   # one angle per family member
+                if member is None:   # members() raises if array angles differ in length
+                    member = np.arange(amp.shape[1]) % circuit.members()
+                phase = phase.take(member)
+            amp *= np.where(((key & mask) == mask)[:, None], phase, 1.0)
+    amp[key] = amp.copy()
+    return amp.reshape(state.shape)
 
 
 def max_unitary_deviation(u: np.ndarray, v: np.ndarray) -> float:

@@ -213,7 +213,8 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     <x', phi|U|x, phi> on the targets, summed from the terms of its lanes
     (``_frame_lanes``).  Since P|x, 0> = |x, phi>, this is the probability
     that P†UP leaves every wire outside the targets at zero, read without
-    inverting the preparation."""
+    inverting the preparation.  The check reports |1 - ||A t||**2|: a
+    unitary U cannot give ||A t|| > 1, so a norm above 1 is a fault too."""
     rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
@@ -223,7 +224,7 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
         row, column, term = _frame_lanes(_hwp(m, theta, HwpStrategy.CATALYZED), 1)
         image = np.zeros(1 << m, dtype=complex)   # A t
         np.add.at(image, row, term[0] * (target / np.linalg.norm(target))[column])
-        worst = max(worst, 1.0 - float(np.sum(np.abs(image) ** 2)))
+        worst = max(worst, abs(1.0 - float(np.sum(np.abs(image) ** 2))))
     return worst
 
 

@@ -610,9 +610,11 @@ class TestKernelAgainstReference:
 
     def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
         # the adder chains, the HWP circuits proper and the H-free circuits
-        # of the unitarity check run on the evaluator without a simulation;
-        # of the HWP gadgets, both checks' alike, only the catalyst
-        # preparations are simulated, and no inverted one
+        # of the unitarity check run on the evaluator, and the dense
+        # unitaries on apply_circuit, without a simulation; only the catalyst
+        # preparations of the HWP gadgets are simulated, M = 2..5 for the
+        # unitary check and M = 2, 3, 5 for catalyst invariance, and no
+        # inverted one
         from lattice_qre.circuitlab import statevector
 
         seen = []
@@ -625,9 +627,41 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(verify, "simulate", recorded)
         monkeypatch.setattr(statevector, "simulate", recorded)
         assert all(r.passed for r in verify.run_all())
-        assert len(seen) == 12
+
+        def layout(circuit):
+            return circuit.n_qubits, [(g.kind, g.qubits) for g in circuit.gates]
+        assert sorted(layout(args[0]) for args, _ in seen) == sorted(
+            layout(build_hwp(m, 1.0, HwpStrategy.CATALYZED).catalyst_prep)
+            for m in (2, 3, 4, 5, 2, 3, 5))
         for args, out in seen:
             assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
+
+    def test_the_dense_unitaries_of_a_verify_pass_sort_nothing(self, monkeypatch):
+        # a pass applies 5 circuits of 154 gates in all to dense states
+        # (what perfbench counts as apply_calls and gates_applied), each
+        # equal to the sparse route to the bit, and no H of the pass sorts
+        # to merge partners: the catalyst preparations' H each find none
+        from lattice_qre.circuitlab import statevector
+
+        applied, merged = [], []
+
+        def recorded_apply(state, circuit):
+            out = apply_circuit(state, circuit)
+            applied.append((state, circuit, out))
+            return out
+
+        def recorded_hadamard(key, amp, bit):
+            merged.append(bool((key & bit).any()))
+            return _hadamard(key, amp, bit)
+
+        monkeypatch.setattr(statevector, "apply_circuit", recorded_apply)
+        monkeypatch.setattr(statevector, "_hadamard", recorded_hadamard)
+        assert all(r.passed for r in verify.run_all())
+        assert merged and not any(merged)
+        monkeypatch.undo()
+        assert len(applied) == 5 and sum(len(c.gates) for _, c, _ in applied) == 154
+        for state, circuit, out in applied:
+            assert np.array_equal(out, _sparse_apply(state, circuit))
 
     @pytest.mark.parametrize("index", [[6], [-2], [0, 6], [3, -1]])
     def test_the_evaluator_refuses_indices_out_of_range(self, index):
@@ -657,6 +691,82 @@ class TestKernelAgainstReference:
         circ.x(0); circ.cnot(0, 61); circ.t(61)
         moved, hits = _evaluate(circ, np.array([0, 1]))
         assert moved.tolist() == [(1 << 61) | 1, 1 << 61] and hits[0][1].tolist() == [1, 0]
+
+
+def _sparse_apply(state, circuit):
+    """The dense route as it was before the dense kernel: the nonzero
+    entries of ``state`` through ``simulate``, scattered back."""
+    columns = np.asarray(state).reshape(1 << circuit.n_qubits, -1)
+    index, column = np.nonzero(columns)
+    index, amp, column = simulate(circuit, index, columns[index, column], column)
+    out = np.zeros(columns.shape, dtype=complex)
+    out[index, column] = amp
+    return out.reshape(np.shape(state))
+
+
+class TestDenseKernel:
+    """``apply_circuit`` against the sparse route and against itself."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=_circuits_and_inputs())
+    def test_random_states_match_the_sparse_route(self, case):
+        # the sparse batches as dense states, with exact zeros, partners
+        # missing and pairs that cancel; one column as a 1-D state
+        circ, index, amp, column = case
+        state = np.zeros((1 << circ.n_qubits, int(column.max(initial=0)) + 1), dtype=complex)
+        state[index, column] = amp
+        if state.shape[1] == 1:
+            state = state[:, 0]
+        assert np.max(np.abs(apply_circuit(state, circ) - _sparse_apply(state, circ))) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_family_matches_one_apply_per_member(self, seed):
+        # column c of the batch runs member c % k, the circuit with each
+        # RZ gate's angle[c % k]
+        rng = np.random.default_rng(3000 + seed)
+        n, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        kinds = list(GateKind) * 3 + [GateKind.H] * 4
+        layout = [_random_gate(rng, kinds[i], n) for i in rng.permutation(len(kinds))]
+        family = _circuit(n, [g._replace(angle=rng.uniform(-np.pi, np.pi, size=k))
+                              if g.angle is not None else g for g in layout])
+        states = _random_states(rng, n, 3 * k)
+        states[rng.random(states.shape) < 0.25] = 0.0
+        together = apply_circuit(states, family)
+        for a in range(k):
+            member = _circuit(n, [g if g.angle is None else g._replace(angle=float(g.angle[a]))
+                                  for g in family.gates])
+            assert np.array_equal(together[:, a::k], apply_circuit(states[:, a::k], member))
+
+    @pytest.mark.parametrize("first", [0.3, [0.3, 0.4]], ids=["float", "family"])
+    def test_family_angles_of_different_lengths_raise(self, first):
+        # whether the first family comes before or after an H and a CNOT
+        circ = Circuit(2)
+        circ.rz(0, first)
+        circ.h(1)
+        circ.cnot(1, 0)
+        circ.rz(1, [0.1, 0.2, 0.3])
+        circ.rz(0, [0.1, 0.2])
+        with pytest.raises(ValueError, match="no member count"):
+            apply_circuit(np.ones((4, 6), dtype=complex), circ)
+
+    @pytest.mark.parametrize("state", [np.array(["1", "0", "0", "0"]), np.array([b"1"] * 4),
+                                       np.array([1, 0, 0, 0], dtype=object),
+                                       np.array([None] * 4)],
+                             ids=["str", "bytes", "object", "none"])
+    def test_amplitudes_must_be_numbers(self, state):
+        # a string array was read as |00>: refused, naming its dtype
+        message = rf"^amplitudes must be numbers, got dtype {re.escape(str(state.dtype))}$"
+        with pytest.raises(ValueError, match=message):
+            apply_circuit(state, Circuit(2))
+
+    def test_bool_and_integer_amplitudes_are_numbers(self):
+        circ = Circuit(2)
+        circ.h(0)
+        circ.cnot(0, 1)
+        want = apply_circuit(np.array([1.0, 0.0, 0.0, 0.0]), circ)
+        for state in (np.array([True, False, False, False]), np.array([1, 0, 0, 0], np.uint8)):
+            got = apply_circuit(state, circ)
+            assert got.dtype == complex and np.array_equal(got, want)
 
 
 class TestHammingWeight:
@@ -876,6 +986,23 @@ class TestHwpGadgets:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    def test_a_gadget_checks_its_theta_once(self, monkeypatch):
+        # one check of theta serves the circuit and the preparation; only
+        # the products are checked one by one
+        from lattice_qre.circuitlab import statevector
+
+        checked = []
+
+        def counted(angle):
+            checked.append(angle)
+            return statevector._rz_angle(angle)
+        monkeypatch.setattr(gadgets, "_rz_angle", counted)
+        unit = build_hwp(3, 1.0, HwpStrategy.CATALYZED)
+        assert checked == [1.0]
+        assert (_gate_records(unit.scaled(0.5).catalyst_prep)
+                == _gate_records(unit.catalyst_prep.scaled(0.5)))
+        assert checked == [1.0, 0.5]
+
     def test_scaling_reuses_the_other_gates(self):
         circ = build_hwp(3, 1.0, HwpStrategy.BASELINE).circuit
         scaled = circ.scaled(0.25)
@@ -1086,6 +1213,19 @@ class TestCatalystInvariance:
                 assert result.max_deviation == pytest.approx(
                     _dense_catalyst_invariance(sizes, build), rel=0, abs=1e-15)
             assert result.passed == (garbage is None)   # over the pass's sizes
+
+    def test_a_norm_above_one_is_a_deviation(self, monkeypatch):
+        # terms scaled by 1 + 1e-6 give ||A t||**2 = (1 + 1e-6)**2 at each
+        # size: reported as its distance from 1, not clipped to 0
+        frame_lanes = verify._frame_lanes
+
+        def inflated(gadget, k):
+            row, column, term = frame_lanes(gadget, k)
+            return row, column, term * (1.0 + 1e-6)
+        monkeypatch.setattr(verify, "_frame_lanes", inflated)
+        result = verify.check_catalyst_invariance()
+        assert not result.passed
+        assert result.max_deviation == pytest.approx(2e-6 + 1e-12, rel=0, abs=1e-13)
 
 
 class TestMutantsFail:
