@@ -89,7 +89,10 @@ class HwpGadget(namedtuple("HwpGadget", "circuit catalyst_prep M counted")):
     """A ``build_hwp`` layer of ``M`` rotations, on the wires ``build_hwp``
     lays out: the full application (compute, phase, uncompute), the catalyst
     preparation (None for a baseline gadget), and the ``CostVector`` tally
-    of the gates before the uncompute."""
+    of the gates before the uncompute.  The preparation is a circuit on the
+    k = M.bit_length() catalyst wires alone, its wire i the gadget's
+    catalyst wire i; in the gadget those k wires sit just above its k borrow
+    wires, which are the last wires."""
 
     __slots__ = ()
 
@@ -172,10 +175,10 @@ def build_hwp(M: int, theta, strategy: HwpStrategy) -> HwpGadget:
         base = M + hamming_adders(M)
         catalyst = list(range(base, base + k))
         borrows = list(range(base + k, base + 2 * k))
-        prep = Circuit(circ.n_qubits)
-        for i, wire in enumerate(catalyst):
-            prep.h(wire)
-            prep.rz(wire, 1 << i)
+        prep = Circuit(k)
+        for i in range(k):
+            prep.h(i)
+            prep.rz(i, 1 << i)
         # the adder chain always yields exactly k weight bits
         assert len(hw.outputs) == k
         counts = _phase_gradient(circ, hw.outputs, catalyst, borrows)

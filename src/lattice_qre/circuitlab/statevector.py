@@ -1,16 +1,15 @@
-"""Simulation of small Clifford+T+rotation circuits, on sparse or dense
-states.
+"""Simulation of small Clifford+T+rotation circuits, by two kernels: one
+on dense states, one on basis states for circuits without H.
 
-``simulate`` takes a batch of states as three aligned arrays: ``index``
-(basis index), ``amp`` (amplitude) and ``column`` (the batch member an
-entry belongs to).  It works on one int64 key ``column << n | index`` per
-entry from input to output.  X, CNOT, Toffoli and SWAP are XORs of the
-keys; a diagonal gate multiplies each entry by a factor picked by its hit,
-``(key & mask) == mask``.  H finds each entry's partner (key ^ bit): one
-sort puts partners side by side, a pair's h = amp/sqrt2 give h0 + h1 and
-h0 - h1, and exact zeros drop.  An H whose bit no key has cannot merge:
-each entry just splits in two, without a sort.  Entry order is not part of
-the result.
+``apply_circuit`` runs a circuit on dense states, a (2**n, batch) array of
+at most 15 qubits, and ``Circuit.unitary`` on the identity's columns, for
+matrices of at most 10.  Row i holds basis state ``key[i]``, one int64 per
+row: X, CNOT, Toffoli and SWAP are XORs of the keys, a diagonal gate
+multiplies each row by a factor picked by its hit, ``(key & mask) ==
+mask``, and H puts the rows back in index order and is a butterfly on
+them, h0 + h1 and h0 - h1 of each pair, h = amp/sqrt2.  ``verify`` forms
+its dense unitaries here, and its catalyst preparations, each on its
+catalyst wires alone.
 
 A circuit without H sends each basis state to one basis state with a
 phase.  ``_evaluate`` runs one on wire masks (``_permute``): each basis
@@ -21,15 +20,20 @@ diagonal gate records its hit mask.  It converts in bulk: one
 lanes) bit matrix, a byte per bit, form the masks, one ``unpackbits`` reads
 back the wires the circuit changed, and one more the hit masks.
 ``_phased`` is the one place those factors enter amplitudes: it
-multiplies them in gate order and in place, as ``simulate`` does.  The
-gadgets the cost model counts are mostly of this kind: X, CNOT, Toffoli
-and RZ.  ``verify`` runs on it the adder chains, the H-free circuits of
-its unitarity check, and the Hamming-weight phasing (HWP) gadgets in
-their catalyst's frame: for the catalyst state |phi> = P|0>,
+multiplies them in gate order and in place, as ``apply_circuit`` does.
+The gadgets the cost model counts are mostly of this kind: X, CNOT,
+Toffoli and RZ.  ``verify`` runs on it the adder chains, the H-free
+circuits of its unitarity check, and the Hamming-weight phasing (HWP)
+gadgets in their catalyst's frame: for the catalyst state |phi> = P|0>,
 <x', phi|U|x, phi> = sum_{e, e'} conj(phi_e') phi_e <x', e'|U|x, e>, so
-only the preparation P is simulated, and U runs once on x (x) supp(phi),
-since its permutation does not depend on the angle.  Both HWP checks
-read that frame, so no check simulates P†.
+only the preparation P runs on dense states, and U runs once on
+x (x) supp(phi), since its permutation does not depend on the angle.  Both
+HWP checks read that frame, so no check applies P†.  The evaluator takes
+circuits of up to 62 qubits, the indices being int64; ``_permute`` itself
+has no such limit: the tests run the HWP gadget of every size the
+estimator charges on it, up to M = 4,096 (8,217 wires catalyzed).  The
+input picks no kernel: dense states go to ``apply_circuit``, and H-free
+lanes to ``_evaluate``.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 Kronecker-product ordering used by the fermionic operator oracle.  RZ here
@@ -54,21 +58,6 @@ theta, which it checks once as ``append`` checks an angle, and checks
 each product; the gadget builders lay out their rotations at unit angle
 and return them scaled, so a gadget built once at theta = 1 serves every
 angle.
-
-``apply_circuit`` runs a circuit on dense states, a (2**n, batch) array of
-at most 15 qubits, and ``Circuit.unitary`` on the identity's columns, for
-matrices of at most 10.  Every entry is present there, so nothing merges:
-X, CNOT, Toffoli and SWAP move each row's basis index as ``simulate``
-moves its keys, a diagonal gate multiplies the rows it hits, and H is a
-butterfly on the rows in index order, forming the sums ``simulate`` forms,
-so the unitaries of a ``verify`` pass are the sparse route's bit for bit.
-The form of the input picks the kernel: the dense unitaries go through
-``apply_circuit``, the catalyst preparations, sparse, through
-``simulate``.  A circuit given to
-``simulate`` or ``_evaluate`` may be larger, up to the 62 bits of a
-(column, index) key.  ``_permute`` itself has no such limit: the tests run
-the HWP gadget of every size the estimator charges on it, up to M = 4,096
-(8,217 wires catalyzed).
 """
 
 from __future__ import annotations
@@ -150,7 +139,7 @@ def _rz_angle(angle):
     if type(angle) is float:
         pass
     elif isinstance(angle, Real) and not isinstance(angle, bool):   # ABC after float
-        try:   # an int, a Fraction or a numpy scalar, simulated as the float it is
+        try:   # an int, a Fraction or a numpy scalar, applied as the float it is
             angle = float(angle)
         except OverflowError:
             raise ValueError(f"rz angle {angle!r} is not finite") from None
@@ -273,34 +262,6 @@ class Circuit:
         return sizes.pop() if sizes else None
 
 
-def _hadamard(key, amp, bit: int):
-    """H on the key bit ``bit``, with h = amp/sqrt2 per entry.  When no key
-    has the bit, nothing merges: each entry splits in two, into (h, h),
-    without a sort.  Otherwise a sort of the keys with that bit cleared puts
-    each entry next to its partner (key ^ bit), if any, and a pair's h give
-    h0 + h1 and h0 - h1.  Each sum has at most two terms, which add alike
-    in either order, so any sort pairs them alike; the stable one is the
-    fastest on the sorted runs that earlier gates leave in the keys.  Exact
-    zeros drop."""
-    half = _SQRT_HALF * amp
-    if not (key & bit).any():
-        key, amp = np.concatenate((key, key | bit)), np.concatenate((half, half))
-    else:
-        low = key & ~bit
-        order = np.argsort(low, kind="stable")
-        low, half = low[order], half[order]
-        # each group's first entry, where the sorted keys with the bit cleared change
-        start = np.flatnonzero(np.concatenate(((True,), low[1:] != low[:-1])))
-        signed = np.where(key[order] & bit, -half, half)
-        low = low[start]
-        key = np.concatenate((low, low | bit))
-        amp = np.concatenate((np.add.reduceat(half, start), np.add.reduceat(signed, start)))
-    keep = amp != 0
-    if not keep.all():
-        key, amp = key[keep], amp[keep]
-    return key, amp
-
-
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as a flat int64 array; an array of any other kind (a float,
     bool or object one) is refused, naming it, rather than truncated.  An
@@ -366,15 +327,14 @@ def _evaluate(circuit, index):
     and 1s.  The conversions are in bulk: one ``unpackbits`` of the
     indices' bytes and one ``packbits`` of the (wires, lanes) bit matrix, a
     byte per bit, form the masks, one ``unpackbits`` reads back the wires
-    the circuit changed, and one more the hit masks.  Like
-    ``simulate``, it takes at most 62 qubits, and refuses non-integer or
-    out-of-range indices."""
+    the circuit changed, and one more the hit masks.  It takes at most 62
+    qubits, and refuses non-integer or out-of-range indices."""
     n = circuit.n_qubits
     if n > _KEY_BITS:
         raise ValueError(f"{n} qubits exceed {_KEY_BITS}-bit indices")
     index = _integers(index, "index")
     if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n:
-        raise ValueError(f"basis index or column out of range for {n} qubits")
+        raise ValueError(f"basis index out of range for {n} qubits")
     lanes = index.size
     # each lane's index bits, one byte each, from its little-endian bytes:
     # (lanes, n), column j for index bit j, so qubit q's row is n - 1 - q
@@ -395,7 +355,7 @@ def _phased(amp, hits, column=0):
     where they hit, in gate order, lane i taking member ``column[i] % k`` of
     an RZ of k angles (``column`` broadcasts against ``amp``: a (k, 1)
     column for a (k, lanes) ``amp`` gives row a member a): in place, as
-    ``simulate`` multiplies, since numpy's in-place complex product can
+    ``apply_circuit`` multiplies, since numpy's in-place complex product can
     round otherwise than one into a new array.  ``amp`` stays as it was."""
     amp = np.array(amp, dtype=complex)
     for phase, hit in hits:
@@ -405,87 +365,16 @@ def _phased(amp, hits, column=0):
     return amp
 
 
-def _permuted(key, kind, qubits, bits) -> bool:
-    """X, CNOT, Toffoli or SWAP applied in place to the basis indices in the
-    low bits of ``key``, qubit q's bit being ``bits[q]``: True; any other
-    kind leaves ``key`` as it is: False."""
-    if kind is CNOT:   # the control's bit moved onto the target's
-        c, t = qubits
-        moved = key >> (t - c) if t > c else key << (c - t)
-        moved &= bits[t]
-        key ^= moved
-    elif kind is TOFFOLI:
-        mask = bits[qubits[0]] | bits[qubits[1]]
-        key ^= ((key & mask) == mask) * bits[qubits[2]]
-    elif kind is X:
-        key ^= bits[qubits[0]]
-    elif kind is SWAP:   # where the two bits differ, flip both
-        a, b = sorted(qubits)
-        differ = (key ^ (key >> (b - a))) & bits[b]
-        key ^= differ | (differ << (b - a))
-    else:
-        return False
-    return True
-
-
-def simulate(circuit, index, amp, column):
-    """Apply ``circuit`` to a sparse batch of states.
-
-    Entry i is amplitude ``amp[i]`` on basis state ``index[i]`` of batch
-    column ``column[i]``; absent entries are zero.  Returns new
-    ``(index, amp, column)`` arrays.  X, CNOT, Toffoli and SWAP move each
-    entry to one new index, and the diagonal gates multiply ``amp`` where
-    their qubits are all set; only H changes the number of entries.  Keys
-    that are distinct on input stay distinct, and H drops exact zeros.
-    ``index`` and ``column`` must be integer arrays: any other kind raises
-    ``ValueError``.
-
-    An RZ gate multiplies the entries it hits in column c by
-    e^{i*angle[c % len(angle)]}: a circuit whose angles are arrays of length
-    k is a family of k circuits, and column c runs member ``c % k``.  A
-    float angle is a family of one.  Array angles of different lengths
-    raise ``ValueError`` (see ``Circuit.members``).
-    """
-    n = circuit.n_qubits
-    index, column = _integers(index, "index"), _integers(column, "column")
-    amp = np.array(amp, dtype=complex).ravel()
-    if not index.size == amp.size == column.size:
-        raise ValueError("index, amp and column must have the same length")
-    if n + int(column.max(initial=0)).bit_length() > _KEY_BITS:
-        raise ValueError(f"{n} qubits and batch {column.max() + 1} exceed {_KEY_BITS}-bit keys")
-    if index.min(initial=0) < 0 or index.max(initial=0) >= 1 << n or column.min(initial=0) < 0:
-        raise ValueError(f"basis index or column out of range for {n} qubits")
-    key = (column << n) | index
-    bits = [1 << (n - 1 - q) for q in range(n)]   # qubit 0 is the top index bit
-    k = None        # the family size, found at the first RZ of more than one angle
-    member = None   # each entry's family member, column % k, until an H reorders the entries
-    for kind, qubits, angle in circuit.gates:
-        if kind is H:
-            key, amp = _hadamard(key, amp, bits[qubits[0]])
-            member = None
-        elif not _permuted(key, kind, qubits, bits):   # diagonal: each entry's phase, else 1
-            mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
-            phase = _phase(kind, angle)
-            if kind is RZ and phase.size > 1:   # one angle per family member
-                if member is None:
-                    if k is None:   # members() raises if array angles differ in length
-                        k = circuit.members()
-                    member = (key >> n) % k
-                phase = phase.take(member)
-            amp *= np.where((key & mask) == mask, phase, 1.0)
-    return key & ((1 << n) - 1), amp, key >> n
-
-
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply ``circuit`` to dense states: ``state`` has shape (2**n,) or
     (2**n, batch), with n at most ``MAX_DENSE_QUBITS``, and a numeric dtype
     (any other, such as a string one, raises ``ValueError``); batch column
-    c runs family member ``c % k`` as in ``simulate``.  Row i holds basis
-    state ``key[i]``, which X, CNOT, Toffoli and SWAP move as ``simulate``
-    moves its keys.  A diagonal gate multiplies every row in place, by 1
-    where it misses, as ``simulate`` multiplies.  H puts the rows back in
-    index order and forms h0 + h1 and h0 - h1 of each pair, h = amp/sqrt2,
-    the two-term sums of ``simulate``'s merge."""
+    c runs family member ``c % k``, and array angles of different lengths
+    raise ``ValueError`` (see ``Circuit.members``).  Row i holds basis
+    state ``key[i]``, which X, CNOT, Toffoli and SWAP move by XOR.  A
+    diagonal gate multiplies every row in place, by 1 where it misses.  H
+    puts the rows back in index order and forms h0 + h1 and h0 - h1 of each
+    pair, h = amp/sqrt2."""
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense states limited to {MAX_DENSE_QUBITS} qubits, got {n}")
@@ -506,8 +395,21 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
             half = _SQRT_HALF * amp.reshape(1 << qubits[0], 2, -1)
             h0, h1 = half[:, 0], half[:, 1]
             amp = np.concatenate((h0 + h1, h0 - h1), axis=1).reshape(1 << n, -1)
-        elif _permuted(key, kind, qubits, bits):
-            ordered = False
+            continue
+        if kind is CNOT:   # the control's bit moved onto the target's
+            c, t = qubits
+            moved = key >> (t - c) if t > c else key << (c - t)
+            moved &= bits[t]
+            key ^= moved
+        elif kind is TOFFOLI:
+            mask = bits[qubits[0]] | bits[qubits[1]]
+            key ^= ((key & mask) == mask) * bits[qubits[2]]
+        elif kind is X:
+            key ^= bits[qubits[0]]
+        elif kind is SWAP:   # where the two bits differ, flip both
+            a, b = sorted(qubits)
+            differ = (key ^ (key >> (b - a))) & bits[b]
+            key ^= differ | (differ << (b - a))
         else:   # diagonal: each row's phase where it hits, else 1
             mask = bits[qubits[0]] | bits[qubits[-1]]   # CZ's two bits, or one
             phase = _phase(kind, angle)
@@ -516,6 +418,8 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
                     member = np.arange(amp.shape[1]) % circuit.members()
                 phase = phase.take(member)
             amp *= np.where(((key & mask) == mask)[:, None], phase, 1.0)
+            continue
+        ordered = False   # X, CNOT, Toffoli and SWAP moved the rows' basis states
     amp[key] = amp.copy()
     return amp.reshape(state.shape)
 

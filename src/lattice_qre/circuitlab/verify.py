@@ -19,8 +19,9 @@ Both HWP checks read a gadget in its catalyst's frame one way: the terms
 of <x', phi|U|x, phi> (``_frame_lanes``), where |phi> = P|0> is the
 catalyst state.  The unitary check compares the induced action with
 diag(e^{i*theta*HW(x)}); catalyst invariance applies it to a seeded target
-and reads the norm that stays in the frame.  Only the preparation P is
-simulated, never its inverse, and U runs on wire masks (``_evaluate``).
+t and reads the overlap of the image with that diagonal times t.  Only the
+preparation P runs on dense states (``apply_circuit``), on the catalyst
+wires alone and never inverted, and U runs on wire masks (``_evaluate``).
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .statevector import (
     Circuit,
     _evaluate,
     _phased,
-    apply_circuit,  # noqa: F401  no check calls it; perfbench's tracer wraps verify.apply_circuit
+    apply_circuit,
     max_unitary_deviation,
-    simulate,
 )
 
 HWP_ANGLE_SEED = 20240811
@@ -120,7 +120,10 @@ def _frame_lanes(gadget, k: int):
     <x', e'|U|x, e> for the k members of a gadget family (``build_hwp`` at k
     angles), where |phi> is the catalyst state P|0> (all zeros for a
     baseline gadget) and <x', e'| has every other wire at zero.  phi comes
-    from simulating the preparation P alone, for all members.  U, free of H,
+    from the preparation P alone, on its catalyst wires, applied to a
+    (2**width, k) array whose column a runs member a; catalyst basis state j
+    is environment index j << width, where ``HwpGadget`` places the
+    catalyst wires.  U, free of H,
     runs once on wire masks (``_evaluate``), one lane per target x and
     catalyst basis state e in the support of phi, lane x*|supp| + e: its
     permutation does not depend on the angle, and ``_phased`` multiplies
@@ -132,10 +135,10 @@ def _frame_lanes(gadget, k: int):
     if prep is None:
         support, phi = np.zeros(1, dtype=np.int64), np.ones((k, 1), dtype=complex)
     else:
-        index, amp, member = simulate(prep, np.zeros(k, dtype=np.int64), np.ones(k), np.arange(k))
-        support, at = np.unique(index, return_inverse=True)
-        phi = np.zeros((k, support.size), dtype=complex)
-        phi[member, at] = amp
+        width = prep.n_qubits
+        zero = np.zeros((1 << width, k))
+        zero[0] = 1.0
+        support, phi = np.arange(1 << width) << width, apply_circuit(zero, prep).T
     size, env_bits = support.size, circuit.n_qubits - m
     lanes = size << m
     # lane x*size + e holds x on the targets and support[e] on the other wires
@@ -207,24 +210,29 @@ def check_hwp_tallies(sizes=(1, 2, 3, 4, 5)) -> float:
 @_check("catalyst_invariance", 1e-12)
 def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     """Every wire outside the targets comes back unentangled and unchanged,
-    the catalyst register in its state |phi> and the workspace at zero.
-    With rho_in pure, tr(rho_in rho_out) is ||A t||**2 for the seeded
-    target state t, where A is the gadget's induced action
+    the catalyst register in its state |phi> and the workspace at zero, and
+    the targets rotated as charged.  A is the gadget's induced action
     <x', phi|U|x, phi> on the targets, summed from the terms of its lanes
-    (``_frame_lanes``).  Since P|x, 0> = |x, phi>, this is the probability
-    that P†UP leaves every wire outside the targets at zero, read without
-    inverting the preparation.  The check reports |1 - ||A t||**2|: a
-    unitary U cannot give ||A t|| > 1, so a norm above 1 is a fault too."""
+    (``_frame_lanes``), and t the seeded target state.  Since
+    P|x, 0> = |x, phi>, A t is what P†UP leaves with every wire outside the
+    targets at zero, read without inverting the preparation.  The check
+    reports |1 - |<D t, A t>|**2| with D = diag(e^{i*theta*HW(x)}), the
+    action charged.  Since |<D t, A t>|**2 <= ||A t||**2, a loss of norm
+    reads at least 1 - ||A t||**2; a norm above 1, which no unitary gives,
+    reads as a fault too, and so does an A t of the right norm with the
+    wrong phases, such as |A| t or conj(A) t."""
     rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
         theta = rng.uniform(0.1, 2.0)
         # arbitrary fixed target state entangling all weight sectors
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
+        target /= np.linalg.norm(target)
         row, column, term = _frame_lanes(_hwp(m, theta, HwpStrategy.CATALYZED), 1)
         image = np.zeros(1 << m, dtype=complex)   # A t
-        np.add.at(image, row, term[0] * (target / np.linalg.norm(target))[column])
-        worst = max(worst, abs(1.0 - float(np.sum(np.abs(image) ** 2))))
+        np.add.at(image, row, term[0] * target[column])
+        expected = np.exp(1j * theta * _hamming_weights(m)) * target   # D t
+        worst = max(worst, abs(1.0 - float(abs(np.vdot(expected, image))) ** 2))
     return worst
 
 

@@ -27,7 +27,6 @@ from lattice_qre.circuitlab.statevector import (
     _ARITY,
     _SQRT_HALF,
     _evaluate,
-    _hadamard,
     _lanes,
     _masks,
     _permute,
@@ -35,7 +34,6 @@ from lattice_qre.circuitlab.statevector import (
     Gate,
     GateKind,
     max_unitary_deviation,
-    simulate,
 )
 from lattice_qre.circuitlab import fermion, verify
 
@@ -139,82 +137,12 @@ class TestStateVector:
             reference = _kron_unitary(gate, n) @ reference
         states = _random_states(rng, n, 4)
         assert np.max(np.abs(apply_circuit(states, circ) - reference @ states)) < 1e-12
-        # sparse input: a few basis states, some columns holding two entries
+        # mostly zero input: a few basis states, some columns holding two
         index = rng.choice(1 << n, size=6, replace=False)
         column = np.array([0, 0, 1, 2, 3, 3])
-        amp = rng.normal(size=6) + 1j * rng.normal(size=6)
-        out_index, out_amp, out_column = simulate(circ, index, amp, column)
         dense_in = np.zeros((1 << n, 4), dtype=complex)
-        dense_in[index, column] = amp
-        dense_out = np.zeros_like(dense_in)
-        np.add.at(dense_out, (out_index, out_column), out_amp)
-        assert len(set(zip(out_index.tolist(), out_column.tolist()))) == out_index.size
-        assert np.max(np.abs(dense_out - reference @ dense_in)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_family_matches_one_simulation_per_member(self, seed):
-        # every RZ gate carries k angles; column c of the batch runs
-        # member c % k, which is the circuit with each gate's angle[c % k]
-        rng = np.random.default_rng(2000 + seed)
-        n, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
-        kinds = list(GateKind) * 3 + [GateKind.H] * 4
-        layout = [_random_gate(rng, kinds[i], n) for i in rng.permutation(len(kinds))]
-        family = _circuit(n, [g._replace(angle=rng.uniform(-np.pi, np.pi, size=k))
-                              if g.angle is not None else g for g in layout])
-        members = [_circuit(n, [g if g.angle is None else g._replace(angle=float(g.angle[a]))
-                                for g in family.gates]) for a in range(k)]
-        n_columns = 3 * k
-        index = rng.integers(0, 1 << n, size=4 * n_columns)
-        column = np.repeat(np.arange(n_columns), 4)
-        distinct = np.unique((column << n) | index, return_index=True)[1]
-        index, column = index[distinct], column[distinct]
-        amp = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
-
-        def by_key(out):
-            order = np.argsort((out[2] << n) | out[0])
-            return [part[order] for part in out]
-
-        together = by_key(simulate(family, index, amp, column))
-        alone = by_key([np.concatenate(parts) for parts in zip(*(
-            simulate(circ, index[column % k == a], amp[column % k == a],
-                     column[column % k == a])
-            for a, circ in enumerate(members)))])
-        assert np.array_equal(together[0], alone[0])
-        assert np.array_equal(together[2], alone[2])
-        assert np.max(np.abs(together[1] - alone[1])) < 1e-14
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(data=st.data(), n=st.integers(1, 5), batch=st.integers(1, 3))
-    def test_hadamard_pairs_match_dense_and_the_merge(self, data, n, batch):
-        # sparse batches where an entry's partner (index ^ bit) is present or
-        # not, with amplitudes from a small set so that some pairs cancel
-        keys = np.array(sorted(data.draw(st.sets(st.integers(0, (batch << n) - 1),
-                                                 min_size=1, max_size=batch << n))))
-        values = st.sampled_from([1.0, -1.0, 0.5, 1j, -1j, 0.5 - 0.5j]) | st.complex_numbers(
-            max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-        amp = np.array(data.draw(st.lists(values, min_size=keys.size, max_size=keys.size)),
-                       dtype=complex)
-        qubit = data.draw(st.integers(0, n - 1))
-        index, column = keys & ((1 << n) - 1), keys >> n
-        out_keys, out_amp = _hadamard(keys, amp, 1 << (n - 1 - qubit))
-        out_index, out_column = out_keys & ((1 << n) - 1), out_keys >> n
-        assert np.unique(out_keys).size == out_keys.size and np.all(out_amp != 0)
-        dense_in = np.zeros((1 << n, batch), dtype=complex)
-        dense_in[index, column] = amp
-        dense_out = np.zeros_like(dense_in)
-        dense_out[out_index, out_column] = out_amp
-        dense_h = _kron_unitary(Gate(GateKind.H, (qubit,), None), n)
-        assert np.max(np.abs(dense_out - dense_h @ dense_in)) < 1e-14
-        # the earlier kernel: both images of every entry, equal keys merged by
-        # np.unique and summed by np.bincount
-        bit = 1 << (n - 1 - qubit)
-        merged_keys, slot = np.unique(np.concatenate(((keys & ~bit), keys | bit)),
-                                      return_inverse=True)
-        half = _SQRT_HALF * amp
-        weights = np.concatenate((half, np.where(index & bit, -1, 1) * half))
-        merged = np.bincount(slot, weights.real) + 1j * np.bincount(slot, weights.imag)
-        assert dict(zip(out_keys.tolist(), out_amp.tolist())) == {
-            key: value for key, value in zip(merged_keys.tolist(), merged.tolist()) if value != 0}
+        dense_in[index, column] = rng.normal(size=6) + 1j * rng.normal(size=6)
+        assert np.max(np.abs(apply_circuit(dense_in, circ) - reference @ dense_in)) < 1e-12
 
     @pytest.mark.parametrize("angle", [np.zeros((2, 2)), np.array([]), 1j, None, [0.1, "x"]])
     def test_angle_is_a_real_number_or_a_1d_array(self, angle):
@@ -228,15 +156,15 @@ class TestStateVector:
         assert circ.gates[0].angle.tolist() == [0.1, -2.0]
 
     def test_real_angles_are_floats_and_bools_are_refused(self):
-        # a Fraction or an int is simulated as the float it is (a Fraction
+        # a Fraction or an int is applied as the float it is (a Fraction
         # used to be stored as given and fail inside np.exp); a bool is no
         # angle, Python's as much as numpy's
         circ = Circuit(1)
         circ.rz(0, Fraction(1, 3))
         circ.rz(0, 2)
         assert [(type(g.angle), g.angle) for g in circ.gates] == [(float, 1 / 3), (float, 2.0)]
-        _, amp, _ = simulate(circ, [1], [1.0], [0])
-        assert abs(amp[0] - np.exp(1j * (1 / 3 + 2.0))) < 1e-15
+        amp = apply_circuit(np.array([0.0, 1.0]), circ)
+        assert abs(amp[1] - np.exp(1j * (1 / 3 + 2.0))) < 1e-15
         for angle in (True, False, np.True_):
             with pytest.raises(ValueError, match="^rz needs a real angle"):
                 circ.rz(0, angle)
@@ -259,16 +187,6 @@ class TestStateVector:
         circ.rz(1, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
             circ.unitary()
-
-    def test_family_angles_of_different_lengths_do_not_simulate(self):
-        # column 2 would mix member 0 of the first RZ with member 2 of the second
-        circ = Circuit(2)
-        circ.rz(0, [0.1, 0.2])
-        circ.rz(1, [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError, match="no member count"):
-            simulate(circ, [3, 3, 3], [1.0, 1.0, 1.0], [0, 1, 2])
-        with pytest.raises(ValueError, match="no member count"):
-            apply_circuit(np.eye(4, dtype=complex)[:, [3, 3, 3]], circ)
 
     def test_extend_checks_the_qubit_range(self):
         # extend takes a circuit on at most as many wires: a wider one is
@@ -351,12 +269,12 @@ class TestStateVector:
         assert np.max(np.abs(round_trip - state)) < 1e-12
 
     def test_qubit_ceiling(self):
-        # the ceiling sits at the dense boundary; sparse simulation goes past it
+        # the ceiling sits at the dense boundary; the evaluator goes past it
         circ = Circuit(16)
         circ.x(0)
         circ.cnot(0, 15)
-        index, amp, column = simulate(circ, [0], [1.0], [0])
-        assert index.tolist() == [(1 << 15) | 1] and amp.tolist() == [1.0]
+        index, hits = _evaluate(circ, [0])
+        assert index.tolist() == [(1 << 15) | 1] and hits == []
         with pytest.raises(ValueError):
             apply_circuit(np.zeros(1 << 16, dtype=complex), circ)
         with pytest.raises(ValueError):
@@ -401,15 +319,14 @@ class TestStateVector:
             Circuit(n)
         assert Circuit(np.int64(3)).n_qubits == 3 and type(Circuit(np.int64(3)).n_qubits) is int
 
-    @pytest.mark.parametrize("index, column, named", [
-        ([1.5], [0], "index"), ([1], [0.7], "column"), ([1.0], [0], "index"),
-        ([True], [0], "index")], ids=["float-index", "float-column", "whole-float", "bool"])
-    def test_non_integer_index_or_column_rejected(self, index, column, named):
-        # refused, naming the array, rather than truncated to index 1 or column 0
-        with pytest.raises(ValueError, match=f"^{named} must be integers"):
-            simulate(Circuit(2), index, [1.0], column)
-        out = simulate(Circuit(2), [], [], [])   # empty input of any kind stays accepted
-        assert all(a.size == 0 for a in out)
+    @pytest.mark.parametrize("index", [[1.5], [1.0], [True]],
+                             ids=["float-index", "whole-float", "bool"])
+    def test_non_integer_index_rejected(self, index):
+        # refused, naming the array, rather than truncated to index 1
+        with pytest.raises(ValueError, match="^index must be integers"):
+            _evaluate(Circuit(2), index)
+        out, hits = _evaluate(Circuit(2), [])   # empty input of any kind stays accepted
+        assert out.size == 0 and hits == []
 
     def test_integer_like_qubits_become_ints(self):
         circ = Circuit(3)
@@ -475,12 +392,6 @@ def _reference_simulate(circuit, index, amp, column):
     return index, amp, column
 
 
-def _as_dict(index, amp, column):
-    out = dict(zip(zip(column.tolist(), index.tolist()), amp.tolist()))
-    assert len(out) == index.size   # distinct (column, index) keys
-    return out
-
-
 @st.composite
 def _circuits_and_inputs(draw, hadamard=True):
     """A circuit of every gate kind (every one but H unless ``hadamard``)
@@ -520,38 +431,22 @@ def _circuits_and_inputs(draw, hadamard=True):
 
 
 class TestKernelAgainstReference:
-    """The kernel against the reference kernel above."""
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-    @given(case=_circuits_and_inputs())
-    def test_random_circuits(self, case):
-        # the same entries and amplitudes within 1e-15; an entry only one
-        # kernel has is one the other rounded to exactly zero and dropped
-        # (numpy multiplies a one-element complex array in place without
-        # the fused multiply-add its vector loops use, so a phase on a
-        # single hit entry can round differently in the last bit)
-        circ, index, amp, column = case
-        got = _as_dict(*simulate(circ, index, amp, column))
-        want = _as_dict(*_reference_simulate(circ, index, amp, column))
-        assert all(abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15
-                   for key in got.keys() | want.keys())
+    """The evaluator, and the dense kernel on what a verify pass runs, against
+    the reference kernel above."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(case=_circuits_and_inputs(hadamard=False))
     def test_circuits_without_h_match_to_the_bit(self, case):
-        # without H no entry merges or splits: the outputs are the
-        # reference's entry for entry, in the input order, and bit for bit;
-        # so are the evaluator's indices, and the amplitudes times the
-        # factors of the diagonal gates that hit each lane, member c % k's
-        # in column c
+        # without H no entry merges or splits: the evaluator's indices are
+        # the reference's entry for entry, in the input order, and so are
+        # the amplitudes times the factors of the diagonal gates that hit
+        # each lane, member c % k's in column c, bit for bit
         circ, index, amp, column = case
         want = _reference_simulate(circ, index, amp, column)
         moved, hits = _evaluate(circ, index)
-        phased = _phased(amp, hits, column)
-        for got in (simulate(circ, index, amp, column), (moved, phased, column)):
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-            assert (list(map(float.hex, got[1].view(float)))
-                    == list(map(float.hex, want[1].view(float))))
+        assert np.array_equal(moved, want[0])
+        assert (list(map(float.hex, _phased(amp, hits, column).view(float)))
+                == list(map(float.hex, want[1].view(float))))
 
     def test_the_evaluator_refuses_h_by_name(self):
         # an H sends a basis state to two: no lane can follow it
@@ -560,28 +455,6 @@ class TestKernelAgainstReference:
         circ.h(2)
         with pytest.raises(ValueError, match="^h on qubit 2 is not a permutation of basis states$"):
             _permute(circ, [0, 0, 0], 1)
-
-    def test_classical_runs_between_merging_hadamards(self):
-        # runs of CNOT/Toffoli/SWAP/X between H gates whose partners are
-        # present, so that every H merges entries the classical gates
-        # moved, on a family
-        rng = np.random.default_rng(31)
-        n, k = 6, 3
-        circ = Circuit(n)
-        for _ in range(4):
-            circ.h(int(rng.integers(n)))
-            circ.rz(int(rng.integers(n)), rng.uniform(-3, 3, size=k))
-            for _ in range(5):
-                kind = [GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP, GateKind.X][rng.integers(4)]
-                gate = _random_gate(rng, kind, n)
-                circ.append(gate.kind, *gate.qubits, angle=gate.angle)
-            circ.t(int(rng.integers(n)))
-            circ.cz(0, 5)
-        index = np.arange(1 << n).repeat(2 * k)
-        column = np.tile(np.arange(2 * k), 1 << n)
-        amp = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
-        got = _as_dict(*simulate(circ, index, amp, column))
-        assert got == _as_dict(*_reference_simulate(circ, index, amp, column))
 
     def test_family_of_more_members_than_a_byte_counts(self):
         k = 300
@@ -592,76 +465,43 @@ class TestKernelAgainstReference:
         circ.cnot(2, 0)
         column = np.arange(2 * k)
         index = np.full(column.size, 0b110)
-        got = _as_dict(*simulate(circ, index, np.ones(column.size), column))
-        assert got == _as_dict(*_reference_simulate(circ, index, np.ones(column.size), column))
+        moved, hits = _evaluate(circ, index)
+        want = _reference_simulate(circ, index, np.ones(column.size), column)
+        assert np.array_equal(moved, want[0])
+        assert np.array_equal(_phased(np.ones(column.size), hits, column), want[1])
 
-    @pytest.mark.parametrize("n", [53, 54, 62])
-    def test_wide_circuits_pack_exactly(self, n):
-        # keys of 53, 54 and 62 bits: the classical gates' shifts and masks
-        # and the H split reach the top index bit, and the output index is
-        # cut from the key exactly, past the 53 bits a float64 holds
-        circ = Circuit(n)
-        circ.x(0); circ.cnot(0, n - 1); circ.toffoli(0, n - 1, 1); circ.swap(1, n - 2)
-        circ.h(0); circ.cnot(n - 2, 2); circ.x(3); circ.toffoli(2, 3, n - 3); circ.h(n - 1)
-        index = np.array([0, (1 << (n - 1)) | 5, (1 << n) - 1])
-        got = simulate(circ, index, np.ones(3), [0, 0, 0])
-        assert _as_dict(*got) == _as_dict(*_reference_simulate(circ, index, np.ones(3), [0, 0, 0]))
-        assert got[0].max() >= 1 << (n - 2)
-
-    def test_every_simulation_of_a_verify_pass_is_bit_identical(self, monkeypatch):
-        # the adder chains, the HWP circuits proper and the H-free circuits
-        # of the unitarity check run on the evaluator, and the dense
-        # unitaries on apply_circuit, without a simulation; only the catalyst
-        # preparations of the HWP gadgets are simulated, M = 2..5 for the
-        # unitary check and M = 2, 3, 5 for catalyst invariance, and no
-        # inverted one
+    def test_every_dense_state_of_a_verify_pass_is_bit_identical(self, monkeypatch):
+        # a pass applies 12 circuits of 188 gates in all to dense states
+        # (what perfbench counts as apply_calls and gates_applied), all
+        # through the two names its tracer wraps: the 5 unitaries, and the 7
+        # catalyst preparations of the HWP gadgets, M = 2..5 for the unitary
+        # check and M = 2, 3, 5 for catalyst invariance, each on its k
+        # catalyst wires alone and none inverted; every output is the
+        # reference kernel's, scattered back, to the bit
         from lattice_qre.circuitlab import statevector
 
-        seen = []
+        applied = []
 
-        def recorded(circuit, index, amp, column):
-            out = simulate(circuit, index, amp, column)
-            seen.append(((circuit, index, amp, column), out))
-            return out
-
-        monkeypatch.setattr(verify, "simulate", recorded)
-        monkeypatch.setattr(statevector, "simulate", recorded)
-        assert all(r.passed for r in verify.run_all())
-
-        def layout(circuit):
-            return circuit.n_qubits, [(g.kind, g.qubits) for g in circuit.gates]
-        assert sorted(layout(args[0]) for args, _ in seen) == sorted(
-            layout(build_hwp(m, 1.0, HwpStrategy.CATALYZED).catalyst_prep)
-            for m in (2, 3, 4, 5, 2, 3, 5))
-        for args, out in seen:
-            assert _as_dict(*out) == _as_dict(*_reference_simulate(*args))
-
-    def test_the_dense_unitaries_of_a_verify_pass_sort_nothing(self, monkeypatch):
-        # a pass applies 5 circuits of 154 gates in all to dense states
-        # (what perfbench counts as apply_calls and gates_applied), each
-        # equal to the sparse route to the bit, and no H of the pass sorts
-        # to merge partners: the catalyst preparations' H each find none
-        from lattice_qre.circuitlab import statevector
-
-        applied, merged = [], []
-
-        def recorded_apply(state, circuit):
+        def recorded(state, circuit):
             out = apply_circuit(state, circuit)
             applied.append((state, circuit, out))
             return out
 
-        def recorded_hadamard(key, amp, bit):
-            merged.append(bool((key & bit).any()))
-            return _hadamard(key, amp, bit)
-
-        monkeypatch.setattr(statevector, "apply_circuit", recorded_apply)
-        monkeypatch.setattr(statevector, "_hadamard", recorded_hadamard)
+        monkeypatch.setattr(verify, "apply_circuit", recorded)
+        monkeypatch.setattr(statevector, "apply_circuit", recorded)
         assert all(r.passed for r in verify.run_all())
-        assert merged and not any(merged)
         monkeypatch.undo()
-        assert len(applied) == 5 and sum(len(c.gates) for _, c, _ in applied) == 154
+        assert len(applied) == 12 and sum(len(c.gates) for _, c, _ in applied) == 188
+
+        def layout(circuit):
+            return circuit.n_qubits, tuple((g.kind, g.qubits) for g in circuit.gates)
+        preps = [build_hwp(m, 1.0, HwpStrategy.CATALYZED).catalyst_prep
+                 for m in (2, 3, 4, 5, 2, 3, 5)]
+        assert [prep.n_qubits for prep in preps] == [2, 2, 3, 3, 2, 2, 3]
+        seen = Counter(layout(circuit) for _, circuit, _ in applied)
+        assert not Counter(map(layout, preps)) - seen
         for state, circuit, out in applied:
-            assert np.array_equal(out, _sparse_apply(state, circuit))
+            assert np.array_equal(out, _reference_apply(state, circuit))
 
     @pytest.mark.parametrize("index", [[6], [-2], [0, 6], [3, -1]])
     def test_the_evaluator_refuses_indices_out_of_range(self, index):
@@ -669,7 +509,7 @@ class TestKernelAgainstReference:
         # or -2 to -1
         circ = Circuit(2)
         circ.cnot(0, 1)
-        with pytest.raises(ValueError, match="^basis index or column out of range for 2 qubits$"):
+        with pytest.raises(ValueError, match="^basis index out of range for 2 qubits$"):
             _evaluate(circ, np.array(index))
 
     def test_the_evaluator_takes_integers_and_returns_int64(self):
@@ -682,7 +522,7 @@ class TestKernelAgainstReference:
             _evaluate(circ, np.array([2.0, 3.0]))
 
     def test_the_evaluator_takes_62_qubits(self):
-        # the lanes' indices are int64, as simulate's keys
+        # the lanes' indices are int64
         circ = Circuit(63)
         circ.x(0)
         with pytest.raises(ValueError, match="^63 qubits exceed 62-bit indices$"):
@@ -693,19 +533,19 @@ class TestKernelAgainstReference:
         assert moved.tolist() == [(1 << 61) | 1, 1 << 61] and hits[0][1].tolist() == [1, 0]
 
 
-def _sparse_apply(state, circuit):
-    """The dense route as it was before the dense kernel: the nonzero
-    entries of ``state`` through ``simulate``, scattered back."""
+def _reference_apply(state, circuit):
+    """``apply_circuit`` by the reference kernel: the nonzero entries of the
+    dense ``state`` through ``_reference_simulate``, scattered back."""
     columns = np.asarray(state).reshape(1 << circuit.n_qubits, -1)
     index, column = np.nonzero(columns)
-    index, amp, column = simulate(circuit, index, columns[index, column], column)
+    index, amp, column = _reference_simulate(circuit, index, columns[index, column], column)
     out = np.zeros(columns.shape, dtype=complex)
     out[index, column] = amp
     return out.reshape(np.shape(state))
 
 
 class TestDenseKernel:
-    """``apply_circuit`` against the sparse route and against itself."""
+    """``apply_circuit`` against the reference kernel and against itself."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(case=_circuits_and_inputs())
@@ -717,7 +557,7 @@ class TestDenseKernel:
         state[index, column] = amp
         if state.shape[1] == 1:
             state = state[:, 0]
-        assert np.max(np.abs(apply_circuit(state, circ) - _sparse_apply(state, circ))) <= 1e-15
+        assert np.max(np.abs(apply_circuit(state, circ) - _reference_apply(state, circ))) <= 1e-15
 
     @pytest.mark.parametrize("seed", range(4))
     def test_family_matches_one_apply_per_member(self, seed):
@@ -774,8 +614,8 @@ class TestHammingWeight:
         gadget = build_hamming_weight(8)
         n = gadget.circuit.n_qubits
         index = sum(1 << (n - 1 - i) for i in range(8))
-        out, amp, _ = simulate(gadget.circuit, [index], [1.0], [0])
-        assert amp.tolist() == [1.0]
+        out, hits = _evaluate(gadget.circuit, [index])
+        assert hits == []
         hot = int(out[0])
         weight = sum(
             ((hot >> (n - 1 - wire)) & 1) << bit
@@ -1169,39 +1009,53 @@ def _without_last(circuit, kind=None):
 
 
 def _dense_catalyst_invariance(sizes, build=build_hwp):
-    """``check_catalyst_invariance``'s deviation from dense states: the same
-    seeded gadgets (made by ``build``) and targets, P†UP composed as one
-    circuit and applied by ``apply_circuit`` to the 2**n-entry state, and
-    the targets read at every 2**(n - M)-th entry."""
+    """``check_catalyst_invariance``'s readout from dense states: the same
+    seeded gadgets (made by ``build``) and targets t, P†UP composed as one
+    circuit, with the k-wire preparation placed on the catalyst wires (just
+    above the k borrow wires, the last ones), and applied by
+    ``apply_circuit`` to the 2**n-entry state.  A t is read at every
+    2**(n - M)-th entry, and |1 - |<D t, A t>|**2| reported, D the diagonal
+    e^{i*theta*HW(x)}."""
     rng = random.Random(verify.HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
-        gadget = build(m, rng.uniform(0.1, 2.0), HwpStrategy.CATALYZED)
-        framed = Circuit(gadget.circuit.n_qubits)
-        for part in (gadget.catalyst_prep, gadget.circuit, gadget.catalyst_prep.inverted()):
+        theta = rng.uniform(0.1, 2.0)
+        gadget = build(m, theta, HwpStrategy.CATALYZED)
+        n, first = gadget.circuit.n_qubits, gadget.circuit.n_qubits - 2 * m.bit_length()
+        prep = _circuit(n, [(kind, tuple(q + first for q in qubits), angle)
+                            for kind, qubits, angle in gadget.catalyst_prep.gates])
+        framed = Circuit(n)
+        for part in (prep, gadget.circuit, prep.inverted()):
             framed.extend(part)
-        stride = 1 << (gadget.circuit.n_qubits - m)
+        stride = 1 << (n - m)
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         state = np.zeros(stride << m, dtype=complex)
-        state[::stride] = target / np.linalg.norm(target)
-        state = apply_circuit(state, framed)
-        worst = max(worst, 1.0 - float(np.sum(np.abs(state[::stride]) ** 2)))
+        state[::stride] = target = target / np.linalg.norm(target)
+        image = apply_circuit(state, framed)[::stride]
+        weights = np.array([x.bit_count() for x in range(1 << m)])
+        overlap = np.vdot(np.exp(1j * theta * weights) * target, image)
+        worst = max(worst, abs(1.0 - abs(overlap) ** 2))
     return worst
 
 
 class TestCatalystInvariance:
     def test_runs_on_the_sparse_targets(self, monkeypatch):
-        # no dense state is formed, and the deviation read from the
+        # the only dense states are the catalyst preparations', on their k
+        # wires, (2**k, 1) arrays for one member; the readout from the
         # catalyst's frame is the dense P†UP reference's within 1e-15, at
         # each size and over the pass's sizes; also for an uncompute without
         # its last Toffoli or CNOT, which leaves garbage in the workspace
         from lattice_qre.circuitlab import statevector
 
-        def refused(state, circuit):
-            raise RuntimeError("dense state formed")
-        monkeypatch.setattr(verify, "apply_circuit", refused)
-        monkeypatch.setattr(statevector, "apply_circuit", refused)
+        shapes = []
+
+        def recorded(state, circuit):
+            shapes.append((state.shape, circuit.n_qubits))
+            return apply_circuit(state, circuit)
+        monkeypatch.setattr(verify, "apply_circuit", recorded)
+        monkeypatch.setattr(statevector, "apply_circuit", recorded)
         assert verify.check_catalyst_invariance().passed
+        assert shapes == [((4, 1), 2), ((4, 1), 2), ((8, 1), 3)]   # M = 2, 3, 5
         for garbage in (None, GateKind.TOFFOLI, GateKind.CNOT):
             def build(m, theta, strategy):
                 gadget = build_hwp(m, theta, strategy)
@@ -1226,6 +1080,20 @@ class TestCatalystInvariance:
         result = verify.check_catalyst_invariance()
         assert not result.passed
         assert result.max_deviation == pytest.approx(2e-6 + 1e-12, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("mutant", [np.abs, np.conj], ids=["abs", "conj"])
+    def test_the_phases_of_the_image_are_a_deviation(self, monkeypatch, mutant):
+        # |term| or conj(term) keep ||A t|| = 1, since the gadget acts
+        # diagonally on the targets, but not the phases of A t, which the
+        # overlap with D t reads
+        frame_lanes = verify._frame_lanes
+
+        def mutated(gadget, k):
+            row, column, term = frame_lanes(gadget, k)
+            return row, column, mutant(term)
+        monkeypatch.setattr(verify, "_frame_lanes", mutated)
+        result = verify.check_catalyst_invariance()
+        assert not result.passed and result.max_deviation > 0.5
 
 
 class TestMutantsFail:
