@@ -123,11 +123,11 @@ def _frame_lanes(gadget, k: int):
     from the preparation P alone, on its catalyst wires, applied to a
     (2**width, k) array whose column a runs member a; catalyst basis state j
     is environment index j << width, where ``HwpGadget`` places the
-    catalyst wires.  U, free of H,
-    runs once on wire masks (``_evaluate``), one lane per target x and
-    catalyst basis state e in the support of phi, lane x*|supp| + e: its
-    permutation does not depend on the angle, and ``_phased`` multiplies
-    its factors into the terms, member a's into row a.  Returns each lane's
+    catalyst wires.  U, free of H, runs once on wire masks (``_evaluate``),
+    one lane per target x and catalyst basis state e in the support of phi,
+    lane x*|supp| + e: its permutation does not depend on the angle, and
+    ``_phased`` multiplies its factors into the terms, member a's into row
+    a.  Returns each lane's
     row x' and column x, and the members' (k, lanes) terms, zero where the
     environment does not end in the support.  Both HWP checks read a
     gadget in its catalyst's frame from here, and from nowhere else."""

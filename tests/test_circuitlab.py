@@ -470,6 +470,41 @@ class TestKernelAgainstReference:
         assert np.array_equal(moved, want[0])
         assert np.array_equal(_phased(np.ones(column.size), hits, column), want[1])
 
+    def test_classical_runs_between_merging_hadamards(self):
+        # runs of CNOT/Toffoli/SWAP/X between H gates, so that every H of
+        # the dense kernel first puts back in index order the rows the
+        # classical gates moved, on a family; every entry the reference's
+        # to the bit
+        rng = np.random.default_rng(31)
+        n, k = 6, 3
+        circ = Circuit(n)
+        for _ in range(4):
+            circ.h(int(rng.integers(n)))
+            circ.rz(int(rng.integers(n)), rng.uniform(-3, 3, size=k))
+            for _ in range(5):
+                kind = [GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP, GateKind.X][rng.integers(4)]
+                gate = _random_gate(rng, kind, n)
+                circ.append(gate.kind, *gate.qubits, angle=gate.angle)
+            circ.t(int(rng.integers(n)))
+            circ.cz(0, 5)
+        states = _random_states(rng, n, 2 * k)
+        assert np.array_equal(apply_circuit(states, circ), _reference_apply(states, circ))
+
+    @pytest.mark.parametrize("n", [53, 54, 62])
+    def test_wide_circuits_pack_exactly(self, n):
+        # indices of 53, 54 and 62 bits: the classical gates' masks reach
+        # the top index bit, the diagonal gates hit there, and the output
+        # index is exact past the 53 bits a float64 holds
+        circ = Circuit(n)
+        circ.x(0); circ.cnot(0, n - 1); circ.toffoli(0, n - 1, 1); circ.swap(1, n - 2)
+        circ.t(0); circ.cnot(n - 2, 2); circ.x(3); circ.toffoli(2, 3, n - 3); circ.cz(0, n - 1)
+        index = np.array([0, (1 << (n - 1)) | 5, (1 << n) - 1])
+        column = np.zeros(3, dtype=np.int64)
+        moved, hits = _evaluate(circ, index)
+        want = _reference_simulate(circ, index, np.ones(3), column)
+        assert np.array_equal(moved, want[0]) and moved.max() >= 1 << (n - 2)
+        assert np.array_equal(_phased(np.ones(3), hits, column), want[1])
+
     def test_every_dense_state_of_a_verify_pass_is_bit_identical(self, monkeypatch):
         # a pass applies 12 circuits of 188 gates in all to dense states
         # (what perfbench counts as apply_calls and gates_applied), all
@@ -637,6 +672,23 @@ class TestHammingWeight:
 
 
 class TestHwpGadgets:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 100, 4096])
+    def test_catalyst_state_is_the_phase_gradient(self, m):
+        # P|0> on the k catalyst wires, member a at theta_a: amplitude
+        # 2**(-k/2) e^{i*theta_a*g} at basis state j, where g reads j with
+        # wire i (index bit k - 1 - i) worth 2**i; the thetas are exact in
+        # binary, and so are the angles 2**i * theta
+        thetas = np.array([0.375, -1.25])
+        prep = build_hwp(m, thetas, HwpStrategy.CATALYZED).catalyst_prep
+        k = m.bit_length()
+        assert prep.n_qubits == k
+        zero = np.zeros((1 << k, thetas.size))
+        zero[0] = 1.0
+        j = np.arange(1 << k)
+        g = sum(((j >> (k - 1 - i)) & 1) << i for i in range(k))
+        want = np.exp(1j * np.outer(g, thetas)) / np.sqrt(1 << k)
+        assert np.max(np.abs(apply_circuit(zero, prep) - want)) < 1e-14
+
     def test_zero_angle_is_identity(self):
         gadget = build_hwp(4, np.array([0.7, 0.0]), HwpStrategy.BASELINE)
         diagonal, leakage, off = verify._hwp_family(gadget, 2)
@@ -1094,6 +1146,31 @@ class TestCatalystInvariance:
         monkeypatch.setattr(verify, "_frame_lanes", mutated)
         result = verify.check_catalyst_invariance()
         assert not result.passed and result.max_deviation > 0.5
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_frame_lanes_match_the_dense_frame(self, m):
+        # the lanes' terms, summed per member, row x' and column x, are
+        # <x', phi|U|x, phi> from dense states of the whole register, with
+        # the k-wire preparation placed on the catalyst wires (just above
+        # the k borrow wires, the last ones), for a family of 3 members
+        thetas = np.array([0.7, -1.9, 2.6])
+        k = thetas.size
+        gadget = build_hwp(m, thetas, HwpStrategy.CATALYZED)
+        row, column, term = verify._frame_lanes(gadget, k)
+        got = np.zeros((k, 1 << m, 1 << m), dtype=complex)
+        for a in range(k):
+            np.add.at(got[a], (row, column), term[a])
+        n = gadget.circuit.n_qubits
+        first = n - 2 * m.bit_length()
+        prep = _circuit(n, [(kind, tuple(q + first for q in qubits), angle)
+                            for kind, qubits, angle in gadget.catalyst_prep.gates])
+        # column x*k + a holds |x, phi_a>, and runs member a
+        start = np.zeros((1 << n, k << m), dtype=complex)
+        start[np.arange(1 << m).repeat(k) << (n - m), np.arange(k << m)] = 1.0
+        framed = apply_circuit(start, prep)
+        overlap = framed.conj().T @ apply_circuit(framed, gadget.circuit)
+        want = np.stack([overlap[a::k, a::k] for a in range(k)])
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestMutantsFail:
