@@ -90,11 +90,18 @@ class HwpGadget(namedtuple("HwpGadget", "circuit catalyst_prep M counted")):
     lays out: the full application (compute, phase, uncompute), the catalyst
     preparation (None for a baseline gadget), and the ``CostVector`` tally
     of the gates before the uncompute.  The preparation is a circuit on the
-    k = M.bit_length() catalyst wires alone, its wire i the gadget's
-    catalyst wire i; in the gadget those k wires sit just above its k borrow
-    wires, which are the last wires."""
+    k = M.bit_length() catalyst wires alone, its wire i the gadget's wire
+    ``catalyst_wires[i]``."""
 
     __slots__ = ()
+
+    @property
+    def catalyst_wires(self) -> range:
+        """The gadget's catalyst wires, where ``build_hwp`` places them:
+        just above its k borrow wires, which are the last wires (none for a
+        baseline gadget)."""
+        k = 0 if self.catalyst_prep is None else self.catalyst_prep.n_qubits
+        return range(self.circuit.n_qubits - 2 * k, self.circuit.n_qubits - k)
 
     def scaled(self, theta) -> "HwpGadget":
         """The gadget with the RZ angles of its circuit and preparation

@@ -122,14 +122,14 @@ def _frame_lanes(gadget, k: int):
     baseline gadget) and <x', e'| has every other wire at zero.  phi comes
     from the preparation P alone, on its catalyst wires, applied to a
     (2**width, k) array whose column a runs member a; catalyst basis state j
-    is environment index j << width, where ``HwpGadget`` places the
-    catalyst wires.  U, free of H, runs once on wire masks (``_evaluate``),
-    one lane per target x and catalyst basis state e in the support of phi,
-    lane x*|supp| + e: its permutation does not depend on the angle, and
-    ``_phased`` multiplies its factors into the terms, member a's into row
-    a.  Returns each lane's
-    row x' and column x, and the members' (k, lanes) terms, zero where the
-    environment does not end in the support.  Both HWP checks read a
+    is environment index j << (the number of wires below
+    ``HwpGadget.catalyst_wires``).  U, free of H, runs once on wire masks
+    (``_evaluate``), one lane per target x and catalyst basis state e in the
+    support of phi, lane x*|supp| + e: its permutation does not depend on
+    the angle, and ``_phased`` multiplies its factors into the terms, member
+    a's into row a.  Returns each lane's row x' and column x, and the
+    members' (k, lanes) terms, zero where the environment does not end in
+    the support.  Both HWP checks read a
     gadget in its catalyst's frame from here, and from nowhere else."""
     m, circuit, prep = gadget.M, gadget.circuit, gadget.catalyst_prep
     if prep is None:
@@ -138,7 +138,8 @@ def _frame_lanes(gadget, k: int):
         width = prep.n_qubits
         zero = np.zeros((1 << width, k))
         zero[0] = 1.0
-        support, phi = np.arange(1 << width) << width, apply_circuit(zero, prep).T
+        below = circuit.n_qubits - gadget.catalyst_wires.stop
+        support, phi = np.arange(1 << width) << below, apply_circuit(zero, prep).T
     size, env_bits = support.size, circuit.n_qubits - m
     lanes = size << m
     # lane x*size + e holds x on the targets and support[e] on the other wires
@@ -216,11 +217,13 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     (``_frame_lanes``), and t the seeded target state.  Since
     P|x, 0> = |x, phi>, A t is what P†UP leaves with every wire outside the
     targets at zero, read without inverting the preparation.  The check
-    reports |1 - |<D t, A t>|**2| with D = diag(e^{i*theta*HW(x)}), the
-    action charged.  Since |<D t, A t>|**2 <= ||A t||**2, a loss of norm
-    reads at least 1 - ||A t||**2; a norm above 1, which no unitary gives,
-    reads as a fault too, and so does an A t of the right norm with the
-    wrong phases, such as |A| t or conj(A) t."""
+    reports the larger of |1 - ||A t||**2| and |1 - |<D t, A t>|**2|, with
+    D = diag(e^{i*theta*HW(x)}) the action charged.  The first reads a loss
+    of norm, which garbage left in the workspace causes, and a norm above 1,
+    which no unitary gives, even along a component of A t orthogonal to
+    D t, which the overlap misses.  The second reads an A t of the right
+    norm with the wrong phases, such as |A| t or conj(A) t.  Both vanish
+    only for A t = D t up to a global phase."""
     rng = random.Random(HWP_ANGLE_SEED + 1)
     worst = 0.0
     for m in sizes:
@@ -232,7 +235,8 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
         image = np.zeros(1 << m, dtype=complex)   # A t
         np.add.at(image, row, term[0] * target[column])
         expected = np.exp(1j * theta * _hamming_weights(m)) * target   # D t
-        worst = max(worst, abs(1.0 - float(abs(np.vdot(expected, image))) ** 2))
+        worst = max(worst, abs(1.0 - float(np.sum(np.abs(image) ** 2))),
+                    abs(1.0 - float(abs(np.vdot(expected, image))) ** 2))
     return worst
 
 

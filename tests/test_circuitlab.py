@@ -679,9 +679,10 @@ class TestHwpGadgets:
         # wire i (index bit k - 1 - i) worth 2**i; the thetas are exact in
         # binary, and so are the angles 2**i * theta
         thetas = np.array([0.375, -1.25])
-        prep = build_hwp(m, thetas, HwpStrategy.CATALYZED).catalyst_prep
-        k = m.bit_length()
-        assert prep.n_qubits == k
+        gadget = build_hwp(m, thetas, HwpStrategy.CATALYZED)
+        prep, k, base = gadget.catalyst_prep, m.bit_length(), m + hamming_adders(m)
+        assert prep.n_qubits == k and gadget.catalyst_wires == range(base, base + k)
+        assert not build_hwp(m, 1.0, HwpStrategy.BASELINE).catalyst_wires
         zero = np.zeros((1 << k, thetas.size))
         zero[0] = 1.0
         j = np.arange(1 << k)
@@ -1060,33 +1061,45 @@ def _without_last(circuit, kind=None):
     return _circuit(circuit.n_qubits, gates[:found[-1]] + gates[found[-1] + 1:] if found else gates)
 
 
+def _placed_prep(gadget):
+    """The gadget's k-wire catalyst preparation placed on its catalyst
+    wires, as a circuit on all of the gadget's wires."""
+    first = gadget.catalyst_wires.start
+    return _circuit(gadget.circuit.n_qubits, [(kind, tuple(q + first for q in qubits), angle)
+                                              for kind, qubits, angle in gadget.catalyst_prep.gates])
+
+
+def _seeded_targets(sizes):
+    """(M, theta, t) for each size, drawn as ``check_catalyst_invariance``
+    draws them: the angle, then the normalized target state t."""
+    rng = random.Random(verify.HWP_ANGLE_SEED + 1)
+    for m in sizes:
+        theta = rng.uniform(0.1, 2.0)
+        target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
+        yield m, theta, target / np.linalg.norm(target)
+
+
 def _dense_catalyst_invariance(sizes, build=build_hwp):
     """``check_catalyst_invariance``'s readout from dense states: the same
     seeded gadgets (made by ``build``) and targets t, P†UP composed as one
-    circuit, with the k-wire preparation placed on the catalyst wires (just
-    above the k borrow wires, the last ones), and applied by
-    ``apply_circuit`` to the 2**n-entry state.  A t is read at every
-    2**(n - M)-th entry, and |1 - |<D t, A t>|**2| reported, D the diagonal
-    e^{i*theta*HW(x)}."""
-    rng = random.Random(verify.HWP_ANGLE_SEED + 1)
+    circuit, with the preparation placed on the catalyst wires, and applied
+    by ``apply_circuit`` to the 2**n-entry state.  A t is read at every
+    2**(n - M)-th entry, and the larger of |1 - ||A t||**2| and
+    |1 - |<D t, A t>|**2| reported, D the diagonal e^{i*theta*HW(x)}."""
     worst = 0.0
-    for m in sizes:
-        theta = rng.uniform(0.1, 2.0)
+    for m, theta, target in _seeded_targets(sizes):
         gadget = build(m, theta, HwpStrategy.CATALYZED)
-        n, first = gadget.circuit.n_qubits, gadget.circuit.n_qubits - 2 * m.bit_length()
-        prep = _circuit(n, [(kind, tuple(q + first for q in qubits), angle)
-                            for kind, qubits, angle in gadget.catalyst_prep.gates])
+        n, prep = gadget.circuit.n_qubits, _placed_prep(gadget)
         framed = Circuit(n)
         for part in (prep, gadget.circuit, prep.inverted()):
             framed.extend(part)
         stride = 1 << (n - m)
-        target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         state = np.zeros(stride << m, dtype=complex)
-        state[::stride] = target = target / np.linalg.norm(target)
+        state[::stride] = target
         image = apply_circuit(state, framed)[::stride]
         weights = np.array([x.bit_count() for x in range(1 << m)])
         overlap = np.vdot(np.exp(1j * theta * weights) * target, image)
-        worst = max(worst, abs(1.0 - abs(overlap) ** 2))
+        worst = max(worst, abs(1.0 - np.vdot(image, image).real), abs(1.0 - abs(overlap) ** 2))
     return worst
 
 
@@ -1133,6 +1146,24 @@ class TestCatalystInvariance:
         assert not result.passed
         assert result.max_deviation == pytest.approx(2e-6 + 1e-12, rel=0, abs=1e-13)
 
+    def test_a_component_orthogonal_to_the_charged_image_is_a_deviation(self, monkeypatch):
+        # lanes from column 0 add w = 1e-3 (e_0 - <D t, e_0> D t), orthogonal
+        # to D t, to A t at each size: the overlap with D t does not move,
+        # but ||A t||**2 = 1 + ||w||**2 does
+        frame_lanes, drawn = verify._frame_lanes, _seeded_targets((2, 3, 5))
+
+        def grown(gadget, k):
+            row, column, term = frame_lanes(gadget, k)
+            m, theta, target = next(drawn)
+            charged = np.exp(1j * theta * np.bitwise_count(np.arange(1 << m))) * target
+            w = -1e-3 * charged.conj()[0] * charged
+            w[0] += 1e-3
+            return (np.append(row, np.arange(1 << m)), np.append(column, np.zeros(1 << m, int)),
+                    np.append(term, w[None] / target[0], axis=1))
+        monkeypatch.setattr(verify, "_frame_lanes", grown)
+        result = verify.check_catalyst_invariance()
+        assert not result.passed and result.max_deviation > 1e-7
+
     @pytest.mark.parametrize("mutant", [np.abs, np.conj], ids=["abs", "conj"])
     def test_the_phases_of_the_image_are_a_deviation(self, monkeypatch, mutant):
         # |term| or conj(term) keep ||A t|| = 1, since the gadget acts
@@ -1151,8 +1182,8 @@ class TestCatalystInvariance:
     def test_frame_lanes_match_the_dense_frame(self, m):
         # the lanes' terms, summed per member, row x' and column x, are
         # <x', phi|U|x, phi> from dense states of the whole register, with
-        # the k-wire preparation placed on the catalyst wires (just above
-        # the k borrow wires, the last ones), for a family of 3 members
+        # the k-wire preparation placed on the catalyst wires, for a family
+        # of 3 members
         thetas = np.array([0.7, -1.9, 2.6])
         k = thetas.size
         gadget = build_hwp(m, thetas, HwpStrategy.CATALYZED)
@@ -1160,10 +1191,7 @@ class TestCatalystInvariance:
         got = np.zeros((k, 1 << m, 1 << m), dtype=complex)
         for a in range(k):
             np.add.at(got[a], (row, column), term[a])
-        n = gadget.circuit.n_qubits
-        first = n - 2 * m.bit_length()
-        prep = _circuit(n, [(kind, tuple(q + first for q in qubits), angle)
-                            for kind, qubits, angle in gadget.catalyst_prep.gates])
+        n, prep = gadget.circuit.n_qubits, _placed_prep(gadget)
         # column x*k + a holds |x, phi_a>, and runs member a
         start = np.zeros((1 << n, k << m), dtype=complex)
         start[np.arange(1 << m).repeat(k) << (n - m), np.arange(k << m)] = 1.0
