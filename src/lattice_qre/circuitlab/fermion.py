@@ -6,7 +6,8 @@ the most significant index bit, consistent with the statevector kernel.
 The canonical anticommutation relations are verified at construction, so
 downstream checks can treat these matrices as ground truth.  The gadget
 checks build oracles of 2, 4 and 5 modes, so the relations are formed as
-dense products of matrices at most 32 x 32.  The operators' entries are
+dense products of matrices at most 32 x 32, those of a_i with every a_j
+at once, one i at a time (``_car_deviation``).  The operators' entries are
 0 and +-1, so for them the relations are formed in real arithmetic, where
 every product is exact.  The matrices themselves stay complex: ``eigh``
 of a real plaquette generator picks another eigenbasis, which moves the
@@ -25,18 +26,20 @@ def _car_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
     """Worst entry of {a_i, a_j} and of {a_i, a_j^dag} - delta_ij * I for
     every ordered pair (i, j): two (n, n) arrays.  Operators without an
     imaginary part (the Jordan-Wigner ones) are multiplied in real
-    arithmetic."""
+    arithmetic.  The products are formed one row i at a time, as (n, d, d)
+    arrays, since the (n, n, d, d) ones of all pairs at once cost more in
+    memory traffic than in arithmetic."""
     a = np.stack(ops)
     if not a.imag.any():
         a = np.ascontiguousarray(a.real)
     n, dim = a.shape[:2]
     dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
-    product = a[:, None] @ a[None, :]
-    anti = product + product.transpose(1, 0, 2, 3)
-    mixed = a[:, None] @ dag[None, :] + dag[None, :] @ a[:, None]
-    diagonal = np.arange(n)
-    mixed[diagonal, diagonal] -= np.eye(dim)
-    return tuple(np.abs(x).reshape(n, n, -1).max(axis=2) for x in (anti, mixed))
+    rows = []
+    for i, op in enumerate(a):
+        anti, mixed = op @ a + a @ op, op @ dag + dag @ op
+        mixed[i] -= np.eye(dim)
+        rows.append([np.abs(x).reshape(n, -1).max(axis=1) for x in (anti, mixed)])
+    return tuple(np.array(rows).transpose(1, 0, 2))
 
 
 class FermionOracle:

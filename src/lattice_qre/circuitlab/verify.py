@@ -4,24 +4,30 @@ Each check reports its worst observed deviation against a threshold (inf
 when the fermion oracle refuses its operators); the CLI serializes the
 results as JSON and fails on any check that misses its threshold.
 
-A pass, ``run_all``, builds what its checks share once (``_once``), and
-every check of the pass reads that one: the fermion oracle of each size
-(2, 4 and 5 modes), each HWP shape (``build_hwp`` at theta = 1 for ten
-(M, strategy) pairs) and the plaquette (``build_plaquette_evolution`` at
-1).  A check takes its angles by scaling the shape (``HwpGadget.scaled``,
+A pass, ``run_all``, makes what its checks share once (``_once``), and
+every check of the pass reads that one: not only the builds, but the runs
+of them too.  It builds the fermion oracle of each size (2, 4 and 5
+modes), each HWP shape (``build_hwp`` at theta = 1 for ten (M, strategy)
+pairs) and the plaquette (``build_plaquette_evolution`` at 1).  A check
+takes its angles by scaling the shape (``HwpGadget.scaled``,
 ``Circuit.scaled``), the step by which the builders themselves turn their
 unit-angle layout into a build at theta, so it checks what a build at its
-angles returns.  What a pass built goes with it, so each pass builds its
-gadgets and verifies the anticommutation relations anew, and a check
-called on its own builds afresh.
+angles returns.  It runs each HWP family in its catalyst's frame once
+(``_hwp_frame``), which both HWP checks read, and forms the plaquette
+family's unitary once (``_plaquette``), which the plaquette and unitarity
+checks read, so no check runs again what another has run.  What a pass
+made goes with it, so each pass builds and runs its gadgets and verifies
+the anticommutation relations anew, and a check called on its own makes
+all it reads afresh, and reads the same deviation as in a pass.
 
 Both HWP checks read a gadget in its catalyst's frame one way: the terms
 of <x', phi|U|x, phi> (``_frame_lanes``), where |phi> = P|0> is the
-catalyst state.  The unitary check compares the induced action with
-diag(e^{i*theta*HW(x)}); catalyst invariance applies it to a seeded target
-t and reads the overlap of the image with that diagonal times t.  Only the
-preparation P runs on dense states (``apply_circuit``), on the catalyst
-wires alone and never inverted, and U runs on wire masks (``_evaluate``).
+catalyst state.  The unitary check compares the induced action of each
+member of a family with diag(e^{i*theta*HW(x)}); catalyst invariance
+applies one member's to a seeded target t and reads the overlap of the
+image with that diagonal times t.  Only the preparation P runs on dense
+states (``apply_circuit``), on the catalyst wires alone and never
+inverted, and U runs on wire masks (``_evaluate``).
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .gadgets import (
     two_site_fourier,
 )
 from .statevector import (
-    H,
     Circuit,
     _evaluate,
     _phased,
@@ -54,6 +59,8 @@ from .statevector import (
 )
 
 HWP_ANGLE_SEED = 20240811
+HWP_ANGLES = 10
+PLAQUETTE_ANGLES = (0.0, 0.37, -0.9, 1.71, 2.5)
 
 
 class CheckResult(namedtuple("CheckResult", "name max_deviation threshold seconds",
@@ -152,44 +159,55 @@ def _frame_lanes(gadget, k: int):
     return row, column, _phased(term, hits, np.arange(k)[:, None])
 
 
-def _hwp_family(gadget, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Induced action on the targets of each of the k members of a gadget
+def _hwp_angles(n_angles: int = HWP_ANGLES) -> np.ndarray:
+    """The HWP families' seeded angles, drawn uniformly from [-2pi, 2pi]."""
+    rng = random.Random(HWP_ANGLE_SEED)
+    return np.array([rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(n_angles)])
+
+
+def _hwp_frame(m: int, strategy: HwpStrategy, angles: np.ndarray):
+    """``_frame_lanes`` of the pass's (M, strategy) shape scaled to the
+    family at ``angles``, run once per pass: both HWP checks read it."""
+    return _once(("frame", m, strategy, tuple(angles)),
+                 lambda: _frame_lanes(_hwp(m, angles, strategy), angles.size))
+
+
+def _hwp_family(m: int, row, column, term) -> tuple[np.ndarray, np.ndarray, float]:
+    """Induced action on the M targets of each of the k members of a gadget
     family (``build_hwp`` at k angles) when the other wires start and end in
     the gadget's reference state (the catalyst state, or all zeros): the
     members' diagonals and leakages |1 - column norm|, both (k, 2**M), and
     the largest |entry| off any diagonal.  Each entry <x', phi|U|x, phi> sums
-    the terms of its lanes (``_frame_lanes``), which come ordered by column:
-    the diagonal in one pass over each column's lanes, and only lanes that
-    leave the diagonal grouped by (row, column)."""
-    row, column, term = _frame_lanes(gadget, k)
+    the terms of its lanes (the family's ``_frame_lanes``), which come
+    ordered by column: the diagonal in one pass over each column's lanes,
+    and only lanes that leave the diagonal grouped by (row, column)."""
     on = row == column
-    starts = np.searchsorted(column, np.arange(1 << gadget.M))   # each column's first lane
+    starts = np.searchsorted(column, np.arange(1 << m))   # each column's first lane
     diagonal = np.add.reduceat(np.where(on, term, 0.0), starts, axis=1)
     norm = np.abs(diagonal) ** 2
     off = 0.0
     if not on.all():   # lanes that leave the diagonal: sum each (row, column) entry
-        pairs, pair = np.unique(row[~on] << gadget.M | column[~on], return_inverse=True)
-        entry = np.zeros((k, pairs.size), dtype=complex)
+        pairs, pair = np.unique(row[~on] << m | column[~on], return_inverse=True)
+        entry = np.zeros((len(term), pairs.size), dtype=complex)
         np.add.at(entry, (slice(None), pair), term[:, ~on])
-        np.add.at(norm, (slice(None), pairs & ((1 << gadget.M) - 1)), np.abs(entry) ** 2)
+        np.add.at(norm, (slice(None), pairs & ((1 << m) - 1)), np.abs(entry) ** 2)
         off = float(np.abs(entry).max())
     return diagonal, np.abs(1.0 - np.sqrt(norm)), off
 
 
 @_check("hwp_unitary", 1e-9)
-def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = 10) -> float:
+def check_hwp_unitary(sizes=(2, 3, 4, 5), n_angles: int = HWP_ANGLES) -> float:
     """Both phasing strategies act as a tensor power of phase rotations:
     exhaustively over the 2**M target states, against the diagonal
     e^{i*theta*HW(x)}.  Each (M, strategy) is built once, as the family of
     its gadgets at all the angles, run once on wire masks in its catalyst's
-    frame (``_hwp_family``) and compared at once."""
-    rng = random.Random(HWP_ANGLE_SEED)
-    angles = np.array([rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(n_angles)])
+    frame (``_hwp_frame``) and compared at once (``_hwp_family``)."""
+    angles = _hwp_angles(n_angles)
     worst = 0.0
     for m in sizes:
         targets = np.exp(1j * angles[:, None] * _hamming_weights(m))
         for strategy in HwpStrategy:
-            diagonal, leakage, off = _hwp_family(_hwp(m, angles, strategy), n_angles)
+            diagonal, leakage, off = _hwp_family(m, *_hwp_frame(m, strategy, angles))
             worst = max(worst, float(leakage.max()), off,
                         max_unitary_deviation(diagonal[:, None], targets[:, None]))
     return worst
@@ -213,10 +231,13 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     """Every wire outside the targets comes back unentangled and unchanged,
     the catalyst register in its state |phi> and the workspace at zero, and
     the targets rotated as charged.  A is the gadget's induced action
-    <x', phi|U|x, phi> on the targets, summed from the terms of its lanes
-    (``_frame_lanes``), and t the seeded target state.  Since
-    P|x, 0> = |x, phi>, A t is what P†UP leaves with every wire outside the
-    targets at zero, read without inverting the preparation.  The check
+    <x', phi|U|x, phi> on the targets, summed from the terms of its lanes,
+    and t the seeded target state.  The check reads one member of the family
+    ``check_hwp_unitary`` runs at the same shape (``_hwp_frame``): the first
+    whose angle lies in [0.1, 2], away from 0 and pi, where the phases of
+    A t tell least.  Since P|x, 0> = |x, phi>, A t is what P†UP leaves with
+    every wire outside the targets at zero, read without inverting the
+    preparation.  The check
     reports the larger of |1 - ||A t||**2| and |1 - |<D t, A t>|**2|, with
     D = diag(e^{i*theta*HW(x)}) the action charged.  The first reads a loss
     of norm, which garbage left in the workspace causes, and a norm above 1,
@@ -224,16 +245,16 @@ def check_catalyst_invariance(sizes=(2, 3, 5)) -> float:
     D t, which the overlap misses.  The second reads an A t of the right
     norm with the wrong phases, such as |A| t or conj(A) t.  Both vanish
     only for A t = D t up to a global phase."""
-    rng = random.Random(HWP_ANGLE_SEED + 1)
-    worst = 0.0
+    rng, angles = random.Random(HWP_ANGLE_SEED + 1), _hwp_angles()
+    member = int(np.flatnonzero((angles >= 0.1) & (angles <= 2.0))[0])
+    theta, worst = angles[member], 0.0
     for m in sizes:
-        theta = rng.uniform(0.1, 2.0)
         # arbitrary fixed target state entangling all weight sectors
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         target /= np.linalg.norm(target)
-        row, column, term = _frame_lanes(_hwp(m, theta, HwpStrategy.CATALYZED), 1)
+        row, column, term = _hwp_frame(m, HwpStrategy.CATALYZED, angles)
         image = np.zeros(1 << m, dtype=complex)   # A t
-        np.add.at(image, row, term[0] * target[column])
+        np.add.at(image, row, term[member] * target[column])
         expected = np.exp(1j * theta * _hamming_weights(m)) * target   # D t
         worst = max(worst, abs(1.0 - float(np.sum(np.abs(image) ** 2))),
                     abs(1.0 - float(abs(np.vdot(expected, image))) ** 2))
@@ -277,10 +298,14 @@ def _hwp(m: int, theta, strategy: HwpStrategy):
     return _hwp_shape(m, strategy).scaled(theta)
 
 
-def _plaquette(theta) -> Circuit:
-    """``build_plaquette_evolution(theta)``: the pass's one build at unit
-    angle, scaled, as the builder scales its layout."""
-    return _once("plaquette", lambda: build_plaquette_evolution(1.0)).scaled(theta)
+def _plaquette(angles) -> tuple[Circuit, np.ndarray]:
+    """``build_plaquette_evolution(angles)``, the family built at unit angle
+    and scaled, as the builder scales its layout, and its unitary, a stack
+    of one matrix per angle: both made once per pass."""
+    def make():
+        circ = build_plaquette_evolution(1.0).scaled(angles)
+        return circ, circ.unitary()
+    return _once(("plaquette", tuple(angles)), make)
 
 
 @_check("fswap", 1e-12)
@@ -324,42 +349,39 @@ def plaquette_generator(oracle: FermionOracle) -> np.ndarray:
 
 
 @_check("plaquette_evolution", 1e-9)
-def check_plaquette(angles=(0.0, 0.37, -0.9, 1.71, 2.5)) -> float:
+def check_plaquette(angles=PLAQUETTE_ANGLES) -> float:
     oracle = _oracle(4)
     # exp(i*theta*K) from the eigenbasis of the Hermitian generator K
     energies, modes = np.linalg.eigh(plaquette_generator(oracle))
-    circ = _plaquette(angles)
+    circ, u = _plaquette(angles)
     counts = circ.counts()
     worst = 0.0 if (counts["t"], counts["rz"], counts["toffoli"]) == (8, 2, 0) else 1.0
     targets = (modes * np.exp(1j * np.array(angles)[:, None, None] * energies)) @ modes.conj().T
-    return max(worst, max_unitary_deviation(circ.unitary(), targets))
+    return max(worst, max_unitary_deviation(u, targets))
 
 
 @_check("unitarity", 1e-10)
 def check_unitarity() -> float:
-    """U†U = I for representative small gadgets.  Without H a circuit sends
-    each basis state to one, run on wire masks (``_evaluate``): U†U is then
-    diagonal, the column norms, each the product of the diagonal factors
-    that hit its lane, unless two land on one index (inf).  Only a circuit
-    with H forms U densely."""
+    """U†U = I for representative small gadgets.  The circuits without H
+    send each basis state to one, run on wire masks (``_evaluate``): U†U is
+    then diagonal, the column norms, each the product of the diagonal
+    factors that hit its lane, unless two land on one index (inf).  The
+    plaquette, which has H, is read from the family of unitaries the
+    plaquette check forms at its five angles (``_plaquette``)."""
     worst = 0.0
     for circ in (
         _hwp_shape(3, HwpStrategy.CATALYZED).circuit.scaled(0.913),
         _hwp_shape(4, HwpStrategy.BASELINE).circuit.scaled(-1.21),
-        _plaquette(0.61),
         build_fswap(5, 0, 4),
     ):
         dim = 1 << circ.n_qubits
-        if any(g.kind is H for g in circ.gates):
-            u = circ.unitary()
-            worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
-        else:
-            index, hits = _evaluate(circ, np.arange(dim))
-            if np.bincount(index, minlength=dim).max() > 1:
-                return math.inf
-            amp = _phased(np.ones(dim, dtype=complex), hits)
-            worst = max(worst, float(np.max(np.abs(np.abs(amp) ** 2 - 1.0))))
-    return worst
+        index, hits = _evaluate(circ, np.arange(dim))
+        if np.bincount(index, minlength=dim).max() > 1:
+            return math.inf
+        amp = _phased(np.ones(dim, dtype=complex), hits)
+        worst = max(worst, float(np.max(np.abs(np.abs(amp) ** 2 - 1.0))))
+    u = _plaquette(PLAQUETTE_ANGLES)[1]
+    return max(worst, float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[-1])))))
 
 
 @_check("fermion_oracle_car", CAR_TOLERANCE)
@@ -384,7 +406,8 @@ ALL_CHECKS = (
 
 def run_all() -> list[CheckResult]:
     """One pass of ``ALL_CHECKS``, sharing what ``_once`` makes: one oracle
-    per size, one HWP shape per (M, strategy) and one plaquette."""
+    per size, one HWP shape and one run of its family in the catalyst's
+    frame per (M, strategy), and one plaquette family and its unitary."""
     global _pass
     _pass = {}
     try:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_qre.model import Model
 from lattice_qre.primitives import HwpStrategy, hamming_adders, hwp_counts
 from lattice_qre.reference_tables import TROTTER_TABLES
 from lattice_qre.trotter_cost import _STEPS, Strategy, _hwp_runs
@@ -506,13 +505,14 @@ class TestKernelAgainstReference:
         assert np.array_equal(_phased(np.ones(3), hits, column), want[1])
 
     def test_every_dense_state_of_a_verify_pass_is_bit_identical(self, monkeypatch):
-        # a pass applies 12 circuits of 188 gates in all to dense states
+        # a pass applies 8 circuits of 108 gates in all to dense states
         # (what perfbench counts as apply_calls and gates_applied), all
-        # through the two names its tracer wraps: the 5 unitaries, and the 7
-        # catalyst preparations of the HWP gadgets, M = 2..5 for the unitary
-        # check and M = 2, 3, 5 for catalyst invariance, each on its k
-        # catalyst wires alone and none inverted; every output is the
-        # reference kernel's, scattered back, to the bit
+        # through the two names its tracer wraps: the 4 unitaries (two
+        # fermionic swaps, the two-site Fourier transform and the plaquette
+        # family, which the unitarity check reads too), and the 4 catalyst
+        # preparations of the HWP families, M = 2..5, which both HWP checks
+        # read, each on its k catalyst wires alone and none inverted; every
+        # output is the reference kernel's, scattered back, to the bit
         from lattice_qre.circuitlab import statevector
 
         applied = []
@@ -526,13 +526,13 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(statevector, "apply_circuit", recorded)
         assert all(r.passed for r in verify.run_all())
         monkeypatch.undo()
-        assert len(applied) == 12 and sum(len(c.gates) for _, c, _ in applied) == 188
+        assert len(applied) == 8 and sum(len(c.gates) for _, c, _ in applied) == 108
 
         def layout(circuit):
             return circuit.n_qubits, tuple((g.kind, g.qubits) for g in circuit.gates)
         preps = [build_hwp(m, 1.0, HwpStrategy.CATALYZED).catalyst_prep
-                 for m in (2, 3, 4, 5, 2, 3, 5)]
-        assert [prep.n_qubits for prep in preps] == [2, 2, 3, 3, 2, 2, 3]
+                 for m in (2, 3, 4, 5)]
+        assert [prep.n_qubits for prep in preps] == [2, 2, 3, 3]
         seen = Counter(layout(circuit) for _, circuit, _ in applied)
         assert not Counter(map(layout, preps)) - seen
         for state, circuit, out in applied:
@@ -692,7 +692,7 @@ class TestHwpGadgets:
 
     def test_zero_angle_is_identity(self):
         gadget = build_hwp(4, np.array([0.7, 0.0]), HwpStrategy.BASELINE)
-        diagonal, leakage, off = verify._hwp_family(gadget, 2)
+        diagonal, leakage, off = _family(gadget, 2)
         assert diagonal.shape == leakage.shape == (2, 16) and off == 0.0
         assert np.max(np.abs(diagonal[1] - 1.0)) < 1e-12 and leakage[1].max() < 1e-12
         assert max_unitary_deviation(diagonal[1], np.ones(16)) < 1e-12
@@ -700,7 +700,7 @@ class TestHwpGadgets:
     def test_baseline_m2_matches_direct(self):
         theta = np.pi / 7
         gadget = build_hwp(2, np.array([theta, 0.0, -2.0 * theta]), HwpStrategy.BASELINE)
-        diagonal, leakage, off = verify._hwp_family(gadget, 3)
+        diagonal, leakage, off = _family(gadget, 3)
         assert off == 0.0   # no entry off the diagonal: it is the induced matrix
         rz = np.diag([1.0, np.exp(1j * theta)])
         assert max_unitary_deviation(np.diag(diagonal[0]), np.kron(rz, rz)) < 1e-10
@@ -744,7 +744,7 @@ class TestHwpGadgets:
                     u[1, 0] += 1e-3
                 dense = max(dense, float(np.max(np.abs(1.0 - np.linalg.norm(u, axis=0)))),
                             max_unitary_deviation(u, np.diag(target)))
-            diagonal, leakage, off = verify._hwp_family(gadget, thetas.size)
+            diagonal, leakage, off = _family(gadget, thetas.size)
             sparse = max(float(leakage.max()), off,
                          max_unitary_deviation(diagonal[:, None], targets[:, None]))
             assert sparse == pytest.approx(dense, rel=0, abs=1e-15)
@@ -756,11 +756,10 @@ class TestHwpGadgets:
         # the gadget built at angle a alone induces
         thetas = np.array([0.3, -1.9, 2.6])
         for strategy in HwpStrategy:
-            diagonal, leakage, off = verify._hwp_family(build_hwp(4, thetas, strategy),
-                                                        thetas.size)
+            diagonal, leakage, off = _family(build_hwp(4, thetas, strategy), thetas.size)
             offs = []
             for a, theta in enumerate(thetas):
-                alone = verify._hwp_family(build_hwp(4, float(theta), strategy), 1)
+                alone = _family(build_hwp(4, float(theta), strategy), 1)
                 assert np.array_equal(diagonal[a], alone[0][0])
                 assert np.array_equal(leakage[a], alone[1][0])
                 offs.append(alone[2])
@@ -778,7 +777,7 @@ class TestHwpGadgets:
             if broken:
                 gadget = gadget._replace(circuit=_without_last(gadget.circuit, GateKind.TOFFOLI))
             projected = _projected_family(gadget, thetas)
-            diagonal, leakage, off = verify._hwp_family(gadget, thetas.size)
+            diagonal, leakage, off = _family(gadget, thetas.size)
             assert np.max(np.abs(diagonal - np.diagonal(projected, axis1=1, axis2=2))) < 1e-13
             norms = np.linalg.norm(projected, axis=1)
             assert np.max(np.abs(leakage - np.abs(1.0 - norms))) < 1e-13
@@ -794,7 +793,7 @@ class TestHwpGadgets:
         array = np.array(thetas)
         for strategy in HwpStrategy:
             built, want = build_hwp(2, thetas, strategy), build_hwp(2, array, strategy)
-            for got, expected in zip(verify._hwp_family(built, 2), verify._hwp_family(want, 2)):
+            for got, expected in zip(_family(built, 2), _family(want, 2)):
                 assert np.array_equal(got, expected)
         assert np.array_equal(build_plaquette_evolution(thetas).unitary(),
                               build_plaquette_evolution(array).unitary())
@@ -1021,6 +1020,13 @@ def _phasing_identity(gadget, draws=6):
     return failures
 
 
+def _family(gadget, k):
+    """``verify._hwp_family`` of the k members of a gadget family, read from
+    its catalyst frame's lanes (``verify._frame_lanes``, looked up at each
+    call, so a patched one is the one read)."""
+    return verify._hwp_family(gadget.M, *verify._frame_lanes(gadget, k))
+
+
 def _projected_family(gadget, thetas):
     """<x', phi|U|x, phi> for each member of a gadget family, (k, 2**M, 2**M),
     from its dense unitary and the closed-form catalyst state
@@ -1070,11 +1076,15 @@ def _placed_prep(gadget):
 
 
 def _seeded_targets(sizes):
-    """(M, theta, t) for each size, drawn as ``check_catalyst_invariance``
-    draws them: the angle, then the normalized target state t."""
+    """(M, theta, t) for each size, as ``check_catalyst_invariance`` reads
+    them: theta is the angle of the family member it reads, the first of
+    the ten seeded angles of ``check_hwp_unitary`` in [0.1, 2], and t the
+    normalized target state it draws for the size."""
+    rng = random.Random(verify.HWP_ANGLE_SEED)
+    angles = [rng.uniform(-2.0 * np.pi, 2.0 * np.pi) for _ in range(10)]
+    theta = next(angle for angle in angles if 0.1 <= angle <= 2.0)
     rng = random.Random(verify.HWP_ANGLE_SEED + 1)
     for m in sizes:
-        theta = rng.uniform(0.1, 2.0)
         target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << m)])
         yield m, theta, target / np.linalg.norm(target)
 
@@ -1105,11 +1115,13 @@ def _dense_catalyst_invariance(sizes, build=build_hwp):
 
 class TestCatalystInvariance:
     def test_runs_on_the_sparse_targets(self, monkeypatch):
-        # the only dense states are the catalyst preparations', on their k
-        # wires, (2**k, 1) arrays for one member; the readout from the
-        # catalyst's frame is the dense P†UP reference's within 1e-15, at
-        # each size and over the pass's sizes; also for an uncompute without
-        # its last Toffoli or CNOT, which leaves garbage in the workspace
+        # the only dense states are the catalyst preparations of the ten
+        # member families that the unitary check shares with it in a pass,
+        # on their k wires, (2**k, 10) arrays; the readout of one member
+        # from the catalyst's frame is the dense P†UP reference's within
+        # 1e-15, at each size and over the pass's sizes; also for an
+        # uncompute without its last Toffoli or CNOT, which leaves garbage
+        # in the workspace
         from lattice_qre.circuitlab import statevector
 
         shapes = []
@@ -1120,7 +1132,7 @@ class TestCatalystInvariance:
         monkeypatch.setattr(verify, "apply_circuit", recorded)
         monkeypatch.setattr(statevector, "apply_circuit", recorded)
         assert verify.check_catalyst_invariance().passed
-        assert shapes == [((4, 1), 2), ((4, 1), 2), ((8, 1), 3)]   # M = 2, 3, 5
+        assert shapes == [((4, 10), 2), ((4, 10), 2), ((8, 10), 3)]   # M = 2, 3, 5
         for garbage in (None, GateKind.TOFFOLI, GateKind.CNOT):
             def build(m, theta, strategy):
                 gadget = build_hwp(m, theta, strategy)
@@ -1148,8 +1160,9 @@ class TestCatalystInvariance:
 
     def test_a_component_orthogonal_to_the_charged_image_is_a_deviation(self, monkeypatch):
         # lanes from column 0 add w = 1e-3 (e_0 - <D t, e_0> D t), orthogonal
-        # to D t, to A t at each size: the overlap with D t does not move,
-        # but ||A t||**2 = 1 + ||w||**2 does
+        # to D t, to A t at each size, in every member of the family (the
+        # check reads one): the overlap with D t does not move, but
+        # ||A t||**2 = 1 + ||w||**2 does
         frame_lanes, drawn = verify._frame_lanes, _seeded_targets((2, 3, 5))
 
         def grown(gadget, k):
@@ -1159,7 +1172,7 @@ class TestCatalystInvariance:
             w = -1e-3 * charged.conj()[0] * charged
             w[0] += 1e-3
             return (np.append(row, np.arange(1 << m)), np.append(column, np.zeros(1 << m, int)),
-                    np.append(term, w[None] / target[0], axis=1))
+                    np.append(term, np.broadcast_to(w / target[0], (k, w.size)), axis=1))
         monkeypatch.setattr(verify, "_frame_lanes", grown)
         result = verify.check_catalyst_invariance()
         assert not result.passed and result.max_deviation > 1e-7
@@ -1396,6 +1409,22 @@ def _dense_car_deviation(ops):
     return anti, mixed
 
 
+def _pairwise_car_deviation(ops):
+    """``fermion._car_deviation`` as it was formed before the row-wise one:
+    the products of all (i, j) pairs at once, as (n, n, d, d) arrays."""
+    a = np.stack(ops)
+    if not a.imag.any():
+        a = np.ascontiguousarray(a.real)
+    n, dim = a.shape[:2]
+    dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
+    product = a[:, None] @ a[None, :]
+    anti = product + product.transpose(1, 0, 2, 3)
+    mixed = a[:, None] @ dag[None, :] + dag[None, :] @ a[:, None]
+    diagonal = np.arange(n)
+    mixed[diagonal, diagonal] -= np.eye(dim)
+    return tuple(np.abs(x).reshape(n, n, -1).max(axis=2) for x in (anti, mixed))
+
+
 def _mutate_annihilation(monkeypatch, mode, change):
     """FermionOracle whose a_mode is ``change`` applied to the true one."""
     build = FermionOracle._annihilation
@@ -1455,6 +1484,38 @@ class TestFermionOracle:
         _mutate_annihilation(monkeypatch, 2, add_entry)
         with pytest.raises(AssertionError, match=r"\{a_0, a_2\} != 0 \(deviation 1\)"):
             FermionOracle(5)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_row_wise_products_equal_the_pairwise_ones(self, monkeypatch, n):
+        # the (n, d, d) products of one row i at a time give the (n, n)
+        # deviations of the (n, n, d, d) products of all pairs at once, to
+        # the bit: the valid operators, and each mode's with its first sign
+        # flipped, for which the oracle names the first failing pair in
+        # (i, j) order of the pairwise deviations (a lone mode, n = 1, stays
+        # valid with its sign flipped)
+        valid = [FermionOracle(n).a(j) for j in range(n)]
+        got = fermion._car_deviation(valid)
+        assert all(np.array_equal(a, b) for a, b in zip(got, _pairwise_car_deviation(valid)))
+        assert all(x.shape == (n, n) and not x.any() for x in got)
+        tol = fermion.CAR_TOLERANCE
+        for mode in range(n):
+            ops = [op.copy() for op in valid]
+            _flip_first_sign(ops[mode])
+            anti, mixed = _pairwise_car_deviation(ops)
+            got = fermion._car_deviation(ops)
+            assert np.array_equal(got[0], anti) and np.array_equal(got[1], mixed)
+            monkeypatch.setattr(FermionOracle, "_annihilation", lambda self, j, ops=ops: ops[j])
+            failing = np.argwhere((anti > tol) | (mixed > tol))
+            assert (failing.size == 0) == (n == 1)
+            if n == 1:
+                assert FermionOracle(n).car_deviation == 0.0
+            else:
+                i, j = failing[0]
+                name = (rf"\{{a_{i}, a_{j}\}} != 0" if anti[i, j] > tol
+                        else rf"\{{a_{i}, a_{j}\^dag\}} != delta")
+                with pytest.raises(AssertionError, match=name):
+                    FermionOracle(n)
+            monkeypatch.undo()
 
     def test_agrees_with_dense_products(self, monkeypatch):
         # seeded single-entry mutations of the n = 5 operators: the check's
@@ -1555,6 +1616,50 @@ class TestVerifySuite:
             rows, columns = np.nonzero(u)
             assert dict(zip(zip(rows.tolist(), columns.tolist()), u[rows, columns].tolist())) \
                 == dict(zip(zip(index.tolist(), column.tolist()), amp.tolist()))
+
+    def test_no_circuit_runs_twice_in_a_pass(self, monkeypatch):
+        # every apply_circuit and _evaluate call of a pass, keyed by its
+        # circuit's gate layout and its input's shape: 8 dense applications
+        # of 108 gates and 19 evaluations of 470 gates.  No key repeats but
+        # the catalyst preparations: those of M = 2 and 3 (k = 2) are one
+        # circuit, and so are those of M = 4 and 5 (k = 3).  The next pass
+        # runs every key again, as often
+        from lattice_qre.circuitlab import statevector
+
+        def layout(circuit):
+            return circuit.n_qubits, tuple((g.kind, g.qubits) for g in circuit.gates)
+        runs = Counter()
+
+        def dense(state, circuit):
+            runs["dense", layout(circuit), np.shape(state)] += 1
+            return apply_circuit(state, circuit)
+
+        def lanes(circuit, index):
+            runs["lanes", layout(circuit), np.shape(index)] += 1
+            return _evaluate(circuit, index)
+        monkeypatch.setattr(verify, "apply_circuit", dense)
+        monkeypatch.setattr(statevector, "apply_circuit", dense)
+        monkeypatch.setattr(verify, "_evaluate", lanes)
+        assert all(r.passed for r in verify.run_all())
+        one_pass = runs.copy()
+        for kernel, calls, gates in (("dense", 8, 108), ("lanes", 19, 470)):
+            assert sum(n for key, n in runs.items() if key[0] == kernel) == calls
+            assert sum(n * len(key[1][1]) for key, n in runs.items() if key[0] == kernel) == gates
+        preps = [build_hwp(m, 1.0, HwpStrategy.CATALYZED).catalyst_prep for m in (2, 4)]
+        assert {key: n for key, n in runs.items() if n > 1} == {
+            ("dense", layout(prep), (1 << prep.n_qubits, 10)): 2 for prep in preps}
+        assert all(r.passed for r in verify.run_all())
+        assert runs == one_pass + one_pass
+
+    def test_a_check_alone_reads_what_it_reads_in_a_pass(self, circuit_checks):
+        # what a pass shares, each check called on its own makes afresh, to
+        # the same deviation by float.hex: catalyst invariance the HWP
+        # families' frames, unitarity and the plaquette check the plaquette
+        # family's unitary
+        for check in verify.ALL_CHECKS:
+            alone = check()
+            assert (float.hex(alone.max_deviation)
+                    == float.hex(circuit_checks.results[alone.name].max_deviation)), alone.name
 
     def test_one_build_per_gadget_family(self, monkeypatch):
         # called on its own, the HWP check builds each (M, strategy) once
